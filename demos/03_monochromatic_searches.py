@@ -33,7 +33,7 @@ print("\n== the Schur-type threshold for two colors ==")
 rep = threshold_search(2, allow_repeats=True)
 print("  least N forcing a monochromatic {x, y, x+y}:", rep.n)
 print("  avoider at N-1:", rep.avoider, "(classes {1,4} and {2,3})")
-print("  confirmed by the flat enumerator:", rep.confirmed_independent)
+print("  confirmed by the forward-checking enumerator:", rep.confirmed_independent)
 
 print("\n== sum-graph search over the union semigroup ==")
 singletons = ElementSequence.from_fn(fin, lambda i: frozenset({i}))

@@ -22,6 +22,7 @@ from .filters import SymbolicChain
 from .search import Exhausted, SearchBudget, _NodeBudget, _candidate_blocks, _run_split
 from .semigroups import (
     BlockSequence,
+    CertificateError,
     ElementSequence,
     IndexedUnion,
     block_chains,
@@ -231,9 +232,10 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
                                          for fam in w.families),
                      witness_type=PartitionWitness)
     if isinstance(out, PartitionWitness):
-        assert verify_partition_witness(out, dc, chi_edge, d,
-                                        chi_vertex=chi_vertex, horizon=horizon,
-                                        **tparams)
+        if not verify_partition_witness(out, dc, chi_edge, d, chi_vertex=chi_vertex,
+                                        horizon=horizon, **tparams):
+            raise CertificateError("menger_mt_search produced a witness that "
+                                   "fails verify_partition_witness")
         return out
     return Exhausted(out.complete, out.nodes,
                      note=f"best depth reached: {best_depth} of {m}")

@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterator, Optional
 from .coloring import Coloring, canonical_key, cardinality_coloring, reduce_two_dim_to_one
 from .semigroups import (
     BlockSequence,
+    CertificateError,
     ElementSequence,
     ImproperSequenceError,
     Semigroup,
@@ -147,8 +148,9 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
 
     result = _run_split(range(1, n_max + 1), explore, budget,
                         key=lambda w: tuple(w.terms))
-    if isinstance(result, Witness):
-        assert verify_hindman_witness(result, chi)
+    if isinstance(result, Witness) and not verify_hindman_witness(result, chi):
+        raise CertificateError("hindman_search produced a witness that fails "
+                               "verify_hindman_witness")
     return result
 
 
@@ -237,9 +239,10 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
 
     result = _run_split(list(_candidate_blocks(1, hi - m + 1)), explore, budget,
                         key=lambda w: tuple(block_key(b) for b in w.blocks))
-    if isinstance(result, Witness):
-        assert verify_mt_witness(result, sg, base, chi_edge, d,
-                                 chi_vertex=chi_vertex, chain=chain, eta=eta)
+    if isinstance(result, Witness) and not verify_mt_witness(
+            result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
+        raise CertificateError("mt_search produced a witness that fails "
+                               "verify_mt_witness")
     return result
 
 
@@ -363,77 +366,164 @@ def _has_mono_triple(colors: dict, n: int, allow_repeats: bool) -> bool:
     return False
 
 
-def _find_avoider_dfs(k: int, n: int, allow_repeats: bool,
-                      nodes: _NodeBudget) -> Optional[dict]:
-    """First avoiding k-coloring of {1..n} in lexicographic order, with
-    color(1) = 1 fixed (color-permutation symmetry)."""
-    colors: dict = {}
+def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
+                       nodes: _NodeBudget) -> tuple[int, Optional[dict]]:
+    """One depth-first pass over the k-colorings of 1, 2, 3, ... in
+    lexicographic order.  Returns ``(depth, avoider)``: the deepest n
+    reached and the coloring of {1..n} held when the pass first got there,
+    which is the lexicographically least avoider of {1..n}.
 
-    def conflicts(v: int) -> bool:
-        # Values are assigned in order, so any new mono triple has v = x + y.
+    The pass stops at ``max_value`` or when the budget runs out; otherwise
+    it has exhausted the tree, so no avoider of {1..depth + 1} exists.
+
+    Colors are broken symmetrically: value v may take a new color only if
+    every lower color is already in use.  The least avoider satisfies this
+    (swapping two color names would make it smaller otherwise), so the
+    result is the least avoider among all colorings.
+    """
+    mask = [0] * (k + 1)        # mask[c]: bit v set when v has color c
+    forb = [0] * (k + 1)        # forb[c]: bit z set when z = x + y, x, y in c
+    colors = [0] * (max_value + 2)
+    saved = [0] * (max_value + 2)   # forb[colors[v]] before v was colored
+    in_use = [0] * (max_value + 2)  # colors used by 1..v-1
+    depth, avoider = 0, None
+    v = 1 if max_value else 0
+    while v:
         c = colors[v]
-        for x in range(1, v):
-            y = v - x
-            if 1 <= y < v and colors.get(x) == c and colors.get(y) == c:
-                if allow_repeats or x != y:
-                    return True
-        return False
+        if c:  # undo v's color before trying the next one
+            mask[c] ^= 1 << v
+            forb[c] = saved[v]
+        top = min(k, in_use[v] + 1)
+        c += 1
+        while c <= top:
+            if not nodes.spend():
+                return depth, avoider
+            if not forb[c] >> v & 1:
+                break
+            c += 1
+        if c > top:
+            colors[v] = 0
+            v -= 1
+            continue
+        colors[v] = c
+        saved[v] = forb[c]
+        forb[c] |= mask[c] << v
+        if allow_repeats:
+            forb[c] |= 1 << (2 * v)
+        mask[c] |= 1 << v
+        if v > depth:
+            depth, avoider = v, {i: colors[i] for i in range(1, v + 1)}
+            if v == max_value:
+                return depth, avoider
+        in_use[v + 1] = max(in_use[v], c)
+        v += 1
+    return depth, avoider
 
-    def assign(v: int) -> Optional[dict]:
-        if v > n:
-            return dict(colors)
-        limit = 1 if v == 1 else k
-        for c in range(1, limit + 1):
+
+def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
+                       nodes: _NodeBudget) -> Optional[bool]:
+    """Second, structurally different enumerator: forward checking over
+    per-value color domains (bit c - 1 of ``dom[v]`` set while v may still
+    take color c), branching on the unassigned value with the fewest colors
+    left.  Only color(1) = 1 is fixed.  True if some k-coloring of {1..n}
+    avoids every monochromatic {x, y, x+y}, False if none does, None if
+    the node budget ran out first."""
+    same = [0] * k      # same[c]: bit u set when u has color c + 1
+    mirror = [0] * k    # mirror[c]: bit n - u set when u has color c + 1
+
+    def search(dom: list, free: int) -> Optional[bool]:
+        if not free:
+            return True
+        v, size, rest = 0, k + 1, free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            left = dom[u].bit_count()
+            if left < size:
+                v, size = u, left
+        free ^= 1 << v
+        choices = dom[v]
+        while choices:
+            bit = choices & -choices
+            choices ^= bit
+            c = bit.bit_length() - 1
             if not nodes.spend():
                 return None
-            colors[v] = c
-            if not conflicts(v):
-                out = assign(v + 1)
-                if out is not None:
-                    return out
-            del colors[v]
-        return None
+            # Every triple that v completes with an earlier value of color
+            # c: the sums u + v and the differences |u - v|.
+            hit = (same[c] << v) | (same[c] >> v) | (mirror[c] >> (n - v))
+            if allow_repeats:
+                hit |= 1 << (2 * v)
+                if v % 2 == 0:
+                    hit |= 1 << (v // 2)
+            hit &= free
+            child = dom[:] if hit else dom
+            wiped = False
+            while hit and not wiped:
+                low = hit & -hit
+                hit ^= low
+                w = low.bit_length() - 1
+                child[w] &= ~bit
+                wiped = not child[w]
+            if wiped:
+                continue
+            same[c] |= 1 << v
+            mirror[c] |= 1 << (n - v)
+            out = search(child, free)
+            same[c] ^= 1 << v
+            mirror[c] ^= 1 << (n - v)
+            if out is not False:
+                return out
+        return False
 
-    return assign(1)
-
-
-def _avoider_exists_flat(k: int, n: int, allow_repeats: bool) -> Optional[dict]:
-    """Independent enumerator: scan all k^n colorings outright."""
-    for assignment in itertools.product(range(1, k + 1), repeat=n):
-        colors = dict(enumerate(assignment, start=1))
-        if not _has_mono_triple(colors, n, allow_repeats):
-            return colors
-    return None
+    dom = [(1 << k) - 1] * (n + 1)
+    dom[1] = 1
+    return search(dom, (1 << (n + 1)) - 2)
 
 
 def threshold_search(k: int, m: int = 2, allow_repeats: bool = True,
                      budget: Optional[SearchBudget] = None) -> ThresholdReport:
     """Least N such that every k-coloring of {1..N} has a monochromatic
-    {x, y, x+y} (x = y only when repeats are allowed), plus an avoiding
-    coloring at N - 1, both confirmed by a structurally different second
-    enumerator."""
+    {x, y, x+y} (x = y only when repeats are allowed), plus the least
+    avoiding coloring of {1..N-1} in lexicographic order.
+
+    One depth-first pass over 1, 2, ... up to ``budget.max_value`` finds
+    both: it records the first avoider at each depth, and when it exhausts
+    the tree at depth N - 1, N is the threshold.  A second enumerator,
+    forward checking over color domains with its own node budget, then
+    confirms that {1..N} has no avoider, and the avoider of {1..N-1} is
+    rechecked triple by triple; ``confirmed_independent`` is set only when
+    both hold, and ``note`` says which did not.  ``nodes`` counts both
+    enumerators.
+    """
     if m != 2:
         raise ValueError("threshold_search handles the pair form (m = 2)")
     if k < 1:
         raise ValueError("k >= 1 required")
     budget = budget or SearchBudget(max_value=64)
     nodes = _NodeBudget(budget.node_limit)
-    prev_avoider: Optional[dict] = None
-    for n in range(1, budget.max_value + 1):
-        avoider = _find_avoider_dfs(k, n, allow_repeats, nodes)
-        if nodes.used > nodes.limit:
-            return ThresholdReport(False, None, prev_avoider, nodes.used,
-                                   note=f"budget exhausted at N={n}; threshold > {n - 1}")
-        if avoider is None:
-            flat_none = _avoider_exists_flat(k, n, allow_repeats) is None
-            flat_prev = (n == 1) or (
-                prev_avoider is not None
-                and not _has_mono_triple(prev_avoider, n - 1, allow_repeats))
-            return ThresholdReport(True, n, prev_avoider, nodes.used,
-                                   confirmed_independent=flat_none and flat_prev)
-        prev_avoider = avoider
-    return ThresholdReport(False, None, prev_avoider, nodes.used,
-                           note=f"no threshold within {budget.max_value}")
+    depth, avoider = _lex_first_avoider(k, budget.max_value, allow_repeats, nodes)
+    if depth == budget.max_value:
+        return ThresholdReport(False, None, avoider, nodes.used,
+                               note=f"no threshold within {budget.max_value}")
+    if nodes.used > nodes.limit:
+        return ThresholdReport(False, None, avoider, nodes.used,
+                               note=f"budget exhausted at N={depth + 1}; "
+                                    f"threshold > {depth}")
+    n = depth + 1
+    confirm = _NodeBudget(budget.node_limit)
+    exists = _avoider_exists_fc(k, n, allow_repeats, confirm)
+    if exists is None:
+        note = f"confirmation budget of {confirm.limit} nodes exhausted at N={n}"
+    elif exists:
+        note = f"the second enumerator found an avoider of {{1..{n}}}"
+    elif _has_mono_triple(avoider, depth, allow_repeats):
+        note = f"the avoider of {{1..{depth}}} has a monochromatic triple"
+    else:
+        note = ""
+    return ThresholdReport(True, n, avoider, nodes.used + confirm.used,
+                           confirmed_independent=not note, note=note)
 
 
 # ---------------------------------------------------------------------------

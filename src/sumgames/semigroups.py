@@ -26,6 +26,10 @@ class BlockOrderError(SumgamesError):
     """Blocks violate the max < min order."""
 
 
+class CertificateError(SumgamesError):
+    """A search produced a certificate that its own verifier rejects."""
+
+
 def make_block(indices: Iterable[int]) -> Block:
     b = frozenset(int(i) for i in indices)
     if not b:

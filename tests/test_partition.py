@@ -1,6 +1,9 @@
 """Cover-partition search, the cofinite encoding, constrained chains."""
 from fractions import Fraction
 
+import pytest
+
+from sumgames import partition as partition_module
 from sumgames.coloring import (
     Coloring,
     cardinality_coloring,
@@ -23,7 +26,7 @@ from sumgames.partition import (
     verify_partition_witness,
 )
 from sumgames.search import Exhausted, SearchBudget, mt_search
-from sumgames.semigroups import ElementSequence, finite_sets
+from sumgames.semigroups import CertificateError, ElementSequence, finite_sets
 from sumgames.verdicts import Verdict
 
 NATS = Space.naturals()
@@ -118,6 +121,16 @@ def test_cofinite_cover_is_point_infinite():
 def test_cofinite_has_no_finite_subcover_escapes():
     inst = encode_cofinite_example(6)
     assert inst.dc.check_escapes(6) == []
+
+
+def test_rejected_partition_certificate_raises(monkeypatch):
+    monkeypatch.setattr(partition_module, "verify_partition_witness",
+                        lambda *a, **kw: False)
+    inst = encode_cofinite_example(6)
+    with pytest.raises(CertificateError):
+        menger_mt_search(inst.dc, None, constant_coloring(2, 1), m=2, d=2,
+                         target=CoverKind.OP, horizon=1,
+                         budget=SearchBudget(max_index=6))
 
 
 def test_cofinite_roundtrip_against_direct_search():

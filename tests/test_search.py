@@ -1,8 +1,12 @@
 """Witness searches: Hindman, Milliken–Taylor, Schur thresholds, dichotomy."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumgames import search as search_module
+from sumgames.cli import EXIT_OK, main
 from sumgames.coloring import (
     cardinality_coloring,
     constant_coloring,
@@ -24,7 +28,9 @@ from sumgames.search import (
     verify_hindman_witness,
     verify_mt_witness,
 )
+from sumgames.search import _NodeBudget, _avoider_exists_fc, _lex_first_avoider
 from sumgames.semigroups import (
+    CertificateError,
     ElementSequence,
     ImproperSequenceError,
     finite_sets,
@@ -184,7 +190,8 @@ def test_mt_witnesses_reverify(seed):
 # ---------------------------------------------------------------- thresholds
 
 def test_threshold_schur_two_colors_with_repeats():
-    # Oracle (frozen): exhaustive over all 2-colorings of {1..4} and {1..5}.
+    # Oracle (frozen): S(2) = 4 (Schur 1916), and {1,4 | 2,3} is the least
+    # avoider of {1..4}.
     report = threshold_search(2, allow_repeats=True)
     assert report.found and report.n == 5
     assert report.avoider == {1: 1, 2: 2, 3: 2, 4: 1}  # {1,4 | 2,3}
@@ -198,7 +205,8 @@ def test_threshold_single_color():
 
 
 def test_threshold_no_repeats():
-    # Oracle (frozen): flat enumeration puts the distinct-pair threshold at 9.
+    # Oracle (frozen): the weak Schur number WS(2) = 8 puts the distinct-pair
+    # threshold at 9.
     report = threshold_search(2, allow_repeats=False)
     assert report.found and report.n == 9
     assert report.confirmed_independent
@@ -213,6 +221,90 @@ def test_threshold_budget_report():
                               budget=SearchBudget(max_value=64, node_limit=5))
     assert not report.found
     assert "budget" in report.note
+
+
+# Published thresholds: S(1..3) = 1, 4, 13 (Schur 1916; Baumert 1965) and
+# the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.
+@pytest.mark.parametrize("k, repeats, n", [
+    (1, True, 2), (2, True, 5), (3, True, 14),
+    (1, False, 3), (2, False, 9), (3, False, 24),
+])
+def test_threshold_published_values(k, repeats, n):
+    report = threshold_search(k, allow_repeats=repeats)
+    assert report.found and report.n == n
+    assert report.confirmed_independent and report.note == ""
+    assert sorted(report.avoider) == list(range(1, n))
+    assert not _has_mono_triple_reference(report.avoider, n - 1, repeats)
+
+
+def _has_mono_triple_reference(colors, n, repeats):
+    return any(colors[x] == colors[y] == colors[x + y]
+               for x in range(1, n + 1) for y in range(1, n - x + 1)
+               if repeats or x != y)
+
+
+def _lex_first_avoider_reference(k, n, repeats):
+    """Slow reference: the first avoiding coloring in itertools.product order."""
+    for assignment in itertools.product(range(1, k + 1), repeat=n):
+        colors = dict(enumerate(assignment, start=1))
+        if not _has_mono_triple_reference(colors, n, repeats):
+            return colors
+    return None
+
+
+_SMALL_CASES = [(k, repeats, n) for k, top in ((1, 4), (2, 10), (3, 9))
+                for repeats in (True, False) for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("k, repeats, n", _SMALL_CASES)
+def test_threshold_enumerators_match_bruteforce(k, repeats, n):
+    want = _lex_first_avoider_reference(k, n, repeats)
+    depth, avoider = _lex_first_avoider(k, n, repeats, _NodeBudget(10 ** 6))
+    assert (avoider if depth == n else None) == want
+    assert _avoider_exists_fc(k, n, repeats, _NodeBudget(10 ** 6)) is (want is not None)
+
+
+def test_threshold_dfs_obeys_node_limit():
+    nodes = _NodeBudget(1000)
+    depth, avoider = _lex_first_avoider(4, 40, True, nodes)
+    assert nodes.used == 1001 and depth < 40
+    assert not _has_mono_triple_reference(avoider, depth, True)
+    report = threshold_search(4, budget=SearchBudget(max_value=40, node_limit=1000))
+    assert not report.found and report.nodes == 1001
+    assert report.note == f"budget exhausted at N={depth + 1}; threshold > {depth}"
+
+
+def test_threshold_confirmation_obeys_node_limit(monkeypatch):
+    nodes = _NodeBudget(100)
+    assert _avoider_exists_fc(3, 24, False, nodes) is None
+    assert nodes.used == 101
+    # A confirmation cut by its budget leaves the threshold unconfirmed.
+    monkeypatch.setattr(search_module, "_avoider_exists_fc",
+                        lambda k, n, repeats, budget: None)
+    report = threshold_search(3, allow_repeats=False)
+    assert report.found and report.n == 24
+    assert not report.confirmed_independent
+    assert "confirmation budget" in report.note
+
+
+def test_threshold_cli_three_colors_no_repeats(capsys):
+    assert main(["threshold", "--colors", "3", "--no-repeats"]) == EXIT_OK
+    assert '"n": 24' in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------- certificates
+
+@pytest.mark.parametrize("verifier, run", [
+    ("verify_hindman_witness",
+     lambda: hindman_search(parity_coloring(), 2, SearchBudget(max_value=7))),
+    ("verify_mt_witness",
+     lambda: mt_search(constant_coloring(2, 1), FIN, fin_singletons(), m=2, d=2,
+                       budget=SearchBudget(max_index=4))),
+])
+def test_rejected_certificate_raises(monkeypatch, verifier, run):
+    monkeypatch.setattr(search_module, verifier, lambda *a, **kw: False)
+    with pytest.raises(CertificateError):
+        run()
 
 
 # ---------------------------------------------------------------- dichotomy
