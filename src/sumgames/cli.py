@@ -127,7 +127,6 @@ class RunConfig:
             max_value=int(self.get("max_value", 0)),
             max_index=int(self.get("max_index", 0)),
             node_limit=int(self.get("node_limit")),
-            parallelism=int(self.get("parallelism")),
         )
 
     def to_dict(self) -> dict:
@@ -169,9 +168,12 @@ def parse_config(source) -> RunConfig:
     options = {k: v for k, v in data.items() if k != "command"}
     for key, value in _DEFAULTS.items():
         options.setdefault(key, value)
-    for key in ("node_limit", "parallelism", "horizon", "t", "s", "f"):
+    for key in ("node_limit", "horizon", "t", "s", "f"):
         if int(options[key]) < 1:
             raise ConfigError(f"{key}: must be positive")
+    # Kept as a key so that every report written so far still parses.
+    if options["parallelism"] != 1:
+        raise ConfigError("parallelism: searches run sequentially; only 1 is accepted")
     for key in ("coloring", "edge_coloring", "vertex_coloring"):
         desc = options.get(key)
         if desc is not None and int(desc.get("k", 1)) < 1:
@@ -676,7 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out")
         p.add_argument("--format", choices=["json-lines", "csv", "pretty"])
         p.add_argument("--node-limit", type=int, dest="node_limit")
-        p.add_argument("--parallelism", type=int)
         p.add_argument("--horizon", type=int)
         p.add_argument("-t", type=int, dest="t")
         p.add_argument("-s", type=int, dest="s")

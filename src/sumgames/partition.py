@@ -19,14 +19,16 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .coloring import Coloring
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
 from .filters import SymbolicChain
-from .search import Exhausted, SearchBudget, _NodeBudget, _candidate_blocks, _run_split
+from .search import Exhausted, SearchBudget, _candidate_blocks, _depth_first, _prefix_sums
 from .semigroups import (
+    BlockOrderError,
     BlockSequence,
     CertificateError,
     ElementSequence,
     IndexedUnion,
     block_chains,
     fs_enumerate,
+    indexed_unions,
     proper_violation,
 )
 from .verdicts import Verdict
@@ -129,37 +131,13 @@ def _union_semigroup_terms(dc: DescendingCovers, families: Sequence) -> list:
     return terms
 
 
+def _union_semigroup(dc: DescendingCovers):
+    return indexed_unions(lambda j: dc.member_set(j), lambda a, b: a.union(b))
+
+
 def _union_element_sequence(dc, families) -> ElementSequence:
-    from .semigroups import indexed_unions
-
-    sg = indexed_unions(lambda j: dc.member_set(j), lambda a, b: a.union(b))
-    return ElementSequence.from_terms(sg, _union_semigroup_terms(dc, families))
-
-
-def _prefix_ok(dc, families, chi_edge, chi_vertex, d, escapes) -> bool:
-    n = len(families)
-    for i, x in enumerate(escapes[:n], start=1):
-        # x_1..x_{n-1} must lie in V_n for every later round
-        for later in range(i + 1, n + 1):
-            fam = families[later - 1]
-            v = None
-            for _, s in fam:
-                v = s if v is None else v.union(s)
-            if not v.contains(x):
-                return False
-    seq = _union_element_sequence(dc, families)
-    if proper_violation(seq, n) is not None:
-        return False
-    sums = fs_enumerate(seq, n)
-    colors = set()
-    for ch in block_chains(n, d):
-        colors.add(chi_edge.of_set(frozenset(sums[F] for F in ch)))
-        if len(colors) > 1:
-            return False
-    if chi_vertex is not None:
-        if len({chi_vertex.of(v) for v in sums.values()}) > 1:
-            return False
-    return True
+    return ElementSequence.from_terms(_union_semigroup(dc),
+                                      _union_semigroup_terms(dc, families))
 
 
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
@@ -182,63 +160,52 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         raise ValueError(f"descension fails on samples: {bad[:3]}")
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
     allowed = {n: set(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
+    usg = _union_semigroup(dc)
     best_depth = 0
 
-    def candidate_fams(rnd: int, lo: int, used: set):
-        cap = hi - (m - rnd) if require_block_order else hi
-        for F in _candidate_blocks(lo, cap):
-            if (set(F) <= allowed[rnd]) and not (set(F) & used):
-                yield tuple((j, dc.member_set(j)) for j in sorted(F))
-
-    def extend(families: list, used: set, nodes: _NodeBudget):
-        nonlocal best_depth
-        if not nodes.spend():
-            return None
-        n = len(families)
-        best_depth = max(best_depth, n)
-        if n == m:
-            unions = tuple(_union_semigroup_terms(dc, families))
-            distinct_sets = []
-            for u in unions:
-                if u.value not in distinct_sets:
-                    distinct_sets.append(u.value)
-            cover = Cover(dc.space, sets=distinct_sets, name="partition-unions")
-            coverage = classify_cover(cover, target, horizon, **tparams)
-            if coverage is not Verdict.HOLDS:
-                return "prune"
-            return _build_partition_witness(
-                dc, families, chi_vertex, chi_edge, d, target, coverage)
-        rnd = n + 1
+    def candidates(families: list):
+        rnd = len(families) + 1
+        lo = rnd
         if families and require_block_order:
             lo = max(rnd, max(j for j, _ in families[-1]) + 1)
-        else:
-            lo = rnd
-        for fam in candidate_fams(rnd, lo, used):
-            if not _prefix_ok(dc, families + [fam], chi_edge, chi_vertex, d, escapes):
-                continue
-            out = extend(families + [fam], used | {j for j, _ in fam}, nodes)
-            if out is None or isinstance(out, PartitionWitness):
-                return out
-        return "prune"
+        cap = hi - (m - rnd) if require_block_order else hi
+        used = {j for fam in families for j, _ in fam}
+        for F in _candidate_blocks(lo, cap):
+            if F <= allowed[rnd] and not (F & used):
+                yield tuple((j, dc.member_set(j)) for j in sorted(F))
 
-    def explore_first(fam, nodes: _NodeBudget):
-        if not _prefix_ok(dc, [fam], chi_edge, chi_vertex, d, escapes):
-            return "prune"
-        return extend([fam], {j for j, _ in fam}, nodes)
+    def check(families: list):
+        nonlocal best_depth
+        terms = _union_semigroup_terms(dc, families)
+        # the escape points x_1..x_{n-1} must lie in the new union V_n
+        if not all(terms[-1].value.contains(x) for x in escapes[:len(terms) - 1]):
+            return None
+        sums = _prefix_sums(usg, terms, chi_edge, d, chi_vertex)
+        if sums is not None:
+            best_depth = max(best_depth, len(terms))
+        return sums
 
-    firsts = list(candidate_fams(1, 1, set()))
-    out = _run_split(firsts, explore_first, budget,
-                     key=lambda w: tuple(tuple(sorted(j for j, _ in fam))
-                                         for fam in w.families),
-                     witness_type=PartitionWitness)
-    if isinstance(out, PartitionWitness):
-        if not verify_partition_witness(out, dc, chi_edge, d, chi_vertex=chi_vertex,
-                                        horizon=horizon, **tparams):
-            raise CertificateError("menger_mt_search produced a witness that "
-                                   "fails verify_partition_witness")
+    def finish(families: list, sums: dict):
+        distinct_sets = []
+        for u in _union_semigroup_terms(dc, families):
+            if u.value not in distinct_sets:
+                distinct_sets.append(u.value)
+        cover = Cover(dc.space, sets=distinct_sets, name="partition-unions")
+        coverage = classify_cover(cover, target, horizon, **tparams)
+        if coverage is not Verdict.HOLDS:
+            return None
+        return _build_partition_witness(
+            dc, families, chi_vertex, chi_edge, d, target, coverage)
+
+    out = _depth_first(m, candidates, check, finish, budget.node_limit)
+    if isinstance(out, Exhausted):
+        out.note = f"best depth reached: {best_depth} of {m}"
         return out
-    return Exhausted(out.complete, out.nodes,
-                     note=f"best depth reached: {best_depth} of {m}")
+    if not verify_partition_witness(out, dc, chi_edge, d, chi_vertex=chi_vertex,
+                                    horizon=horizon, **tparams):
+        raise CertificateError("menger_mt_search produced a witness that "
+                               "fails verify_partition_witness")
+    return out
 
 
 def _build_partition_witness(dc, families, chi_vertex, chi_edge, d, target,
@@ -253,7 +220,7 @@ def _build_partition_witness(dc, families, chi_vertex, chi_edge, d, target,
     try:
         index_blocks = BlockSequence(tuple(frozenset(j for j, _ in fam)
                                            for fam in families))
-    except Exception:
+    except BlockOrderError:
         index_blocks = None
     return PartitionWitness(
         families=tuple(families),

@@ -11,7 +11,6 @@ limit, so a truncated miss never refutes anything.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -27,6 +26,7 @@ from .semigroups import (
     fs_enumerate,
     indexed_sum,
     is_proper_up_to,
+    least_collision,
     naturals,
     proper_violation,
     sum_hypergraph,
@@ -38,16 +38,19 @@ _NATS = naturals()
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Caps for a search: value / index truncation, node limit, parallelism."""
+    """Caps for a search: value / index truncation and node limit.
+
+    Every search runs sequentially in one thread and visits its nodes in a
+    fixed order, so its result depends on these caps alone.
+    """
 
     max_value: int = 0
     max_index: int = 0
     node_limit: int = 10 ** 7
-    parallelism: int = 1
 
     def __post_init__(self):
-        if self.node_limit < 1 or self.parallelism < 1:
-            raise ValueError("node_limit and parallelism must be positive")
+        if self.node_limit < 1:
+            raise ValueError("node_limit must be positive")
         if self.max_value < 0 or self.max_index < 0:
             raise ValueError("truncations cannot be negative")
 
@@ -118,15 +121,96 @@ class DichotomyUnknown:
 
 
 class _NodeBudget:
-    __slots__ = ("limit", "used")
+    """Counts nodes up to ``limit``; ``refused`` records that one more was
+    asked for, so a run that stops there is not a complete one."""
+
+    __slots__ = ("limit", "used", "refused")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.refused = False
 
     def spend(self) -> bool:
+        if self.used >= self.limit:
+            self.refused = True
+            return False
         self.used += 1
-        return self.used <= self.limit
+        return True
+
+
+# ---------------------------------------------------------------------------
+# shared driver
+# ---------------------------------------------------------------------------
+
+def _depth_first(m: int, candidates: Callable, check: Callable,
+                 finish: Callable, node_limit: int):
+    """The one depth-first loop of the block searches, and the only place
+    where they spend nodes.
+
+    ``candidates(prefix)`` lists the items that may extend a prefix, in
+    search order; every extended prefix costs one node.  ``check(prefix)``
+    returns the prefix's finite sums, or None to prune it.  A prefix of
+    length ``m`` goes to ``finish(prefix, sums)``, whose first non-None
+    value ends the search.  When ``check`` holds on every prefix of an
+    accepted sequence, that value belongs to the least accepted sequence
+    in search order.  Without one, the result is ``Exhausted``: complete
+    unless a node was refused.
+    """
+    nodes = _NodeBudget(node_limit)
+    prefix: list = []
+
+    def extend():
+        for item in candidates(prefix):
+            if not nodes.spend():
+                return None
+            prefix.append(item)
+            sums = check(prefix)
+            if sums is not None:
+                out = finish(prefix, sums) if len(prefix) == m else extend()
+                if out is not None or nodes.refused:
+                    return out
+            prefix.pop()
+        return None
+
+    out = extend()
+    if out is not None:
+        return out
+    if nodes.refused:
+        return Exhausted(False, nodes.used, "node budget exhausted")
+    return Exhausted(True, nodes.used)
+
+
+def _prefix_sums(sg: Semigroup, terms: list, chi_edge: Optional[Coloring] = None,
+                 d: int = 0, chi_vertex: Optional[Coloring] = None) -> Optional[dict]:
+    """The prefix check of the Hindman, Milliken–Taylor and cover-partition
+    searches: the finite sums of ``terms`` when no two blocks F < H have
+    equal sums, all d-chains of sums share one ``chi_edge`` color and all
+    sums one ``chi_vertex`` color; None otherwise."""
+    n = len(terms)
+    sums = fs_enumerate(ElementSequence.from_terms(sg, terms), n)
+    if least_collision(sums) is not None:
+        return None
+    if chi_edge is not None:
+        colors = set()
+        for ch in block_chains(n, d):
+            colors.add(chi_edge.of_set(frozenset(sums[F] for F in ch)))
+            if len(colors) > 1:
+                return None
+    if chi_vertex is not None and len({chi_vertex.of(v) for v in sums.values()}) > 1:
+        return None
+    return sums
+
+
+def _chain_candidates(hi: int, m: int) -> Callable:
+    """Candidates for chains F_1 < ... < F_m inside {1..hi}: blocks above
+    the last one that leave an index for each block still to come."""
+
+    def candidates(blocks: list) -> Iterator[frozenset]:
+        lo = max(blocks[-1]) + 1 if blocks else 1
+        return _candidate_blocks(lo, hi - (m - len(blocks) - 1))
+
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -143,45 +227,27 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
     if not 1 <= m <= n_max:
         raise ValueError("need 1 <= m <= max_value")
 
-    def explore(first: int, nodes: _NodeBudget):
-        return _extend_hindman(chi, [first], m, n_max, nodes)
+    def candidates(terms: list) -> range:
+        # the largest finite sum, that of all terms, stays within n_max
+        return range(terms[-1] + 1 if terms else 1, n_max - sum(terms) + 1)
 
-    result = _run_split(range(1, n_max + 1), explore, budget,
-                        key=lambda w: tuple(w.terms))
-    if isinstance(result, Witness) and not verify_hindman_witness(result, chi):
-        raise CertificateError("hindman_search produced a witness that fails "
-                               "verify_hindman_witness")
-    return result
-
-
-def _extend_hindman(chi: Coloring, terms: list, m: int, n_max: int,
-                    nodes: _NodeBudget):
-    if not nodes.spend():
-        return None  # budget exhausted in this branch
-    seq = ElementSequence.from_terms(_NATS, terms)
-    n = len(terms)
-    sums = fs_enumerate(seq, n)
-    if max(sums.values()) > n_max:
-        return "prune"
-    if len({chi.of(v) for v in sums.values()}) > 1:
-        return "prune"
-    if proper_violation(seq, n) is not None:
-        return "prune"
-    if n == m:
-        color = chi.of(terms[0])
+    def finish(terms: list, sums: dict) -> Witness:
         return Witness(
             blocks=BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))),
             terms=tuple(terms),
-            color_vertex=color,
+            color_vertex=chi.of(terms[0]),
             color_edge=None,
             certificate={"d": 1, "fs_values": sorted(sums.values()),
                          "vertex_sets": [frozenset([v]) for v in sums.values()]},
         )
-    for nxt in range(terms[-1] + 1, n_max + 1):
-        out = _extend_hindman(chi, terms + [nxt], m, n_max, nodes)
-        if isinstance(out, Witness) or out is None:
-            return out
-    return "prune"
+
+    result = _depth_first(m, candidates,
+                          lambda terms: _prefix_sums(_NATS, terms, chi_vertex=chi),
+                          finish, budget.node_limit)
+    if isinstance(result, Witness) and not verify_hindman_witness(result, chi):
+        raise CertificateError("hindman_search produced a witness that fails "
+                               "verify_hindman_witness")
+    return result
 
 
 def verify_hindman_witness(w: Witness, chi: Coloring) -> bool:
@@ -233,58 +299,21 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     eta = (reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
            if (chi_vertex is not None and d == 2) else None)
 
-    def explore(first: frozenset, nodes: _NodeBudget):
-        return _extend_mt(chi_edge, chi_vertex, sg, base, [first], m, d, hi,
-                          chain, nodes)
+    def check(blocks: list) -> Optional[dict]:
+        taken = [indexed_sum(base, F) for F in blocks]
+        if chain is not None and not chain.set_at(len(blocks))(taken[-1]):
+            return None
+        return _prefix_sums(sg, taken, chi_edge, d, chi_vertex)
 
-    result = _run_split(list(_candidate_blocks(1, hi - m + 1)), explore, budget,
-                        key=lambda w: tuple(block_key(b) for b in w.blocks))
+    result = _depth_first(
+        m, _chain_candidates(hi, m), check,
+        lambda blocks, sums: _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d),
+        budget.node_limit)
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
         raise CertificateError("mt_search produced a witness that fails "
                                "verify_mt_witness")
     return result
-
-
-def _taken_ok(chi_edge, chi_vertex, sg, taken_terms, d, chain):
-    """Monochromaticity + properness + chain membership for a prefix."""
-    seq = ElementSequence.from_terms(sg, taken_terms)
-    n = len(taken_terms)
-    if chain is not None:
-        for i, b in enumerate(taken_terms, start=1):
-            if not chain.set_at(i)(b):
-                return False
-    if proper_violation(seq, n) is not None:
-        return False
-    sums = fs_enumerate(seq, n)
-    edge_colors = set()
-    for ch in block_chains(n, d):
-        edge_colors.add(chi_edge.of_set(frozenset(sums[F] for F in ch)))
-        if len(edge_colors) > 1:
-            return False
-    if chi_vertex is not None:
-        if len({chi_vertex.of(v) for v in sums.values()}) > 1:
-            return False
-    return True
-
-
-def _extend_mt(chi_edge, chi_vertex, sg, base, blocks, m, d, hi, chain,
-               nodes: _NodeBudget):
-    if not nodes.spend():
-        return None
-    taken = [indexed_sum(base, F) for F in blocks]
-    if not _taken_ok(chi_edge, chi_vertex, sg, taken, d, chain):
-        return "prune"
-    n = len(blocks)
-    if n == m:
-        return _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d)
-    lo = max(blocks[-1]) + 1
-    for F in _candidate_blocks(lo, hi - (m - n - 1)):
-        out = _extend_mt(chi_edge, chi_vertex, sg, base, blocks + [F], m, d,
-                         hi, chain, nodes)
-        if isinstance(out, Witness) or out is None:
-            return out
-    return "prune"
 
 
 def _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d) -> Witness:
@@ -507,7 +536,7 @@ def threshold_search(k: int, m: int = 2, allow_repeats: bool = True,
     if depth == budget.max_value:
         return ThresholdReport(False, None, avoider, nodes.used,
                                note=f"no threshold within {budget.max_value}")
-    if nodes.used > nodes.limit:
+    if nodes.refused:
         return ThresholdReport(False, None, avoider, nodes.used,
                                note=f"budget exhausted at N={depth + 1}; "
                                     f"threshold > {depth}")
@@ -545,45 +574,33 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
         raise ValueError("dichotomy needs depth >= 2")
     card = cardinality_coloring(2)
     sg = seq.semigroup
-    nodes = _NodeBudget(budget.node_limit)
-    complete = True
 
-    def extend(blocks: list):
-        nonlocal complete
-        if not nodes.spend():
-            complete = False
-            return None
-        taken = [indexed_sum(seq, F) for F in blocks]
+    def check(blocks: list) -> Optional[dict]:
         n = len(blocks)
-        tseq = ElementSequence.from_terms(sg, taken)
-        sums = fs_enumerate(tseq, n)
+        sums = fs_enumerate(ElementSequence.from_terms(
+            sg, [indexed_sum(seq, F) for F in blocks]), n)
         colors = {card.of_set(frozenset({sums[F], sums[H]}))
                   for F, H in block_chains(n, 2)}
-        if len(colors) > 1:
-            return "prune"
-        if n == m:
-            bseq = BlockSequence(tuple(blocks))
-            if colors == {2}:
-                if is_proper_up_to(tseq, m):
-                    return Proper(blocks=bseq, terms=tuple(taken))
-                return "prune"
-            if colors == {1}:
-                e = taken[0]
-                if all(t == e for t in taken) and sg.combine(e, e) == e:
-                    return Collapse(element=e, blocks=bseq)
-                return "prune"
-            return "prune"
-        lo = (max(blocks[-1]) + 1) if blocks else 1
-        for F in _candidate_blocks(lo, depth - (m - n - 1)):
-            out = extend(blocks + [F])
-            if out is None or isinstance(out, (Proper, Collapse)):
-                return out
-        return "prune"
+        return sums if len(colors) <= 1 else None
 
-    out = extend([])
-    if isinstance(out, (Proper, Collapse)):
-        return out
-    return DichotomyUnknown(nodes=nodes.used, complete=complete)
+    def finish(blocks: list, sums: dict):
+        # Every pair F < H has the color of ({1}, {2}): with 2 no two such
+        # sums are equal (proper); with 1 every term is e, and e + e = e
+        # makes every sum e.
+        bseq = BlockSequence(tuple(blocks))
+        taken = tuple(sums[frozenset([i])] for i in range(1, m + 1))
+        e = taken[0]
+        if card.of_set(frozenset({e, taken[1]})) == 2:
+            return Proper(blocks=bseq, terms=taken)
+        if sg.combine(e, e) == e:
+            return Collapse(element=e, blocks=bseq)
+        return None
+
+    out = _depth_first(m, _chain_candidates(depth, m), check, finish,
+                       budget.node_limit)
+    if isinstance(out, Exhausted):
+        return DichotomyUnknown(nodes=out.nodes, complete=out.complete)
+    return out
 
 
 def verify_dichotomy(result, seq: ElementSequence) -> bool:
@@ -599,34 +616,3 @@ def verify_dichotomy(result, seq: ElementSequence) -> bool:
         return vals == {result.element} and sg.combine(result.element, result.element) == result.element
     return isinstance(result, DichotomyUnknown)
 
-
-# ---------------------------------------------------------------------------
-# shared driver
-# ---------------------------------------------------------------------------
-
-def _run_split(first_choices, explore: Callable, budget: SearchBudget, key,
-               witness_type: type = Witness):
-    """Run the search sequentially, or split on the first choice across a
-    thread pool and merge deterministically by taking the least witness."""
-    if budget.parallelism <= 1:
-        nodes = _NodeBudget(budget.node_limit)
-        for choice in first_choices:
-            out = explore(choice, nodes)
-            if isinstance(out, witness_type):
-                return out
-            if out is None:
-                return Exhausted(False, nodes.used, "node budget exhausted")
-        return Exhausted(True, nodes.used)
-
-    choices = list(first_choices)
-    share = max(1, budget.node_limit // max(1, len(choices)))
-    budgets = [_NodeBudget(share) for _ in choices]
-    with ThreadPoolExecutor(max_workers=budget.parallelism) as pool:
-        outs = list(pool.map(lambda cb: explore(cb[0], cb[1]), zip(choices, budgets)))
-    nodes = sum(b.used for b in budgets)
-    witnesses = [o for o in outs if isinstance(o, witness_type)]
-    if witnesses:
-        return min(witnesses, key=key)
-    if any(o is None for o in outs):
-        return Exhausted(False, nodes, "node budget exhausted in some branch")
-    return Exhausted(True, nodes)

@@ -50,6 +50,14 @@ def test_zero_palette_rejected():
                       "coloring": {"name": "mod-k", "k": 0}})
 
 
+def test_parallelism_only_one():
+    # The key stays in the schema so that earlier reports still parse.
+    cfg = parse_config({"command": "threshold", "parallelism": 1})
+    assert cfg.get("parallelism") == 1
+    with pytest.raises(ConfigError, match="parallelism"):
+        parse_config({"command": "threshold", "parallelism": 4})
+
+
 def test_unknown_command_rejected():
     with pytest.raises(ConfigError, match="command"):
         parse_config({"command": "fly"})
@@ -150,14 +158,6 @@ def test_reports_deterministic(tmp_path):
     _, second = run_config(tmp_path, data, name="b.jsonl")
     assert first == second
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-
-
-def test_reports_deterministic_under_parallelism(tmp_path):
-    data = {"command": "search-hindman", "coloring": {"name": "seeded-hash-k", "k": 2},
-            "m": 2, "max_value": 16, "seed": 5, "parallelism": 4}
-    run_config(tmp_path, data, name="p1.jsonl")
-    run_config(tmp_path, data, name="p2.jsonl")
-    assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
 
 
 def test_csv_and_pretty_formats():

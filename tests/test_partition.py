@@ -220,18 +220,6 @@ def test_density_witness_union_reaches_threshold():
     assert stage.running_max > thresholds[3]
 
 
-def test_menger_parallel_matches_sequential():
-    dc = initial_segment_covers(NATS)
-    kwargs = dict(m=2, d=2, target=CoverKind.OP, horizon=2)
-    seq = menger_mt_search(dc, None, constant_coloring(2, 1),
-                           budget=SearchBudget(max_index=8), **kwargs)
-    par = menger_mt_search(dc, None, constant_coloring(2, 1),
-                           budget=SearchBudget(max_index=8, parallelism=4),
-                           **kwargs)
-    assert isinstance(seq, PartitionWitness) and isinstance(par, PartitionWitness)
-    assert seq.to_record() == par.to_record()
-
-
 # ---------------------------------------------------------------- densities
 
 def test_upper_density_stages():

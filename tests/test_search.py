@@ -1,4 +1,5 @@
 """Witness searches: Hindman, Milliken–Taylor, Schur thresholds, dichotomy."""
+import functools
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from sumgames.coloring import (
 )
 from sumgames.search import (
     Collapse,
+    DichotomyUnknown,
     Exhausted,
     Proper,
     SearchBudget,
@@ -30,11 +32,15 @@ from sumgames.search import (
 )
 from sumgames.search import _NodeBudget, _avoider_exists_fc, _lex_first_avoider
 from sumgames.semigroups import (
+    BlockSequence,
     CertificateError,
     ElementSequence,
     ImproperSequenceError,
     finite_sets,
+    is_proper_up_to,
     naturals,
+    sum_hypergraph,
+    take_sumsequence,
 )
 from sumgames.filters import fs_tail_chain
 
@@ -72,14 +78,6 @@ def test_hindman_budget_exhaustion_is_distinct():
     out = hindman_search(chi, 2, SearchBudget(max_value=4, node_limit=2))
     assert isinstance(out, Exhausted)
     assert not out.complete
-
-
-def test_hindman_parallel_matches_sequential():
-    chi = seeded_hash_coloring(2, seed=11, d=1)
-    seq = hindman_search(chi, 2, SearchBudget(max_value=20))
-    par = hindman_search(chi, 2, SearchBudget(max_value=20, parallelism=4))
-    assert isinstance(seq, Witness) and isinstance(par, Witness)
-    assert seq.terms == par.terms
 
 
 # ---------------------------------------------------------------- mt search
@@ -267,17 +265,17 @@ def test_threshold_enumerators_match_bruteforce(k, repeats, n):
 def test_threshold_dfs_obeys_node_limit():
     nodes = _NodeBudget(1000)
     depth, avoider = _lex_first_avoider(4, 40, True, nodes)
-    assert nodes.used == 1001 and depth < 40
+    assert nodes.used == 1000 and depth < 40
     assert not _has_mono_triple_reference(avoider, depth, True)
     report = threshold_search(4, budget=SearchBudget(max_value=40, node_limit=1000))
-    assert not report.found and report.nodes == 1001
+    assert not report.found and report.nodes == 1000
     assert report.note == f"budget exhausted at N={depth + 1}; threshold > {depth}"
 
 
 def test_threshold_confirmation_obeys_node_limit(monkeypatch):
     nodes = _NodeBudget(100)
     assert _avoider_exists_fc(3, 24, False, nodes) is None
-    assert nodes.used == 101
+    assert nodes.used == 100
     # A confirmation cut by its budget leaves the threshold unconfirmed.
     monkeypatch.setattr(search_module, "_avoider_exists_fc",
                         lambda k, n, repeats, budget: None)
@@ -434,3 +432,131 @@ def test_mt_matches_bruteforce_pairs(seed):
     else:
         assert isinstance(got, Witness)
         assert tuple(got.blocks) == expected
+
+
+# ------------------------------------------------ driver against verify_*
+#
+# The searches share one depth-first driver.  Each search below must return
+# the first candidate, in the driver's order, that the matching independent
+# verifier accepts; candidates are enumerated by brute force with itertools.
+
+@functools.lru_cache(maxsize=None)
+def chains_least_max_first(hi, m):
+    """Every chain F_1 < ... < F_m inside {1..hi}, ordered by the sequence
+    of block keys (max F, sorted F): the order of the block searches."""
+    chains = []
+    for labels in itertools.product(range(m + 1), repeat=hi):
+        blocks = tuple(frozenset(i for i, b in enumerate(labels, start=1) if b == j)
+                       for j in range(1, m + 1))
+        if all(blocks) and all(max(F) < min(H) for F, H in zip(blocks, blocks[1:])):
+            chains.append(blocks)
+    return sorted(chains, key=lambda ch: [(max(F), sorted(F)) for F in ch])
+
+
+def first_verified_hindman(chi, m, max_value):
+    # increasing tuples in lexicographic order: the order of hindman_search
+    for terms in itertools.combinations(range(1, max_value + 1), m):
+        if sum(terms) > max_value:
+            continue  # some finite sum leaves {1..max_value}
+        if not is_proper_up_to(ElementSequence.from_terms(NAT, terms), m):
+            continue
+        values = [sum(c) for r in range(1, m + 1)
+                  for c in itertools.combinations(terms, r)]
+        w = Witness(blocks=None, terms=terms, color_vertex=chi.of(terms[0]),
+                    color_edge=None, certificate={"fs_values": values})
+        if verify_hindman_witness(w, chi):
+            return terms
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k, m, max_value", [(2, 2, 8), (2, 3, 12), (3, 2, 12),
+                                             (3, 3, 12)])
+def test_hindman_first_witness_is_first_verified(seed, k, m, max_value):
+    chi = seeded_hash_coloring(k, seed, d=1)
+    got = hindman_search(chi, m, SearchBudget(max_value=max_value))
+    want = first_verified_hindman(chi, m, max_value)
+    if want is None:
+        assert isinstance(got, Exhausted) and got.complete
+    else:
+        assert isinstance(got, Witness) and got.terms == want
+
+
+def first_verified_mt(chi, sg, base, m, d, hi, chain):
+    for blocks in chains_least_max_first(hi, m):
+        taken = take_sumsequence(base, BlockSequence(blocks))
+        if not is_proper_up_to(taken, m):
+            continue  # verify_mt_witness rejects it; sum_hypergraph raises
+        edges = sum_hypergraph(taken, m, d)
+        w = Witness(blocks=BlockSequence(blocks), terms=tuple(taken.prefix(m)),
+                    color_vertex=None, color_edge=chi.of_set(edges[0]),
+                    certificate={"edge_sets": edges})
+        if verify_mt_witness(w, sg, base, chi, d, chain=chain):
+            return blocks
+    return None
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("use_chain", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("semigroup", ["naturals", "finite-sets"])
+def test_mt_first_witness_is_first_verified(semigroup, d, m, k, use_chain, seed):
+    # generator-backed bases: fs_tail_chain looks past max_index
+    sg, base = ((NAT, ElementSequence.from_fn(NAT, lambda i: 2 ** (i - 1)))
+                if semigroup == "naturals" else (FIN, fin_singletons()))
+    chain = fs_tail_chain(base) if use_chain else None
+    chi = seeded_hash_coloring(k, seed, d=d)
+    hi = 7
+    got = mt_search(chi, sg, base, m, d, SearchBudget(max_index=hi), chain=chain)
+    want = first_verified_mt(chi, sg, base, m, d, hi, chain)
+    if want is None:
+        assert isinstance(got, Exhausted) and got.complete
+    else:
+        assert isinstance(got, Witness) and tuple(got.blocks) == want
+
+
+def first_verified_dichotomy(seq, depth):
+    m = min(3, depth)
+    for blocks in chains_least_max_first(depth, m):
+        bseq = BlockSequence(blocks)
+        terms = tuple(take_sumsequence(seq, bseq).prefix(m))
+        for candidate in (Proper(blocks=bseq, terms=terms),
+                          Collapse(element=terms[0], blocks=bseq)):
+            if verify_dichotomy(candidate, seq):
+                return candidate
+    return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dichotomy_first_result_is_first_verified(seed):
+    import random
+
+    rng = random.Random(seed)
+    depth = rng.randint(3, 6)
+    # few generators, so that collapses and misses occur beside proper ones
+    terms = [frozenset(rng.sample(range(1, 4), rng.randint(1, 2)))
+             for _ in range(depth)]
+    seq = ElementSequence.from_terms(FIN, terms)
+    got = proper_or_collapse(seq, depth)
+    want = first_verified_dichotomy(seq, depth)
+    if want is None:
+        assert isinstance(got, DichotomyUnknown) and got.complete
+    else:
+        assert type(got) is type(want) and got.blocks == want.blocks
+
+
+@pytest.mark.parametrize("run, need", [
+    # (1, 2, 3) is improper, so the least witness (1, 2, 4) is the 4th node
+    (lambda b: hindman_search(constant_coloring(1, 1), 3,
+                              SearchBudget(max_value=7, node_limit=b)), 4),
+    (lambda b: mt_search(constant_coloring(2, 1), FIN, fin_singletons(), m=3, d=2,
+                         budget=SearchBudget(max_index=6, node_limit=b)), 3),
+    (lambda b: proper_or_collapse(ElementSequence.from_fn(FIN, lambda i: frozenset({1})),
+                                  3, SearchBudget(max_index=3, node_limit=b)), 3),
+])
+def test_capped_run_spends_exactly_its_limit(run, need):
+    out = run(need - 1)
+    assert isinstance(out, (Exhausted, DichotomyUnknown))
+    assert not out.complete and out.nodes == need - 1
+    assert not isinstance(run(need), (Exhausted, DichotomyUnknown))
