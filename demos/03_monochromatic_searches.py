@@ -49,13 +49,15 @@ print("\n== the dichotomy: proper sumsequence or idempotent collapse ==")
 stabilizing = ElementSequence.from_terms(
     fin, [frozenset({1}), frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2})])
 out = proper_or_collapse(stabilizing, depth=4)
-assert isinstance(out, Collapse)
+if not isinstance(out, Collapse):
+    raise SystemExit(f"expected a collapse, got {out!r}")
 print("  stabilizing unions collapse to", sorted(out.element),
       "with e ∪ e = e")
 
 powers = ElementSequence.from_terms(nat, [1, 2, 4, 8, 16])
 out = proper_or_collapse(powers, depth=4)
-assert isinstance(out, Proper)
+if not isinstance(out, Proper):
+    raise SystemExit(f"expected a proper sumsequence, got {out!r}")
 print("  powers of two stay proper via blocks", [sorted(b) for b in out.blocks])
 
 print("\n== cardinality coloring forces color 2 on proper witnesses ==")

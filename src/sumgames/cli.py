@@ -169,16 +169,23 @@ def parse_config(source) -> RunConfig:
     for key, value in _DEFAULTS.items():
         options.setdefault(key, value)
     for key in ("node_limit", "horizon", "t", "s", "f"):
-        if int(options[key]) < 1:
+        if _config_int(key, options[key]) < 1:
             raise ConfigError(f"{key}: must be positive")
     # Kept as a key so that every report written so far still parses.
     if options["parallelism"] != 1:
         raise ConfigError("parallelism: searches run sequentially; only 1 is accepted")
     for key in ("coloring", "edge_coloring", "vertex_coloring"):
         desc = options.get(key)
-        if desc is not None and int(desc.get("k", 1)) < 1:
+        if desc is not None and _config_int(f"{key}.k", desc.get("k", 1)) < 1:
             raise ConfigError(f"{key}.k: palette size must be >= 1")
     return RunConfig(command=command, options=options)
+
+
+def _config_int(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------

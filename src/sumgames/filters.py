@@ -552,13 +552,19 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
 
 def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
     """The chain A_n = FS(a_n, a_{n+1}, ...), with membership decided by a
-    bounded block search over {n .. n + index_window - 1}.
+    bounded block search over {n .. n + index_window - 1}, cut at the last
+    term of a finite sequence.
 
     Freeness witnesses come from properness: for a proper sequence each
     element is eventually outside the tails.  For improper sequences the
     witness function reports None and chain_check flags the chain.
     """
     sg = seq.semigroup
+
+    def window_end(n: int) -> int:
+        # one past the last index the window reads
+        end = n + index_window
+        return end if seq.length is None else min(end, seq.length + 1)
 
     def cannot_extend(partial, x) -> bool:
         if isinstance(partial, int) and isinstance(x, int):
@@ -574,7 +580,7 @@ def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
                     return True
                 if cannot_extend(partial, x):
                     return False
-            for j_pos in range(i_pos, n + index_window):
+            for j_pos in range(i_pos, window_end(n)):
                 term = seq.term(j_pos)
                 nxt = term if partial is None else sg.combine(partial, term)
                 if dfs(j_pos + 1, nxt):
@@ -593,7 +599,7 @@ def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
         return None
 
     def members_within(n: int, bound: int) -> list:
-        w = min(bound, index_window)
+        w = min(bound, window_end(n) - n)
         sums = fs_enumerate(
             ElementSequence.from_fn(sg, lambda i, _n=n: seq.term(_n + i - 1)), w)
         seen, out = set(), []

@@ -11,6 +11,7 @@ combinatorial instance.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +44,12 @@ class DescendingCovers:
     space: Space
     cover_at: Callable[[int], Cover]
     escape_point: Callable[[int], Any]
+
+    def __post_init__(self):
+        # Each cover is built once: a Cover keeps the sets it has generated,
+        # so member_set and allowed_indices reuse them instead of building
+        # a new Cover and regenerating its sets on every call.
+        self.cover_at = functools.lru_cache(maxsize=None)(self.cover_at)
 
     def member_set(self, j: int) -> SSet:
         return self.cover_at(1).set_at(j)
@@ -118,17 +125,13 @@ class PartitionWitness:
         }
 
 
-def _union_semigroup_terms(dc: DescendingCovers, families: Sequence) -> list:
-    """The V_n as indexed-union semigroup elements (generator indices plus
+def _union_term(fam: Sequence) -> IndexedUnion:
+    """V_n as an indexed-union semigroup element (generator indices plus
     extensional set value, so equality is extensional)."""
-    terms = []
-    for fam in families:
-        gens = frozenset(j for j, _ in fam)
-        acc: Optional[SSet] = None
-        for _, s in fam:
-            acc = s if acc is None else acc.union(s)
-        terms.append(IndexedUnion(gens=gens, value=acc))
-    return terms
+    acc: Optional[SSet] = None
+    for _, s in fam:
+        acc = s if acc is None else acc.union(s)
+    return IndexedUnion(gens=frozenset(j for j, _ in fam), value=acc)
 
 
 def _union_semigroup(dc: DescendingCovers):
@@ -137,7 +140,7 @@ def _union_semigroup(dc: DescendingCovers):
 
 def _union_element_sequence(dc, families) -> ElementSequence:
     return ElementSequence.from_terms(_union_semigroup(dc),
-                                      _union_semigroup_terms(dc, families))
+                                      map(_union_term, families))
 
 
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
@@ -174,20 +177,20 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
             if F <= allowed[rnd] and not (F & used):
                 yield tuple((j, dc.member_set(j)) for j in sorted(F))
 
-    def check(families: list):
+    def check(families: list, parent):
         nonlocal best_depth
-        terms = _union_semigroup_terms(dc, families)
+        term = _union_term(families[-1])
         # the escape points x_1..x_{n-1} must lie in the new union V_n
-        if not all(terms[-1].value.contains(x) for x in escapes[:len(terms) - 1]):
+        if not all(term.value.contains(x) for x in escapes[:len(families) - 1]):
             return None
-        sums = _prefix_sums(usg, terms, chi_edge, d, chi_vertex)
-        if sums is not None:
-            best_depth = max(best_depth, len(terms))
-        return sums
+        state = _prefix_sums(usg, parent, term, chi_edge, d, chi_vertex)
+        if state is not None:
+            best_depth = max(best_depth, len(families))
+        return state
 
-    def finish(families: list, sums: dict):
+    def finish(families: list, state):
         distinct_sets = []
-        for u in _union_semigroup_terms(dc, families):
+        for u in map(_union_term, families):
             if u.value not in distinct_sets:
                 distinct_sets.append(u.value)
         cover = Cover(dc.space, sets=distinct_sets, name="partition-unions")
@@ -224,7 +227,7 @@ def _build_partition_witness(dc, families, chi_vertex, chi_edge, d, target,
         index_blocks = None
     return PartitionWitness(
         families=tuple(families),
-        unions=tuple(t.value for t in _union_semigroup_terms(dc, families)),
+        unions=tuple(_union_term(fam).value for fam in families),
         index_blocks=index_blocks,
         color_vertex=color_vertex,
         color_edge=color_edge,

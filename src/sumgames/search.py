@@ -10,6 +10,7 @@ limit, so a truncated miss never refutes anything.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
@@ -23,10 +24,10 @@ from .semigroups import (
     Semigroup,
     block_chains,
     block_key,
+    blocks_within,
     fs_enumerate,
     indexed_sum,
     is_proper_up_to,
-    least_collision,
     naturals,
     proper_violation,
     sum_hypergraph,
@@ -149,31 +150,33 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
     where they spend nodes.
 
     ``candidates(prefix)`` lists the items that may extend a prefix, in
-    search order; every extended prefix costs one node.  ``check(prefix)``
-    returns the prefix's finite sums, or None to prune it.  A prefix of
-    length ``m`` goes to ``finish(prefix, sums)``, whose first non-None
-    value ends the search.  When ``check`` holds on every prefix of an
-    accepted sequence, that value belongs to the least accepted sequence
-    in search order.  Without one, the result is ``Exhausted``: complete
-    unless a node was refused.
+    search order; every extended prefix costs one node.  ``check(prefix,
+    parent)`` gets the state that ``check`` returned for the prefix without
+    its last item (None at the root), and returns the extended prefix's
+    state, or None to prune it; so a check pays only for what the last
+    item adds.  A prefix of length ``m`` goes to ``finish(prefix, state)``,
+    whose first non-None value ends the search.  When ``check`` holds on
+    every prefix of an accepted sequence, that value belongs to the least
+    accepted sequence in search order.  Without one, the result is
+    ``Exhausted``: complete unless a node was refused.
     """
     nodes = _NodeBudget(node_limit)
     prefix: list = []
 
-    def extend():
+    def extend(parent):
         for item in candidates(prefix):
             if not nodes.spend():
                 return None
             prefix.append(item)
-            sums = check(prefix)
-            if sums is not None:
-                out = finish(prefix, sums) if len(prefix) == m else extend()
+            state = check(prefix, parent)
+            if state is not None:
+                out = finish(prefix, state) if len(prefix) == m else extend(state)
                 if out is not None or nodes.refused:
                     return out
             prefix.pop()
         return None
 
-    out = extend()
+    out = extend(None)
     if out is not None:
         return out
     if nodes.refused:
@@ -181,25 +184,78 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
     return Exhausted(True, nodes.used)
 
 
-def _prefix_sums(sg: Semigroup, terms: list, chi_edge: Optional[Coloring] = None,
-                 d: int = 0, chi_vertex: Optional[Coloring] = None) -> Optional[dict]:
+@functools.lru_cache(maxsize=None)
+def _chains_ending_at(n: int, d: int) -> tuple:
+    """The chains F_1 < ... < F_d inside {1..n} whose last block holds n:
+    the d-chains that a prefix of n terms has and its parent lacks."""
+    out = []
+    for L in blocks_within(n):
+        if n in L:
+            out.extend(rest + (L,) for rest in block_chains(min(L) - 1, d - 1))
+    return tuple(out)
+
+
+@dataclass(slots=True)
+class _PrefixState:
+    """What the prefix check knows about a prefix of n terms: its finite
+    sums by block, the least max index of a block with each sum value, and
+    the one edge and vertex color seen so far (None before the first)."""
+
+    n: int
+    sums: dict
+    least_max: dict
+    edge_color: Optional[int]
+    vertex_color: Optional[int]
+
+
+def _prefix_sums(sg: Semigroup, parent: Optional[_PrefixState], term,
+                 chi_edge: Optional[Coloring] = None, d: int = 0,
+                 chi_vertex: Optional[Coloring] = None) -> Optional[_PrefixState]:
     """The prefix check of the Hindman, Milliken–Taylor and cover-partition
-    searches: the finite sums of ``terms`` when no two blocks F < H have
-    equal sums, all d-chains of sums share one ``chi_edge`` color and all
-    sums one ``chi_vertex`` color; None otherwise."""
-    n = len(terms)
-    sums = fs_enumerate(ElementSequence.from_terms(sg, terms), n)
-    if least_collision(sums) is not None:
-        return None
+    searches, extended by one term.
+
+    ``parent`` is the state of the first n - 1 terms (None when n = 1),
+    which passed this check.  Only the 2^(n-1) sums of blocks holding n
+    are new, so only they are built and checked:
+
+    - properness: a new block H collides when an older block F < H has the
+      same sum, that is when the least max index of a block with that sum
+      lies below min(H); equal sums on incomparable blocks are allowed;
+    - ``chi_edge``: the d-chains whose last block holds n share the
+      parent's color;
+    - ``chi_vertex``: the new sums share the parent's color.
+
+    Returns the state of the n terms, or None if a check fails.
+    """
+    if parent is None:
+        n, sums, least_max = 1, {}, {}
+        edge_color = vertex_color = None
+    else:
+        n, sums, least_max = parent.n + 1, dict(parent.sums), dict(parent.least_max)
+        edge_color, vertex_color = parent.edge_color, parent.vertex_color
+    combine = sg.combine
+    new = [(frozenset([n]), term, n)]
+    new.extend((F | {n}, combine(v, term), min(F)) for F, v in sums.items())
+    for H, v, low in new:
+        if least_max.get(v, n) < low:
+            return None
+        sums[H] = v
+        least_max.setdefault(v, n)
     if chi_edge is not None:
-        colors = set()
-        for ch in block_chains(n, d):
-            colors.add(chi_edge.of_set(frozenset(sums[F] for F in ch)))
-            if len(colors) > 1:
+        for ch in _chains_ending_at(n, d):
+            c = chi_edge.of_set(frozenset([sums[F] for F in ch]))
+            if edge_color is None:
+                edge_color = c
+            elif c != edge_color:
                 return None
-    if chi_vertex is not None and len({chi_vertex.of(v) for v in sums.values()}) > 1:
-        return None
-    return sums
+    if chi_vertex is not None:
+        for _, v, _ in new:
+            c = chi_vertex.of(v)
+            if vertex_color is None:
+                vertex_color = c
+            elif c != vertex_color:
+                return None
+    return _PrefixState(n, sums, least_max, edge_color, vertex_color)
 
 
 def _chain_candidates(hi: int, m: int) -> Callable:
@@ -231,7 +287,8 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
         # the largest finite sum, that of all terms, stays within n_max
         return range(terms[-1] + 1 if terms else 1, n_max - sum(terms) + 1)
 
-    def finish(terms: list, sums: dict) -> Witness:
+    def finish(terms: list, state: _PrefixState) -> Witness:
+        sums = state.sums
         return Witness(
             blocks=BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))),
             terms=tuple(terms),
@@ -241,9 +298,10 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
                          "vertex_sets": [frozenset([v]) for v in sums.values()]},
         )
 
-    result = _depth_first(m, candidates,
-                          lambda terms: _prefix_sums(_NATS, terms, chi_vertex=chi),
-                          finish, budget.node_limit)
+    result = _depth_first(
+        m, candidates,
+        lambda terms, parent: _prefix_sums(_NATS, parent, terms[-1], chi_vertex=chi),
+        finish, budget.node_limit)
     if isinstance(result, Witness) and not verify_hindman_witness(result, chi):
         raise CertificateError("hindman_search produced a witness that fails "
                                "verify_hindman_witness")
@@ -299,15 +357,15 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     eta = (reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
            if (chi_vertex is not None and d == 2) else None)
 
-    def check(blocks: list) -> Optional[dict]:
-        taken = [indexed_sum(base, F) for F in blocks]
-        if chain is not None and not chain.set_at(len(blocks))(taken[-1]):
+    def check(blocks: list, parent: Optional[_PrefixState]) -> Optional[_PrefixState]:
+        term = indexed_sum(base, blocks[-1])
+        if chain is not None and not chain.set_at(len(blocks))(term):
             return None
-        return _prefix_sums(sg, taken, chi_edge, d, chi_vertex)
+        return _prefix_sums(sg, parent, term, chi_edge, d, chi_vertex)
 
     result = _depth_first(
         m, _chain_candidates(hi, m), check,
-        lambda blocks, sums: _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d),
+        lambda blocks, state: _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d),
         budget.node_limit)
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
@@ -575,15 +633,24 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
     card = cardinality_coloring(2)
     sg = seq.semigroup
 
-    def check(blocks: list) -> Optional[dict]:
+    def check(blocks: list, parent: Optional[tuple]) -> Optional[tuple]:
+        # (sums, color): the finite sums, and the one cardinality color of
+        # the pairs F < H seen so far; only pairs with H holding n are new
+        sums, color = (dict(parent[0]), parent[1]) if parent else ({}, None)
         n = len(blocks)
-        sums = fs_enumerate(ElementSequence.from_terms(
-            sg, [indexed_sum(seq, F) for F in blocks]), n)
-        colors = {card.of_set(frozenset({sums[F], sums[H]}))
-                  for F, H in block_chains(n, 2)}
-        return sums if len(colors) <= 1 else None
+        term = indexed_sum(seq, blocks[-1])
+        sums.update([(F | {n}, sg.combine(v, term)) for F, v in sums.items()])
+        sums[frozenset([n])] = term
+        for F, H in _chains_ending_at(n, 2):
+            c = card.of_set(frozenset({sums[F], sums[H]}))
+            if color is None:
+                color = c
+            elif c != color:
+                return None
+        return sums, color
 
-    def finish(blocks: list, sums: dict):
+    def finish(blocks: list, state: tuple):
+        sums = state[0]
         # Every pair F < H has the color of ({1}, {2}): with 2 no two such
         # sums are equal (proper); with 1 every term is e, and e + e = e
         # makes every sum e.

@@ -323,12 +323,7 @@ def proper_violation(seq: ElementSequence, depth: int):
     blocks sharing a value can violate, so the scan groups by value first
     instead of walking all pairs.
     """
-    return least_collision(fs_enumerate(seq, depth))
-
-
-def least_collision(sums: dict):
-    """Least pair of blocks F < H with sums[F] == sums[H], or None, for a
-    finite-sums mapping as built by :func:`fs_enumerate`."""
+    sums = fs_enumerate(seq, depth)
     groups: dict = {}
     for F, v in sums.items():
         groups.setdefault(v, []).append(F)

@@ -220,6 +220,20 @@ def test_main_with_config_file(tmp_path, capsys):
     assert '"families_scanned": 16' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field, config", [
+    ("node_limit", {"command": "threshold", "node_limit": "many"}),
+    ("coloring.k", {"command": "search-hindman", "m": 2, "max_value": 8,
+                    "coloring": {"name": "mod-k", "k": "two"}}),
+])
+def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: expected an integer")
+    assert "Traceback" not in err
+
+
 def test_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SUMGAMES_OUT_DIR", str(tmp_path / "reports"))
     code = main(["verify-filter-laws", "--ground", "2"])

@@ -173,6 +173,27 @@ def test_mt_chain_constraint_membership():
     assert verify_mt_witness(w, NAT, base, constant_coloring(2, 1), 2, chain=chain)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mt_chain_on_a_finite_base_stays_in_range(seed):
+    # the membership window of fs_tail_chain stops at the last term
+    base = pow2_base(8)
+    chain = fs_tail_chain(base)
+    chi = seeded_hash_coloring(2, seed, d=2)
+    out = mt_search(chi, NAT, base, m=3, d=2, budget=SearchBudget(max_index=7),
+                    chain=chain)
+    if isinstance(out, Witness):
+        assert verify_mt_witness(out, NAT, base, chi, 2, chain=chain)
+    else:
+        assert isinstance(out, Exhausted)
+    # the terms past the base change nothing for the powers of two
+    endless = ElementSequence.from_fn(NAT, lambda i: 2 ** (i - 1))
+    again = mt_search(chi, NAT, endless, m=3, d=2, budget=SearchBudget(max_index=7),
+                      chain=fs_tail_chain(endless))
+    assert type(again) is type(out)
+    if isinstance(out, Witness):
+        assert out.blocks == again.blocks
+
+
 @given(st.integers(0, 2 ** 31))
 @settings(max_examples=15, deadline=None)
 def test_mt_witnesses_reverify(seed):
