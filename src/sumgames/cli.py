@@ -17,15 +17,17 @@ import csv
 import io
 import json
 import os
+import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .coloring import Coloring, coloring_from_descriptor
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
 from .filters import chain_check, fs_tail_chain, verify_duality_laws
 from .games import (
+    CoverMove,
     Mode,
     Outcome,
     Strategy,
@@ -33,6 +35,7 @@ from .games import (
     convert_gfin_to_g1,
     diagonal_transfer,
     filter_intersection_bob,
+    first_bob,
     judge,
     meets_all_generators,
     play,
@@ -75,59 +78,166 @@ class ConfigError(Exception):
     """Invalid run configuration; the message names the offending field."""
 
 
-COMMANDS = (
-    "search-hindman", "search-mt", "threshold", "proper-or-collapse",
-    "verify-filter-laws", "chain-check", "play-game", "game-transfer",
-    "cover-partition", "encode-classical", "verify-report",
-)
+# ---------------------------------------------------------------------------
+# config schema
+# ---------------------------------------------------------------------------
 
-_COMMON_KEYS = {"command", "seed", "out", "format", "node_limit", "parallelism",
-                "horizon", "t", "s", "f"}
-_KNOWN_KEYS = {
-    "search-hindman": {"coloring", "m", "max_value"},
-    "search-mt": {"edge_coloring", "vertex_coloring", "semigroup", "base", "m",
-                  "d", "max_index", "chain"},
-    "threshold": {"colors", "repeats", "max_value"},
-    "proper-or-collapse": {"depth", "sequence", "runs"},
-    "verify-filter-laws": {"ground"},
-    "chain-check": {"chain", "depth", "window", "delta"},
-    "play-game": {"alice", "bob", "rounds", "mode", "target"},
-    "game-transfer": {"which", "n", "rounds", "picks"},
-    "cover-partition": {"instance", "truncation", "edge_coloring",
-                        "vertex_coloring", "m", "d", "target", "max_index"},
-    "encode-classical": {"truncation"},
-    "verify-report": {"input"},
-}
+class Key(NamedTuple):
+    """A config key.  ``parse(name, value)`` turns a flag's text or a JSON
+    value into the plain JSON value that the report records and the runner
+    reads, or raises ConfigError naming the key.  A default of ... marks a
+    required key.  The key's flag is ``dashes`` plus the key with dashes;
+    None leaves the key to config files."""
 
-_DEFAULTS = {
-    "seed": 0,
-    "format": "json-lines",
-    "node_limit": 10 ** 7,
-    "parallelism": 1,
-    "horizon": 16,
-    "t": 2,
-    "s": 2,
-    "f": 2,
+    parse: Callable
+    default: Any = None
+    dashes: Optional[str] = "--"
+
+
+def _integer(low: Optional[int] = None, high: Optional[int] = None) -> Callable:
+    def parse(name, value):
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ValueError
+            n = int(value)
+        except ValueError:
+            raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
+        if (low is not None and n < low) or (high is not None and n > high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise ConfigError(f"{name}: must be {bounds}, got {n}")
+        return n
+    return parse
+
+
+def _boolean(name, value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
+def _text(name, value):
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
+def _choice(*names) -> Callable:
+    def parse(name, value):
+        if value not in names:
+            raise ConfigError(f"{name}: expected one of "
+                              f"{', '.join(map(str, names))}; got {value!r}")
+        return value
+    parse.choices = names
+    return parse
+
+
+def _fraction(name, value):
+    """A fraction such as "1/3", kept as given."""
+    try:
+        Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ConfigError(f"{name}: expected a fraction, got {value!r}") from None
+    return value
+
+
+def _json_text(name, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{name}: not valid JSON: {exc}") from exc
+
+
+def _coloring_descriptor(name, value):
+    """A coloring descriptor: an object, its JSON text, or the compact
+    text name[:k][:key=value]..."""
+    if isinstance(value, str):
+        text = value.strip()
+        if text.startswith("{"):
+            value = _json_text(name, text)
+        else:
+            parts = text.split(":")
+            value = {"name": parts[0]}
+            for part in parts[1:]:
+                k, sep, v = part.partition("=")
+                if sep:
+                    value[k] = v
+                else:
+                    value.setdefault("k", part)
+    if not isinstance(value, dict) or not isinstance(value.get("name"), str):
+        raise ConfigError(f"{name}: expected a coloring descriptor with a name, "
+                          f"got {value!r}")
+    value = {k: v if k == "name" else _integer()(f"{name}.{k}", v)
+             for k, v in value.items()}
+    if value.get("k", 1) < 1:
+        raise ConfigError(f"{name}.k: palette size must be >= 1")
+    return value
+
+
+_SEMIGROUPS = ("naturals", "finite-sets")
+
+
+def _sequence_descriptor(name, value):
+    """A sequence descriptor: an object or its JSON text.  Literal terms are
+    integers over the naturals and lists of integers over finite sets."""
+    if isinstance(value, str):
+        value = _json_text(name, value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a sequence descriptor, got {value!r}")
+    _choice("powers-of-two", "random-finite-sets", "literal")(f"{name}.kind",
+                                                              value.get("kind"))
+    value = dict(value)
+    if "gen_max" in value:
+        value["gen_max"] = _integer(1)(f"{name}.gen_max", value["gen_max"])
+    semigroup = _choice(*_SEMIGROUPS)(f"{name}.semigroup",
+                                      value.get("semigroup", "naturals"))
+    if "terms" in value:
+        item = _integer() if semigroup == "naturals" else _list_of(_integer())
+        value["terms"] = _list_of(item)(f"{name}.terms", value["terms"])
+    return value
+
+
+def _list_of(item: Callable) -> Callable:
+    def parse(name, value):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name}: expected a list, got {value!r}")
+        return [item(name, v) for v in value]
+    return parse
+
+
+_TARGETS = {"op": CoverKind.OP, "asc": CoverKind.ASC, "lambda": CoverKind.LAMBDA,
+            "omega": CoverKind.OMEGA, "gamma": CoverKind.GAMMA}
+_CHAINS = ("fs-tails-pow2", "fs-tails-singletons", "ap", "density")
+_DENSITY_DELTA = "1/3"
+
+# Keys of every command.  Their defaults are recorded in each report's
+# config; the defaults of a command's own keys are supplied on read.
+_COMMON = {
+    "seed": Key(_integer(), 0),
+    "out": Key(_text),
+    "format": Key(_choice("json-lines", "csv", "pretty"), "json-lines"),
+    "node_limit": Key(_integer(1), 10 ** 7),
+    # searches run sequentially; the key stays so that earlier reports parse
+    "parallelism": Key(_choice(1), 1, dashes=None),
+    "horizon": Key(_integer(1), 16),
+    "t": Key(_integer(1), 2, dashes="-"),
+    "s": Key(_integer(1), 2, dashes="-"),
+    "f": Key(_integer(1), 2, dashes="-"),
 }
 
 
 @dataclass
 class RunConfig:
+    """A parsed config.  ``options`` holds the given keys and the recorded
+    defaults, which is what a report records; any other key of the command
+    reads as its default."""
+
     command: str
     options: dict = field(default_factory=dict)
 
-    def get(self, key: str, default=None):
-        return self.options.get(key, default)
-
     def __getitem__(self, key: str):
-        return self.options[key]
-
-    def budget(self) -> SearchBudget:
-        return SearchBudget(
-            max_value=int(self.get("max_value", 0)),
-            max_index=int(self.get("max_index", 0)),
-            node_limit=int(self.get("node_limit")),
-        )
+        if key in self.options:
+            return self.options[key]
+        return _COMMANDS[self.command].keys[key].default
 
     def to_dict(self) -> dict:
         # the output path is where the report goes, not part of what ran
@@ -147,107 +257,82 @@ def _reject_duplicates(pairs):
 
 
 def parse_config(source) -> RunConfig:
-    """Validate a config (JSON text or dict): known keys only, defaults
-    applied, obvious range errors rejected with the field named."""
+    """Validate a config (JSON text or dict) against its command's keys:
+    known keys only, each value parsed, required keys present and the
+    recorded defaults applied."""
     if isinstance(source, str):
         try:
-            data = json.loads(source, object_pairs_hook=_reject_duplicates)
+            source = json.loads(source, object_pairs_hook=_reject_duplicates)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        data = dict(source)
-    if not isinstance(data, dict):
+    if not isinstance(source, dict):
         raise ConfigError("config must be an object")
-    command = data.get("command")
-    if command not in COMMANDS:
+    command = source.get("command")
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ConfigError(f"command: unknown or missing (got {command!r})")
-    allowed = _COMMON_KEYS | _KNOWN_KEYS[command]
-    for key in data:
-        if key not in allowed:
+    keys = _COMMANDS[command].keys
+    options = {}
+    for key, value in source.items():
+        if key == "command":
+            continue
+        if key not in keys:
             raise ConfigError(f"{key}: unknown key for {command}")
-    options = {k: v for k, v in data.items() if k != "command"}
-    for key, value in _DEFAULTS.items():
-        options.setdefault(key, value)
-    for key in ("node_limit", "horizon", "t", "s", "f"):
-        if _config_int(key, options[key]) < 1:
-            raise ConfigError(f"{key}: must be positive")
-    # Kept as a key so that every report written so far still parses.
-    if options["parallelism"] != 1:
-        raise ConfigError("parallelism: searches run sequentially; only 1 is accepted")
-    for key in ("coloring", "edge_coloring", "vertex_coloring"):
-        desc = options.get(key)
-        if desc is not None and _config_int(f"{key}.k", desc.get("k", 1)) < 1:
-            raise ConfigError(f"{key}.k: palette size must be >= 1")
+        # an optional key given as null reads as absent
+        no_value = value is None and keys[key].default is None
+        options[key] = value if no_value else keys[key].parse(key, value)
+    for key, spec in keys.items():
+        if spec.default is ... and key not in options:
+            raise ConfigError(f"{key}: required for {command}")
+    for key, spec in _COMMON.items():
+        if spec.default is not None:
+            options.setdefault(key, spec.default)
     return RunConfig(command=command, options=options)
-
-
-def _config_int(name: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected an integer, got {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
 # instance builders
 # ---------------------------------------------------------------------------
 
-def _coloring(config: RunConfig, key: str, d_default: int = 1,
-              required: bool = True) -> Optional[Coloring]:
-    desc = config.get(key)
+def _build_coloring(config: RunConfig, key: str, d: int) -> Optional[Coloring]:
+    desc = config[key]
     if desc is None:
-        if required:
-            raise ConfigError(f"{key}: missing coloring descriptor")
         return None
-    desc = dict(desc)
-    desc.setdefault("d", d_default)
-    desc.setdefault("seed", config.get("seed"))
     try:
-        return coloring_from_descriptor(desc)
+        return coloring_from_descriptor({"d": d, "seed": config["seed"], **desc})
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _base_sequence(config: RunConfig):
-    sg_name = config.get("semigroup", "naturals")
-    base_name = config.get("base", "powers-of-two")
-    if sg_name == "naturals":
-        sg = naturals()
-        if base_name != "powers-of-two":
+    if config["semigroup"] == "naturals":
+        if config["base"] != "powers-of-two":
             raise ConfigError("base: naturals supports 'powers-of-two'")
+        sg = naturals()
         return sg, ElementSequence.from_fn(sg, lambda i: 2 ** (i - 1))
-    if sg_name == "finite-sets":
-        sg = finite_sets()
-        if base_name != "singletons":
-            raise ConfigError("base: finite-sets supports 'singletons'")
-        return sg, ElementSequence.from_fn(sg, lambda i: frozenset({i}))
-    raise ConfigError(f"semigroup: unknown kind {sg_name!r}")
+    if config["base"] != "singletons":
+        raise ConfigError("base: finite-sets supports 'singletons'")
+    sg = finite_sets()
+    return sg, ElementSequence.from_fn(sg, lambda i: frozenset({i}))
 
 
 def _sequence_from_descriptor(desc: dict, depth: int, seed: int) -> ElementSequence:
-    import random
-
-    kind = desc.get("kind")
+    kind = desc["kind"]
     if kind == "powers-of-two":
         return ElementSequence.from_fn(naturals(), lambda i: 2 ** (i - 1))
     if kind == "random-finite-sets":
-        gen_max = int(desc.get("gen_max", 6))
+        gen_max = desc.get("gen_max", 6)
         rng = random.Random(seed)
         terms = [frozenset(rng.sample(range(1, gen_max + 1),
                                       rng.randint(1, max(1, gen_max // 2))))
                  for _ in range(depth)]
         return ElementSequence.from_terms(finite_sets(), terms)
-    if kind == "literal":
-        sg_name = desc.get("semigroup", "naturals")
-        terms = desc.get("terms", [])
-        if sg_name == "naturals":
-            return ElementSequence.from_terms(naturals(), [int(x) for x in terms])
-        return ElementSequence.from_terms(
-            finite_sets(), [frozenset(int(v) for v in x) for x in terms])
-    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    terms = desc.get("terms", [])
+    if desc.get("semigroup", "naturals") == "naturals":
+        return ElementSequence.from_terms(naturals(), terms)
+    return ElementSequence.from_terms(finite_sets(), [frozenset(x) for x in terms])
 
 
-def _chain_from_name(name: str, config: RunConfig):
+def _chain_from_name(name: Optional[str], delta: str):
     if name in (None, "none"):
         return None
     if name == "fs-tails-pow2":
@@ -256,16 +341,9 @@ def _chain_from_name(name: str, config: RunConfig):
         return fs_tail_chain(ElementSequence.from_fn(finite_sets(), lambda i: frozenset({i})))
     if name == "ap":
         return build_constrained_chain(lambda i: i, lambda n: ap_family(lambda i: i, n))
-    if name == "density":
-        delta = Fraction(config.get("delta", "1/3"))
-        return build_constrained_chain(
-            lambda i: i,
-            lambda n: density_family(lambda i: i, delta - Fraction(1, n + 4)))
-    raise ConfigError(f"chain: unknown chain {name!r}")
-
-
-_TARGETS = {"op": CoverKind.OP, "asc": CoverKind.ASC, "lambda": CoverKind.LAMBDA,
-            "omega": CoverKind.OMEGA, "gamma": CoverKind.GAMMA}
+    delta = Fraction(delta)
+    return build_constrained_chain(
+        lambda i: i, lambda n: density_family(lambda i: i, delta - Fraction(1, n + 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +351,9 @@ _TARGETS = {"op": CoverKind.OP, "asc": CoverKind.ASC, "lambda": CoverKind.LAMBDA
 # ---------------------------------------------------------------------------
 
 def _run_search_hindman(config: RunConfig):
-    chi = _coloring(config, "coloring", d_default=1)
-    out = hindman_search(chi, int(config["m"]), config.budget())
+    chi = _build_coloring(config, "coloring", 1)
+    budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
+    out = hindman_search(chi, config["m"], budget)
     if isinstance(out, Witness):
         return EXIT_OK, {"witness": out.to_record(),
                          "fs_values": sorted(out.certificate["fs_values"])}
@@ -283,11 +362,12 @@ def _run_search_hindman(config: RunConfig):
 
 def _run_search_mt(config: RunConfig):
     sg, base = _base_sequence(config)
-    d = int(config.get("d", 2))
-    chi_e = _coloring(config, "edge_coloring", d_default=d)
-    chi_v = _coloring(config, "vertex_coloring", d_default=1, required=False)
-    chain = _chain_from_name(config.get("chain"), config)
-    out = mt_search(chi_e, sg, base, int(config["m"]), d, config.budget(),
+    d = config["d"]
+    chi_e = _build_coloring(config, "edge_coloring", d)
+    chi_v = _build_coloring(config, "vertex_coloring", 1)
+    chain = _chain_from_name(config["chain"], _DENSITY_DELTA)
+    budget = SearchBudget(max_index=config["max_index"], node_limit=config["node_limit"])
+    out = mt_search(chi_e, sg, base, config["m"], d, budget,
                     chain=chain, chi_vertex=chi_v)
     if isinstance(out, Witness):
         return EXIT_OK, {"witness": out.to_record()}
@@ -295,10 +375,8 @@ def _run_search_mt(config: RunConfig):
 
 
 def _run_threshold(config: RunConfig):
-    budget = SearchBudget(max_value=int(config.get("max_value", 64)),
-                          node_limit=int(config.get("node_limit")))
-    report = threshold_search(int(config.get("colors", 2)),
-                              allow_repeats=bool(config.get("repeats", True)),
+    budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
+    report = threshold_search(config["colors"], allow_repeats=config["repeats"],
                               budget=budget)
     result = {
         "found": report.found,
@@ -311,14 +389,11 @@ def _run_threshold(config: RunConfig):
 
 
 def _run_proper_or_collapse(config: RunConfig):
-    depth = int(config.get("depth", 4))
-    runs = int(config.get("runs", 1))
-    seed = int(config.get("seed"))
-    desc = config.get("sequence", {"kind": "random-finite-sets"})
+    depth = config["depth"]
     outputs = []
     worst = EXIT_OK
-    for r in range(runs):
-        seq = _sequence_from_descriptor(desc, depth, seed + r)
+    for r in range(config["runs"]):
+        seq = _sequence_from_descriptor(config["sequence"], depth, config["seed"] + r)
         out = proper_or_collapse(seq, depth)
         ok = verify_dichotomy(out, seq)
         if isinstance(out, Proper):
@@ -338,7 +413,7 @@ def _run_proper_or_collapse(config: RunConfig):
 
 
 def _run_verify_filter_laws(config: RunConfig):
-    report = verify_duality_laws(int(config.get("ground", 3)))
+    report = verify_duality_laws(config["ground"])
     code = EXIT_OK if report.total_violations == 0 else EXIT_EXHAUSTED
     return code, {
         "families_scanned": report.families_scanned,
@@ -349,11 +424,8 @@ def _run_verify_filter_laws(config: RunConfig):
 
 
 def _run_chain_check(config: RunConfig):
-    chain = _chain_from_name(config.get("chain", "fs-tails-pow2"), config)
-    if chain is None:
-        raise ConfigError("chain: required for chain-check")
-    report = chain_check(chain, int(config.get("depth", 3)),
-                         window=int(config.get("window", 4)))
+    chain = _chain_from_name(config["chain"], config["delta"])
+    report = chain_check(chain, config["depth"], window=config["window"])
     result = {
         "verdict": report.verdict.value,
         "idem_witness_m": {str(k): v for k, v in report.idem_witness_m.items()},
@@ -371,53 +443,31 @@ def _tail(n: int) -> SSet:
 
 
 def _alice_from_name(name: str, seed: int, horizon: int) -> Strategy:
-    import random
-
     if name == "intervals":
-        from .games import CoverMove
-
         return scripted_alice([CoverMove(tuple(SSet.interval(0, i)
                                                for i in range(1, horizon + 4)))])
-    if name == "dual-random":
-        rng = random.Random(seed)
+    rng = random.Random(seed)
 
-        def move(history):
-            drop = frozenset(rng.sample(range(0, 2 * horizon), rng.randint(0, 3)))
-            return SetMove(SSet.cofinite(drop))
+    def move(history):
+        drop = frozenset(rng.sample(range(0, 2 * horizon), rng.randint(0, 3)))
+        return SetMove(SSet.cofinite(drop))
 
-        return Strategy("alice", move)
-    raise ConfigError(f"alice: unknown strategy {name!r}")
-
-
-def _bob_from_name(name: str):
-    from .games import first_bob
-
-    if name == "first":
-        return first_bob()
-    if name == "filter":
-        return filter_intersection_bob(_tail)
-    raise ConfigError(f"bob: unknown strategy {name!r}")
+    return Strategy("alice", move)
 
 
 def _run_play_game(config: RunConfig):
-    horizon = int(config.get("horizon"))
-    rounds = int(config.get("rounds", horizon))
-    mode = Mode.GFIN if config.get("mode", "g1") == "gfin" else Mode.G1
-    alice = _alice_from_name(config.get("alice", "dual-random"),
-                             int(config.get("seed")), horizon)
-    bob = _bob_from_name(config.get("bob", "filter"))
-    t = play(alice, bob, rounds, mode)
-    target_name = config.get("target", "meets-generators")
-    if target_name == "meets-generators":
+    horizon = config["horizon"]
+    rounds = horizon if config["rounds"] is None else config["rounds"]
+    alice = _alice_from_name(config["alice"], config["seed"], horizon)
+    bob = first_bob() if config["bob"] == "first" else filter_intersection_bob(_tail)
+    t = play(alice, bob, rounds, Mode(config["mode"]))
+    if config["target"] == "meets-generators":
         target = meets_all_generators(_tail, min(horizon, rounds))
         outcome = judge(t, target, horizon=horizon)
     else:
-        kind = _TARGETS.get(target_name)
-        if kind is None:
-            raise ConfigError(f"target: unknown target {target_name!r}")
-        outcome = judge(t, kind, horizon=horizon, space=Space.naturals(),
-                        t=int(config.get("t")), s=int(config.get("s")),
-                        f=int(config.get("f")))
+        outcome = judge(t, _TARGETS[config["target"]], horizon=horizon,
+                        space=Space.naturals(), t=config["t"], s=config["s"],
+                        f=config["f"])
     result = {
         "rounds_played": len(t.rounds),
         "illegal": None if t.illegal is None else {
@@ -434,30 +484,25 @@ def _run_play_game(config: RunConfig):
 
 
 def _run_game_transfer(config: RunConfig):
-    import random
-
-    which = config.get("which", "gfin-to-g1")
-    horizon = int(config.get("horizon"))
-    seed = int(config.get("seed"))
+    which = config["which"]
+    horizon = config["horizon"]
     if which == "gfin-to-g1":
-        from .games import CoverMove
-
         inner = scripted_alice([CoverMove(tuple(SSet.interval(0, i)
                                                 for i in range(1, 4 * horizon + 8)))])
         conv = convert_gfin_to_g1(inner)
-        rng = random.Random(seed)
+        rng = random.Random(config["seed"])
 
         def bob_move(history, move):
             k = rng.randint(1, min(3, len(move.sets)))
             return tuple(move.sets[:k])
 
-        t = play(conv.as_strategy(), Strategy("bob", bob_move),
-                 int(config.get("rounds", horizon)), Mode.GFIN)
+        rounds = horizon if config["rounds"] is None else config["rounds"]
+        t = play(conv.as_strategy(), Strategy("bob", bob_move), rounds, Mode.GFIN)
         points = Space.naturals().points_up_to(horizon)
         union_mult = point_multiplicity(t.selections(), points)
         collapsed = conv.collapse_selections(t)
         col_mult = point_multiplicity(collapsed, points)
-        t_param = int(config.get("t"))
+        t_param = config["t"]
         preserved = all(col_mult[p] >= t_param
                         for p in points if union_mult[p] >= t_param)
         result = {
@@ -467,51 +512,39 @@ def _run_game_transfer(config: RunConfig):
             "collapsed_count": len(collapsed),
         }
         return (EXIT_OK if (t.illegal is None and preserved) else EXIT_EXHAUSTED), result
-    if which == "diagonal":
-        n = int(config.get("n", 2))
-        space = Space.naturals()
+    space = Space.naturals()
 
-        def tree(sigma):
-            stretch = 1 + (len(sigma) % 2)
-            return Cover(space, set_fn=lambda i, s=stretch: SSet.interval(0, s * i),
-                         name=f"stretch-{stretch}")
+    def tree(sigma):
+        stretch = 1 + (len(sigma) % 2)
+        return Cover(space, set_fn=lambda i, s=stretch: SSet.interval(0, s * i),
+                     name=f"stretch-{stretch}")
 
-        cover, extractor = diagonal_transfer(tree, n, space)
-        asc = classify_cover(cover, CoverKind.ASC, horizon)
-        picks = int(config.get("picks", 8))
-        rec = extractor([cover.set_at(i) for i in range(1, picks + 1)])
-        result = {
-            "which": which,
-            "diagonal_ascending": asc.value,
-            "finite_to_one": rec.f_is_finite_to_one(),
-            "surjective": rec.f_is_surjective(),
-            "picks": len(rec.picks),
-        }
-        ok = asc is Verdict.HOLDS and rec.f_is_finite_to_one() and rec.f_is_surjective()
-        return (EXIT_OK if ok else EXIT_EXHAUSTED), result
-    raise ConfigError(f"which: unknown transfer {which!r}")
+    cover, extractor = diagonal_transfer(tree, config["n"], space)
+    asc = classify_cover(cover, CoverKind.ASC, horizon)
+    rec = extractor([cover.set_at(i) for i in range(1, config["picks"] + 1)])
+    result = {
+        "which": which,
+        "diagonal_ascending": asc.value,
+        "finite_to_one": rec.f_is_finite_to_one(),
+        "surjective": rec.f_is_surjective(),
+        "picks": len(rec.picks),
+    }
+    ok = asc is Verdict.HOLDS and rec.f_is_finite_to_one() and rec.f_is_surjective()
+    return (EXIT_OK if ok else EXIT_EXHAUSTED), result
 
 
 def _run_cover_partition(config: RunConfig):
-    instance = config.get("instance", "initial-segments")
-    d = int(config.get("d", 2))
-    chi_e = _coloring(config, "edge_coloring", d_default=d)
-    chi_v = _coloring(config, "vertex_coloring", d_default=1, required=False)
-    target = _TARGETS.get(config.get("target", "lambda"))
-    if target is None:
-        raise ConfigError(f"target: unknown target {config.get('target')!r}")
-    horizon = int(config.get("horizon"))
-    params = {"t": int(config.get("t")), "s": int(config.get("s")),
-              "f": int(config.get("f"))}
-    if instance == "initial-segments":
+    d = config["d"]
+    chi_e = _build_coloring(config, "edge_coloring", d)
+    chi_v = _build_coloring(config, "vertex_coloring", 1)
+    params = {"t": config["t"], "s": config["s"], "f": config["f"]}
+    if config["instance"] == "initial-segments":
         dc = initial_segment_covers(Space.naturals())
-    elif instance == "cofinite":
-        inst = encode_cofinite_example(int(config.get("truncation", 6)))
-        dc = inst.dc
     else:
-        raise ConfigError(f"instance: unknown instance {instance!r}")
-    out = menger_mt_search(dc, chi_v, chi_e, int(config["m"]), d, target,
-                           horizon, config.budget(), target_params=params)
+        dc = encode_cofinite_example(config["truncation"]).dc
+    budget = SearchBudget(max_index=config["max_index"], node_limit=config["node_limit"])
+    out = menger_mt_search(dc, chi_v, chi_e, config["m"], d, _TARGETS[config["target"]],
+                           config["horizon"], budget, target_params=params)
     if isinstance(out, PartitionWitness):
         return EXIT_OK, {"witness": out.to_record()}
     return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete,
@@ -519,14 +552,14 @@ def _run_cover_partition(config: RunConfig):
 
 
 def _run_encode_classical(config: RunConfig):
-    t = int(config.get("truncation", 6))
+    t = config["truncation"]
     inst = encode_cofinite_example(t)
     iso_checks = []
     for F, H in ((frozenset({1}), frozenset({2})), (frozenset({1, 2}), frozenset({3}))):
         oF, oH = _o_union(inst, F), _o_union(inst, H)
         iso_checks.append(inst.decode_union(oF.union(oH)) == (F | H))
     lam = classify_cover(inst.cover, CoverKind.LAMBDA, horizon=min(t + 1, 9),
-                         t=int(config.get("t")))
+                         t=config["t"])
     escapes_ok = inst.dc.check_escapes(t) == []
     result = {
         "truncation": t,
@@ -545,43 +578,101 @@ def _o_union(inst, F):
     return out
 
 
+def _recheck(line_no: int, line: str) -> dict:
+    """Re-run one report line; a line that cannot be re-run is a mismatch,
+    with the reason given."""
+    entry = {"line": line_no, "command": None, "matches": False}
+    try:
+        rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ConfigError("record is not an object")
+        cfg = parse_config(rec.get("config", {}))
+        entry["command"] = cfg.command
+        _, regenerated = _COMMANDS[cfg.command].run(cfg)
+        entry["matches"] = regenerated == rec.get("result")
+    except (ConfigError, ValueError) as exc:
+        entry["reason"] = str(exc)
+    return entry
+
+
 def _run_verify_report(config: RunConfig):
-    path = config.get("input")
-    if not path or not os.path.exists(path):
+    path = config["input"]
+    if not os.path.exists(path):
         raise ConfigError("input: report file not found")
-    bad = 0
-    total = 0
-    details = []
     with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            rec = json.loads(line)
-            stored = rec.get("result")
-            cfg = parse_config(rec.get("config", {}))
-            code, regenerated = _RUNNERS[cfg.command](cfg)
-            ok = regenerated == stored
-            if not ok:
-                bad += 1
-            details.append({"line": line_no, "command": cfg.command, "matches": ok})
-    result = {"records": total, "mismatches": bad, "details": details}
+        details = [_recheck(line_no, line.strip())
+                   for line_no, line in enumerate(fh, start=1) if line.strip()]
+    bad = sum(not entry["matches"] for entry in details)
+    result = {"records": len(details), "mismatches": bad, "details": details}
     return (EXIT_OK if bad == 0 else EXIT_EXHAUSTED), result
 
 
-_RUNNERS = {
-    "search-hindman": _run_search_hindman,
-    "search-mt": _run_search_mt,
-    "threshold": _run_threshold,
-    "proper-or-collapse": _run_proper_or_collapse,
-    "verify-filter-laws": _run_verify_filter_laws,
-    "chain-check": _run_chain_check,
-    "play-game": _run_play_game,
-    "game-transfer": _run_game_transfer,
-    "cover-partition": _run_cover_partition,
-    "encode-classical": _run_encode_classical,
-    "verify-report": _run_verify_report,
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    keys: dict
+
+
+def _command(run, help: str, **keys) -> Command:
+    return Command(run, help, {**_COMMON, **keys})
+
+
+_M = Key(_integer(1), ...)
+_D = Key(_integer(1), 2)
+_MAX_INDEX = Key(_integer(0), 0)
+_EDGE_COLORING = Key(_coloring_descriptor, ...)
+_VERTEX_COLORING = Key(_coloring_descriptor)
+# rounds defaults to the horizon
+_ROUNDS = Key(_integer())
+
+_COMMANDS = {
+    "search-hindman": _command(
+        _run_search_hindman, "monochromatic finite-sums search",
+        coloring=Key(_coloring_descriptor, ...), m=_M,
+        max_value=Key(_integer(0), 0)),
+    "search-mt": _command(
+        _run_search_mt, "monochromatic sum-graph search",
+        edge_coloring=_EDGE_COLORING, vertex_coloring=_VERTEX_COLORING,
+        semigroup=Key(_choice(*_SEMIGROUPS), "naturals"),
+        base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
+        m=_M, d=_D, max_index=_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
+    "threshold": _command(
+        _run_threshold, "least N forcing monochromatic {x,y,x+y}",
+        colors=Key(_integer(1), 2), repeats=Key(_boolean, True),
+        max_value=Key(_integer(0), 64)),
+    "proper-or-collapse": _command(
+        _run_proper_or_collapse, "dichotomy certificates",
+        depth=Key(_integer(2), 4), runs=Key(_integer(), 1),
+        sequence=Key(_sequence_descriptor, {"kind": "random-finite-sets"})),
+    "verify-filter-laws": _command(
+        _run_verify_filter_laws, "exhaustive duality-law scan",
+        ground=Key(_integer(1, 4), 3)),
+    "chain-check": _command(
+        _run_chain_check, "verify a symbolic chain",
+        chain=Key(_choice(*_CHAINS), "fs-tails-pow2"), depth=Key(_integer(), 3),
+        window=Key(_integer(), 4), delta=Key(_fraction, _DENSITY_DELTA)),
+    "play-game": _command(
+        _run_play_game, "referee a selection game",
+        alice=Key(_choice("intervals", "dual-random"), "dual-random"),
+        bob=Key(_choice("first", "filter"), "filter"), rounds=_ROUNDS,
+        mode=Key(_choice("g1", "gfin"), "g1"),
+        target=Key(_choice("meets-generators", *_TARGETS), "meets-generators")),
+    "game-transfer": _command(
+        _run_game_transfer, "strategy transfer replays",
+        which=Key(_choice("gfin-to-g1", "diagonal"), "gfin-to-g1"),
+        n=Key(_integer(), 2), rounds=_ROUNDS, picks=Key(_integer(1), 8)),
+    "cover-partition": _command(
+        _run_cover_partition, "monochromatic cover partition search",
+        instance=Key(_choice("initial-segments", "cofinite"), "initial-segments"),
+        truncation=Key(_integer(1), 6), edge_coloring=_EDGE_COLORING,
+        vertex_coloring=_VERTEX_COLORING, m=_M, d=_D,
+        target=Key(_choice(*_TARGETS), "lambda"), max_index=_MAX_INDEX),
+    "encode-classical": _command(
+        _run_encode_classical, "the cofinite-sets encoding",
+        truncation=Key(_integer(1), 6)),
+    "verify-report": _command(
+        _run_verify_report, "re-check a report file",
+        input=Key(_text, ...)),
 }
 
 
@@ -628,10 +719,7 @@ def format_report(records: list, fmt: str) -> str:
 
 def dispatch(config: RunConfig) -> int:
     """Run one command, write its report, and return the exit status."""
-    runner = _RUNNERS.get(config.command)
-    if runner is None:
-        raise ConfigError(f"command: no runner for {config.command!r}")
-    code, result = runner(config)
+    code, result = _COMMANDS[config.command].run(config)
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": config.command,
@@ -639,8 +727,8 @@ def dispatch(config: RunConfig) -> int:
         "result": result,
         "exit": code,
     }
-    text = format_report([record], config.get("format"))
-    out_path = config.get("out")
+    text = format_report([record], config["format"])
+    out_path = config["out"]
     if out_path is None and os.environ.get(OUT_DIR_ENV):
         out_path = os.path.join(os.environ[OUT_DIR_ENV],
                                 f"{config.command}.jsonl")
@@ -657,141 +745,49 @@ def dispatch(config: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _parse_coloring_arg(text: str) -> dict:
-    """Coloring flags accept JSON or the compact name:key=value,... form."""
-    text = text.strip()
-    if text.startswith("{"):
-        return json.loads(text)
-    parts = text.split(":")
-    desc: dict = {"name": parts[0]}
-    for part in parts[1:]:
-        if "=" in part:
-            k, v = part.split("=", 1)
-            desc[k] = int(v)
-        else:
-            desc.setdefault("k", int(part))
-    return desc
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command and one flag per config key: ``--max-index``
+    sets ``max_index``.  Flags keep their text; parse_config parses it."""
     parser = argparse.ArgumentParser(
         prog="sumgames",
         description="finite-sums combinatorics, filter algebra and selection games")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["json-lines", "csv", "pretty"])
-        p.add_argument("--node-limit", type=int, dest="node_limit")
-        p.add_argument("--horizon", type=int)
-        p.add_argument("-t", type=int, dest="t")
-        p.add_argument("-s", type=int, dest="s")
-        p.add_argument("-f", type=int, dest="f")
-
-    p = sub.add_parser("search-hindman", help="monochromatic finite-sums search")
-    common(p)
-    p.add_argument("--coloring", type=_parse_coloring_arg)
-    p.add_argument("--m", type=int)
-    p.add_argument("--max-value", type=int, dest="max_value")
-
-    p = sub.add_parser("search-mt", help="monochromatic sum-graph search")
-    common(p)
-    p.add_argument("--edge-coloring", type=_parse_coloring_arg, dest="edge_coloring")
-    p.add_argument("--vertex-coloring", type=_parse_coloring_arg, dest="vertex_coloring")
-    p.add_argument("--semigroup", choices=["naturals", "finite-sets"])
-    p.add_argument("--base", choices=["powers-of-two", "singletons"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--max-index", type=int, dest="max_index")
-    p.add_argument("--chain")
-
-    p = sub.add_parser("threshold", help="least N forcing monochromatic {x,y,x+y}")
-    common(p)
-    p.add_argument("--colors", type=int)
-    p.add_argument("--repeats", action="store_true", default=None)
-    p.add_argument("--no-repeats", action="store_false", dest="repeats", default=None)
-    p.add_argument("--max-value", type=int, dest="max_value")
-
-    p = sub.add_parser("proper-or-collapse", help="dichotomy certificates")
-    common(p)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--sequence", type=json.loads)
-
-    p = sub.add_parser("verify-filter-laws", help="exhaustive duality-law scan")
-    common(p)
-    p.add_argument("--ground", type=int)
-
-    p = sub.add_parser("chain-check", help="verify a symbolic chain")
-    common(p)
-    p.add_argument("--chain")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--delta")
-
-    p = sub.add_parser("play-game", help="referee a selection game")
-    common(p)
-    p.add_argument("--alice")
-    p.add_argument("--bob")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--mode", choices=["g1", "gfin"])
-    p.add_argument("--target")
-
-    p = sub.add_parser("game-transfer", help="strategy transfer replays")
-    common(p)
-    p.add_argument("--which", choices=["gfin-to-g1", "diagonal"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--picks", type=int)
-
-    p = sub.add_parser("cover-partition", help="monochromatic cover partition search")
-    common(p)
-    p.add_argument("--instance", choices=["initial-segments", "cofinite"])
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--edge-coloring", type=_parse_coloring_arg, dest="edge_coloring")
-    p.add_argument("--vertex-coloring", type=_parse_coloring_arg, dest="vertex_coloring")
-    p.add_argument("--m", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--target")
-    p.add_argument("--max-index", type=int, dest="max_index")
-
-    p = sub.add_parser("encode-classical", help="the cofinite-sets encoding")
-    common(p)
-    p.add_argument("--truncation", type=int)
-
-    p = sub.add_parser("verify-report", help="re-check a report file")
-    common(p)
-    p.add_argument("--input")
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, spec in command.keys.items():
+            if spec.dashes is None:
+                continue
+            flag = spec.dashes + key.replace("_", "-")
+            if spec.parse is _boolean:
+                p.add_argument(flag, action="store_true", default=None)
+                p.add_argument(f"--no-{key}", action="store_false", dest=key,
+                               default=None)
+                continue
+            choices = getattr(spec.parse, "choices", None)
+            p.add_argument(flag, dest=key,
+                           metavar="{%s}" % ",".join(choices) if choices else None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit:
         return EXIT_USAGE
-    data: dict = {}
-    if args.config:
-        try:
+    try:
+        data = {}
+        if args.config:
             with open(args.config) as fh:
                 data = json.loads(fh.read(), object_pairs_hook=_reject_duplicates)
-        except (OSError, json.JSONDecodeError, ConfigError) as exc:
-            sys.stderr.write(f"config error: {exc}\n")
-            return EXIT_USAGE
-    if args.command:
-        data["command"] = args.command
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        data[key] = value
-    try:
-        config = parse_config(data)
-        return dispatch(config)
-    except ConfigError as exc:
+            if not isinstance(data, dict):
+                raise ConfigError("config must be an object")
+        data.update((key, value) for key, value in vars(args).items()
+                    if key != "config" and value is not None)
+        return dispatch(parse_config(data))
+    # ValueError: a runner or search rejected an input the schema let through;
+    # OSError: a config, input or output file could not be read or written
+    except (ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_USAGE
 

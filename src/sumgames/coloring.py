@@ -193,6 +193,8 @@ def coloring_from_descriptor(desc: dict) -> Coloring:
     if not isinstance(desc, dict) or "name" not in desc:
         raise ValueError("coloring descriptor needs a 'name' field")
     name = desc["name"]
+    if name in ("mod-k", "seeded-hash-k") and "k" not in desc:
+        raise ValueError(f"{name} needs a palette size 'k'")
     d = int(desc.get("d", 1))
     if name == "constant":
         return constant_coloring(d, int(desc.get("k", 1)), int(desc.get("color", 1)))

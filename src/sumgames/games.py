@@ -240,11 +240,10 @@ class ConvertedAlice:
     comparing the two plays.
     """
 
-    def __init__(self, inner: Strategy, option_bound: int = 24):
+    def __init__(self, inner: Strategy):
         if inner.side != "alice":
             raise ValueError("inner strategy must play Alice")
         self.inner = inner
-        self.option_bound = option_bound
 
     def _inner_history(self, history) -> list:
         collapsed = []
@@ -271,11 +270,11 @@ class ConvertedAlice:
         return [largest_of(r.bob) for r in t.rounds if r.bob]
 
 
-def convert_gfin_to_g1(alice_single: Strategy, option_bound: int = 24) -> ConvertedAlice:
+def convert_gfin_to_g1(alice_single: Strategy) -> ConvertedAlice:
     """Build the finite-selection Alice from a single-selection Alice; the
     name reflects the game reduction (finite choices collapse to single
     ones before the inner strategy is consulted)."""
-    return ConvertedAlice(alice_single, option_bound)
+    return ConvertedAlice(alice_single)
 
 
 def point_multiplicity(sets: Sequence[SSet], points: Sequence) -> dict:

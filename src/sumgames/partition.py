@@ -154,6 +154,8 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     target-classified family.  Backtracking stands in for the abstract
     proof's ultrafilter choices; the certificate is re-verified from
     scratch before being returned."""
+    if m < d:
+        raise ValueError(f"m={m} < d={d}: m rounds hold no chain of d unions")
     hi = min(budget.max_index, dc.base_prefix_length(budget.max_index))
     if hi < m:
         raise ValueError("max_index must allow m rounds")

@@ -349,6 +349,8 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     """
     if chi_edge.arity != d:
         raise ValueError(f"edge coloring arity {chi_edge.arity} != d={d}")
+    if m < d:
+        raise ValueError(f"m={m} < d={d}: m blocks hold no chain of d blocks")
     hi = budget.max_index
     if hi < m:
         raise ValueError("max_index must allow m blocks")

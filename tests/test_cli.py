@@ -1,8 +1,10 @@
 """Config parsing, dispatch, report formats, exit codes, verify-report."""
 import json
+import shlex
 
 import pytest
 
+from sumgames import cli
 from sumgames.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -29,9 +31,9 @@ def run_config(tmp_path, data, name="report.jsonl"):
 def test_defaults_applied():
     cfg = parse_config({"command": "search-hindman", "coloring": {"name": "parity"},
                         "m": 2, "max_value": 8})
-    assert cfg.get("horizon") == 16
-    assert cfg.get("t") == 2 and cfg.get("s") == 2 and cfg.get("f") == 2
-    assert cfg.get("node_limit") == 10 ** 7
+    assert cfg["horizon"] == 16
+    assert cfg["t"] == 2 and cfg["s"] == 2 and cfg["f"] == 2
+    assert cfg["node_limit"] == 10 ** 7
 
 
 def test_unknown_key_rejected():
@@ -53,7 +55,7 @@ def test_zero_palette_rejected():
 def test_parallelism_only_one():
     # The key stays in the schema so that earlier reports still parse.
     cfg = parse_config({"command": "threshold", "parallelism": 1})
-    assert cfg.get("parallelism") == 1
+    assert cfg["parallelism"] == 1
     with pytest.raises(ConfigError, match="parallelism"):
         parse_config({"command": "threshold", "parallelism": 4})
 
@@ -195,6 +197,33 @@ def test_verify_report_catches_tampering(tmp_path):
     assert recs[0]["result"]["mismatches"] == 1
 
 
+def _set_config(line, key, value):
+    rec = json.loads(line)
+    rec["config"][key] = value
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (lambda line: line[:-1], "Expecting"),
+    (lambda line: _set_config(line, "command", "fly"), "command: unknown"),
+    (lambda line: _set_config(line, "colors", "two"), "colors: expected an integer"),
+], ids=["not-json", "unknown-command", "non-integer-field"])
+def test_verify_report_counts_a_bad_line_and_goes_on(tmp_path, tamper, reason):
+    run_config(tmp_path, {"command": "threshold", "colors": 2, "repeats": True},
+               name="t.jsonl")
+    path = tmp_path / "t.jsonl"
+    line = path.read_text().strip()
+    path.write_text(f"{tamper(line)}\n{line}\n")
+    code, recs = run_config(tmp_path, {"command": "verify-report",
+                                       "input": str(path)}, name="v.jsonl")
+    assert code == EXIT_EXHAUSTED
+    result = recs[0]["result"]
+    assert result["records"] == 2 and result["mismatches"] == 1
+    bad, good = result["details"]
+    assert bad["matches"] is False and reason in bad["reason"]
+    assert good == {"line": 2, "command": "threshold", "matches": True}
+
+
 # ---------------------------------------------------------------- main()
 
 def test_main_threshold(tmp_path, capsys):
@@ -224,6 +253,8 @@ def test_main_with_config_file(tmp_path, capsys):
     ("node_limit", {"command": "threshold", "node_limit": "many"}),
     ("coloring.k", {"command": "search-hindman", "m": 2, "max_value": 8,
                     "coloring": {"name": "mod-k", "k": "two"}}),
+    ("m", {"command": "search-hindman", "m": "two", "max_value": 8,
+           "coloring": {"name": "parity"}}),
 ])
 def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, config):
     cfg = tmp_path / "cfg.json"
@@ -232,6 +263,47 @@ def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, config):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: expected an integer")
     assert "Traceback" not in err
+
+
+_HASH2 = {"name": "seeded-hash-k", "k": 2}
+
+
+@pytest.mark.parametrize("message, config", [
+    ("ground: must be in 1..4", {"command": "verify-filter-laws", "ground": 9}),
+    ("truncation: must be >= 1", {"command": "cover-partition", "instance": "cofinite",
+                                  "truncation": 0, "edge_coloring": {"name": "constant"},
+                                  "m": 2}),
+    ("colors: must be >= 1", {"command": "threshold", "colors": 0}),
+    ("max_value: must be >= 0", {"command": "search-hindman", "m": 2, "max_value": -1,
+                                 "coloring": {"name": "parity"}}),
+    ("max_index must allow m blocks", {"command": "search-mt", "m": 3, "max_index": 2,
+                                       "edge_coloring": {"name": "parity"}}),
+    ("delta: expected a fraction", {"command": "chain-check", "chain": "density",
+                                    "delta": "abc"}),
+    ("coloring: mod-k needs a palette size", {"command": "search-hindman", "m": 2,
+                                              "max_value": 8, "coloring": "mod-k"}),
+    ("m: required", {"command": "search-hindman", "max_value": 8,
+                     "coloring": {"name": "parity"}}),
+    ("m=2 < d=3", {"command": "search-mt", "m": 2, "d": 3, "max_index": 6,
+                   "edge_coloring": _HASH2}),
+    ("m=2 < d=3", {"command": "cover-partition", "m": 2, "d": 3, "max_index": 6,
+                   "edge_coloring": _HASH2}),
+])
+def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("play-game --mode foo", "mode: expected one of g1, gfin"),
+    ("search-hindman --coloring parity --m two", "m: expected an integer"),
+    ("search-mt --edge-coloring seeded-hash-k:x --m 2", "edge_coloring.k: expected an integer"),
+])
+def test_bad_flag_is_a_config_error(capsys, argv, message):
+    assert main(shlex.split(argv)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 def test_env_output_dir(tmp_path, monkeypatch):
@@ -267,3 +339,120 @@ def test_verify_report_multiple_records(tmp_path):
     assert code == EXIT_OK
     assert recs[0]["result"]["records"] == 3
     assert recs[0]["result"]["mismatches"] == 0
+
+
+# ---------------------------------------------------------------- flag surface
+
+# Every config key a report records even when it was not given.
+_RECORDED_DEFAULTS = {"seed": 0, "format": "json-lines", "node_limit": 10 ** 7,
+                      "parallelism": 1, "horizon": 16, "t": 2, "s": 2, "f": 2}
+
+# Each command line with the config main builds from it and its exit code:
+# the README's "Command line" examples first, then every remaining flag.
+# The configs were recorded from the hand-written parser that the schema
+# table replaced.
+FLAG_SURFACE = [
+    ("threshold --colors 2 --repeats",
+     {"command": "threshold", "colors": 2, "repeats": True}, EXIT_OK),
+    ("threshold --colors 3 --no-repeats",
+     {"command": "threshold", "colors": 3, "repeats": False}, EXIT_OK),
+    ("search-hindman --coloring parity --m 2 --max-value 7",
+     {"command": "search-hindman", "coloring": {"name": "parity"}, "m": 2,
+      "max_value": 7}, EXIT_OK),
+    ("search-mt --edge-coloring seeded-hash-k:2:seed=4 --semigroup finite-sets "
+     "--base singletons --m 3 --d 2 --max-index 8",
+     {"command": "search-mt",
+      "edge_coloring": {"name": "seeded-hash-k", "k": 2, "seed": 4},
+      "semigroup": "finite-sets", "base": "singletons", "m": 3, "d": 2,
+      "max_index": 8}, EXIT_OK),
+    ("proper-or-collapse --depth 5 --runs 10 --seed 1",
+     {"command": "proper-or-collapse", "seed": 1, "depth": 5, "runs": 10}, EXIT_OK),
+    ("verify-filter-laws --ground 3",
+     {"command": "verify-filter-laws", "ground": 3}, EXIT_OK),
+    ("chain-check --chain ap --depth 4",
+     {"command": "chain-check", "chain": "ap", "depth": 4}, EXIT_OK),
+    ("play-game --alice dual-random --bob filter --rounds 16 --horizon 16",
+     {"command": "play-game", "alice": "dual-random", "bob": "filter",
+      "rounds": 16}, EXIT_OK),
+    ("game-transfer --which diagonal --n 3 --horizon 8",
+     {"command": "game-transfer", "horizon": 8, "which": "diagonal", "n": 3}, EXIT_OK),
+    ("cover-partition --instance cofinite --truncation 6 --edge-coloring constant "
+     "--m 2 --d 2 --target op --horizon 1 --max-index 6",
+     {"command": "cover-partition", "horizon": 1, "instance": "cofinite",
+      "truncation": 6, "edge_coloring": {"name": "constant"}, "m": 2, "d": 2,
+      "target": "op", "max_index": 6}, EXIT_OK),
+    ("encode-classical --truncation 8",
+     {"command": "encode-classical", "truncation": 8}, EXIT_OK),
+    ("verify-filter-laws --ground 3 --out report.jsonl",
+     {"command": "verify-filter-laws", "ground": 3}, EXIT_OK),
+    ("verify-report --input report.jsonl",
+     {"command": "verify-report", "input": "report.jsonl"}, EXIT_OK),
+    ("verify-filter-laws --ground 2 --format pretty",
+     {"command": "verify-filter-laws", "format": "pretty", "ground": 2}, EXIT_OK),
+    ("verify-filter-laws --ground 2 --format csv --seed 7 --node-limit 500",
+     {"command": "verify-filter-laws", "seed": 7, "format": "csv",
+      "node_limit": 500, "ground": 2}, EXIT_OK),
+    ("threshold --colors 2 --no-repeats --max-value 20",
+     {"command": "threshold", "colors": 2, "repeats": False, "max_value": 20},
+     EXIT_OK),
+    ("search-hindman --coloring '{\"name\": \"mod-k\", \"k\": 3}' --m 2 "
+     "--max-value 20 --seed 5",
+     {"command": "search-hindman", "seed": 5, "coloring": {"name": "mod-k", "k": 3},
+      "m": 2, "max_value": 20}, EXIT_OK),
+    ("search-mt --edge-coloring seeded-hash-k:2 --vertex-coloring parity "
+     "--semigroup naturals --base powers-of-two --m 2 --d 2 --max-index 6 "
+     "--chain fs-tails-pow2 --seed 3",
+     {"command": "search-mt", "seed": 3,
+      "edge_coloring": {"name": "seeded-hash-k", "k": 2},
+      "vertex_coloring": {"name": "parity"}, "semigroup": "naturals",
+      "base": "powers-of-two", "m": 2, "d": 2, "max_index": 6,
+      "chain": "fs-tails-pow2"}, EXIT_OK),
+    ("proper-or-collapse --depth 4 --runs 2 "
+     "--sequence '{\"kind\": \"random-finite-sets\", \"gen_max\": 5}'",
+     {"command": "proper-or-collapse", "depth": 4, "runs": 2,
+      "sequence": {"kind": "random-finite-sets", "gen_max": 5}}, EXIT_OK),
+    ("chain-check --chain density --depth 3 --window 3 --delta 1/4",
+     {"command": "chain-check", "chain": "density", "depth": 3, "window": 3,
+      "delta": "1/4"}, EXIT_OK),
+    ("play-game --alice intervals --bob first --rounds 6 --horizon 6 --mode g1 "
+     "--target meets-generators",
+     {"command": "play-game", "horizon": 6, "alice": "intervals", "bob": "first",
+      "rounds": 6, "mode": "g1", "target": "meets-generators"}, EXIT_OK),
+    ("game-transfer --which gfin-to-g1 --horizon 6 --rounds 6 --seed 2",
+     {"command": "game-transfer", "seed": 2, "horizon": 6, "which": "gfin-to-g1",
+      "rounds": 6}, EXIT_OK),
+    ("game-transfer --which diagonal --n 2 --horizon 6 --picks 5",
+     {"command": "game-transfer", "horizon": 6, "which": "diagonal", "n": 2,
+      "picks": 5}, EXIT_OK),
+    ("cover-partition --instance initial-segments --edge-coloring constant "
+     "--vertex-coloring constant --m 2 --d 2 --target op --horizon 2 "
+     "--max-index 8 -t 1 -s 1 -f 1",
+     {"command": "cover-partition", "horizon": 2, "t": 1, "s": 1, "f": 1,
+      "instance": "initial-segments", "edge_coloring": {"name": "constant"},
+      "vertex_coloring": {"name": "constant"}, "m": 2, "d": 2, "target": "op",
+      "max_index": 8}, EXIT_OK),
+    ("encode-classical --truncation 5 -t 3 -s 4 -f 5",
+     {"command": "encode-classical", "t": 3, "s": 4, "f": 5, "truncation": 5},
+     EXIT_OK),
+    ("--config cfg.json verify-filter-laws --ground 3",
+     {"command": "verify-filter-laws", "ground": 3}, EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("argv, config, code", FLAG_SURFACE,
+                         ids=[argv for argv, _, _ in FLAG_SURFACE])
+def test_flag_surface(tmp_path, monkeypatch, capsys, argv, config, code):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SUMGAMES_OUT_DIR", raising=False)
+    (tmp_path / "cfg.json").write_text('{"command": "verify-filter-laws", "ground": 2}')
+    main(["verify-filter-laws", "--ground", "3", "--out", "report.jsonl"])
+    built = []
+    real_dispatch = cli.dispatch
+
+    def recording_dispatch(cfg):
+        built.append(cfg.to_dict())
+        return real_dispatch(cfg)
+
+    monkeypatch.setattr(cli, "dispatch", recording_dispatch)
+    assert main(shlex.split(argv)) == code
+    assert built == [{**_RECORDED_DEFAULTS, **config}]

@@ -88,6 +88,13 @@ def test_menger_exhaustion_reports_best_depth():
     assert "best depth" in out.note
 
 
+def test_menger_rejects_fewer_rounds_than_d():
+    with pytest.raises(ValueError, match="m=2 < d=3"):
+        menger_mt_search(initial_segment_covers(NATS), None, seeded_hash_coloring(2, 1, 3),
+                         m=2, d=3, target=CoverKind.OP, horizon=2,
+                         budget=SearchBudget(max_index=6))
+
+
 def test_partition_witness_disjointness_and_order():
     dc = initial_segment_covers(NATS)
     out = menger_mt_search(dc, None, cardinality_coloring(2), m=3, d=2,

@@ -123,6 +123,13 @@ def test_mt_improper_base_rejected():
                   budget=SearchBudget(max_index=4))
 
 
+def test_mt_rejects_fewer_blocks_than_d():
+    # m blocks hold no chain of d > m blocks, so there is no edge to color
+    with pytest.raises(ValueError, match="m=2 < d=3"):
+        mt_search(seeded_hash_coloring(2, 1, 3), NAT, pow2_base(), m=2, d=3,
+                  budget=SearchBudget(max_index=6))
+
+
 def test_mt_d3_single_chain_certificate():
     w = mt_search(constant_coloring(3, 1), FIN, fin_singletons(), m=3, d=3,
                   budget=SearchBudget(max_index=5))
