@@ -623,7 +623,7 @@ _MAX_INDEX = Key(_integer(0), 0)
 _EDGE_COLORING = Key(_coloring_descriptor, ...)
 _VERTEX_COLORING = Key(_coloring_descriptor)
 # rounds defaults to the horizon
-_ROUNDS = Key(_integer())
+_ROUNDS = Key(_integer(1))
 
 _COMMANDS = {
     "search-hindman": _command(
@@ -642,15 +642,15 @@ _COMMANDS = {
         max_value=Key(_integer(0), 64)),
     "proper-or-collapse": _command(
         _run_proper_or_collapse, "dichotomy certificates",
-        depth=Key(_integer(2), 4), runs=Key(_integer(), 1),
+        depth=Key(_integer(2), 4), runs=Key(_integer(1), 1),
         sequence=Key(_sequence_descriptor, {"kind": "random-finite-sets"})),
     "verify-filter-laws": _command(
         _run_verify_filter_laws, "exhaustive duality-law scan",
         ground=Key(_integer(1, 4), 3)),
     "chain-check": _command(
         _run_chain_check, "verify a symbolic chain",
-        chain=Key(_choice(*_CHAINS), "fs-tails-pow2"), depth=Key(_integer(), 3),
-        window=Key(_integer(), 4), delta=Key(_fraction, _DENSITY_DELTA)),
+        chain=Key(_choice(*_CHAINS), "fs-tails-pow2"), depth=Key(_integer(1), 3),
+        window=Key(_integer(1), 4), delta=Key(_fraction, _DENSITY_DELTA)),
     "play-game": _command(
         _run_play_game, "referee a selection game",
         alice=Key(_choice("intervals", "dual-random"), "dual-random"),
@@ -669,7 +669,7 @@ _COMMANDS = {
         target=Key(_choice(*_TARGETS), "lambda"), max_index=_MAX_INDEX),
     "encode-classical": _command(
         _run_encode_classical, "the cofinite-sets encoding",
-        truncation=Key(_integer(1), 6)),
+        truncation=Key(_integer(3), 6)),
     "verify-report": _command(
         _run_verify_report, "re-check a report file",
         input=Key(_text, ...)),

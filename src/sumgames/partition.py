@@ -20,17 +20,22 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .coloring import Coloring
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
 from .filters import SymbolicChain
-from .search import Exhausted, SearchBudget, _candidate_blocks, _depth_first, _prefix_sums
+from .search import (
+    Exhausted,
+    SearchBudget,
+    _candidate_blocks,
+    _depth_first,
+    _prefix_sums,
+    _recheck_sums,
+)
 from .semigroups import (
     BlockOrderError,
     BlockSequence,
     CertificateError,
     ElementSequence,
     IndexedUnion,
-    block_chains,
-    fs_enumerate,
+    chain_sum_sets,
     indexed_unions,
-    proper_violation,
 )
 from .verdicts import Verdict
 
@@ -138,11 +143,6 @@ def _union_semigroup(dc: DescendingCovers):
     return indexed_unions(lambda j: dc.member_set(j), lambda a, b: a.union(b))
 
 
-def _union_element_sequence(dc, families) -> ElementSequence:
-    return ElementSequence.from_terms(_union_semigroup(dc),
-                                      map(_union_term, families))
-
-
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
                      chi_edge: Coloring, m: int, d: int, target: CoverKind,
                      horizon: int, budget: SearchBudget,
@@ -191,16 +191,12 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         return state
 
     def finish(families: list, state):
-        distinct_sets = []
-        for u in map(_union_term, families):
-            if u.value not in distinct_sets:
-                distinct_sets.append(u.value)
-        cover = Cover(dc.space, sets=distinct_sets, name="partition-unions")
+        unions = tuple(state.sums[frozenset([n])].value for n in range(1, m + 1))
+        cover = Cover(dc.space, sets=list(dict.fromkeys(unions)), name="partition-unions")
         coverage = classify_cover(cover, target, horizon, **tparams)
         if coverage is not Verdict.HOLDS:
             return None
-        return _build_partition_witness(
-            dc, families, chi_vertex, chi_edge, d, target, coverage)
+        return _build_partition_witness(families, unions, state, d, target, coverage)
 
     out = _depth_first(m, candidates, check, finish, budget.node_limit)
     if isinstance(out, Exhausted):
@@ -213,15 +209,9 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     return out
 
 
-def _build_partition_witness(dc, families, chi_vertex, chi_edge, d, target,
+def _build_partition_witness(families, unions, state, d, target,
                              coverage) -> PartitionWitness:
-    m = len(families)
-    seq = _union_element_sequence(dc, families)
-    sums = fs_enumerate(seq, m)
-    edges = [frozenset(sums[F] for F in ch) for ch in block_chains(m, d)]
-    color_edge = chi_edge.of_set(edges[0])
-    color_vertex = (chi_vertex.of(next(iter(sums.values())))
-                    if chi_vertex is not None else None)
+    sums = state.sums
     try:
         index_blocks = BlockSequence(tuple(frozenset(j for j, _ in fam)
                                            for fam in families))
@@ -229,15 +219,15 @@ def _build_partition_witness(dc, families, chi_vertex, chi_edge, d, target,
         index_blocks = None
     return PartitionWitness(
         families=tuple(families),
-        unions=tuple(_union_term(fam).value for fam in families),
+        unions=unions,
         index_blocks=index_blocks,
-        color_vertex=color_vertex,
-        color_edge=color_edge,
+        color_vertex=state.vertex_color,
+        color_edge=state.edge_color,
         target=target,
         coverage=coverage,
         certificate={
             "d": d,
-            "edge_sets": edges,
+            "edge_sets": chain_sum_sets(sums, len(families), d),
             "fs_values": list(sums.values()),
         },
     )
@@ -266,27 +256,19 @@ def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
         blocks = list(w.index_blocks)
         if [frozenset(j for j, _ in fam) for fam in w.families] != blocks:
             return False
+    terms = [_union_term(fam) for fam in w.families]
+    if tuple(w.unions) != tuple(t.value for t in terms):
+        return False
     # escape points gathered so far lie in every later union
     for i in range(1, m + 1):
         x = dc.escape_point(i)
         for later in range(i + 1, m + 1):
             if not w.unions[later - 1].contains(x):
                 return False
-    seq = _union_element_sequence(dc, w.families)
-    if proper_violation(seq, m) is not None:
+    seq = ElementSequence.from_terms(_union_semigroup(dc), terms)
+    if _recheck_sums(seq, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex) is None:
         return False
-    sums = fs_enumerate(seq, m)
-    edges = [frozenset(sums[F] for F in ch) for ch in block_chains(m, d)]
-    if {chi_edge.of_set(e) for e in edges} != {w.color_edge}:
-        return False
-    if chi_vertex is not None:
-        if {chi_vertex.of(v) for v in sums.values()} != {w.color_vertex}:
-            return False
-    distinct = []
-    for u in w.unions:
-        if u not in distinct:
-            distinct.append(u)
-    cover = Cover(dc.space, sets=distinct, name="verify")
+    cover = Cover(dc.space, sets=list(dict.fromkeys(w.unions)), name="verify")
     return classify_cover(cover, w.target, horizon, **target_params) is w.coverage
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import Coloring, canonical_key, cardinality_coloring, reduce_two_dim_to_one
+from .coloring import Coloring, cardinality_coloring, reduce_two_dim_to_one
 from .semigroups import (
     BlockSequence,
     CertificateError,
@@ -25,12 +26,12 @@ from .semigroups import (
     block_chains,
     block_key,
     blocks_within,
+    chain_sum_sets,
     fs_enumerate,
     indexed_sum,
     is_proper_up_to,
     naturals,
     proper_violation,
-    sum_hypergraph,
     take_sumsequence,
 )
 
@@ -365,10 +366,19 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
             return None
         return _prefix_sums(sg, parent, term, chi_edge, d, chi_vertex)
 
-    result = _depth_first(
-        m, _chain_candidates(hi, m), check,
-        lambda blocks, state: _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d),
-        budget.node_limit)
+    def finish(blocks: list, state: _PrefixState) -> Witness:
+        sums = state.sums
+        return Witness(
+            blocks=BlockSequence(tuple(blocks)),
+            terms=tuple(sums[frozenset([i])] for i in range(1, m + 1)),
+            color_vertex=state.vertex_color,
+            color_edge=state.edge_color,
+            certificate={"d": d, "edge_sets": chain_sum_sets(sums, m, d),
+                         "fs_values": list(sums.values())},
+        )
+
+    result = _depth_first(m, _chain_candidates(hi, m), check, finish,
+                          budget.node_limit)
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
         raise CertificateError("mt_search produced a witness that fails "
@@ -376,25 +386,27 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     return result
 
 
-def _build_mt_witness(chi_edge, chi_vertex, sg, base, blocks, d) -> Witness:
-    bseq = BlockSequence(tuple(blocks))
-    taken = take_sumsequence(base, bseq)
-    m = len(blocks)
-    edges = sum_hypergraph(taken, m, d)
-    sums = fs_enumerate(taken, m)
-    color_edge = chi_edge.of_set(edges[0])
-    color_vertex = chi_vertex.of(next(iter(sums.values()))) if chi_vertex else None
-    return Witness(
-        blocks=bseq,
-        terms=tuple(taken.prefix(m)),
-        color_vertex=color_vertex,
-        color_edge=color_edge,
-        certificate={
-            "d": d,
-            "edge_sets": edges,
-            "fs_values": list(sums.values()),
-        },
-    )
+def _recheck_sums(seq: ElementSequence, d: int, chi_edge: Coloring, color_edge,
+                  chi_vertex: Optional[Coloring] = None,
+                  color_vertex=None) -> Optional[list]:
+    """The recheck that the block and cover-partition verifiers share.
+
+    ``seq`` holds the m terms re-derived from a witness's blocks or
+    families, never taken from search state.  They must be proper, every
+    sum set of a d-chain must have the color ``color_edge``, and, with
+    ``chi_vertex``, every finite sum the color ``color_vertex``.  Returns
+    the edge sets, or None if a check fails.
+    """
+    m = seq.length
+    if proper_violation(seq, m) is not None:
+        return None
+    sums = fs_enumerate(seq, m)
+    edges = chain_sum_sets(sums, m, d)
+    if {chi_edge.of_set(e) for e in edges} != {color_edge}:
+        return None
+    if chi_vertex is not None and {chi_vertex.of(v) for v in sums.values()} != {color_vertex}:
+        return None
+    return edges
 
 
 def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
@@ -404,32 +416,18 @@ def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
     """Re-verify a witness from scratch: recompute the sumsequence from the
     blocks, re-enumerate the hypergraph, recheck every color and membership."""
     taken = take_sumsequence(base, w.blocks)
-    m = len(w.blocks)
-    if tuple(taken.prefix(m)) != w.terms:
+    if tuple(taken.prefix(len(w.blocks))) != w.terms:
         return False
-    if not is_proper_up_to(taken, m):
+    edges = _recheck_sums(taken, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex)
+    if edges is None or Counter(edges) != Counter(w.certificate["edge_sets"]):
         return False
-    edges = sum_hypergraph(taken, m, d)
-    if sorted(map(sorted_key, edges)) != sorted(map(sorted_key, w.certificate["edge_sets"])):
+    if chi_vertex is not None and eta is not None and len({eta.of(e) for e in edges}) != 1:
         return False
-    if {chi_edge.of_set(e) for e in edges} != {w.color_edge}:
-        return False
-    if chi_vertex is not None:
-        values = fs_enumerate(taken, m).values()
-        if {chi_vertex.of(v) for v in values} != {w.color_vertex}:
-            return False
-        if eta is not None and len({eta.of(e) for e in edges}) != 1:
-            return False
     if chain is not None:
         for i, b in enumerate(w.terms, start=1):
             if not chain.set_at(i)(b):
                 return False
     return True
-
-
-def sorted_key(edge: frozenset):
-    # frozenset elements only order partially, so sort by canonical bytes
-    return tuple(sorted(canonical_key(v) for v in edge))
 
 
 # ---------------------------------------------------------------------------

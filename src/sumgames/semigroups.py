@@ -8,7 +8,7 @@ sequence.  Blocks are 1-based throughout.  ``F < H`` between blocks means
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 Block = frozenset  # nonempty frozenset of 1-based indices
@@ -85,7 +85,6 @@ class Semigroup:
     combine: Callable[[Any, Any], Any]
     enumeration: Callable[[int], Any]
     rank: Callable[[Any], int]
-    equals: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
 
     def fold(self, items) -> Any:
         items = list(items)
@@ -346,6 +345,14 @@ def is_proper_up_to(seq: ElementSequence, depth: int) -> bool:
     return proper_violation(seq, depth) is None
 
 
+def chain_sum_sets(sums: dict, n: int, d: int) -> list:
+    """The distinct sum sets {a_{F_1}, ..., a_{F_d}} over block chains
+    F_1 < ... < F_d inside {1..n}, in canonical chain order, read from
+    ``sums``, which maps every block inside {1..n} to its sum."""
+    return list(dict.fromkeys(frozenset(sums[F] for F in chain)
+                              for chain in block_chains(n, d)))
+
+
 def sum_hypergraph(seq: ElementSequence, depth: int, d: int) -> list:
     """All d-element sum sets {a_{F_1}, ..., a_{F_d}} over block chains
     F_1 < ... < F_d inside {1..depth}, deduplicated, in canonical order.
@@ -361,12 +368,4 @@ def sum_hypergraph(seq: ElementSequence, depth: int, d: int) -> list:
         raise ImproperSequenceError(
             f"sequence improper at depth {depth}: a_F == a_H for "
             f"F={sorted(bad[0])}, H={sorted(bad[1])}")
-    sums = fs_enumerate(seq, depth)
-    seen = set()
-    out = []
-    for chain in block_chains(depth, d):
-        edge = frozenset(sums[F] for F in chain)
-        if edge not in seen:
-            seen.add(edge)
-            out.append(edge)
-    return out
+    return chain_sum_sets(fs_enumerate(seq, depth), depth, d)

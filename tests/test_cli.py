@@ -306,6 +306,24 @@ def test_bad_flag_is_a_config_error(capsys, argv, message):
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+# Counts below their bound used to give vacuous reports (an empty game, no
+# run, a chain that "holds" at depth 0) or, for encode-classical below
+# truncation 3, an IndexError in the isomorphism checks, which ask for O_3.
+@pytest.mark.parametrize("argv, message", [
+    ("chain-check --depth=0", "depth: must be >= 1, got 0"),
+    ("chain-check --depth=-1", "depth: must be >= 1, got -1"),
+    ("chain-check --window=0", "window: must be >= 1, got 0"),
+    ("play-game --rounds=0", "rounds: must be >= 1, got 0"),
+    ("game-transfer --rounds=0", "rounds: must be >= 1, got 0"),
+    ("proper-or-collapse --runs=0", "runs: must be >= 1, got 0"),
+    ("encode-classical --truncation=1", "truncation: must be >= 3, got 1"),
+    ("encode-classical --truncation=2", "truncation: must be >= 3, got 2"),
+])
+def test_count_below_its_bound_is_a_config_error(capsys, argv, message):
+    assert main(shlex.split(argv)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("SUMGAMES_OUT_DIR", str(tmp_path / "reports"))
     code = main(["verify-filter-laws", "--ground", "2"])

@@ -1,28 +1,52 @@
-"""The incremental prefix check of the block searches against a slow
-reference built from public functions only, and pinned node counts."""
+"""The incremental prefix check of the block searches, and the witnesses
+built from its state, against slow references built from public functions
+only; pinned node counts; tampered witnesses that the verifiers reject."""
+import dataclasses
+import functools
 import random
 
 import pytest
 
-from sumgames.coloring import mod_coloring, seeded_hash_coloring
+from sumgames.coloring import (
+    Coloring,
+    cardinality_coloring,
+    constant_coloring,
+    mod_coloring,
+    parity_coloring,
+    seeded_hash_coloring,
+)
 from sumgames.covers import CoverKind, Space
-from sumgames.partition import initial_segment_covers, menger_mt_search
+from sumgames.partition import (
+    PartitionWitness,
+    encode_cofinite_example,
+    initial_segment_covers,
+    menger_mt_search,
+    verify_partition_witness,
+)
 from sumgames.search import (
     Exhausted,
     SearchBudget,
+    Witness,
     _prefix_sums,
     hindman_search,
     mt_search,
+    verify_mt_witness,
 )
 from sumgames.semigroups import (
+    BlockOrderError,
+    BlockSequence,
     ElementSequence,
     IndexedUnion,
     block_chains,
+    chain_sum_sets,
     finite_sets,
     fs_enumerate,
+    indexed_sum,
     indexed_unions,
     naturals,
     proper_violation,
+    sum_hypergraph,
+    take_sumsequence,
 )
 
 NAT = naturals()
@@ -155,3 +179,200 @@ def test_complete_searches_spend_pinned_nodes(run, nodes):
     out = run()
     assert isinstance(out, Exhausted) and out.complete
     assert out.nodes == nodes
+
+
+# ---------------------------------------------------------------- witnesses
+
+def rebuilt_mt_witness(w, base, chi_edge, chi_vertex, d) -> Witness:
+    """The mt witness on w's blocks as rebuilt from scratch: take the
+    sumsequence, then list its sum sets and its finite sums again."""
+    taken = take_sumsequence(base, w.blocks)
+    m = len(w.blocks)
+    edges = sum_hypergraph(taken, m, d)
+    sums = fs_enumerate(taken, m)
+    return Witness(
+        blocks=w.blocks,
+        terms=tuple(taken.prefix(m)),
+        color_vertex=chi_vertex.of(next(iter(sums.values()))) if chi_vertex else None,
+        color_edge=chi_edge.of_set(edges[0]),
+        certificate={"d": d, "edge_sets": edges, "fs_values": list(sums.values())},
+    )
+
+
+def rebuilt_partition_witness(w, dc, chi_edge, chi_vertex, d) -> PartitionWitness:
+    """The partition witness on w's families as rebuilt from scratch: the
+    unions as an indexed-union sequence, then every sum and chain again."""
+    terms = [IndexedUnion(gens=frozenset(j for j, _ in fam),
+                          value=functools.reduce(lambda a, b: a.union(b),
+                                                 (s for _, s in fam)))
+             for fam in w.families]
+    m = len(terms)
+    sg = indexed_unions(dc.member_set, lambda a, b: a.union(b))
+    sums = fs_enumerate(ElementSequence.from_terms(sg, terms), m)
+    edges = [frozenset(sums[F] for F in ch) for ch in block_chains(m, d)]
+    try:
+        index_blocks = BlockSequence(tuple(t.gens for t in terms))
+    except BlockOrderError:
+        index_blocks = None
+    return PartitionWitness(
+        families=w.families,
+        unions=tuple(t.value for t in terms),
+        index_blocks=index_blocks,
+        color_vertex=chi_vertex.of(next(iter(sums.values()))) if chi_vertex else None,
+        color_edge=chi_edge.of_set(edges[0]),
+        target=w.target,
+        coverage=w.coverage,
+        certificate={"d": d, "edge_sets": edges, "fs_values": list(sums.values())},
+    )
+
+
+def assert_same_certificate(got, want):
+    assert set(got.certificate["edge_sets"]) == set(want.certificate["edge_sets"])
+    assert got.certificate["fs_values"] == want.certificate["fs_values"]
+    assert got.certificate["d"] == want.certificate["d"]
+
+
+def min_parity_coloring() -> Coloring:
+    # the parity of a finite set's least element: one color on all unions
+    # of blocks whose least indices share a parity
+    return Coloring(1, 2, lambda s: 1 + min(next(iter(s))) % 2, name="min-parity")
+
+
+@pytest.mark.parametrize("vertex", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("semigroup", ["naturals", "finite-sets"])
+def test_mt_witness_from_state_matches_the_rebuilt_one(semigroup, d, vertex):
+    if semigroup == "naturals":
+        sg, base = NAT, ElementSequence.from_fn(NAT, lambda i: 2 ** (i - 1))
+        chi_vertex = parity_coloring() if vertex else None
+    else:
+        sg, base = FIN, ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
+        chi_vertex = min_parity_coloring() if vertex else None
+    found = 0
+    for seed in range(12):
+        chi_edge = seeded_hash_coloring(2, seed, d=d)
+        w = mt_search(chi_edge, sg, base, d + 1, d, SearchBudget(max_index=9),
+                      chi_vertex=chi_vertex)
+        if isinstance(w, Exhausted):
+            continue
+        found += 1
+        want = rebuilt_mt_witness(w, base, chi_edge, chi_vertex, d)
+        # the records hold the blocks, terms, colors and certificate_size
+        assert w.to_record() == want.to_record()
+        assert_same_certificate(w, want)
+    assert found >= 6
+
+
+def _initial_segments(target, vertex):
+    dc = initial_segment_covers(Space.naturals())
+    return [(dc, seeded_hash_coloring(2, seed, d=2),
+             seeded_hash_coloring(2, 100 + seed) if vertex else None,
+             3, target, 6, SearchBudget(max_index=10))
+            for seed in range(6)]
+
+
+def _cofinite(coloring):
+    return [(encode_cofinite_example(t).dc, coloring, None, m, target, 1,
+             SearchBudget(max_index=t))
+            for t in (6, 7) for target in (CoverKind.OP, CoverKind.LAMBDA)
+            for m in (2, 3)]
+
+
+@pytest.mark.parametrize("cases", [
+    pytest.param(_initial_segments(target, vertex), id=f"{target.value}-{vertex}")
+    for target in (CoverKind.LAMBDA, CoverKind.OMEGA, CoverKind.GAMMA)
+    for vertex in (False, True)
+] + [
+    pytest.param(_cofinite(constant_coloring(2)), id="cofinite-constant"),
+    pytest.param(_cofinite(cardinality_coloring(2)), id="cofinite-cardinality"),
+])
+def test_partition_witness_from_state_matches_the_rebuilt_one(cases):
+    found = 0
+    for dc, chi_edge, chi_vertex, m, target, horizon, budget in cases:
+        w = menger_mt_search(dc, chi_vertex, chi_edge, m, 2, target, horizon, budget)
+        if isinstance(w, Exhausted):
+            continue
+        found += 1
+        want = rebuilt_partition_witness(w, dc, chi_edge, chi_vertex, 2)
+        assert w.to_record() == want.to_record()
+        assert w.unions == want.unions
+        assert_same_certificate(w, want)
+    assert found == len(cases)
+
+
+# ---------------------------------------------------------------- tampering
+
+def flip(color: int) -> int:
+    return 3 - color  # the other color of a 2-palette
+
+
+MT_BASE = ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
+MT_EDGE = seeded_hash_coloring(2, 0, d=2)
+MT_VERTEX = min_parity_coloring()
+
+
+def replace_last_block(w: Witness) -> Witness:
+    # a later block, with the terms taken again so that they still agree
+    blocks = list(w.blocks)
+    blocks[-1] = frozenset({max(blocks[-1]) + 1})
+    return dataclasses.replace(
+        w, blocks=BlockSequence(tuple(blocks)),
+        terms=tuple(indexed_sum(MT_BASE, F) for F in blocks))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda w: dataclasses.replace(w, color_edge=flip(w.color_edge)),
+    lambda w: dataclasses.replace(w, color_vertex=flip(w.color_vertex)),
+    replace_last_block,
+    lambda w: dataclasses.replace(w, certificate={
+        **w.certificate, "edge_sets": w.certificate["edge_sets"][1:]}),
+], ids=["color-edge", "color-vertex", "block", "dropped-edge-set"])
+def test_tampered_mt_witness_is_rejected(tamper):
+    w = mt_search(MT_EDGE, FIN, MT_BASE, 3, 2, SearchBudget(max_index=7),
+                  chi_vertex=MT_VERTEX)
+    assert isinstance(w, Witness)
+    assert verify_mt_witness(w, FIN, MT_BASE, MT_EDGE, 2, chi_vertex=MT_VERTEX)
+    assert not verify_mt_witness(tamper(w), FIN, MT_BASE, MT_EDGE, 2,
+                                 chi_vertex=MT_VERTEX)
+
+
+def test_improper_mt_witness_is_rejected():
+    # over the base 1, 2, 3, ... the blocks {1}, {2}, {3} have a_{1,2} = a_3;
+    # everything else about the witness is consistent
+    sums = fs_enumerate(ElementSequence.from_terms(NAT, [1, 2, 3]), 3)
+    w = Witness(blocks=BlockSequence((frozenset({1}), frozenset({2}), frozenset({3}))),
+                terms=(1, 2, 3), color_vertex=None, color_edge=1,
+                certificate={"d": 2, "edge_sets": chain_sum_sets(sums, 3, 2),
+                             "fs_values": list(sums.values())})
+    assert not verify_mt_witness(w, NAT, ElementSequence.from_fn(NAT, lambda i: i),
+                                 constant_coloring(2), 2)
+
+
+PARTITION_COVERS = initial_segment_covers(Space.naturals())
+PARTITION_EDGE = seeded_hash_coloring(2, 0, d=2)
+PARTITION_VERTEX = seeded_hash_coloring(2, 100)
+
+
+def replace_member(w: PartitionWitness) -> PartitionWitness:
+    # the last family's first member carries the set of another index
+    families = list(w.families)
+    (j, _), *rest = families[-1]
+    families[-1] = ((j, PARTITION_COVERS.member_set(j + 1)), *rest)
+    return dataclasses.replace(w, families=tuple(families))
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda w: dataclasses.replace(w, color_edge=flip(w.color_edge)),
+    lambda w: dataclasses.replace(w, color_vertex=flip(w.color_vertex)),
+    replace_member,
+    lambda w: dataclasses.replace(w, unions=(w.unions[1],) + w.unions[1:]),
+], ids=["color-edge", "color-vertex", "family-member", "union"])
+def test_tampered_partition_witness_is_rejected(tamper):
+    w = menger_mt_search(PARTITION_COVERS, PARTITION_VERTEX, PARTITION_EDGE, 3, 2,
+                         CoverKind.LAMBDA, 6, SearchBudget(max_index=10))
+    assert isinstance(w, PartitionWitness)
+    check = functools.partial(verify_partition_witness, dc=PARTITION_COVERS,
+                              chi_edge=PARTITION_EDGE, d=2,
+                              chi_vertex=PARTITION_VERTEX, horizon=6)
+    assert check(w)
+    assert not check(tamper(w))

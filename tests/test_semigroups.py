@@ -11,6 +11,7 @@ from sumgames.semigroups import (
     ElementSequence,
     ImproperSequenceError,
     block_chains,
+    chain_sum_sets,
     block_less,
     blocks_within,
     finite_sets,
@@ -231,6 +232,16 @@ def test_sum_hypergraph_d1_is_fs_set():
     seq = nat_seq(1, 2, 4)
     singletons = sum_hypergraph(seq, 3, 1)
     assert sorted(next(iter(s)) for s in singletons) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_chain_sum_sets_list_a_repeated_sum_set_once():
+    # a_2 = a_{1,3} = 5 on incomparable blocks, so the chains ({2}, {4}) and
+    # ({1, 3}, {4}) share the sum set {5, 20}; the sequence stays proper
+    seq = nat_seq(1, 5, 4, 20)
+    edges = chain_sum_sets(fs_enumerate(seq, 4), 4, 2)
+    assert edges == sum_hypergraph(seq, 4, 2)
+    assert len(edges) == len(set(edges)) < len(list(block_chains(4, 2)))
+    assert frozenset({5, 20}) in edges
 
 
 def test_sum_hypergraph_rejects_improper():
