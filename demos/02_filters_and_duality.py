@@ -2,9 +2,13 @@
 """Filters, superfilters, the plus-dual, star sets, and descending chains.
 
 On a finite ground set everything is decidable outright, so the six
-folklore duality laws get checked on every single family.  Over the
-naturals the objects become membership predicates and the verdicts become
-depth-bounded.
+folklore duality laws get checked on every single family.  The scan reads
+every dual from one table (the complement of the family's bit reversal),
+checks antitonicity at ground 4 on bit planes of that table, one bit per
+family, and tests the filter and superfilter laws only on the up-closed
+families, since every filter, superfilter and ultrafilter is up-closed.
+Over the naturals the objects become membership predicates and the
+verdicts become depth-bounded.
 """
 from sumgames import (
     ElementSequence,

@@ -313,14 +313,70 @@ class DualityReport:
         return "\n".join(self.format_lines())
 
 
+# _REV8[b] is the byte b with its bit order reversed.
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _DIGIT[k] translates a byte to b"1" or b"0" by its bit k.
+_DIGIT = [bytes(b"01"[(b >> k) & 1] for b in range(256)) for k in range(8)]
+
+
+def _dual_table(g: int) -> list:
+    """dual(f) for every family f over a ground of size g (1..4).
+
+    A family is a bitmask over the 2^g subset masks; bit s of dual(f) is
+    set iff f lacks the complement full ^ s = 2^g - 1 - s.  So dual(f) is
+    the complement of the 2^g-bit reversal of f.
+    """
+    width = 1 << g
+    mask = (1 << width) - 1
+    if width <= 8:
+        return [mask ^ (_REV8[f] >> (8 - width)) for f in range(1 << width)]
+    return [mask ^ (_REV8[lo] << 8 | _REV8[hi])
+            for hi in range(256) for lo in range(256)]
+
+
+def _bit_planes(values, width: int) -> list:
+    """Transpose ``values`` (ints below 2^width): plane k has bit i set iff
+    bit k of values[i] is set."""
+    planes = []
+    for low in range(0, width, 8):
+        column = bytes([(v >> low) & 0xFF for v in values])
+        for k in range(min(8, width - low)):
+            planes.append(int(column.translate(_DIGIT[k])[::-1], 2))
+    return planes
+
+
+def _up_closed(member: list) -> int:
+    """The up-closed families, as one int with a bit per family: those
+    that hold s | 1<<i whenever they hold s.  ``member[s]`` has a bit per
+    family, set iff the family holds subset s."""
+    n_subsets = len(member)
+    escapes = 0
+    for s in range(n_subsets):
+        for i in range(n_subsets.bit_length() - 1):
+            if not (s >> i) & 1:
+                escapes |= member[s] & ~member[s | 1 << i]
+    return ((1 << (1 << n_subsets)) - 1) & ~escapes
+
+
+def _set_bits(x: int):
+    """Indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def verify_duality_laws(ground_size: int) -> DualityReport:
     """Exhaustively check the six folklore duality laws over every family
     of subsets of a ground set of the given size.
 
     Families are bitmasks over the 2^g subsets; there are 2^(2^g) of them.
     Sizes up to 3 check the antitonicity law on all comparable pairs; size
-    4 checks it on covering pairs only (equivalent by transitivity).
-    Larger grounds are refused: the scan is doubly exponential.
+    4 checks it on covering pairs only (equivalent by transitivity), all
+    at once on the bit planes of the dual table.  Laws 3 to 6 quantify over
+    filters, superfilters and ultrafilters, which are all up-closed, so
+    they test only the up-closed families.  Larger grounds are refused: the
+    scan is doubly exponential.
     """
     g = ground_size
     if g < 1 or g > 4:
@@ -329,15 +385,7 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
     n_families = 1 << n_subsets
     full = n_subsets - 1  # bitmask of the whole ground set
 
-    comp = [full ^ s for s in range(n_subsets)]
     supersets = [[t for t in range(n_subsets) if s | t == t] for s in range(n_subsets)]
-
-    def dual(f: int) -> int:
-        out = 0
-        for s in range(n_subsets):
-            if not (f >> comp[s]) & 1:
-                out |= 1 << s
-        return out
 
     def members(f: int):
         return [s for s in range(n_subsets) if (f >> s) & 1]
@@ -368,10 +416,12 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
         return True
 
     def is_ultrafilter(f: int) -> bool:
-        return is_filter(f) and all((f >> s) & 1 or (f >> comp[s]) & 1
+        return is_filter(f) and all((f >> s) & 1 or (f >> (full ^ s)) & 1
                                     for s in range(n_subsets))
 
-    duals = [dual(f) for f in range(n_families)]
+    duals = _dual_table(g)
+    # plane s of the identity: the families that hold subset s
+    member = _bit_planes(range(n_families), n_subsets)
 
     def subset_mask(a: int, b: int) -> bool:
         return a | b == b
@@ -389,23 +439,29 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
                     break
                 sub = (sub - 1) & f2
     else:
-        for f in range(n_families):
-            for bit in range(n_subsets):
-                if not (f >> bit) & 1:
-                    count1 += 1
-                    if not subset_mask(duals[f | (1 << bit)], duals[f]):
-                        viol1 += 1
+        # The covering pair (f, f | 1<<b), f without b, breaks law 1 when
+        # some subset s is in dual(f | 1<<b) but not in dual(f).  On the
+        # plane of s, bit f of plane >> 2^b is bit f | 1<<b = f + 2^b.
+        planes = _bit_planes(duals, n_subsets)
+        every = (1 << n_families) - 1
+        for b in range(n_subsets):
+            without_b = every ^ member[b]
+            count1 += without_b.bit_count()
+            escapes = 0
+            for plane in planes:
+                escapes |= (plane >> (1 << b)) & ~plane
+            viol1 += (escapes & without_b).bit_count()
 
     count2 = n_families
     viol2 = sum(1 for f in range(n_families) if duals[duals[f]] != f)
 
-    filters = [f for f in range(n_families) if is_filter(f)]
+    up_closed = list(_set_bits(_up_closed(member)))
+    filters = [f for f in up_closed if is_filter(f)]
     count3 = len(filters)
     viol3 = sum(1 for f in filters
                 if not (subset_mask(f, duals[f]) and is_superfilter_23(duals[f])))
 
-    sufs = [f for f in range(n_families)
-            if f and not (f & 1) and is_superfilter_23(f)]
+    sufs = [f for f in up_closed if f and not (f & 1) and is_superfilter_23(f)]
     count4 = len(sufs)
     viol4 = sum(1 for f in sufs if not (is_filter(duals[f]) and subset_mask(duals[f], f)))
 
@@ -418,7 +474,7 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
                 if not (d >> (a & b)) & 1:
                     viol5 += 1
 
-    ultras = [f for f in range(n_families) if is_ultrafilter(f)]
+    ultras = [f for f in up_closed if is_ultrafilter(f)]
     count6 = len(ultras)
     viol6 = sum(1 for p in ultras if duals[p] != p)
 

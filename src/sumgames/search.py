@@ -30,6 +30,7 @@ from .semigroups import (
     fs_enumerate,
     indexed_sum,
     is_proper_up_to,
+    least_collision,
     naturals,
     proper_violation,
     take_sumsequence,
@@ -398,9 +399,9 @@ def _recheck_sums(seq: ElementSequence, d: int, chi_edge: Coloring, color_edge,
     the edge sets, or None if a check fails.
     """
     m = seq.length
-    if proper_violation(seq, m) is not None:
-        return None
     sums = fs_enumerate(seq, m)
+    if least_collision(sums) is not None:
+        return None
     edges = chain_sum_sets(sums, m, d)
     if {chi_edge.of_set(e) for e in edges} != {color_edge}:
         return None

@@ -318,11 +318,18 @@ def take_sumsequence(seq: ElementSequence, blocks: BlockSequence) -> ElementSequ
 def proper_violation(seq: ElementSequence, depth: int):
     """Least pair of blocks F < H within {1..depth} with a_F == a_H, or None.
 
-    "Least" is lexicographic on the pair of sorted index tuples.  Only
-    blocks sharing a value can violate, so the scan groups by value first
-    instead of walking all pairs.
+    "Least" is lexicographic on the pair of sorted index tuples.
     """
-    sums = fs_enumerate(seq, depth)
+    return least_collision(fs_enumerate(seq, depth))
+
+
+def least_collision(sums: dict):
+    """Least pair of blocks F < H with sums[F] == sums[H], or None, for a
+    map from blocks to their sums such as ``fs_enumerate`` returns.
+
+    "Least" is as in ``proper_violation``.  Only blocks sharing a value can
+    collide, so the scan groups by value first instead of walking all pairs.
+    """
     groups: dict = {}
     for F, v in sums.items():
         groups.setdefault(v, []).append(F)
@@ -363,9 +370,10 @@ def sum_hypergraph(seq: ElementSequence, depth: int, d: int) -> list:
     """
     if d < 1:
         raise ValueError("d >= 1 required")
-    bad = proper_violation(seq, depth)
+    sums = fs_enumerate(seq, depth)
+    bad = least_collision(sums)
     if bad is not None:
         raise ImproperSequenceError(
             f"sequence improper at depth {depth}: a_F == a_H for "
             f"F={sorted(bad[0])}, H={sorted(bad[1])}")
-    return chain_sum_sets(fs_enumerate(seq, depth), depth, d)
+    return chain_sum_sets(sums, depth, d)

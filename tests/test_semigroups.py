@@ -19,6 +19,7 @@ from sumgames.semigroups import (
     indexed_sum,
     indexed_unions,
     is_proper_up_to,
+    least_collision,
     make_block,
     naturals,
     proper_violation,
@@ -204,6 +205,25 @@ def test_fs_value_count_bounds(terms):
     assert len(values) <= 2 ** n - 1
     if len(values) == 2 ** n - 1:
         assert is_proper_up_to(seq, n)
+
+
+def _least_collision_oracle(sums):
+    # every pair of blocks, no grouping by value
+    pairs = [(F, H) for F in sums for H in sums
+             if block_less(F, H) and sums[F] == sums[H]]
+    return min(pairs, key=lambda p: (sorted(p[0]), sorted(p[1])), default=None)
+
+
+@given(st.one_of(
+    st.lists(st.integers(1, 6), min_size=1, max_size=5).map(lambda ts: nat_seq(*ts)),
+    st.lists(st.frozensets(st.integers(1, 3), min_size=1), min_size=1,
+             max_size=5).map(lambda ts: fin_seq(*ts))))
+def test_least_collision_reads_the_sums_map(seq):
+    # small values make most draws improper, so both outcomes are covered
+    n = seq.length
+    sums = fs_enumerate(seq, n)
+    assert least_collision(sums) == proper_violation(seq, n)
+    assert least_collision(sums) == _least_collision_oracle(sums)
 
 
 def test_proper_sequence_with_incomparable_collision():
