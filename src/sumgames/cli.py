@@ -293,10 +293,19 @@ def parse_config(source) -> RunConfig:
 # instance builders
 # ---------------------------------------------------------------------------
 
-def _build_coloring(config: RunConfig, key: str, d: int) -> Optional[Coloring]:
+# colorings of the sum of their subject's elements, defined on integers only
+_ARITHMETIC_COLORINGS = ("parity", "mod-k")
+
+
+def _build_coloring(config: RunConfig, key: str, d: int,
+                    sums: str = "integers") -> Optional[Coloring]:
+    """The coloring under ``key``; ``sums`` says what the search's sums
+    are, so that an arithmetic coloring of non-integer sums is rejected."""
     desc = config[key]
     if desc is None:
         return None
+    if sums != "integers" and desc["name"] in _ARITHMETIC_COLORINGS:
+        raise ConfigError(f"{key}: {desc['name']} needs integer sums, not {sums}")
     try:
         return coloring_from_descriptor({"d": d, "seed": config["seed"], **desc})
     except ValueError as exc:
@@ -363,8 +372,9 @@ def _run_search_hindman(config: RunConfig):
 def _run_search_mt(config: RunConfig):
     sg, base = _base_sequence(config)
     d = config["d"]
-    chi_e = _build_coloring(config, "edge_coloring", d)
-    chi_v = _build_coloring(config, "vertex_coloring", 1)
+    sums = "integers" if config["semigroup"] == "naturals" else "finite sets"
+    chi_e = _build_coloring(config, "edge_coloring", d, sums)
+    chi_v = _build_coloring(config, "vertex_coloring", 1, sums)
     chain = _chain_from_name(config["chain"], _DENSITY_DELTA)
     budget = SearchBudget(max_index=config["max_index"], node_limit=config["node_limit"])
     out = mt_search(chi_e, sg, base, config["m"], d, budget,
@@ -535,8 +545,9 @@ def _run_game_transfer(config: RunConfig):
 
 def _run_cover_partition(config: RunConfig):
     d = config["d"]
-    chi_e = _build_coloring(config, "edge_coloring", d)
-    chi_v = _build_coloring(config, "vertex_coloring", 1)
+    sums = "unions of cover members"
+    chi_e = _build_coloring(config, "edge_coloring", d, sums)
+    chi_v = _build_coloring(config, "vertex_coloring", 1, sums)
     params = {"t": config["t"], "s": config["s"], "f": config["f"]}
     if config["instance"] == "initial-segments":
         dc = initial_segment_covers(Space.naturals())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Optional
 
 from .semigroups import (
     ElementSequence,
@@ -32,8 +32,7 @@ def canonical_key(x: Any) -> bytes:
     if isinstance(x, IndexedUnion):
         return b"u:" + canonical_key(x.value)
     if isinstance(x, (frozenset, set)):
-        parts = sorted(canonical_key(v) for v in x)
-        return b"s{" + b",".join(parts) + b"}"
+        return _set_key({canonical_key(v) for v in x})
     if isinstance(x, tuple):
         return b"(" + b",".join(canonical_key(v) for v in x) + b")"
     # Last resort: objects that define their own stable key.
@@ -43,14 +42,27 @@ def canonical_key(x: Any) -> bytes:
     raise TypeError(f"no canonical encoding for {type(x).__name__}")
 
 
+def _set_key(member_keys: set) -> bytes:
+    """The canonical key of a set, from the set of its members' keys."""
+    return b"s{" + b",".join(sorted(member_keys)) + b"}"
+
+
 @dataclass(frozen=True)
 class Coloring:
-    """Total finite-range function on d-element sets, range {1..k}."""
+    """Total finite-range function on d-element sets, range {1..k}.
+
+    ``keyed``, when set, is ``fn`` as a function of the subject's
+    ``canonical_key``: ``fn(s) == keyed(canonical_key(s))``.  It lets a
+    caller that already holds its members' keys color the subject through
+    ``of_keys`` without encoding the members again.
+    """
 
     arity: int
     palette: int
     fn: Callable[[frozenset], int]
     name: str = field(default="", compare=False)
+    keyed: Optional[Callable[[bytes], int]] = field(default=None, compare=False,
+                                                    repr=False)
 
     def __post_init__(self):
         if self.arity < 1:
@@ -63,6 +75,19 @@ class Coloring:
         if not 1 <= len(subject) <= self.arity:
             raise ValueError(f"expected 1..{self.arity} distinct elements, got {len(subject)}")
         c = self.fn(subject)
+        if not 1 <= c <= self.palette:
+            raise ValueError(f"color {c} outside palette 1..{self.palette}")
+        return c
+
+    def of_keys(self, member_keys: Iterable[bytes]) -> int:
+        """``of_set`` of the subject whose members have the given canonical
+        keys, for a coloring with ``keyed``.  A repeated key is one member,
+        as a repeated element is in a set, so the arity check counts the
+        distinct keys."""
+        parts = set(member_keys)
+        if not 1 <= len(parts) <= self.arity:
+            raise ValueError(f"expected 1..{self.arity} distinct elements, got {len(parts)}")
+        c = self.keyed(_set_key(parts))
         if not 1 <= c <= self.palette:
             raise ValueError(f"color {c} outside palette 1..{self.palette}")
         return c
@@ -104,13 +129,18 @@ def cardinality_coloring(d: int) -> Coloring:
 
 
 def seeded_hash_coloring(k: int, seed: int, d: int = 1) -> Coloring:
-    """Reproducible pseudo-random coloring driven by a single seed."""
+    """Reproducible pseudo-random coloring driven by a single seed: the
+    seed-keyed blake2b digest of the subject's ``canonical_key``, reduced
+    mod k.  The keyed hash is set up once and copied for each subject."""
+    prepared = hashlib.blake2b(key=b"%d" % seed, digest_size=8)
 
-    def fn(s: frozenset) -> int:
-        h = hashlib.blake2b(canonical_key(s), key=b"%d" % seed, digest_size=8)
+    def keyed(key: bytes) -> int:
+        h = prepared.copy()
+        h.update(key)
         return 1 + int.from_bytes(h.digest(), "big") % k
 
-    return Coloring(d, k, fn, name=f"seeded-hash-{k}/{seed}")
+    return Coloring(d, k, lambda s: keyed(canonical_key(s)),
+                    name=f"seeded-hash-{k}/{seed}", keyed=keyed)
 
 
 def table_coloring(table: dict, d: int, k: int, default: int = 1, name: str = "table") -> Coloring:

@@ -26,6 +26,7 @@ from .search import (
     _candidate_blocks,
     _depth_first,
     _prefix_sums,
+    _PrefixState,
     _recheck_sums,
 )
 from .semigroups import (
@@ -198,7 +199,8 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
             return None
         return _build_partition_witness(families, unions, state, d, target, coverage)
 
-    out = _depth_first(m, candidates, check, finish, budget.node_limit)
+    out = _depth_first(m, candidates, check, finish, budget.node_limit,
+                       _PrefixState.root())
     if isinstance(out, Exhausted):
         out.note = f"best depth reached: {best_depth} of {m}"
         return out

@@ -16,7 +16,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import Coloring, cardinality_coloring, reduce_two_dim_to_one
+from .coloring import (
+    Coloring,
+    canonical_key,
+    cardinality_coloring,
+    reduce_two_dim_to_one,
+)
 from .semigroups import (
     BlockSequence,
     CertificateError,
@@ -147,16 +152,16 @@ class _NodeBudget:
 # ---------------------------------------------------------------------------
 
 def _depth_first(m: int, candidates: Callable, check: Callable,
-                 finish: Callable, node_limit: int):
+                 finish: Callable, node_limit: int, root=None):
     """The one depth-first loop of the block searches, and the only place
     where they spend nodes.
 
     ``candidates(prefix)`` lists the items that may extend a prefix, in
     search order; every extended prefix costs one node.  ``check(prefix,
     parent)`` gets the state that ``check`` returned for the prefix without
-    its last item (None at the root), and returns the extended prefix's
-    state, or None to prune it; so a check pays only for what the last
-    item adds.  A prefix of length ``m`` goes to ``finish(prefix, state)``,
+    its last item (``root`` for the empty prefix), and returns the extended
+    prefix's state, or None to prune it; so a check pays only for what the
+    last item adds.  A prefix of length ``m`` goes to ``finish(prefix, state)``,
     whose first non-None value ends the search.  When ``check`` holds on
     every prefix of an accepted sequence, that value belongs to the least
     accepted sequence in search order.  Without one, the result is
@@ -178,7 +183,7 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
             prefix.pop()
         return None
 
-    out = extend(None)
+    out = extend(root)
     if out is not None:
         return out
     if nodes.refused:
@@ -197,28 +202,67 @@ def _chains_ending_at(n: int, d: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _blocks_ending_at(n: int) -> tuple:
+    """The blocks inside {1..n} that hold n, each with its least index, in
+    the order in which the prefix state of n terms adds their sums: {n}
+    first, then F | {n} for each block F inside {1..n-1}, in the order of
+    the state of n - 1 terms.  So entry i > 0 extends the parent's i-th
+    sum, and the order of every state's sums is that of these tables."""
+    head = frozenset([n])
+    older = [H for k in range(1, n) for H, _ in _blocks_ending_at(k)]
+    return ((head, n),) + tuple((F | head, min(F)) for F in older)
+
+
 @dataclass(slots=True)
 class _PrefixState:
     """What the prefix check knows about a prefix of n terms: its finite
     sums by block, the least max index of a block with each sum value, and
-    the one edge and vertex color seen so far (None before the first)."""
+    the one edge and vertex color seen so far (None before the first).
+
+    ``keys`` maps sum values to their ``canonical_key``.  One table serves
+    a whole search: ``root`` makes it, every later state holds the same
+    dict, and it is filled only as keyed colorings ask for keys.  All sums
+    of one search lie in one semigroup, so equal values have equal keys.
+    """
 
     n: int
     sums: dict
     least_max: dict
     edge_color: Optional[int]
     vertex_color: Optional[int]
+    keys: dict
+
+    @classmethod
+    def root(cls) -> "_PrefixState":
+        """The state of the empty prefix, with a new key table."""
+        return cls(0, {}, {}, None, None, {})
 
 
-def _prefix_sums(sg: Semigroup, parent: Optional[_PrefixState], term,
+def _color(chi: Coloring, members: list, keys: dict) -> int:
+    """``chi`` on the set of ``members``; a keyed coloring is given their
+    keys from ``keys``, which gains the keys it lacked."""
+    if chi.keyed is None:
+        return chi.of_set(frozenset(members))
+    member_keys = []
+    for v in members:
+        key = keys.get(v)
+        if key is None:
+            key = keys[v] = canonical_key(v)
+        member_keys.append(key)
+    return chi.of_keys(member_keys)
+
+
+def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
                  chi_edge: Optional[Coloring] = None, d: int = 0,
                  chi_vertex: Optional[Coloring] = None) -> Optional[_PrefixState]:
     """The prefix check of the Hindman, Milliken–Taylor and cover-partition
     searches, extended by one term.
 
-    ``parent`` is the state of the first n - 1 terms (None when n = 1),
-    which passed this check.  Only the 2^(n-1) sums of blocks holding n
-    are new, so only they are built and checked:
+    ``parent`` is the state of the first n - 1 terms (``_PrefixState.root()``
+    when n = 1), which passed this check.  Only the 2^(n-1) sums of blocks
+    holding n are new, so only they are built and checked, in the order of
+    ``_blocks_ending_at(n)``:
 
     - properness: a new block H collides when an older block F < H has the
       same sum, that is when the least max index of a block with that sum
@@ -229,35 +273,39 @@ def _prefix_sums(sg: Semigroup, parent: Optional[_PrefixState], term,
 
     Returns the state of the n terms, or None if a check fails.
     """
-    if parent is None:
-        n, sums, least_max = 1, {}, {}
-        edge_color = vertex_color = None
-    else:
-        n, sums, least_max = parent.n + 1, dict(parent.sums), dict(parent.least_max)
-        edge_color, vertex_color = parent.edge_color, parent.vertex_color
+    n, keys = parent.n + 1, parent.keys
+    # every older block lies below {n}: an older sum equal to the term collides
+    if term in parent.least_max:
+        return None
+    table = _blocks_ending_at(n)
+    sums, least_max = dict(parent.sums), dict(parent.least_max)
+    sums[table[0][0]] = term
+    least_max[term] = n
+    new = [term]
     combine = sg.combine
-    new = [(frozenset([n]), term, n)]
-    new.extend((F | {n}, combine(v, term), min(F)) for F, v in sums.items())
-    for H, v, low in new:
+    for (H, low), v in zip(table[1:], parent.sums.values()):
+        v = combine(v, term)
         if least_max.get(v, n) < low:
             return None
         sums[H] = v
         least_max.setdefault(v, n)
+        new.append(v)
+    edge_color, vertex_color = parent.edge_color, parent.vertex_color
     if chi_edge is not None:
         for ch in _chains_ending_at(n, d):
-            c = chi_edge.of_set(frozenset([sums[F] for F in ch]))
+            c = _color(chi_edge, [sums[F] for F in ch], keys)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
                 return None
     if chi_vertex is not None:
-        for _, v, _ in new:
-            c = chi_vertex.of(v)
+        for v in new:
+            c = _color(chi_vertex, [v], keys)
             if vertex_color is None:
                 vertex_color = c
             elif c != vertex_color:
                 return None
-    return _PrefixState(n, sums, least_max, edge_color, vertex_color)
+    return _PrefixState(n, sums, least_max, edge_color, vertex_color, keys)
 
 
 def _chain_candidates(hi: int, m: int) -> Callable:
@@ -303,7 +351,7 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
     result = _depth_first(
         m, candidates,
         lambda terms, parent: _prefix_sums(_NATS, parent, terms[-1], chi_vertex=chi),
-        finish, budget.node_limit)
+        finish, budget.node_limit, _PrefixState.root())
     if isinstance(result, Witness) and not verify_hindman_witness(result, chi):
         raise CertificateError("hindman_search produced a witness that fails "
                                "verify_hindman_witness")
@@ -361,8 +409,11 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     eta = (reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
            if (chi_vertex is not None and d == 2) else None)
 
-    def check(blocks: list, parent: Optional[_PrefixState]) -> Optional[_PrefixState]:
-        term = indexed_sum(base, blocks[-1])
+    # the sum over a block depends on the block alone: take it once
+    block_sum = functools.cache(functools.partial(indexed_sum, base))
+
+    def check(blocks: list, parent: _PrefixState) -> Optional[_PrefixState]:
+        term = block_sum(blocks[-1])
         if chain is not None and not chain.set_at(len(blocks))(term):
             return None
         return _prefix_sums(sg, parent, term, chi_edge, d, chi_vertex)
@@ -379,7 +430,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
         )
 
     result = _depth_first(m, _chain_candidates(hi, m), check, finish,
-                          budget.node_limit)
+                          budget.node_limit, _PrefixState.root())
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
         raise CertificateError("mt_search produced a witness that fails "
@@ -637,11 +688,14 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
     def check(blocks: list, parent: Optional[tuple]) -> Optional[tuple]:
         # (sums, color): the finite sums, and the one cardinality color of
         # the pairs F < H seen so far; only pairs with H holding n are new
-        sums, color = (dict(parent[0]), parent[1]) if parent else ({}, None)
+        parent_sums, color = parent or ({}, None)
         n = len(blocks)
         term = indexed_sum(seq, blocks[-1])
-        sums.update([(F | {n}, sg.combine(v, term)) for F, v in sums.items()])
-        sums[frozenset([n])] = term
+        table = _blocks_ending_at(n)
+        sums = dict(parent_sums)
+        sums[table[0][0]] = term
+        for (H, _), v in zip(table[1:], parent_sums.values()):
+            sums[H] = sg.combine(v, term)
         for F, H in _chains_ending_at(n, 2):
             c = card.of_set(frozenset({sums[F], sums[H]}))
             if color is None:

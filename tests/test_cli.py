@@ -335,6 +335,38 @@ def test_bad_flag_is_a_config_error(capsys, argv, message):
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+# parity and mod-k add up their subject's elements, so sums that are sets
+# used to end in a TypeError traceback and exit 1
+_FIN_MT = "search-mt --semigroup finite-sets --base singletons --m 3 --d 2 --max-index 8"
+_UNIONS = "cover-partition --m 3 --d 2 --target lambda --max-index 8"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (f"{_FIN_MT} --edge-coloring parity",
+     "edge_coloring: parity needs integer sums, not finite sets"),
+    (f"{_FIN_MT} --edge-coloring mod-k:2",
+     "edge_coloring: mod-k needs integer sums, not finite sets"),
+    (f"{_FIN_MT} --edge-coloring seeded-hash-k:2 --vertex-coloring parity",
+     "vertex_coloring: parity needs integer sums, not finite sets"),
+    (f"{_UNIONS} --instance initial-segments --edge-coloring parity",
+     "edge_coloring: parity needs integer sums, not unions of cover members"),
+    (f"{_UNIONS} --instance cofinite --edge-coloring mod-k:2",
+     "edge_coloring: mod-k needs integer sums, not unions of cover members"),
+    (f"{_UNIONS} --edge-coloring constant --vertex-coloring mod-k:3",
+     "vertex_coloring: mod-k needs integer sums, not unions of cover members"),
+])
+def test_arithmetic_coloring_of_set_sums_is_a_config_error(capsys, argv, message):
+    assert main(shlex.split(argv)) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_arithmetic_coloring_of_integer_sums_still_runs(tmp_path):
+    code, lines = run_config(tmp_path, {
+        "command": "search-mt", "edge_coloring": "parity",
+        "vertex_coloring": "mod-k:3", "m": 3, "d": 2, "max_index": 8})
+    assert code in (EXIT_OK, EXIT_EXHAUSTED) and len(lines) == 1
+
+
 # Counts below their bound used to give vacuous reports (an empty game, no
 # run, a chain that "holds" at depth 0) or, for encode-classical below
 # truncation 3, an IndexError in the isomorphism checks, which ask for O_3.

@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sumgames.coloring import (
+    Coloring,
+    canonical_key,
     cardinality_coloring,
     coloring_from_descriptor,
     constant_coloring,
@@ -19,6 +21,7 @@ from sumgames.semigroups import (
     BlockSequence,
     ElementSequence,
     ImproperSequenceError,
+    IndexedUnion,
     block_chains,
     finite_sets,
     fs_enumerate,
@@ -85,6 +88,65 @@ def test_seeded_hash_coloring_is_stable_and_seeded():
     colors_c = [c.of(i, i + 1) for i in range(1, 40)]
     assert colors_a != colors_c
     assert set(colors_a) <= {1, 2, 3}
+
+
+def _union(gens, value):
+    return IndexedUnion(gens=frozenset(gens), value=frozenset(value))
+
+
+# Subjects by arity: ints, finite sets and indexed unions, each arity with
+# a subject whose repeated member leaves fewer distinct elements.
+_PINNED_SUBJECTS = {
+    1: [(0,), (7,), (frozenset({1, 2}),), (_union({1}, {2, 5}),)],
+    2: [(1, 2), (3, 3), (frozenset({1}), frozenset({1, 2})),
+        (frozenset({4}), frozenset({4})), (_union({1}, {2}), _union({2, 3}, {2, 7}))],
+    3: [(1, 2, 3), (5, 5, 6), (frozenset({1}), frozenset({2}), frozenset({1, 2})),
+        (_union({1}, {1}), _union({2}, {3}), _union({1}, {1}))],
+}
+
+# Colors recorded from the one-shot blake2b of each subject's canonical
+# key.  With k = 2^64 a color is 1 + the whole 8-byte digest.
+_PINNED_COLORS = {
+    (1, 2 ** 64, 0): [13497886511360789929, 883224033771040098,
+                      8036132106499998744, 1911053891101710346],
+    (1, 2 ** 64, 7): [14086592587047670246, 16624795421078394125,
+                      15549625001343988107, 14137067788041734118],
+    (1, 3, 11): [2, 2, 3, 1],
+    (2, 2 ** 64, 0): [9756053930474291107, 1041201026910729238, 14294224937084540432,
+                      9511531036507360782, 7708453430704265246],
+    (2, 2 ** 64, 7): [6744857363710415945, 16534179885595071500, 5871204791939811555,
+                      3508112761123862321, 5131096907635659743],
+    (2, 3, 11): [2, 2, 1, 1, 1],
+    (3, 2 ** 64, 0): [11121640973538028847, 7368573481353514243,
+                      345628844687495554, 15485001058643781016],
+    (3, 2 ** 64, 7): [1413916252626741815, 3684397607728151482,
+                      430901976947518182, 17316665321681140104],
+    (3, 3, 11): [1, 3, 3, 3],
+}
+
+
+@pytest.mark.parametrize("d, k, seed", sorted(_PINNED_COLORS))
+def test_seeded_hash_colors_are_pinned(d, k, seed):
+    chi = seeded_hash_coloring(k, seed, d)
+    subjects = _PINNED_SUBJECTS[d]
+    assert [chi.of(*s) for s in subjects] == _PINNED_COLORS[d, k, seed]
+    # the keyed entry point gives the same colors from the members' keys
+    assert [chi.of_keys([canonical_key(x) for x in s])
+            for s in subjects] == _PINNED_COLORS[d, k, seed]
+
+
+def test_keyed_entry_point_keeps_the_checks_of_of_set():
+    chi = seeded_hash_coloring(2, 0, d=2)
+    one, two, three = (canonical_key(x) for x in (1, 2, 3))
+    # the arity check counts distinct keys, as of_set counts distinct elements
+    assert chi.of_keys([one, one, two]) == chi.of_set(frozenset({1, 2}))
+    with pytest.raises(ValueError, match="expected 1..2 distinct elements, got 3"):
+        chi.of_keys([one, two, three])
+    with pytest.raises(ValueError, match="got 0"):
+        chi.of_keys([])
+    wild = Coloring(1, 2, lambda s: 3, keyed=lambda key: 3)
+    with pytest.raises(ValueError, match="color 3 outside palette 1..2"):
+        wild.of_keys([one])
 
 
 def test_descriptor_parsing():

@@ -9,6 +9,7 @@ import pytest
 
 from sumgames.coloring import (
     Coloring,
+    canonical_key,
     cardinality_coloring,
     constant_coloring,
     mod_coloring,
@@ -27,7 +28,9 @@ from sumgames.search import (
     Exhausted,
     SearchBudget,
     Witness,
+    _color,
     _prefix_sums,
+    _PrefixState,
     hindman_search,
     mt_search,
     verify_mt_witness,
@@ -71,14 +74,24 @@ def reference_accepts(sg, terms, chi_edge, d, chi_vertex) -> bool:
     return True
 
 
-def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None) -> int:
+def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
+         siblings=()) -> int:
     """Fold the terms through the incremental check, comparing it with the
-    reference at every length; returns the longest accepted length."""
-    state = None
+    reference at every length; returns the longest accepted length.
+
+    From ``root`` (a new root state by default), as a search would, every
+    parent is also extended by each of the ``siblings`` terms first, and
+    each sibling is compared with the reference too.  Every state holds
+    the root's key table."""
+    root = root or _PrefixState.root()
+    state = root
     for n in range(1, len(terms) + 1):
-        state = _prefix_sums(sg, state, terms[n - 1], chi_edge, d, chi_vertex)
-        assert (state is not None) == reference_accepts(
-            sg, terms[:n], chi_edge, d, chi_vertex), (terms, n)
+        parent = state
+        for last in (*siblings, terms[n - 1]):
+            state = _prefix_sums(sg, parent, last, chi_edge, d, chi_vertex)
+            assert (state is not None) == reference_accepts(
+                sg, terms[:n - 1] + [last], chi_edge, d, chi_vertex), (terms, n, last)
+            assert state is None or state.keys is root.keys
         if state is None:
             # a rejected prefix is never extended: no extension may pass
             assert not any(reference_accepts(sg, terms[:j], chi_edge, d, chi_vertex)
@@ -129,28 +142,52 @@ def test_equal_sums_on_comparable_blocks_are_rejected(sg, terms):
     assert fold(sg, terms) == len(terms) - 1
 
 
-@pytest.mark.parametrize("vertex", [False, True])
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind, coloring", [
-    ("naturals", "seeded-hash"), ("naturals", "mod"),
-    ("multiples-of-3", "mod"), ("finite-sets", "seeded-hash"),
-    ("indexed-unions", "seeded-hash"),
-])
-def test_incremental_check_matches_reference(kind, coloring, d, vertex):
+def reference_cases(test):
+    """The kernel-vs-reference cases: kind of terms, coloring, d, vertex."""
+    for mark in (
+        pytest.mark.parametrize("kind, coloring", [
+            ("naturals", "seeded-hash"), ("naturals", "mod"),
+            ("multiples-of-3", "mod"), ("finite-sets", "seeded-hash"),
+            ("indexed-unions", "seeded-hash"),
+        ]),
+        pytest.mark.parametrize("d", [2, 3]),
+        pytest.mark.parametrize("vertex", [False, True]),
+    ):
+        test = mark(test)
+    return test
+
+
+@reference_cases
+def test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_keys=False):
+    root = _PrefixState.root() if shared_keys else None
     reached = []
     for seed in range(100):
         rng = random.Random(seed)
         sg, terms = random_terms(kind, rng)
+        siblings = random_terms(kind, rng, length=2)[1] if shared_keys else ()
         if coloring == "mod":
             chi_edge, chi_vertex = mod_coloring(3, d), mod_coloring(3)
         else:
             chi_edge = seeded_hash_coloring(2, seed, d)
             chi_vertex = seeded_hash_coloring(2, seed + 1)
-        reached.append(fold(sg, terms, chi_edge, d, chi_vertex if vertex else None))
+        reached.append(fold(sg, terms, chi_edge, d, chi_vertex if vertex else None,
+                            root=root, siblings=siblings))
     # some cases hold on two terms or more, and some are rejected; the
     # multiples of 3 under mod-3 colorings reach all six terms
     assert max(reached) >= (6 if kind == "multiples-of-3" else 2)
     assert min(reached) < 6
+    if shared_keys:
+        # filled only by keyed colorings, and only with canonical keys
+        assert bool(root.keys) == (coloring == "seeded-hash")
+        assert all(key == canonical_key(v) for v, key in root.keys.items())
+
+
+@reference_cases
+def test_sibling_prefixes_sharing_one_key_table_match_reference(kind, coloring, d, vertex):
+    # one root serves every seed, and each parent is extended by two
+    # sibling terms before its own: siblings fill and read one key table,
+    # as the prefixes of one search do
+    test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_keys=True)
 
 
 @pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
@@ -158,6 +195,49 @@ def test_incremental_properness_matches_reference(kind):
     for seed in range(60):
         sg, terms = random_terms(kind, random.Random(seed))
         fold(sg, terms)
+
+
+def colliding_terms(kind, rng, length=5):
+    """Terms over so few values that sums of comparable blocks often
+    coincide, so that a chain's sum set has fewer than d elements."""
+    if kind == "naturals":
+        return NAT, [rng.randint(1, 3) for _ in range(length)]
+    values = [frozenset(rng.sample(range(1, 4), rng.randint(1, 2)))
+              for _ in range(length)]
+    if kind == "finite-sets":
+        return FIN, values
+    return union_semigroup(values), [IndexedUnion(gens=frozenset([i]), value=v)
+                                     for i, v in enumerate(values, start=1)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+def test_color_from_keys_equals_of_set(kind, d):
+    shrunk = 0
+    for seed in range(40):
+        sg, terms = colliding_terms(kind, random.Random(seed))
+        chi = seeded_hash_coloring(3, seed, d)
+        sums = fs_enumerate(ElementSequence.from_terms(sg, terms), len(terms))
+        keys: dict = {}
+        for ch in block_chains(len(terms), d):
+            values = [sums[F] for F in ch]
+            want = chi.of_set(frozenset(values))
+            assert chi.of_keys([canonical_key(v) for v in values]) == want
+            # the kernel's path, which fills the key table as it goes
+            assert _color(chi, values, keys) == want
+            shrunk += len(set(values)) < d
+        assert all(key == canonical_key(v) for v, key in keys.items())
+    assert shrunk > 0
+
+
+def test_cofinite_unions_under_a_hash_coloring_still_raise_type_error():
+    # the cofinite sets have no canonical key (SSet.stable_key formats
+    # their points as integers); the kernel now asks for the key, and the
+    # failure keeps its type
+    with pytest.raises(TypeError):
+        menger_mt_search(encode_cofinite_example(6).dc, None,
+                         seeded_hash_coloring(2, 0, d=2), 2, 2, CoverKind.OP, 1,
+                         SearchBudget(max_index=6))
 
 
 # Node counts of complete searches, as spent before the prefix check was
