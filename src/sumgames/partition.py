@@ -133,11 +133,19 @@ class PartitionWitness:
 
 def _union_term(fam: Sequence) -> IndexedUnion:
     """V_n as an indexed-union semigroup element (generator indices plus
-    extensional set value, so equality is extensional)."""
-    acc: Optional[SSet] = None
-    for _, s in fam:
-        acc = s if acc is None else acc.union(s)
-    return IndexedUnion(gens=frozenset(j for j, _ in fam), value=acc)
+    extensional set value, so equality is extensional).
+
+    The union is built in one step, as ``SSet.union`` folded over the
+    members would build it: the union of the finite members' points, or,
+    with a cofinite member, the cofinite set whose complement is the
+    intersection of the cofinite members' complements less those points."""
+    finite = [s.data for _, s in fam if s.kind == "finite"]
+    excluded = [s.data for _, s in fam if s.kind == "cofinite"]
+    if excluded:
+        value = SSet.cofinite(frozenset.intersection(*excluded).difference(*finite))
+    else:
+        value = SSet.finite(frozenset().union(*finite))
+    return IndexedUnion(gens=frozenset(j for j, _ in fam), value=value)
 
 
 def _union_semigroup(dc: DescendingCovers):
@@ -167,6 +175,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
     allowed = {n: set(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
     usg = _union_semigroup(dc)
+    member_set = dc.cover_at(1).set_at
     best_depth = 0
 
     def candidates(families: list):
@@ -178,7 +187,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         used = {j for fam in families for j, _ in fam}
         for F in _candidate_blocks(lo, cap):
             if F <= allowed[rnd] and not (F & used):
-                yield tuple((j, dc.member_set(j)) for j in sorted(F))
+                yield tuple((j, member_set(j)) for j in sorted(F))
 
     def check(families: list, parent):
         nonlocal best_depth

@@ -184,6 +184,10 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
         return None
 
     out = extend(root)
+    # extend holds itself through its closure: break that cycle, so that the
+    # closures of the search, and the tables they hold, are freed on return
+    # rather than at the next collection of cyclic garbage
+    del extend
     if out is not None:
         return out
     if nodes.refused:
@@ -194,12 +198,16 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
 @functools.lru_cache(maxsize=None)
 def _chains_ending_at(n: int, d: int) -> tuple:
     """The chains F_1 < ... < F_d inside {1..n} whose last block holds n:
-    the d-chains that a prefix of n terms has and its parent lacks."""
-    out = []
-    for L in blocks_within(n):
-        if n in L:
-            out.extend(rest + (L,) for rest in block_chains(min(L) - 1, d - 1))
-    return tuple(out)
+    the d-chains that a prefix of n terms has and its parent lacks.
+
+    Returned as two tuples: the head chains, whose last block is {n}, and
+    the others, whose last block is F | {n} for a block F inside {1..n-1}.
+    A head chain's members other than the term are sums of the parent."""
+    head = frozenset([n])
+    heads = tuple(rest + (head,) for rest in block_chains(n - 1, d - 1))
+    others = tuple(rest + (L,) for L in blocks_within(n) if n in L and L != head
+                   for rest in block_chains(min(L) - 1, d - 1))
+    return heads, others
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,51 +269,71 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
 
     ``parent`` is the state of the first n - 1 terms (``_PrefixState.root()``
     when n = 1), which passed this check.  Only the 2^(n-1) sums of blocks
-    holding n are new, so only they are built and checked, in the order of
-    ``_blocks_ending_at(n)``:
+    holding n are new.  Most prefixes fail, so the checks run cheapest
+    first, and nothing is copied until all of them hold:
 
-    - properness: a new block H collides when an older block F < H has the
-      same sum, that is when the least max index of a block with that sum
-      lies below min(H); equal sums on incomparable blocks are allowed;
-    - ``chi_edge``: the d-chains whose last block holds n share the
-      parent's color;
-    - ``chi_vertex``: the new sums share the parent's color.
+    1. properness of the term: every older block lies below {n}, so an
+       older sum equal to the term collides;
+    2. ``chi_vertex`` on the term: it shares the parent's color;
+    3. ``chi_edge`` on the head chains of ``_chains_ending_at(n, d)``, whose
+       last block is {n}: they read only the parent's sums and the term.
+       Their members are d distinct values, since the parent is proper and
+       step 1 held, so the arity check of ``Coloring.of_keys`` cannot fire
+       there, as it cannot on the chains of step 5;
+    4. properness of the other new sums, in the order of
+       ``_blocks_ending_at(n)``: H = F | {n} collides when a block below
+       min(H) has the same sum, that is when the parent's least max index of
+       a block with that sum lies below min(F).  A new sum can collide only
+       with an older one: two blocks holding n are incomparable;
+    5. ``chi_edge`` on the other new chains, then ``chi_vertex`` on the other
+       new sums;
+    6. only then are the parent's ``sums`` and ``least_max`` copied and
+       extended.  The parent's state is never changed.
 
     Returns the state of the n terms, or None if a check fails.
     """
     n, keys = parent.n + 1, parent.keys
-    # every older block lies below {n}: an older sum equal to the term collides
-    if term in parent.least_max:
+    older, least_max = parent.sums, parent.least_max
+    if term in least_max:
         return None
-    table = _blocks_ending_at(n)
-    sums, least_max = dict(parent.sums), dict(parent.least_max)
-    sums[table[0][0]] = term
-    least_max[term] = n
-    new = [term]
-    combine = sg.combine
-    for (H, low), v in zip(table[1:], parent.sums.values()):
-        v = combine(v, term)
-        if least_max.get(v, n) < low:
+    vertex_color = parent.vertex_color
+    if chi_vertex is not None:
+        vertex_color = _color(chi_vertex, [term], keys)
+        if parent.vertex_color not in (None, vertex_color):
             return None
-        sums[H] = v
-        least_max.setdefault(v, n)
-        new.append(v)
-    edge_color, vertex_color = parent.edge_color, parent.vertex_color
+    edge_color = parent.edge_color
     if chi_edge is not None:
-        for ch in _chains_ending_at(n, d):
-            c = _color(chi_edge, [sums[F] for F in ch], keys)
+        heads, others = _chains_ending_at(n, d)
+        for ch in heads:
+            c = _color(chi_edge, [older[F] for F in ch[:-1]] + [term], keys)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
                 return None
-    if chi_vertex is not None:
-        for v in new:
-            c = _color(chi_vertex, [v], keys)
-            if vertex_color is None:
-                vertex_color = c
-            elif c != vertex_color:
+    table = _blocks_ending_at(n)
+    added = {table[0][0]: term}
+    combine = sg.combine
+    for (H, low), v in zip(table[1:], older.values()):
+        v = combine(v, term)
+        if least_max.get(v, n) < low:
+            return None
+        added[H] = v
+    # a new chain or sum is checked only once a head chain or the term has
+    # fixed the color
+    if chi_edge is not None:
+        for ch in others:
+            members = [older[F] for F in ch[:-1]] + [added[ch[-1]]]
+            if _color(chi_edge, members, keys) != edge_color:
                 return None
-    return _PrefixState(n, sums, least_max, edge_color, vertex_color, keys)
+    if chi_vertex is not None:
+        for v in itertools.islice(added.values(), 1, None):
+            if _color(chi_vertex, [v], keys) != vertex_color:
+                return None
+    sums, least = dict(older), dict(least_max)
+    sums.update(added)
+    for v in added.values():
+        least.setdefault(v, n)
+    return _PrefixState(n, sums, least, edge_color, vertex_color, keys)
 
 
 def _chain_candidates(hi: int, m: int) -> Callable:
@@ -696,7 +724,7 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
         sums[table[0][0]] = term
         for (H, _), v in zip(table[1:], parent_sums.values()):
             sums[H] = sg.combine(v, term)
-        for F, H in _chains_ending_at(n, 2):
+        for F, H in itertools.chain.from_iterable(_chains_ending_at(n, 2)):
             c = card.of_set(frozenset({sums[F], sums[H]}))
             if color is None:
                 color = c

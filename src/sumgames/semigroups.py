@@ -8,7 +8,7 @@ sequence.  Blocks are 1-based throughout.  ``F < H`` between blocks means
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 Block = frozenset  # nonempty frozenset of 1-based indices
@@ -141,10 +141,16 @@ def finite_sets() -> Semigroup:
 class IndexedUnion:
     """A union of indexed generator sets: canonical generator index set
     plus the extensional value.  Equality and hashing are extensional
-    (two different generator sets denoting the same value are equal)."""
+    (two different generator sets denoting the same value are equal).
+    The hash is taken once, when the union is made: a search looks each
+    sum up several times."""
 
     gens: frozenset
     value: Any
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(("IndexedUnion", self.value)))
 
     def __eq__(self, other):
         if isinstance(other, IndexedUnion):
@@ -152,7 +158,7 @@ class IndexedUnion:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("IndexedUnion", self.value))
+        return self._hash
 
     def __repr__(self):
         return f"U{sorted(self.gens)}"
@@ -283,15 +289,16 @@ def fs_enumerate(seq: ElementSequence, n: int) -> dict:
     """All finite sums a_F for nonempty F ⊆ {1..n}, keyed by block.
 
     Returns 2^n - 1 entries; n = 0 gives the empty mapping.  Computed
-    incrementally: a_{F ∪ {j}} = a_F + a_j for max(F) < j.
+    incrementally: a_{F ∪ {j}} = a_F + a_j for every F already listed,
+    since each of them lies inside {1..j-1}.
     """
+    combine = seq.semigroup.combine
     sums: dict = {}
     for j in range(1, n + 1):
-        aj = seq.term(j)
-        new = {frozenset([j]): aj}
+        aj, head = seq.term(j), frozenset([j])
+        new = {head: aj}
         for F, val in sums.items():
-            if max(F) < j:
-                new[F | {j}] = seq.semigroup.combine(val, aj)
+            new[F | head] = combine(val, aj)
         sums.update(new)
     return sums
 

@@ -1,4 +1,6 @@
 """Cover-partition search, the cofinite encoding, constrained chains."""
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from sumgames.coloring import (
     constant_coloring,
     seeded_hash_coloring,
 )
-from sumgames.covers import CoverKind, Space, classify_cover
+from sumgames.covers import CoverKind, SSet, Space, classify_cover
 from sumgames.filters import chain_check
 from sumgames.partition import (
     PartitionWitness,
@@ -39,6 +41,26 @@ def max_parity_vertex() -> Coloring:
         return 1 + (max(elem.value.data) % 2)
 
     return Coloring(1, 2, fn, name="max-parity")
+
+
+# ---------------------------------------------------------------- union terms
+
+def test_union_term_equals_the_pairwise_union_fold():
+    kinds = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        fam = []
+        for j in sorted(rng.sample(range(1, 12), rng.randint(1, 4))):
+            points = rng.sample(range(8), rng.randint(0, 5))
+            fam.append((j, SSet.cofinite(points) if rng.random() < 0.4
+                        else SSet.finite(points)))
+        term = partition_module._union_term(fam)
+        want = functools.reduce(lambda a, b: a.union(b), (s for _, s in fam))
+        assert term.value == want and term.value.kind == want.kind
+        assert term.gens == frozenset(j for j, _ in fam)
+        kinds.add(tuple(sorted({s.kind for _, s in fam})))
+    # finite only, cofinite only, and mixed families all occur
+    assert kinds == {("finite",), ("cofinite",), ("cofinite", "finite")}
 
 
 # ---------------------------------------------------------------- menger search

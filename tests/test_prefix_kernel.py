@@ -28,6 +28,7 @@ from sumgames.search import (
     Exhausted,
     SearchBudget,
     Witness,
+    _chains_ending_at,
     _color,
     _prefix_sums,
     _PrefixState,
@@ -195,6 +196,53 @@ def test_incremental_properness_matches_reference(kind):
     for seed in range(60):
         sg, terms = random_terms(kind, random.Random(seed))
         fold(sg, terms)
+
+
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+def test_extending_a_parent_leaves_its_state_unchanged(kind):
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        sg, terms = random_terms(kind, rng)
+        siblings = random_terms(kind, rng, length=4)[1]
+        chi_edge = seeded_hash_coloring(2, seed, 2)
+        chi_vertex = seeded_hash_coloring(2, seed + 1)
+        state = _PrefixState.root()
+        for term in terms:
+            parent = state
+            sums, least_max = parent.sums, parent.least_max
+            before = (list(sums.items()), list(least_max.items()))
+            for last in (*siblings, term):
+                child = _prefix_sums(sg, parent, last, chi_edge, 2, chi_vertex)
+                outcomes.add(child is not None)
+                # the same dicts, in the same order, with the same entries
+                assert parent.sums is sums and parent.least_max is least_max
+                assert (list(sums.items()), list(least_max.items())) == before
+                assert child is None or child.sums is not sums
+            state = child
+            if state is None:
+                break
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_head_and_other_chains_are_the_new_chains(n, d):
+    heads, others = _chains_ending_at(n, d)
+    new = set(block_chains(n, d)) - set(block_chains(n - 1, d))
+    assert len(heads) + len(others) == len(new)
+    assert set(heads) | set(others) == new
+    assert all(ch[-1] == frozenset([n]) for ch in heads)
+    assert all(ch[-1] != frozenset([n]) for ch in others)
+
+
+def test_indexed_unions_with_equal_values_are_equal_and_hash_equal():
+    a = IndexedUnion(gens=frozenset({1, 2}), value=frozenset({1, 2, 3}))
+    b = IndexedUnion(gens=frozenset({3}), value=frozenset({1, 2, 3}))
+    c = IndexedUnion(gens=frozenset({1, 2}), value=frozenset({1, 2}))
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert {a: 1}[b] == 1
 
 
 def colliding_terms(kind, rng, length=5):
