@@ -214,6 +214,14 @@ def _ascending_chain_exists(sets: list, points: tuple, min_chain: int) -> bool:
     return any(best[i] >= min_chain and restr[i] == target for i in range(n))
 
 
+def _covered(sets: Sequence[SSet], points: tuple) -> bool:
+    """True iff the sets together hold every one of the points."""
+    covered = set()
+    for ss in sets:
+        covered.update(ss.restrict(points))
+    return covered >= set(points)
+
+
 def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
                    t: int = 2, s: int = 2, f: int = 2,
                    min_chain: int = 2) -> Verdict:
@@ -229,16 +237,11 @@ def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
     finite_cover = cover.length is not None
     short_fail = Verdict.FAILS if finite_cover else Verdict.UNKNOWN
 
-    covered = set()
-    for ss in sets:
-        covered.update(ss.restrict(points))
-    is_cover = covered >= set(points)
-
     if kind is CoverKind.OP:
-        return Verdict.HOLDS if is_cover else short_fail
+        return Verdict.HOLDS if _covered(sets, points) else short_fail
 
     if kind is CoverKind.ASC:
-        if not is_cover:
+        if not _covered(sets, points):
             return short_fail
         return (Verdict.HOLDS
                 if _ascending_chain_exists(sets, points, min_chain) else short_fail)
@@ -261,9 +264,7 @@ def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
         for p in points:
             if sum(1 for ss in sets if not ss.contains(p)) > f:
                 return Verdict.FAILS
-        if not is_cover:
-            return short_fail
-        return Verdict.HOLDS
+        return Verdict.HOLDS if _covered(sets, points) else short_fail
 
     raise ValueError(f"unknown cover kind {kind!r}")
 
@@ -286,10 +287,7 @@ def has_finite_subcover(cover: Cover, horizon: int, max_size: int) -> SubcoverRe
     n_sets = cover.prefix_length(horizon)
     sets = cover.prefix(n_sets)
 
-    covered = set()
-    for ss in sets:
-        covered.update(ss.restrict(points))
-    if covered < set(points):
+    if not _covered(sets, points):
         return SubcoverReport("not-cover")
 
     if cover.escape_fn is not None and cover.space.kind == "naturals":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -23,19 +23,17 @@ from .filters import SymbolicChain
 from .search import (
     Exhausted,
     SearchBudget,
-    _candidate_blocks,
+    _chain_candidates,
     _depth_first,
     _prefix_sums,
     _PrefixState,
     _recheck_sums,
 )
 from .semigroups import (
-    BlockOrderError,
     BlockSequence,
     CertificateError,
     ElementSequence,
     IndexedUnion,
-    chain_sum_sets,
     indexed_unions,
 )
 from .verdicts import Verdict
@@ -107,8 +105,7 @@ class PartitionWitness:
     """Disjoint finite subfamilies with monochromatic distinct unions.
 
     ``families`` holds (U_1-index, set) pairs per round; ``index_blocks``
-    is the block sequence of those indices when the block order was
-    requested; the certificate records every checked union and d-set.
+    is the block sequence of those indices.
     """
 
     families: tuple                      # tuple over rounds of ((j, SSet), ...)
@@ -118,7 +115,6 @@ class PartitionWitness:
     color_edge: int
     target: CoverKind
     coverage: Verdict
-    certificate: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
         return {
@@ -131,7 +127,7 @@ class PartitionWitness:
         }
 
 
-def _union_term(fam: Sequence) -> IndexedUnion:
+def _union_term(gens: frozenset, members: Sequence[SSet]) -> IndexedUnion:
     """V_n as an indexed-union semigroup element (generator indices plus
     extensional set value, so equality is extensional).
 
@@ -139,13 +135,13 @@ def _union_term(fam: Sequence) -> IndexedUnion:
     members would build it: the union of the finite members' points, or,
     with a cofinite member, the cofinite set whose complement is the
     intersection of the cofinite members' complements less those points."""
-    finite = [s.data for _, s in fam if s.kind == "finite"]
-    excluded = [s.data for _, s in fam if s.kind == "cofinite"]
+    finite = [s.data for s in members if s.kind == "finite"]
+    excluded = [s.data for s in members if s.kind == "cofinite"]
     if excluded:
         value = SSet.cofinite(frozenset.intersection(*excluded).difference(*finite))
     else:
         value = SSet.finite(frozenset().union(*finite))
-    return IndexedUnion(gens=frozenset(j for j, _ in fam), value=value)
+    return IndexedUnion(gens=gens, value=value)
 
 
 def _union_semigroup(dc: DescendingCovers):
@@ -155,14 +151,17 @@ def _union_semigroup(dc: DescendingCovers):
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
                      chi_edge: Coloring, m: int, d: int, target: CoverKind,
                      horizon: int, budget: SearchBudget,
-                     require_block_order: bool = True,
                      target_params: Optional[dict] = None):
     """Find disjoint finite subfamilies F_n of U_n (members drawn from the
     tail of U_1's enumeration, unions forced to contain the escape points
     gathered so far) whose unions form a monochromatic, distinct,
     target-classified family.  Backtracking stands in for the abstract
     proof's ultrafilter choices; the certificate is re-verified from
-    scratch before being returned."""
+    scratch before being returned.
+
+    The F_n are index blocks F_1 < ... < F_m of U_1-indices, listed as the
+    block searches list their chains, with F_n drawn from the indices of
+    U_n's members."""
     if m < d:
         raise ValueError(f"m={m} < d={d}: m rounds hold no chain of d unions")
     hi = min(budget.max_index, dc.base_prefix_length(budget.max_index))
@@ -176,37 +175,40 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     allowed = {n: set(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
     usg = _union_semigroup(dc)
     member_set = dc.cover_at(1).set_at
+    chains = _chain_candidates(hi, m)
     best_depth = 0
 
-    def candidates(families: list):
-        rnd = len(families) + 1
-        lo = rnd
-        if families and require_block_order:
-            lo = max(rnd, max(j for j, _ in families[-1]) + 1)
-        cap = hi - (m - rnd) if require_block_order else hi
-        used = {j for fam in families for j, _ in fam}
-        for F in _candidate_blocks(lo, cap):
-            if F <= allowed[rnd] and not (F & used):
-                yield tuple((j, member_set(j)) for j in sorted(F))
+    def candidates(blocks: list):
+        pool = allowed[len(blocks) + 1]
+        return (F for F in chains(blocks) if F <= pool)
 
-    def check(families: list, parent):
+    def check(blocks: list, parent):
         nonlocal best_depth
-        term = _union_term(families[-1])
+        F = blocks[-1]
+        term = _union_term(F, [member_set(j) for j in F])
         # the escape points x_1..x_{n-1} must lie in the new union V_n
-        if not all(term.value.contains(x) for x in escapes[:len(families) - 1]):
+        if not all(term.value.contains(x) for x in escapes[:len(blocks) - 1]):
             return None
         state = _prefix_sums(usg, parent, term, chi_edge, d, chi_vertex)
         if state is not None:
-            best_depth = max(best_depth, len(families))
+            best_depth = max(best_depth, len(blocks))
         return state
 
-    def finish(families: list, state):
+    def finish(blocks: list, state):
         unions = tuple(state.sums[frozenset([n])].value for n in range(1, m + 1))
         cover = Cover(dc.space, sets=list(dict.fromkeys(unions)), name="partition-unions")
         coverage = classify_cover(cover, target, horizon, **tparams)
         if coverage is not Verdict.HOLDS:
             return None
-        return _build_partition_witness(families, unions, state, d, target, coverage)
+        return PartitionWitness(
+            families=tuple(tuple((j, member_set(j)) for j in sorted(F)) for F in blocks),
+            unions=unions,
+            index_blocks=BlockSequence(tuple(blocks)),
+            color_vertex=state.vertex_color,
+            color_edge=state.edge_color,
+            target=target,
+            coverage=coverage,
+        )
 
     out = _depth_first(m, candidates, check, finish, budget.node_limit,
                        _PrefixState.root())
@@ -218,30 +220,6 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         raise CertificateError("menger_mt_search produced a witness that "
                                "fails verify_partition_witness")
     return out
-
-
-def _build_partition_witness(families, unions, state, d, target,
-                             coverage) -> PartitionWitness:
-    sums = state.sums
-    try:
-        index_blocks = BlockSequence(tuple(frozenset(j for j, _ in fam)
-                                           for fam in families))
-    except BlockOrderError:
-        index_blocks = None
-    return PartitionWitness(
-        families=tuple(families),
-        unions=unions,
-        index_blocks=index_blocks,
-        color_vertex=state.vertex_color,
-        color_edge=state.edge_color,
-        target=target,
-        coverage=coverage,
-        certificate={
-            "d": d,
-            "edge_sets": chain_sum_sets(sums, len(families), d),
-            "fs_values": list(sums.values()),
-        },
-    )
 
 
 def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
@@ -267,7 +245,8 @@ def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
         blocks = list(w.index_blocks)
         if [frozenset(j for j, _ in fam) for fam in w.families] != blocks:
             return False
-    terms = [_union_term(fam) for fam in w.families]
+    terms = [_union_term(frozenset(j for j, _ in fam), [s for _, s in fam])
+             for fam in w.families]
     if tuple(w.unions) != tuple(t.value for t in terms):
         return False
     # escape points gathered so far lie in every later union

@@ -67,8 +67,10 @@ class SearchBudget:
 class Witness:
     """A verified monochromatic structure.
 
-    ``certificate`` holds every checked set, so the result can be re-checked
-    with no knowledge of the search path that produced it.
+    ``certificate`` holds the checked sets: ``edge_sets``, every sum set of
+    a d-chain, for a block search, and ``fs_values``, every finite sum, for
+    a Hindman search.  So the result can be re-checked with no knowledge of
+    the search path that produced it.
     """
 
     blocks: Optional[BlockSequence]
@@ -90,7 +92,7 @@ class Witness:
             return x
 
         cert = self.certificate
-        size = len(cert.get("edge_sets") or cert.get("vertex_sets") or ())
+        size = len(cert.get("edge_sets") or cert.get("fs_values") or ())
         return {
             "blocks": [sorted(b) for b in self.blocks] if self.blocks else None,
             "terms": enc(self.terms) if self.terms else None,
@@ -366,14 +368,12 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
         return range(terms[-1] + 1 if terms else 1, n_max - sum(terms) + 1)
 
     def finish(terms: list, state: _PrefixState) -> Witness:
-        sums = state.sums
         return Witness(
             blocks=BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))),
             terms=tuple(terms),
             color_vertex=chi.of(terms[0]),
             color_edge=None,
-            certificate={"d": 1, "fs_values": sorted(sums.values()),
-                         "vertex_sets": [frozenset([v]) for v in sums.values()]},
+            certificate={"fs_values": sorted(state.sums.values())},
         )
 
     result = _depth_first(
@@ -387,14 +387,13 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
 
 
 def verify_hindman_witness(w: Witness, chi: Coloring) -> bool:
-    """Independent recheck: re-enumerate every finite sum from the terms."""
-    terms = list(w.terms)
-    values = []
-    for r in range(1, len(terms) + 1):
-        for combo in itertools.combinations(terms, r):
-            values.append(sum(combo))
-    return (sorted(values) == sorted(w.certificate["fs_values"])
-            and {chi.of(v) for v in values} == {w.color_vertex})
+    """Independent recheck: re-enumerate every finite sum from the terms,
+    which must be proper and of the one color ``w.color_vertex``, and
+    compare the sums with the certificate's."""
+    checked = _recheck_sums(ElementSequence.from_terms(_NATS, w.terms), 1, None,
+                            None, chi, w.color_vertex)
+    return (checked is not None
+            and sorted(checked[0].values()) == sorted(w.certificate["fs_values"]))
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +452,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
             terms=tuple(sums[frozenset([i])] for i in range(1, m + 1)),
             color_vertex=state.vertex_color,
             color_edge=state.edge_color,
-            certificate={"d": d, "edge_sets": chain_sum_sets(sums, m, d),
-                         "fs_values": list(sums.values())},
+            certificate={"edge_sets": chain_sum_sets(sums, m, d)},
         )
 
     result = _depth_first(m, _chain_candidates(hi, m), check, finish,
@@ -466,27 +464,31 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     return result
 
 
-def _recheck_sums(seq: ElementSequence, d: int, chi_edge: Coloring, color_edge,
-                  chi_vertex: Optional[Coloring] = None,
-                  color_vertex=None) -> Optional[list]:
-    """The recheck that the block and cover-partition verifiers share.
+def _recheck_sums(seq: ElementSequence, d: int, chi_edge: Optional[Coloring],
+                  color_edge, chi_vertex: Optional[Coloring] = None,
+                  color_vertex=None) -> Optional[tuple[dict, list]]:
+    """The recheck that the Hindman, block and cover-partition verifiers
+    share.
 
-    ``seq`` holds the m terms re-derived from a witness's blocks or
-    families, never taken from search state.  They must be proper, every
-    sum set of a d-chain must have the color ``color_edge``, and, with
-    ``chi_vertex``, every finite sum the color ``color_vertex``.  Returns
-    the edge sets, or None if a check fails.
+    ``seq`` holds the m terms re-derived from a witness's terms, blocks or
+    families, never taken from search state.  They must be proper; with
+    ``chi_edge``, every sum set of a d-chain must have the color
+    ``color_edge``; and, with ``chi_vertex``, every finite sum the color
+    ``color_vertex``.  Returns the finite sums by block and the edge sets
+    (none without ``chi_edge``), or None if a check fails.
     """
     m = seq.length
     sums = fs_enumerate(seq, m)
     if least_collision(sums) is not None:
         return None
-    edges = chain_sum_sets(sums, m, d)
-    if {chi_edge.of_set(e) for e in edges} != {color_edge}:
-        return None
+    edges = []
+    if chi_edge is not None:
+        edges = chain_sum_sets(sums, m, d)
+        if {chi_edge.of_set(e) for e in edges} != {color_edge}:
+            return None
     if chi_vertex is not None and {chi_vertex.of(v) for v in sums.values()} != {color_vertex}:
         return None
-    return edges
+    return sums, edges
 
 
 def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
@@ -498,8 +500,11 @@ def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
     taken = take_sumsequence(base, w.blocks)
     if tuple(taken.prefix(len(w.blocks))) != w.terms:
         return False
-    edges = _recheck_sums(taken, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex)
-    if edges is None or Counter(edges) != Counter(w.certificate["edge_sets"]):
+    checked = _recheck_sums(taken, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex)
+    if checked is None:
+        return False
+    edges = checked[1]
+    if Counter(edges) != Counter(w.certificate["edge_sets"]):
         return False
     if chi_vertex is not None and eta is not None and len({eta.of(e) for e in edges}) != 1:
         return False
@@ -649,7 +654,7 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
     return search(dom, (1 << (n + 1)) - 2)
 
 
-def threshold_search(k: int, m: int = 2, allow_repeats: bool = True,
+def threshold_search(k: int, allow_repeats: bool = True,
                      budget: Optional[SearchBudget] = None) -> ThresholdReport:
     """Least N such that every k-coloring of {1..N} has a monochromatic
     {x, y, x+y} (x = y only when repeats are allowed), plus the least
@@ -664,8 +669,6 @@ def threshold_search(k: int, m: int = 2, allow_repeats: bool = True,
     both hold, and ``note`` says which did not.  ``nodes`` counts both
     enumerators.
     """
-    if m != 2:
-        raise ValueError("threshold_search handles the pair form (m = 2)")
     if k < 1:
         raise ValueError("k >= 1 required")
     budget = budget or SearchBudget(max_value=64)

@@ -110,6 +110,31 @@ def test_asc_fails_on_constant_finite_cover():
     assert classify_cover(c, CoverKind.ASC, 10) is Verdict.FAILS
 
 
+def test_lambda_and_omega_verdicts_never_restrict_a_set(monkeypatch):
+    # only the op, asc and gamma verdicts read whether the sets cover the
+    # horizon points, so only they may restrict a set to those points
+    covers = [
+        (cofinite_cover(NATS), 8),
+        (interval_cover(NATS), 8),
+        (Cover(NATS, sets=[SSet.interval(0, 9), SSet.interval(0, 9)]), 10),
+        (Cover(NATS, set_fn=lambda i: SSet.finite({i - 1}), name="singletons"), 6),
+        (Cover(NATS, sets=[SSet.cofinite(set()), SSet.interval(0, 3)]), 4),
+        (Cover(Space.finite_points(range(4)),
+               sets=[SSet.finite({0, 1}), SSet.finite({2, 3}), SSet.finite({1, 2})]), 0),
+    ]
+    cases = [(c, kind, h, params) for c, h in covers
+             for kind, params in ((CoverKind.LAMBDA, {"t": 2}), (CoverKind.LAMBDA, {"t": 3}),
+                                  (CoverKind.OMEGA, {"s": 1}), (CoverKind.OMEGA, {"s": 2}))]
+    want = [classify_cover(c, kind, h, **params) for c, kind, h, params in cases]
+    assert set(want) == {Verdict.HOLDS, Verdict.FAILS, Verdict.UNKNOWN}
+
+    def restrict(self, points):
+        raise AssertionError("restrict called")
+
+    monkeypatch.setattr(SSet, "restrict", restrict)
+    assert [classify_cover(c, kind, h, **params) for c, kind, h, params in cases] == want
+
+
 # ---------------------------------------------------------------- subcovers
 
 def test_no_finite_subcover_certified_by_escape_points():

@@ -1,5 +1,7 @@
 """Cover-partition search, the cofinite encoding, constrained chains."""
 import functools
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -54,7 +56,8 @@ def test_union_term_equals_the_pairwise_union_fold():
             points = rng.sample(range(8), rng.randint(0, 5))
             fam.append((j, SSet.cofinite(points) if rng.random() < 0.4
                         else SSet.finite(points)))
-        term = partition_module._union_term(fam)
+        term = partition_module._union_term(frozenset(j for j, _ in fam),
+                                            [s for _, s in fam])
         want = functools.reduce(lambda a, b: a.union(b), (s for _, s in fam))
         assert term.value == want and term.value.kind == want.kind
         assert term.gens == frozenset(j for j, _ in fam)
@@ -285,3 +288,143 @@ def test_discrete_comb_search_seeded():
     out = discrete_comb_search(6, None, seeded_hash_coloring(2, 5, d=2),
                                m=3, d=2, budget=SearchBudget(max_index=14), s=2)
     assert isinstance(out, (PartitionWitness, Exhausted))
+
+
+# ---------------------------------------------------------------- pinned searches
+
+def _pinned_runs() -> dict:
+    """Seeded Menger searches: initial segments under the λ, ω and γ
+    targets with and without a vertex coloring, the cofinite instance
+    under constant and cardinality colorings, and the discrete instance
+    with a vertex coloring, once with its node budget cut."""
+    runs = {}
+    for target in (CoverKind.LAMBDA, CoverKind.OMEGA, CoverKind.GAMMA):
+        for vertex in (False, True):
+            for seed in range(6):
+                runs[f"segments-{target.value}-{'vertex' if vertex else 'edge'}-{seed}"] = (
+                    lambda target=target, vertex=vertex, seed=seed: menger_mt_search(
+                        initial_segment_covers(NATS),
+                        seeded_hash_coloring(2, 100 + seed) if vertex else None,
+                        seeded_hash_coloring(2, seed, d=2), 3, 2, target, 6,
+                        SearchBudget(max_index=10)))
+    for name, chi in (("constant", constant_coloring(2)),
+                      ("cardinality", cardinality_coloring(2))):
+        for t in (6, 7):
+            for target in (CoverKind.OP, CoverKind.LAMBDA):
+                for m in (2, 3):
+                    runs[f"cofinite-{name}-{t}-{target.value}-{m}"] = (
+                        lambda chi=chi, t=t, target=target, m=m: menger_mt_search(
+                            encode_cofinite_example(t).dc, None, chi, m, 2, target, 1,
+                            SearchBudget(max_index=t)))
+    for K in (4, 5):
+        for seed in range(6):
+            runs[f"comb-{K}-{seed}"] = lambda K=K, seed=seed: discrete_comb_search(
+                K, seeded_hash_coloring(2, 100 + seed), seeded_hash_coloring(2, seed, d=2),
+                4, 2, SearchBudget(max_index=10))
+    runs["comb-5-cut"] = lambda: discrete_comb_search(
+        5, seeded_hash_coloring(2, 101), seeded_hash_coloring(2, 1, d=2), 4, 2,
+        SearchBudget(max_index=10, node_limit=1000))
+    return runs
+
+
+PINNED_RUNS = _pinned_runs()
+
+# Results of the runs above before the search listed its candidates as
+# index blocks: ("exhausted", complete, nodes), or a witness's families,
+# vertex and edge colors, target, coverage and a digest of its unions.
+PINNED_RESULTS = {
+    'segments-lambda-edge-0': ([[1], [2, 3, 4, 5, 6], [7]], None, 2, 'lambda', 'holds', 'cf40ba43981888a8'),
+    'segments-lambda-edge-1': ([[1], [2, 3, 4, 5], [6]], None, 1, 'lambda', 'holds', '837d06ce745e5d84'),
+    'segments-lambda-edge-2': ([[1], [2, 3, 4, 5], [6, 7]], None, 1, 'lambda', 'holds', 'bb8ec9eadbe3f6bd'),
+    'segments-lambda-edge-3': ([[1], [2, 3, 4, 5, 6], [7, 8, 9]], None, 1, 'lambda', 'holds', 'c2aff000d4fc744e'),
+    'segments-lambda-edge-4': ([[1], [2, 3, 4, 5], [6]], None, 2, 'lambda', 'holds', '837d06ce745e5d84'),
+    'segments-lambda-edge-5': ([[1], [2, 3, 4, 5], [6, 7, 8, 9]], None, 2, 'lambda', 'holds', '5d8954a61e0cf004'),
+    'segments-lambda-vertex-0': ([[1, 2], [3, 4, 5], [6]], 2, 1, 'lambda', 'holds', 'd26df3dee2870cfe'),
+    'segments-lambda-vertex-1': ([[1], [2, 3, 4, 5], [6, 7, 8, 9]], 1, 1, 'lambda', 'holds', '5d8954a61e0cf004'),
+    'segments-lambda-vertex-2': ([[1], [2, 3, 4, 5], [6, 7]], 2, 1, 'lambda', 'holds', 'bb8ec9eadbe3f6bd'),
+    'segments-lambda-vertex-3': ([[1, 2], [3, 4, 5, 6], [7]], 2, 2, 'lambda', 'holds', 'ddb3eed3b186b137'),
+    'segments-lambda-vertex-4': ([[1], [2, 3, 4, 5], [6, 7]], 2, 2, 'lambda', 'holds', 'bb8ec9eadbe3f6bd'),
+    'segments-lambda-vertex-5': ([[1, 2, 3, 4], [5, 6], [7]], 1, 1, 'lambda', 'holds', '633a53e4dc0729d4'),
+    'segments-omega-edge-0': ([[1], [2, 3, 4, 5, 6], [7]], None, 2, 'omega', 'holds', 'cf40ba43981888a8'),
+    'segments-omega-edge-1': ([[1], [2], [3, 4, 5, 6]], None, 1, 'omega', 'holds', 'af693263f0c4c6d4'),
+    'segments-omega-edge-2': ([[1], [2], [3, 4, 5, 6, 7]], None, 1, 'omega', 'holds', '8f56e9029b991d84'),
+    'segments-omega-edge-3': ([[1], [2], [3, 4, 5]], None, 1, 'omega', 'holds', '84175fb2a666ae7c'),
+    'segments-omega-edge-4': ([[1], [2], [3, 4, 5]], None, 2, 'omega', 'holds', '84175fb2a666ae7c'),
+    'segments-omega-edge-5': ([[1], [2, 3], [4, 5, 6, 7, 8, 9, 10]], None, 1, 'omega', 'holds', '4002e7e70ea305f0'),
+    'segments-omega-vertex-0': ([[1, 2], [3], [4, 5, 6]], 2, 1, 'omega', 'holds', '7c39d1ea137175da'),
+    'segments-omega-vertex-1': ([[1], [2], [3, 4, 5, 6, 7, 8, 9]], 1, 1, 'omega', 'holds', '05e3372034d3cdfb'),
+    'segments-omega-vertex-2': ([[1], [2, 3], [4, 5, 6]], 2, 2, 'omega', 'holds', 'd2e0282c82551bfb'),
+    'segments-omega-vertex-3': ([[1, 2], [3, 4, 5, 6], [7]], 2, 2, 'omega', 'holds', 'ddb3eed3b186b137'),
+    'segments-omega-vertex-4': ([[1], [2, 3], [4, 5]], 2, 2, 'omega', 'holds', 'b20a04e2a3567f48'),
+    'segments-omega-vertex-5': ([[1], [2, 3, 4], [5, 6, 7, 8]], 1, 2, 'omega', 'holds', 'a59a27961622991a'),
+    'segments-gamma-edge-0': ([[1], [2, 3, 4, 5, 6], [7]], None, 2, 'gamma', 'holds', 'cf40ba43981888a8'),
+    'segments-gamma-edge-1': ([[1], [2], [3, 4, 5, 6]], None, 1, 'gamma', 'holds', 'af693263f0c4c6d4'),
+    'segments-gamma-edge-2': ([[1], [2], [3, 4, 5, 6, 7]], None, 1, 'gamma', 'holds', '8f56e9029b991d84'),
+    'segments-gamma-edge-3': ([[1], [2], [3, 4, 5]], None, 1, 'gamma', 'holds', '84175fb2a666ae7c'),
+    'segments-gamma-edge-4': ([[1], [2], [3, 4, 5]], None, 2, 'gamma', 'holds', '84175fb2a666ae7c'),
+    'segments-gamma-edge-5': ([[1], [2, 3], [4, 5, 6, 7, 8, 9, 10]], None, 1, 'gamma', 'holds', '4002e7e70ea305f0'),
+    'segments-gamma-vertex-0': ([[1, 2], [3], [4, 5, 6]], 2, 1, 'gamma', 'holds', '7c39d1ea137175da'),
+    'segments-gamma-vertex-1': ([[1], [2], [3, 4, 5, 6, 7, 8, 9]], 1, 1, 'gamma', 'holds', '05e3372034d3cdfb'),
+    'segments-gamma-vertex-2': ([[1], [2, 3], [4, 5, 6]], 2, 2, 'gamma', 'holds', 'd2e0282c82551bfb'),
+    'segments-gamma-vertex-3': ([[1, 2], [3, 4, 5, 6], [7]], 2, 2, 'gamma', 'holds', 'ddb3eed3b186b137'),
+    'segments-gamma-vertex-4': ([[1], [2, 3], [4, 5]], 2, 2, 'gamma', 'holds', 'b20a04e2a3567f48'),
+    'segments-gamma-vertex-5': ([[1], [2, 3, 4], [5, 6, 7, 8]], 1, 2, 'gamma', 'holds', 'a59a27961622991a'),
+    'cofinite-constant-6-op-2': ([[1], [2]], None, 1, 'op', 'holds', 'accdb034c67ff0b8'),
+    'cofinite-constant-6-op-3': ([[1], [2], [3]], None, 1, 'op', 'holds', '38f80be6f91684fa'),
+    'cofinite-constant-6-lambda-2': ([[1], [2]], None, 1, 'lambda', 'holds', 'accdb034c67ff0b8'),
+    'cofinite-constant-6-lambda-3': ([[1], [2], [3]], None, 1, 'lambda', 'holds', '38f80be6f91684fa'),
+    'cofinite-constant-7-op-2': ([[1], [2]], None, 1, 'op', 'holds', '50c8021c2482c1b3'),
+    'cofinite-constant-7-op-3': ([[1], [2], [3]], None, 1, 'op', 'holds', '554c104e9d70173f'),
+    'cofinite-constant-7-lambda-2': ([[1], [2]], None, 1, 'lambda', 'holds', '50c8021c2482c1b3'),
+    'cofinite-constant-7-lambda-3': ([[1], [2], [3]], None, 1, 'lambda', 'holds', '554c104e9d70173f'),
+    'cofinite-cardinality-6-op-2': ([[1], [2]], None, 2, 'op', 'holds', 'accdb034c67ff0b8'),
+    'cofinite-cardinality-6-op-3': ([[1], [2], [3]], None, 2, 'op', 'holds', '38f80be6f91684fa'),
+    'cofinite-cardinality-6-lambda-2': ([[1], [2]], None, 2, 'lambda', 'holds', 'accdb034c67ff0b8'),
+    'cofinite-cardinality-6-lambda-3': ([[1], [2], [3]], None, 2, 'lambda', 'holds', '38f80be6f91684fa'),
+    'cofinite-cardinality-7-op-2': ([[1], [2]], None, 2, 'op', 'holds', '50c8021c2482c1b3'),
+    'cofinite-cardinality-7-op-3': ([[1], [2], [3]], None, 2, 'op', 'holds', '554c104e9d70173f'),
+    'cofinite-cardinality-7-lambda-2': ([[1], [2]], None, 2, 'lambda', 'holds', '50c8021c2482c1b3'),
+    'cofinite-cardinality-7-lambda-3': ([[1], [2], [3]], None, 2, 'lambda', 'holds', '554c104e9d70173f'),
+    'comb-4-0': ([[1, 2, 3], [4], [5, 6, 7], [8, 9]], 2, 1, 'omega', 'holds', '90dd5c6aab94e2e0'),
+    'comb-4-1': ('exhausted', True, 2853),
+    'comb-4-2': ('exhausted', True, 2642),
+    'comb-4-3': ('exhausted', True, 2458),
+    'comb-4-4': ([[1], [2, 3], [4, 5], [6, 7]], 2, 2, 'omega', 'holds', '9c75e6c840b5ac73'),
+    'comb-4-5': ([[1, 2, 3, 4, 5, 6], [7], [8], [9]], 1, 1, 'omega', 'holds', '2bd923d87a2173b3'),
+    'comb-5-0': ([[1, 2, 3], [4], [5, 6, 7], [8, 9]], 2, 1, 'omega', 'holds', '90dd5c6aab94e2e0'),
+    'comb-5-1': ('exhausted', True, 2853),
+    'comb-5-2': ('exhausted', True, 2642),
+    'comb-5-3': ('exhausted', True, 2458),
+    'comb-5-4': ([[1], [2, 3], [4, 5], [6, 7]], 2, 2, 'omega', 'holds', '9c75e6c840b5ac73'),
+    'comb-5-5': ([[1, 2, 3, 4, 5, 6], [7], [8], [9]], 1, 1, 'omega', 'holds', '2bd923d87a2173b3'),
+    'comb-5-cut': ('exhausted', False, 1000),
+}
+
+
+def unions_digest(unions) -> str:
+    form = [[u.kind, sorted(json.dumps(sorted(p) if isinstance(p, frozenset) else p)
+                            for p in u.data)] for u in unions]
+    return hashlib.sha256(json.dumps(form).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(PINNED_RUNS))
+def test_menger_search_results_are_pinned(case):
+    out = PINNED_RUNS[case]()
+    want = PINNED_RESULTS[case]
+    if want[0] == "exhausted":
+        assert isinstance(out, Exhausted)
+        assert ("exhausted", out.complete, out.nodes) == want
+        return
+    families, color_vertex, color_edge, target, coverage, digest = want
+    assert out.to_record() == {
+        "index_blocks": families, "families": families,
+        "color_vertex": color_vertex, "color_edge": color_edge,
+        "target": target, "coverage": coverage,
+    }
+    assert unions_digest(out.unions) == digest
+
+
+def test_pinned_searches_include_exhausted_ones():
+    outcomes = [want[:2] for want in PINNED_RESULTS.values() if want[0] == "exhausted"]
+    assert outcomes.count(("exhausted", True)) >= 3
+    assert ("exhausted", False) in outcomes

@@ -164,7 +164,7 @@ def test_mt_with_vertex_coloring_both_monochromatic():
                   budget=SearchBudget(max_index=6), chi_vertex=chi_v)
     assert isinstance(w, Witness)
     assert w.color_vertex == 1  # everything even
-    values = w.certificate["fs_values"]
+    values = (*w.terms, sum(w.terms))  # the finite sums of two terms
     assert all(v % 2 == 0 for v in values)
     assert verify_mt_witness(w, NAT, base, chi_e, 2, chi_vertex=chi_v)
 
@@ -331,6 +331,17 @@ def test_rejected_certificate_raises(monkeypatch, verifier, run):
     monkeypatch.setattr(search_module, verifier, lambda *a, **kw: False)
     with pytest.raises(CertificateError):
         run()
+
+
+@pytest.mark.parametrize("terms", [(1, 2, 3), (1, 1)], ids=["a12-eq-a3", "a1-eq-a2"])
+def test_improper_hindman_witness_is_rejected(terms):
+    # a_{1,2} = a_3, or a_1 = a_2: equal sums on comparable blocks, although
+    # the colors and the certificate's finite sums are all consistent
+    values = [sum(c) for r in range(1, len(terms) + 1)
+              for c in itertools.combinations(terms, r)]
+    w = Witness(blocks=None, terms=terms, color_vertex=1, color_edge=None,
+                certificate={"fs_values": values})
+    assert not verify_hindman_witness(w, constant_coloring(1))
 
 
 # ---------------------------------------------------------------- dichotomy
