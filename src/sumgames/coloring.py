@@ -47,7 +47,7 @@ def _set_key(member_keys: set) -> bytes:
     return b"s{" + b",".join(sorted(member_keys)) + b"}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
     """Total finite-range function on d-element sets, range {1..k}.
 
@@ -55,14 +55,16 @@ class Coloring:
     ``canonical_key``: ``fn(s) == keyed(canonical_key(s))``.  It lets a
     caller that already holds its members' keys color the subject through
     ``of_keys`` without encoding the members again.
+
+    A coloring compares and hashes by identity, as its ``fn`` does: the
+    searches key their color tables by the coloring, once per node.
     """
 
     arity: int
     palette: int
     fn: Callable[[frozenset], int]
-    name: str = field(default="", compare=False)
-    keyed: Optional[Callable[[bytes], int]] = field(default=None, compare=False,
-                                                    repr=False)
+    name: str = ""
+    keyed: Optional[Callable[[bytes], int]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.arity < 1:

@@ -182,10 +182,14 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         pool = allowed[len(blocks) + 1]
         return (F for F in chains(blocks) if F <= pool)
 
+    @functools.cache
+    def union_of(F: frozenset) -> IndexedUnion:
+        # V_n depends on the index block alone: build it once
+        return _union_term(F, [member_set(j) for j in F])
+
     def check(blocks: list, parent):
         nonlocal best_depth
-        F = blocks[-1]
-        term = _union_term(F, [member_set(j) for j in F])
+        term = union_of(blocks[-1])
         # the escape points x_1..x_{n-1} must lie in the new union V_n
         if not all(term.value.contains(x) for x in escapes[:len(blocks) - 1]):
             return None

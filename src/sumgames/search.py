@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -29,7 +29,6 @@ from .semigroups import (
     ImproperSequenceError,
     Semigroup,
     block_chains,
-    block_key,
     blocks_within,
     chain_sum_sets,
     fs_enumerate,
@@ -224,29 +223,56 @@ def _blocks_ending_at(n: int) -> tuple:
     return ((head, n),) + tuple((F | head, min(F)) for F in older)
 
 
+class _SearchTables:
+    """The tables that one search shares across all its prefix states.
+
+    ``bits`` interns each sum value to a bit, ``1 << id``, the first time
+    the kernel builds it under an edge coloring, so the subject of a chain
+    is the OR of its members' bits: equal member sets give equal masks,
+    and a repeated member is one member, as in a set.  ``edge`` maps each
+    edge coloring to its colors by mask, ``vertex`` each vertex coloring
+    to its colors by sum value, and ``keys`` holds the ``canonical_key``
+    of each value that a keyed coloring has been given.  So a search
+    colors each distinct subject once.
+
+    A coloring is a function of the values, and all sums of one search lie
+    in one semigroup, so equal values share one bit, one key and one color.
+    The tables hold the colorings they are keyed by, so a table is never
+    read for another coloring."""
+
+    __slots__ = ("bits", "keys", "edge", "vertex", "__weakref__")
+
+    def __init__(self):
+        self.bits: dict = {}
+        self.keys: dict = {}
+        self.edge: dict = defaultdict(dict)
+        self.vertex: dict = defaultdict(dict)
+
+
 @dataclass(slots=True)
 class _PrefixState:
     """What the prefix check knows about a prefix of n terms: its finite
-    sums by block, the least max index of a block with each sum value, and
-    the one edge and vertex color seen so far (None before the first).
+    sums by block, the least max index of a block with each sum value, the
+    interned bit of each sum by block (under an edge coloring; else the
+    root's empty dict), and the one edge and vertex color seen so far (None
+    before the first).
 
-    ``keys`` maps sum values to their ``canonical_key``.  One table serves
-    a whole search: ``root`` makes it, every later state holds the same
-    dict, and it is filled only as keyed colorings ask for keys.  All sums
-    of one search lie in one semigroup, so equal values have equal keys.
+    ``tables`` holds the search's interned bits and colors: ``root`` makes
+    them, and every later state holds the same ``_SearchTables``.
     """
 
     n: int
     sums: dict
     least_max: dict
+    masks: dict
     edge_color: Optional[int]
     vertex_color: Optional[int]
-    keys: dict
+    tables: _SearchTables
 
     @classmethod
     def root(cls) -> "_PrefixState":
-        """The state of the empty prefix, with a new key table."""
-        return cls(0, {}, {}, None, None, {})
+        """The state of the empty prefix, with new tables."""
+        return cls(0, {}, {}, {}, None, None, _SearchTables())
 
 
 def _color(chi: Coloring, members: list, keys: dict) -> int:
@@ -280,8 +306,8 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
     3. ``chi_edge`` on the head chains of ``_chains_ending_at(n, d)``, whose
        last block is {n}: they read only the parent's sums and the term.
        Their members are d distinct values, since the parent is proper and
-       step 1 held, so the arity check of ``Coloring.of_keys`` cannot fire
-       there, as it cannot on the chains of step 5;
+       step 1 held, so the arity check of the coloring cannot fire there,
+       as it cannot on the chains of step 5;
     4. properness of the other new sums, in the order of
        ``_blocks_ending_at(n)``: H = F | {n} collides when a block below
        min(H) has the same sum, that is when the parent's least max index of
@@ -289,25 +315,42 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
        with an older one: two blocks holding n are incomparable;
     5. ``chi_edge`` on the other new chains, then ``chi_vertex`` on the other
        new sums;
-    6. only then are the parent's ``sums`` and ``least_max`` copied and
-       extended.  The parent's state is never changed.
+    6. only then are the parent's ``sums``, ``least_max`` and ``masks``
+       copied and extended.  The parent's state is never changed.
+
+    Every color is read from the search's tables, and a coloring is called
+    only on a subject that its table lacks.
 
     Returns the state of the n terms, or None if a check fails.
     """
-    n, keys = parent.n + 1, parent.keys
+    n, tables = parent.n + 1, parent.tables
     older, least_max = parent.sums, parent.least_max
     if term in least_max:
         return None
     vertex_color = parent.vertex_color
     if chi_vertex is not None:
-        vertex_color = _color(chi_vertex, [term], keys)
+        vertex_colors = tables.vertex[chi_vertex]
+        vertex_color = vertex_colors.get(term)
+        if vertex_color is None:
+            vertex_color = vertex_colors[term] = _color(chi_vertex, [term], tables.keys)
         if parent.vertex_color not in (None, vertex_color):
             return None
-    edge_color = parent.edge_color
+    edge_color, masks = parent.edge_color, parent.masks
     if chi_edge is not None:
+        bits = tables.bits
+        edge_colors = tables.edge[chi_edge]
+        term_bit = bits.get(term)
+        if term_bit is None:
+            term_bit = bits[term] = 1 << len(bits)
         heads, others = _chains_ending_at(n, d)
         for ch in heads:
-            c = _color(chi_edge, [older[F] for F in ch[:-1]] + [term], keys)
+            mask = term_bit
+            for F in ch[:-1]:
+                mask |= masks[F]
+            c = edge_colors.get(mask)
+            if c is None:
+                c = edge_colors[mask] = _color(
+                    chi_edge, [older[F] for F in ch[:-1]] + [term], tables.keys)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
@@ -323,19 +366,37 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
     # a new chain or sum is checked only once a head chain or the term has
     # fixed the color
     if chi_edge is not None:
+        new_masks = {}
+        for H, v in added.items():
+            bit = bits.get(v)
+            if bit is None:
+                bit = bits[v] = 1 << len(bits)
+            new_masks[H] = bit
         for ch in others:
-            members = [older[F] for F in ch[:-1]] + [added[ch[-1]]]
-            if _color(chi_edge, members, keys) != edge_color:
+            last = ch[-1]
+            mask = new_masks[last]
+            for F in ch[:-1]:
+                mask |= masks[F]
+            c = edge_colors.get(mask)
+            if c is None:
+                c = edge_colors[mask] = _color(
+                    chi_edge, [older[F] for F in ch[:-1]] + [added[last]], tables.keys)
+            if c != edge_color:
                 return None
+        masks = dict(masks)
+        masks.update(new_masks)
     if chi_vertex is not None:
         for v in itertools.islice(added.values(), 1, None):
-            if _color(chi_vertex, [v], keys) != vertex_color:
+            c = vertex_colors.get(v)
+            if c is None:
+                c = vertex_colors[v] = _color(chi_vertex, [v], tables.keys)
+            if c != vertex_color:
                 return None
     sums, least = dict(older), dict(least_max)
     sums.update(added)
     for v in added.values():
         least.setdefault(v, n)
-    return _PrefixState(n, sums, least, edge_color, vertex_color, keys)
+    return _PrefixState(n, sums, least, masks, edge_color, vertex_color, tables)
 
 
 def _chain_candidates(hi: int, m: int) -> Callable:
@@ -402,14 +463,21 @@ def verify_hindman_witness(w: Witness, chi: Coloring) -> bool:
 
 def _candidate_blocks(lo: int, hi: int) -> Iterator[frozenset]:
     """Blocks inside {lo..hi} ordered by max index first, then by sorted
-    tuple: the greedy least-max order the searches use."""
+    tuple: the greedy least-max order the searches use.
+
+    The blocks with max index k are generated in that order, one at a
+    time: {lo..k} first, and after a block whose indices below k are
+    ``below``, drop its largest index j of those and, if j + 1 < k, add
+    j + 1..k - 1.  So a block is followed by the least block that sorts
+    after it, and {k} comes last."""
     for k in range(lo, hi + 1):
-        mids = list(range(lo, k))
-        cands = [frozenset(c) | {k}
-                 for r in range(len(mids) + 1)
-                 for c in itertools.combinations(mids, r)]
-        for f in sorted(cands, key=block_key):
-            yield f
+        below = list(range(lo, k))
+        while True:
+            yield frozenset((*below, k))
+            if not below:
+                break
+            j = below.pop()
+            below.extend(range(j + 1, k))
 
 
 def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
@@ -715,13 +783,15 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
         raise ValueError("dichotomy needs depth >= 2")
     card = cardinality_coloring(2)
     sg = seq.semigroup
+    # the sum over a block depends on the block alone: take it once
+    block_sum = functools.cache(functools.partial(indexed_sum, seq))
 
     def check(blocks: list, parent: Optional[tuple]) -> Optional[tuple]:
         # (sums, color): the finite sums, and the one cardinality color of
         # the pairs F < H seen so far; only pairs with H holding n are new
         parent_sums, color = parent or ({}, None)
         n = len(blocks)
-        term = indexed_sum(seq, blocks[-1])
+        term = block_sum(blocks[-1])
         table = _blocks_ending_at(n)
         sums = dict(parent_sums)
         sums[table[0][0]] = term

@@ -285,9 +285,21 @@ def test_discrete_comb_search_cardinality_edge():
 
 
 def test_discrete_comb_search_seeded():
-    out = discrete_comb_search(6, None, seeded_hash_coloring(2, 5, d=2),
-                               m=3, d=2, budget=SearchBudget(max_index=14), s=2)
-    assert isinstance(out, (PartitionWitness, Exhausted))
+    def run(node_limit):
+        return discrete_comb_search(6, None, seeded_hash_coloring(2, 5, d=2), m=3, d=2,
+                                    budget=SearchBudget(max_index=14, node_limit=node_limit),
+                                    s=2)
+
+    # pinned before the kernel colored each subject once: the witness is
+    # found at node 258, so a budget of 257 nodes is cut one node short
+    out = run(258)
+    assert out.to_record() == {
+        "index_blocks": [[1], [2], list(range(3, 12))],
+        "families": [[1], [2], list(range(3, 12))],
+        "color_vertex": None, "color_edge": 1, "target": "omega", "coverage": "holds"}
+    assert [sorted(u.data) for u in out.unions] == [[0, 1], [0, 1, 2], list(range(12))]
+    cut = run(257)
+    assert isinstance(cut, Exhausted) and (cut.complete, cut.nodes) == (False, 257)
 
 
 # ---------------------------------------------------------------- pinned searches

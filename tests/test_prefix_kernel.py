@@ -3,7 +3,9 @@ built from its state, against slow references built from public functions
 only; pinned node counts; tampered witnesses that the verifiers reject."""
 import dataclasses
 import functools
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -82,7 +84,7 @@ def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
     From ``root`` (a new root state by default), as a search would, every
     parent is also extended by each of the ``siblings`` terms first, and
     each sibling is compared with the reference too.  Every state holds
-    the root's key table."""
+    the root's tables."""
     root = root or _PrefixState.root()
     state = root
     for n in range(1, len(terms) + 1):
@@ -91,7 +93,7 @@ def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
             state = _prefix_sums(sg, parent, last, chi_edge, d, chi_vertex)
             assert (state is not None) == reference_accepts(
                 sg, terms[:n - 1] + [last], chi_edge, d, chi_vertex), (terms, n, last)
-            assert state is None or state.keys is root.keys
+            assert state is None or state.tables is root.tables
         if state is None:
             # a rejected prefix is never extended: no extension may pass
             assert not any(reference_accepts(sg, terms[:j], chi_edge, d, chi_vertex)
@@ -177,16 +179,29 @@ def test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_k
     assert max(reached) >= (6 if kind == "multiples-of-3" else 2)
     assert min(reached) < 6
     if shared_keys:
-        # filled only by keyed colorings, and only with canonical keys
-        assert bool(root.keys) == (coloring == "seeded-hash")
-        assert all(key == canonical_key(v) for v, key in root.keys.items())
+        tables = root.tables
+        # keys are filled only by keyed colorings, and only with canonical keys
+        assert bool(tables.keys) == (coloring == "seeded-hash")
+        assert all(key == canonical_key(v) for v, key in tables.keys.items())
+        # every value has its own bit, and every stored color is the
+        # coloring's color of the subject that the mask or value stands for
+        assert sorted(tables.bits.values()) == [1 << i for i in range(len(tables.bits))]
+        value_of = {bit: v for v, bit in tables.bits.items()}
+        for chi, colors in tables.edge.items():
+            for mask, color in colors.items():
+                members = [v for bit, v in value_of.items() if mask & bit]
+                assert color == chi.of_set(frozenset(members))
+        for chi, colors in tables.vertex.items():
+            assert all(color == chi.of(v) for v, color in colors.items())
+        assert len(tables.edge) == 100 and len(tables.vertex) == (100 if vertex else 0)
 
 
 @reference_cases
 def test_sibling_prefixes_sharing_one_key_table_match_reference(kind, coloring, d, vertex):
     # one root serves every seed, and each parent is extended by two
-    # sibling terms before its own: siblings fill and read one key table,
-    # as the prefixes of one search do
+    # sibling terms before its own: siblings fill and read one set of
+    # tables, as the prefixes of one search do, and each seed's colorings
+    # keep their own colors there
     test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_keys=True)
 
 
@@ -287,25 +302,104 @@ def test_cofinite_unions_under_a_hash_coloring_still_raise_type_error():
                          SearchBudget(max_index=6))
 
 
-# Node counts of complete searches, as spent before the prefix check was
-# made incremental: the search order, and so every count, is unchanged.
-@pytest.mark.parametrize("run, nodes", [
-    (lambda: hindman_search(seeded_hash_coloring(2, 0), 4,
-                            SearchBudget(max_value=20, node_limit=3000)), 287),
-    (lambda: mt_search(seeded_hash_coloring(3, 0, d=3), FIN,
-                       ElementSequence.from_fn(FIN, lambda i: frozenset({i})),
-                       4, 3, SearchBudget(max_index=8, node_limit=4000)), 1280),
-    (lambda: menger_mt_search(initial_segment_covers(Space.naturals()),
-                              seeded_hash_coloring(2, 101),
-                              seeded_hash_coloring(2, 1, d=2), 3, 2,
-                              CoverKind.LAMBDA, 6,
-                              SearchBudget(max_index=8, node_limit=20000),
-                              target_params={"t": 2, "s": 2, "f": 2}), 1007),
-])
-def test_complete_searches_spend_pinned_nodes(run, nodes):
-    out = run()
-    assert isinstance(out, Exhausted) and out.complete
-    assert out.nodes == nodes
+# Searches with pinned node counts, each as its colorings and a run on
+# them: the search order, and so every count, is unchanged.  The three
+# complete searches were pinned before the prefix check was made
+# incremental.  The menger/lambda search, of the shape of the
+# cover-partition benchmark's menger/lambda template, was pinned before
+# each subject was colored once: it finds its witness at node 1027, and
+# its cut run stops one node before it.
+def _menger_lambda(chi_edge, node_limit):
+    return menger_mt_search(initial_segment_covers(Space.naturals()), None, chi_edge,
+                            3, 2, CoverKind.LAMBDA, 6,
+                            SearchBudget(max_index=10, node_limit=node_limit))
+
+
+PINNED_SEARCHES = {
+    "hindman": (lambda: [seeded_hash_coloring(2, 0)],
+                lambda chi: hindman_search(chi, 4, SearchBudget(max_value=20, node_limit=3000)),
+                (True, 287)),
+    "mt": (lambda: [seeded_hash_coloring(3, 0, d=3)],
+           lambda chi: mt_search(chi, FIN, ElementSequence.from_fn(FIN, lambda i: frozenset({i})),
+                                 4, 3, SearchBudget(max_index=8, node_limit=4000)),
+           (True, 1280)),
+    "menger-lambda-vertex": (
+        lambda: [seeded_hash_coloring(2, 101), seeded_hash_coloring(2, 1, d=2)],
+        lambda chi_vertex, chi_edge: menger_mt_search(
+            initial_segment_covers(Space.naturals()), chi_vertex, chi_edge, 3, 2,
+            CoverKind.LAMBDA, 6, SearchBudget(max_index=8, node_limit=20000),
+            target_params={"t": 2, "s": 2, "f": 2}),
+        (True, 1007)),
+    "menger-lambda-cut": (lambda: [seeded_hash_coloring(2, 0, d=2)],
+                          lambda chi: _menger_lambda(chi, 1026), (False, 1026)),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_SEARCHES))
+def test_searches_spend_pinned_nodes(case):
+    colorings, run, (complete, nodes) = PINNED_SEARCHES[case]
+    out = run(*colorings())
+    assert isinstance(out, Exhausted)
+    assert (out.complete, out.nodes) == (complete, nodes)
+
+
+def test_menger_lambda_witness_is_found_at_its_pinned_node():
+    w = _menger_lambda(seeded_hash_coloring(2, 0, d=2), 1027)
+    assert w.to_record() == {
+        "index_blocks": [[1], [2, 3, 4, 5, 6], [7]],
+        "families": [[1], [2, 3, 4, 5, 6], [7]],
+        "color_vertex": None, "color_edge": 2, "target": "lambda", "coverage": "holds"}
+
+
+def counted(chi: Coloring) -> tuple:
+    """``chi`` with ``fn`` and ``keyed`` wrapped in one counter, and the
+    list to which each evaluation appends the ``canonical_key`` of its
+    subject."""
+    subjects: list = []
+
+    def fn(s):
+        subjects.append(canonical_key(s))
+        return chi.fn(s)
+
+    def keyed(key):
+        subjects.append(key)
+        return chi.keyed(key)
+
+    return dataclasses.replace(chi, fn=fn, keyed=keyed), subjects
+
+
+@pytest.mark.parametrize("case", list(PINNED_SEARCHES))
+def test_each_subject_is_colored_once_per_search(case):
+    colorings, run, pinned = PINNED_SEARCHES[case]
+    wrapped = [counted(chi) for chi in colorings()]
+    out = run(*(chi for chi, _ in wrapped))
+    assert (out.complete, out.nodes) == pinned
+    for _, subjects in wrapped:
+        # one evaluation per distinct (coloring, subject) pair
+        assert subjects and len(subjects) == len(set(subjects))
+
+
+def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
+    made = []
+    root = _PrefixState.root
+
+    def tracked_root():
+        state = root()
+        made.append(weakref.ref(state.tables))
+        return state
+
+    monkeypatch.setattr(_PrefixState, "root", staticmethod(tracked_root))
+    runs = [lambda colorings=colorings, run=run: run(*colorings())
+            for colorings, run, _ in PINNED_SEARCHES.values()]
+    runs.append(lambda: _menger_lambda(seeded_hash_coloring(2, 0, d=2), 1027))
+    gc.disable()
+    try:
+        for search in runs:
+            out = search()
+            assert made and made[-1]() is None, out
+    finally:
+        gc.enable()
+    assert len(made) == len(runs)
 
 
 # ---------------------------------------------------------------- witnesses

@@ -30,12 +30,18 @@ from sumgames.search import (
     verify_hindman_witness,
     verify_mt_witness,
 )
-from sumgames.search import _NodeBudget, _avoider_exists_fc, _lex_first_avoider
+from sumgames.search import (
+    _NodeBudget,
+    _avoider_exists_fc,
+    _candidate_blocks,
+    _lex_first_avoider,
+)
 from sumgames.semigroups import (
     BlockSequence,
     CertificateError,
     ElementSequence,
     ImproperSequenceError,
+    block_key,
     finite_sets,
     is_proper_up_to,
     naturals,
@@ -457,6 +463,22 @@ def brute_force_mt_pairs(chi, base, hi):
             if len(colors) == 1:
                 return (F, H)
     return None
+
+
+def sorted_candidate_blocks(lo, hi):
+    """Every block inside {lo..hi}, built and sorted by (max index, sorted
+    tuple): the order that ``_candidate_blocks`` generates directly."""
+    for k in range(lo, hi + 1):
+        mids = range(lo, k)
+        blocks = [frozenset(c) | {k} for r in range(len(mids) + 1)
+                  for c in itertools.combinations(mids, r)]
+        yield from sorted(blocks, key=block_key)
+
+
+def test_candidate_blocks_are_generated_in_sorted_order():
+    for hi in range(0, 13):
+        for lo in range(1, hi + 2):
+            assert list(_candidate_blocks(lo, hi)) == list(sorted_candidate_blocks(lo, hi))
 
 
 @given(st.integers(0, 2 ** 31))
