@@ -58,6 +58,7 @@ from .search import (
     mt_search,
     proper_or_collapse,
     threshold_search,
+    verify_avoider,
     verify_dichotomy,
     verify_hindman_witness,
     verify_mt_witness,

@@ -3,9 +3,20 @@ games and verification suites, and emits reproducible reports.
 
 Reports are JSON lines, one result object per line, each carrying the
 schema version, the full input config, and the certificates needed to
-re-check the result; ``verify-report`` re-runs each record's config and
-re-verifies the certificates.  All randomness flows from the single config
-seed, so a fixed seed gives byte-identical reports.
+re-check the result.  All randomness flows from the single config seed, so
+a fixed seed gives byte-identical reports.
+
+``verify-report`` checks each record with its command's certifier where the
+record holds a certificate: the witness of search-hindman, search-mt and
+cover-partition, the avoider of a threshold record that found none within
+``max_value``, and the blocks of each proper-or-collapse run.  A certifier
+rebuilds the result from the record and the config, checks it with the
+``verify_*`` function of its kind, runs no search, and requires that the
+result re-encodes to the record.  So it proves the recorded claim, but not
+that the witness is the first one in search order.  Every other record is
+re-run and compared, as is every record under ``rerun``: exhaustions, found
+thresholds, dichotomy runs left unknown at depth, and the commands of
+``_RERUN_ONLY``.
 
 Exit codes: 0 witness found / verified, 1 exhausted / failed,
 2 unknown at depth, 3 usage error.
@@ -23,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
-from .coloring import Coloring, coloring_from_descriptor
+from .coloring import Coloring, coloring_from_descriptor, reduce_two_dim_to_one
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
 from .filters import chain_check, fs_tail_chain, verify_duality_laws
 from .games import (
@@ -50,19 +61,33 @@ from .partition import (
     encode_cofinite_example,
     initial_segment_covers,
     menger_mt_search,
+    verify_partition_witness,
 )
 from .search import (
     Collapse,
+    DichotomyUnknown,
     Proper,
     SearchBudget,
+    ThresholdReport,
     Witness,
     hindman_search,
     mt_search,
     proper_or_collapse,
     threshold_search,
+    verify_avoider,
     verify_dichotomy,
+    verify_hindman_witness,
+    verify_mt_witness,
 )
-from .semigroups import ElementSequence, finite_sets, naturals
+from .semigroups import (
+    BlockSequence,
+    ElementSequence,
+    SumgamesError,
+    finite_sets,
+    indexed_sum,
+    naturals,
+    sum_hypergraph,
+)
 from .verdicts import Verdict
 
 SCHEMA_VERSION = 1
@@ -364,62 +389,156 @@ def _run_search_hindman(config: RunConfig):
     budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
     out = hindman_search(chi, config["m"], budget)
     if isinstance(out, Witness):
-        return EXIT_OK, {"witness": out.to_record(),
-                         "fs_values": sorted(out.certificate["fs_values"])}
+        return EXIT_OK, _hindman_result(out)
     return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete, "nodes": out.nodes}}
 
 
-def _run_search_mt(config: RunConfig):
+def _hindman_result(w: Witness) -> dict:
+    return {"witness": w.to_record(), "fs_values": sorted(w.certificate["fs_values"])}
+
+
+def _certify_search_hindman(config: RunConfig, result: dict) -> Optional[bool]:
+    """Terms a_1 < ... < a_m whose finite sums lie in {1..max_value}, are
+    proper and have the witness's one color."""
+    if "witness" not in result:
+        return None
+    m, record, fs_values = config["m"], result["witness"], result["fs_values"]
+    terms = tuple(record["terms"])
+    if not (len(terms) == m and 0 < terms[0] and list(terms) == sorted(set(terms))
+            and max(fs_values) <= config["max_value"]):
+        return False
+    w = Witness(BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))), terms,
+                record["color_vertex"], None, {"fs_values": fs_values})
+    chi = _build_coloring(config, "coloring", 1)
+    return verify_hindman_witness(w, chi) and _hindman_result(w) == result
+
+
+def _mt_instance(config: RunConfig):
+    """The base and colorings of a search-mt config: (sg, base, chi_e,
+    chi_v, chain)."""
     sg, base = _base_sequence(config)
-    d = config["d"]
     sums = "integers" if config["semigroup"] == "naturals" else "finite sets"
-    chi_e = _build_coloring(config, "edge_coloring", d, sums)
-    chi_v = _build_coloring(config, "vertex_coloring", 1, sums)
-    chain = _chain_from_name(config["chain"], _DENSITY_DELTA)
+    return (sg, base, _build_coloring(config, "edge_coloring", config["d"], sums),
+            _build_coloring(config, "vertex_coloring", 1, sums),
+            _chain_from_name(config["chain"], _DENSITY_DELTA))
+
+
+def _run_search_mt(config: RunConfig):
+    sg, base, chi_e, chi_v, chain = _mt_instance(config)
     budget = SearchBudget(max_index=config["max_index"], node_limit=config["node_limit"])
-    out = mt_search(chi_e, sg, base, config["m"], d, budget,
+    out = mt_search(chi_e, sg, base, config["m"], config["d"], budget,
                     chain=chain, chi_vertex=chi_v)
     if isinstance(out, Witness):
         return EXIT_OK, {"witness": out.to_record()}
     return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete, "nodes": out.nodes}}
 
 
+def _certify_search_mt(config: RunConfig, result: dict) -> Optional[bool]:
+    """m blocks within max_index whose sums are the witness's terms: proper,
+    with every d-chain's sum set of one edge color (and every finite sum of
+    one vertex color), in the chain's sets where one is given."""
+    if "witness" not in result:
+        return None
+    record, m, d = result["witness"], config["m"], config["d"]
+    blocks = BlockSequence(tuple(record["blocks"]))
+    terms = tuple(record["terms"] if config["semigroup"] == "naturals"
+                  else map(frozenset, record["terms"]))
+    # checked before anything is built: m terms have 2^m - 1 sums, and the
+    # base is built up to the largest index of a block
+    if not len(blocks) == len(terms) == m or blocks.max_index > config["max_index"]:
+        return False
+    sg, base, chi_e, chi_v, chain = _mt_instance(config)
+    edge_sets = sum_hypergraph(ElementSequence.from_terms(sg, terms), m, d)
+    w = Witness(blocks, terms, record["color_vertex"], record["color_edge"],
+                {"edge_sets": edge_sets})
+    eta = reduce_two_dim_to_one(chi_v, chi_e, sg) if chi_v is not None and d == 2 else None
+    return (verify_mt_witness(w, sg, base, chi_e, d, chi_vertex=chi_v, chain=chain, eta=eta)
+            and {"witness": w.to_record()} == result)
+
+
 def _run_threshold(config: RunConfig):
     budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
     report = threshold_search(config["colors"], allow_repeats=config["repeats"],
                               budget=budget)
-    result = {
+    return (EXIT_OK if report.found else EXIT_EXHAUSTED), _threshold_result(report)
+
+
+def _threshold_result(report: ThresholdReport) -> dict:
+    return {
         "found": report.found,
         "n": report.n,
         "avoider": {str(k): v for k, v in (report.avoider or {}).items()},
         "confirmed_independent": report.confirmed_independent,
         "note": report.note,
     }
-    return (EXIT_OK if report.found else EXIT_EXHAUSTED), result
+
+
+def _certify_threshold(config: RunConfig, result: dict) -> Optional[bool]:
+    """A record of no threshold within max_value: its avoider colors all of
+    {1..max_value}, so the threshold exceeds max_value.  A found threshold
+    has no certificate yet."""
+    max_value = config["max_value"]
+    note = f"no threshold within {max_value}"
+    if result["found"] is not False or result["note"] != note:
+        return None
+    avoider = {int(v): c for v, c in result["avoider"].items()}
+    return (_threshold_result(ThresholdReport(False, None, avoider, 0, note=note)) == result
+            and verify_avoider(avoider, config["colors"], max_value, config["repeats"]))
+
+
+def _dichotomy_sequence(config: RunConfig, run: int) -> ElementSequence:
+    return _sequence_from_descriptor(config["sequence"], config["depth"],
+                                     config["seed"] + run)
+
+
+def _dichotomy_record(out, ok: bool) -> dict:
+    if isinstance(out, Proper):
+        return {"verdict": "proper", "blocks": [sorted(b) for b in out.blocks],
+                "reverified": ok}
+    if isinstance(out, Collapse):
+        return {"verdict": "collapse", "element": sorted(out.element),
+                "blocks": [sorted(b) for b in out.blocks], "reverified": ok}
+    return {"verdict": "unknown-at-depth", "nodes": out.nodes, "reverified": ok}
 
 
 def _run_proper_or_collapse(config: RunConfig):
-    depth = config["depth"]
     outputs = []
     worst = EXIT_OK
     for r in range(config["runs"]):
-        seq = _sequence_from_descriptor(config["sequence"], depth, config["seed"] + r)
-        out = proper_or_collapse(seq, depth)
+        seq = _dichotomy_sequence(config, r)
+        out = proper_or_collapse(seq, config["depth"])
         ok = verify_dichotomy(out, seq)
-        if isinstance(out, Proper):
-            rec = {"verdict": "proper", "blocks": [sorted(b) for b in out.blocks],
-                   "reverified": ok}
-        elif isinstance(out, Collapse):
-            rec = {"verdict": "collapse", "element": sorted(out.element),
-                   "blocks": [sorted(b) for b in out.blocks], "reverified": ok}
-        else:
-            rec = {"verdict": "unknown-at-depth", "nodes": out.nodes,
-                   "reverified": ok}
+        if isinstance(out, DichotomyUnknown):
             worst = max(worst, EXIT_UNKNOWN)
         if not ok:
             worst = EXIT_EXHAUSTED
-        outputs.append(rec)
+        outputs.append(_dichotomy_record(out, ok))
     return worst, {"runs": outputs}
+
+
+def _certify_proper_or_collapse(config: RunConfig, result: dict) -> Optional[bool]:
+    """Per run, min(3, depth) blocks within depth whose sums are proper, or
+    all equal to an idempotent element.  A run left unknown at depth has no
+    certificate, and neither has a run that failed its recheck."""
+    runs = result["runs"]
+    if any(run["verdict"] == "unknown-at-depth" or run["reverified"] is not True
+           for run in runs):
+        return None
+    depth = config["depth"]
+    if len(runs) != config["runs"]:
+        return False
+    for r, run in enumerate(runs):
+        blocks = BlockSequence(tuple(run["blocks"]))
+        if len(blocks) != min(3, depth) or blocks.max_index > depth:
+            return False
+        seq = _dichotomy_sequence(config, r)
+        if run["verdict"] == "proper":
+            out = Proper(blocks, tuple(indexed_sum(seq, F) for F in blocks))
+        else:
+            out = Collapse(frozenset(run["element"]), blocks)
+        if not (verify_dichotomy(out, seq) and _dichotomy_record(out, True) == run):
+            return False
+    return True
 
 
 def _run_verify_filter_laws(config: RunConfig):
@@ -543,23 +662,55 @@ def _run_game_transfer(config: RunConfig):
     return (EXIT_OK if ok else EXIT_EXHAUSTED), result
 
 
-def _run_cover_partition(config: RunConfig):
-    d = config["d"]
+def _partition_instance(config: RunConfig):
+    """The colorings, target parameters and covers of a cover-partition
+    config: (chi_e, chi_v, params, dc)."""
     sums = "unions of cover members"
-    chi_e = _build_coloring(config, "edge_coloring", d, sums)
+    chi_e = _build_coloring(config, "edge_coloring", config["d"], sums)
     chi_v = _build_coloring(config, "vertex_coloring", 1, sums)
     params = {"t": config["t"], "s": config["s"], "f": config["f"]}
+    # menger_mt_search rejects this too, but the cofinite encoding it would
+    # be given takes time exponential in the truncation to build
+    if config["max_index"] < config["m"]:
+        raise ConfigError("max_index must allow m rounds")
     if config["instance"] == "initial-segments":
         dc = initial_segment_covers(Space.naturals())
     else:
         dc = encode_cofinite_example(config["truncation"]).dc
+    return chi_e, chi_v, params, dc
+
+
+def _run_cover_partition(config: RunConfig):
+    chi_e, chi_v, params, dc = _partition_instance(config)
     budget = SearchBudget(max_index=config["max_index"], node_limit=config["node_limit"])
-    out = menger_mt_search(dc, chi_v, chi_e, config["m"], d, _TARGETS[config["target"]],
-                           config["horizon"], budget, target_params=params)
+    out = menger_mt_search(dc, chi_v, chi_e, config["m"], config["d"],
+                           _TARGETS[config["target"]], config["horizon"], budget,
+                           target_params=params)
     if isinstance(out, PartitionWitness):
         return EXIT_OK, {"witness": out.to_record()}
     return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete,
                                           "nodes": out.nodes, "note": out.note}}
+
+
+def _certify_cover_partition(config: RunConfig, result: dict) -> Optional[bool]:
+    """m disjoint families of U_1-indices within max_index, the n-th drawn
+    from U_n, whose unions hold the escape points gathered before them,
+    are proper and monochromatic, and cover as the target asks."""
+    if "witness" not in result:
+        return None
+    record = result["witness"]
+    # checked before any set is read: an initial-segments cover builds
+    # every set up to the largest index asked for
+    families = record["families"]
+    if len(families) != config["m"] or not all(
+            0 < j <= config["max_index"] for fam in families for j in fam):
+        return False
+    chi_e, chi_v, params, dc = _partition_instance(config)
+    w = PartitionWitness.from_record(record, dc)
+    return (w.target is _TARGETS[config["target"]] and w.coverage is Verdict.HOLDS
+            and verify_partition_witness(w, dc, chi_e, config["d"], chi_vertex=chi_v,
+                                         horizon=config["horizon"], **params)
+            and {"witness": w.to_record()} == result)
 
 
 def _run_encode_classical(config: RunConfig):
@@ -589,9 +740,16 @@ def _o_union(inst, F):
     return out
 
 
-def _recheck(line_no: int, line: str) -> dict:
-    """Re-run one report line; a line that cannot be re-run is a mismatch,
-    with the reason given."""
+# What a certifier meets in a result that does not have the shape its
+# runner writes: a missing key, a value of the wrong type, a block out of
+# order, improper terms.
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, SumgamesError)
+
+
+def _recheck(line_no: int, line: str, rerun: bool) -> dict:
+    """Check one report line: from its certificate where the record holds
+    one and ``rerun`` is false, else by re-running its config.  A line
+    that cannot be checked is a mismatch, with the reason given."""
     entry = {"line": line_no, "command": None, "matches": False}
     try:
         rec = json.loads(line)
@@ -599,8 +757,20 @@ def _recheck(line_no: int, line: str) -> dict:
             raise ConfigError("record is not an object")
         cfg = parse_config(rec.get("config", {}))
         entry["command"] = cfg.command
-        _, regenerated = _COMMANDS[cfg.command].run(cfg)
-        entry["matches"] = regenerated == rec.get("result")
+        command, result = _COMMANDS[cfg.command], rec.get("result")
+        certified = None
+        if command.certify is not None and not rerun:
+            try:
+                certified = command.certify(cfg, result)
+            except _MALFORMED as exc:
+                entry["certificate"] = True
+                entry["reason"] = f"malformed result: {type(exc).__name__}: {exc}"
+                return entry
+        if certified is None:
+            _, regenerated = command.run(cfg)
+            entry["matches"] = regenerated == result
+        else:
+            entry["matches"], entry["certificate"] = certified, True
     except (ConfigError, ValueError) as exc:
         entry["reason"] = str(exc)
     return entry
@@ -611,7 +781,7 @@ def _run_verify_report(config: RunConfig):
     if not os.path.exists(path):
         raise ConfigError("input: report file not found")
     with open(path) as fh:
-        details = [_recheck(line_no, line.strip())
+        details = [_recheck(line_no, line.strip(), config["rerun"])
                    for line_no, line in enumerate(fh, start=1) if line.strip()]
     bad = sum(not entry["matches"] for entry in details)
     result = {"records": len(details), "mismatches": bad, "details": details}
@@ -619,13 +789,32 @@ def _run_verify_report(config: RunConfig):
 
 
 class Command(NamedTuple):
+    """A command: its runner, which returns (exit code, result), and its
+    certifier, which checks a recorded result with no search and returns
+    None where the result holds no certificate."""
+
     run: Callable
     help: str
     keys: dict
+    certify: Optional[Callable] = None
 
 
-def _command(run, help: str, **keys) -> Command:
-    return Command(run, help, {**_COMMON, **keys})
+def _command(run, help: str, certify=None, **keys) -> Command:
+    return Command(run, help, {**_COMMON, **keys}, certify)
+
+
+# The commands without a certifier, whose records verify-report checks only
+# by re-running them, each with the reason.
+_RERUN_ONLY = {
+    "verify-filter-laws": "a claim about every family over the ground; no "
+                          "certificate is cheaper than the scan",
+    "chain-check": "failure counts over a window of the chain, which only the "
+                   "scan of that window gives",
+    "play-game": "a transcript and verdict, which only a replay of the game gives",
+    "game-transfer": "flags computed from a replay of the transferred strategies",
+    "encode-classical": "the outcomes of the encoding's own checks",
+    "verify-report": "the check of another report file",
+}
 
 
 _M = Key(_integer(1), ...)
@@ -639,20 +828,24 @@ _ROUNDS = Key(_integer(1))
 _COMMANDS = {
     "search-hindman": _command(
         _run_search_hindman, "monochromatic finite-sums search",
+        certify=_certify_search_hindman,
         coloring=Key(_coloring_descriptor, ...), m=_M,
         max_value=Key(_integer(0), 0)),
     "search-mt": _command(
         _run_search_mt, "monochromatic sum-graph search",
+        certify=_certify_search_mt,
         edge_coloring=_EDGE_COLORING, vertex_coloring=_VERTEX_COLORING,
         semigroup=Key(_choice(*_SEMIGROUPS), "naturals"),
         base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
         m=_M, d=_D, max_index=_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
     "threshold": _command(
         _run_threshold, "least N forcing monochromatic {x,y,x+y}",
+        certify=_certify_threshold,
         colors=Key(_integer(1), 2), repeats=Key(_boolean, True),
         max_value=Key(_integer(0), 64)),
     "proper-or-collapse": _command(
         _run_proper_or_collapse, "dichotomy certificates",
+        certify=_certify_proper_or_collapse,
         depth=Key(_integer(2), 4), runs=Key(_integer(1), 1),
         sequence=Key(_sequence_descriptor, {"kind": "random-finite-sets"})),
     "verify-filter-laws": _command(
@@ -674,6 +867,7 @@ _COMMANDS = {
         n=Key(_integer(), 2), rounds=_ROUNDS, picks=Key(_integer(1), 8)),
     "cover-partition": _command(
         _run_cover_partition, "monochromatic cover partition search",
+        certify=_certify_cover_partition,
         instance=Key(_choice("initial-segments", "cofinite"), "initial-segments"),
         truncation=Key(_integer(1), 6), edge_coloring=_EDGE_COLORING,
         vertex_coloring=_VERTEX_COLORING, m=_M, d=_D,
@@ -683,7 +877,7 @@ _COMMANDS = {
         truncation=Key(_integer(3), 6)),
     "verify-report": _command(
         _run_verify_report, "re-check a report file",
-        input=Key(_text, ...)),
+        input=Key(_text, ...), rerun=Key(_boolean, False)),
 }
 
 

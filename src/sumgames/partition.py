@@ -126,6 +126,24 @@ class PartitionWitness:
             "coverage": self.coverage.value,
         }
 
+    @classmethod
+    def from_record(cls, record: dict, dc: DescendingCovers) -> "PartitionWitness":
+        """The witness that ``to_record`` wrote as ``record``: each family's
+        sets are read from U_1 through ``dc.member_set``, and the unions
+        are built from them."""
+        families = tuple(tuple((j, dc.member_set(j)) for j in fam)
+                         for fam in record["families"])
+        return cls(
+            families=families,
+            unions=tuple(_union_term(frozenset(j for j, _ in fam), [s for _, s in fam]).value
+                         for fam in families),
+            index_blocks=BlockSequence(tuple(record["index_blocks"])),
+            color_vertex=record["color_vertex"],
+            color_edge=record["color_edge"],
+            target=CoverKind(record["target"]),
+            coverage=Verdict(record["coverage"]),
+        )
+
 
 def _union_term(gens: frozenset, members: Sequence[SSet]) -> IndexedUnion:
     """V_n as an indexed-union semigroup element (generator indices plus

@@ -36,7 +36,6 @@ from .semigroups import (
     is_proper_up_to,
     least_collision,
     naturals,
-    proper_violation,
     take_sumsequence,
 )
 
@@ -399,6 +398,21 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
     return _PrefixState(n, sums, least, masks, edge_color, vertex_color, tables)
 
 
+def _proper_up_to(seq: ElementSequence, n: int, root: _PrefixState) -> bool:
+    """True iff the first ``n`` terms of ``seq`` are proper: the answer of
+    ``proper_violation(seq, n) is None``, found by extending the prefix
+    check one term at a time from the empty prefix's state ``root``, with
+    no colorings, so that it stops at the first collision and never sorts
+    blocks to find the least one.  Without colorings the check neither
+    reads nor fills the tables of ``root``, so a search may share it."""
+    state = root
+    for i in range(1, n + 1):
+        state = _prefix_sums(seq.semigroup, state, seq.term(i))
+        if state is None:
+            return False
+    return True
+
+
 def _chain_candidates(hi: int, m: int) -> Callable:
     """Candidates for chains F_1 < ... < F_m inside {1..hi}: blocks above
     the last one that leave an index for each block still to come."""
@@ -499,7 +513,8 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     hi = budget.max_index
     if hi < m:
         raise ValueError("max_index must allow m blocks")
-    if proper_violation(base, hi) is not None:
+    root = _PrefixState.root()
+    if not _proper_up_to(base, hi, root):
         raise ImproperSequenceError(f"base improper up to index {hi}")
     eta = (reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
            if (chi_vertex is not None and d == 2) else None)
@@ -524,7 +539,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
         )
 
     result = _depth_first(m, _chain_candidates(hi, m), check, finish,
-                          budget.node_limit, _PrefixState.root())
+                          budget.node_limit, root)
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
         raise CertificateError("mt_search produced a witness that fails "
@@ -604,6 +619,15 @@ def _has_mono_triple(colors: dict, n: int, allow_repeats: bool) -> bool:
             if colors[x] == colors[y] == colors[x + y]:
                 return True
     return False
+
+
+def verify_avoider(avoider: dict, k: int, n: int, allow_repeats: bool) -> bool:
+    """Check an avoider with no search: it colors exactly {1..n}, with
+    colors 1..k, and has no monochromatic {x, y, x+y} (x = y only when
+    repeats are allowed).  So every k-coloring threshold exceeds n."""
+    return (set(avoider) == set(range(1, n + 1))
+            and set(avoider.values()) <= set(range(1, k + 1))
+            and not _has_mono_triple(avoider, n, allow_repeats))
 
 
 def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
@@ -827,7 +851,11 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
 
 
 def verify_dichotomy(result, seq: ElementSequence) -> bool:
-    """Re-verify a dichotomy certificate against the original sequence."""
+    """Re-verify a dichotomy certificate against the original sequence.
+
+    Only ``Proper`` and ``Collapse`` results carry a certificate.  Any
+    ``DichotomyUnknown`` is accepted unchecked: its claim that no chain was
+    found can be checked only by running the search again."""
     sg = seq.semigroup
     if isinstance(result, Proper):
         taken = take_sumsequence(seq, result.blocks)

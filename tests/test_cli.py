@@ -1,6 +1,7 @@
 """Config parsing, dispatch, report formats, exit codes, verify-report."""
 import json
 import shlex
+import signal
 
 import pytest
 
@@ -253,6 +254,157 @@ def test_verify_report_counts_a_bad_line_and_goes_on(tmp_path, tamper, reason):
     assert good == {"line": 2, "command": "threshold", "matches": True}
 
 
+def _verify(tmp_path, path, rerun=False):
+    code, recs = run_config(tmp_path, {"command": "verify-report", "input": str(path),
+                                       "rerun": rerun}, name="verify.jsonl")
+    return code, recs[0]["result"]
+
+
+def _report(tmp_path, config, name="r.jsonl"):
+    run_config(tmp_path, config, name=name)
+    return tmp_path / name
+
+
+_MT_README = {"command": "search-mt",
+              "edge_coloring": {"name": "seeded-hash-k", "k": 2, "seed": 4},
+              "semigroup": "finite-sets", "base": "singletons", "m": 3, "d": 2,
+              "max_index": 8}
+_NO_THRESHOLD_40 = {"command": "threshold", "colors": 4, "repeats": True, "max_value": 40}
+_POC_LITERAL = {"command": "proper-or-collapse", "depth": 5, "runs": 1,
+                "sequence": {"kind": "literal", "terms": [1, 2, 3, 4, 5]}}
+
+# Configs whose records carry a certificate: every certified command, both
+# dichotomy verdicts and both cover-partition instances
+CERTIFIED = [
+    _MT_README,
+    {"command": "search-mt", "seed": 3, "edge_coloring": {"name": "seeded-hash-k", "k": 2},
+     "vertex_coloring": {"name": "parity"}, "m": 2, "d": 2, "max_index": 6,
+     "chain": "fs-tails-pow2"},
+    _NO_THRESHOLD_40,
+    {"command": "search-hindman", "coloring": {"name": "mod-k", "k": 3}, "m": 3,
+     "max_value": 60},
+    {"command": "proper-or-collapse", "depth": 5, "runs": 10, "seed": 1},
+    {"command": "proper-or-collapse", "depth": 4, "runs": 6, "seed": 2,
+     "sequence": {"kind": "literal", "semigroup": "finite-sets",
+                  "terms": [[1], [1], [1], [1]]}},
+    _POC_LITERAL,
+    {"command": "cover-partition", "instance": "cofinite", "truncation": 6,
+     "edge_coloring": {"name": "constant"}, "m": 2, "d": 2, "target": "op",
+     "horizon": 1, "max_index": 6},
+    {"command": "cover-partition", "instance": "initial-segments", "seed": 1,
+     "edge_coloring": {"name": "seeded-hash-k", "k": 2}, "m": 3, "d": 2,
+     "target": "lambda", "horizon": 6, "max_index": 9},
+]
+
+
+def test_certified_records_verify_without_any_search(tmp_path, monkeypatch):
+    lines = [_report(tmp_path, config).read_text().strip() for config in CERTIFIED]
+    path = tmp_path / "all.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_search(*args, **kwargs):
+        raise RuntimeError("a certified record ran a search")
+
+    for name in ("hindman_search", "mt_search", "threshold_search",
+                 "proper_or_collapse", "menger_mt_search"):
+        monkeypatch.setattr(cli, name, no_search)
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_OK and result["mismatches"] == 0
+    assert all(d["certificate"] is True and d["matches"] for d in result["details"])
+    # a collapse is certified too, not only proper runs
+    assert '"collapse"' in lines[5]
+
+
+def _set_result(path, change):
+    rec = json.loads(path.read_text())
+    change(rec["result"])
+    path.write_text(json.dumps(rec) + "\n")
+
+
+def _set_avoider(result, value, color):
+    result["avoider"][value] = color
+
+
+@pytest.mark.parametrize("config, change", [
+    # the last block of the least witness, {3, 4, 6, 8}, becomes {3, 4, 6}
+    (_MT_README, lambda r: r["witness"]["blocks"][2].remove(8)),
+    # colors 1 and 2 alike: 1 + 1 = 2 is a monochromatic triple
+    (_NO_THRESHOLD_40, lambda r: _set_avoider(r, "2", r["avoider"]["1"])),
+    ({"command": "search-hindman", "coloring": {"name": "parity"}, "m": 2,
+      "max_value": 7}, lambda r: r["witness"]["terms"].__setitem__(1, 6)),
+    ({"command": "cover-partition", "instance": "initial-segments",
+      "edge_coloring": {"name": "constant"}, "m": 2, "d": 2, "target": "op",
+      "horizon": 2, "max_index": 8},
+     lambda r: r["witness"]["families"].__setitem__(1, [3])),
+    # blocks {1}, {2}, {3, 4} become {1}, {2}, {3}: 1 + 2 = 3 is improper
+    (_POC_LITERAL, lambda r: r["runs"][0]["blocks"].__setitem__(2, [3])),
+], ids=["mt-block", "avoider-color", "hindman-term", "family-index", "dichotomy-block"])
+def test_verify_report_certificate_catches_tampering(tmp_path, config, change):
+    path = _report(tmp_path, config)
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_OK and result["details"][0]["certificate"] is True
+    _set_result(path, change)
+    for rerun in (False, True):
+        code, result = _verify(tmp_path, path, rerun=rerun)
+        assert code == EXIT_EXHAUSTED and result["mismatches"] == 1
+        assert ("certificate" in result["details"][0]) == (not rerun)
+
+
+@pytest.mark.parametrize("config, change", [
+    (_MT_README, lambda r: r["witness"].__setitem__("blocks", "x")),
+    (_MT_README, lambda r: r["witness"].pop("terms")),
+    (_NO_THRESHOLD_40, lambda r: _set_avoider(r, "x", 1)),
+    (_POC_LITERAL, lambda r: r["runs"][0]["blocks"].__setitem__(1, [1])),
+], ids=["blocks-not-a-list", "terms-missing", "avoider-value-not-a-number",
+        "blocks-out-of-order"])
+def test_verify_report_malformed_certificate_is_a_mismatch(tmp_path, config, change):
+    path = _report(tmp_path, config)
+    _set_result(path, change)
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_EXHAUSTED and result["mismatches"] == 1
+    entry = result["details"][0]
+    assert entry["matches"] is False and entry["certificate"] is True
+    assert entry["reason"].startswith("malformed result: ")
+
+
+def test_every_command_has_a_certifier_or_is_rerun_only():
+    for name, command in cli._COMMANDS.items():
+        assert (command.certify is None) == (name in cli._RERUN_ONLY), name
+    assert set(cli._RERUN_ONLY) <= set(cli._COMMANDS)
+
+
+def test_exhausted_and_found_records_are_rerun(tmp_path):
+    # an exhaustion and a found threshold carry no certificate yet
+    for config in ({"command": "search-hindman", "coloring": {"name": "seeded-hash-k", "k": 2},
+                    "seed": 1, "m": 4, "max_value": 5},
+                   {"command": "threshold", "colors": 2, "repeats": True}):
+        code, result = _verify(tmp_path, _report(tmp_path, config))
+        assert code == EXIT_OK
+        assert result["details"] == [{"line": 1, "command": config["command"],
+                                      "matches": True}]
+
+
+class _WallLimit(Exception):
+    """Raised by the alarm; not an OSError, which main() would catch."""
+
+
+def test_cover_partition_rejects_max_index_below_m_before_building(capsys):
+    # the cofinite encoding at truncation 20 takes many seconds to build
+    def fire(signum, frame):
+        raise _WallLimit
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = main(shlex.split("cover-partition --instance cofinite --truncation 20 "
+                                "--edge-coloring constant --m 3 --max-index 2"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: max_index must allow m rounds\n"
+
+
 # ---------------------------------------------------------------- main()
 
 def test_main_threshold(tmp_path, capsys):
@@ -466,6 +618,8 @@ FLAG_SURFACE = [
      {"command": "verify-filter-laws", "ground": 3}, EXIT_OK),
     ("verify-report --input report.jsonl",
      {"command": "verify-report", "input": "report.jsonl"}, EXIT_OK),
+    ("verify-report --input report.jsonl --rerun",
+     {"command": "verify-report", "input": "report.jsonl", "rerun": True}, EXIT_OK),
     ("verify-filter-laws --ground 2 --format pretty",
      {"command": "verify-filter-laws", "format": "pretty", "ground": 2}, EXIT_OK),
     ("verify-filter-laws --ground 2 --format csv --seed 7 --node-limit 500",
@@ -535,3 +689,21 @@ def test_flag_surface(tmp_path, monkeypatch, capsys, argv, config, code):
     monkeypatch.setattr(cli, "dispatch", recording_dispatch)
     assert main(shlex.split(argv)) == code
     assert built == [{**_RECORDED_DEFAULTS, **config}]
+
+
+# The rows whose command writes a report that verify-report reads, and a
+# threshold record that holds an avoider as its certificate.
+_REPORTING_ROWS = [(argv, config) for argv, config, _ in FLAG_SURFACE
+                   if config["command"] != "verify-report" and "format" not in config]
+_REPORTING_ROWS.append(("threshold --colors 4 --repeats --max-value 40", _NO_THRESHOLD_40))
+
+
+@pytest.mark.parametrize("argv, config", _REPORTING_ROWS,
+                         ids=[argv for argv, _ in _REPORTING_ROWS])
+def test_verify_report_agrees_with_rerun(tmp_path, argv, config):
+    path = _report(tmp_path, config)
+    by_certificate = _verify(tmp_path, path)
+    by_rerun = _verify(tmp_path, path, rerun=True)
+    assert by_certificate[0] == by_rerun[0] == EXIT_OK
+    assert ([d["matches"] for d in by_certificate[1]["details"]]
+            == [d["matches"] for d in by_rerun[1]["details"]])

@@ -1,6 +1,7 @@
 """Witness searches: Hindman, Milliken–Taylor, Schur thresholds, dichotomy."""
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,11 @@ from sumgames.search import (
 )
 from sumgames.search import (
     _NodeBudget,
+    _PrefixState,
     _avoider_exists_fc,
     _candidate_blocks,
     _lex_first_avoider,
+    _proper_up_to,
 )
 from sumgames.semigroups import (
     BlockSequence,
@@ -45,6 +48,7 @@ from sumgames.semigroups import (
     finite_sets,
     is_proper_up_to,
     naturals,
+    proper_violation,
     sum_hypergraph,
     take_sumsequence,
 )
@@ -127,6 +131,43 @@ def test_mt_improper_base_rejected():
     with pytest.raises(ImproperSequenceError):
         mt_search(constant_coloring(2, 1), NAT, base, m=2, d=2,
                   budget=SearchBudget(max_index=4))
+
+
+def _random_finite_set_base(seed, length=8):
+    rng = random.Random(seed)
+    return ElementSequence.from_terms(
+        finite_sets(), [frozenset(rng.sample(range(1, 7), rng.randint(1, 3)))
+                        for _ in range(length)])
+
+
+def nat_seq(*terms):
+    return ElementSequence.from_terms(NAT, terms)
+
+
+# improper from index 3 and from index 2, each continued by powers of two to
+# 8 terms, then random finite sets, most of them improper at some index <= 8
+_BASES = ([nat_seq(1, 2, 3, 8, 16, 32, 64, 128), nat_seq(1, 1, 4, 8, 16, 32, 64, 128)]
+                   + [_random_finite_set_base(seed) for seed in range(12)])
+
+
+@pytest.mark.parametrize("base", _BASES + [pow2_base(), nat_seq(1, 3, 2, 9)],
+                         ids=lambda base: repr(base))
+def test_base_properness_fold_agrees_with_proper_violation(base):
+    for hi in range(0, min(8, base.length or 8) + 1):
+        assert _proper_up_to(base, hi, _PrefixState.root()) == (proper_violation(base, hi) is None), hi
+
+
+@pytest.mark.parametrize("base", _BASES, ids=lambda base: repr(base))
+def test_mt_search_rejects_an_improper_base_as_proper_violation_does(base):
+    chi = seeded_hash_coloring(2, 1, 2)
+    for hi in range(2, 9):
+        if proper_violation(base, hi) is None:
+            assert mt_search(chi, base.semigroup, base, 2, 2,
+                             SearchBudget(max_index=hi)) is not None
+        else:
+            with pytest.raises(ImproperSequenceError,
+                               match=f"base improper up to index {hi}"):
+                mt_search(chi, base.semigroup, base, 2, 2, SearchBudget(max_index=hi))
 
 
 def test_mt_rejects_fewer_blocks_than_d():
