@@ -773,6 +773,8 @@ def _recheck(line_no: int, line: str, rerun: bool) -> dict:
             entry["matches"], entry["certificate"] = certified, True
     except (ConfigError, ValueError) as exc:
         entry["reason"] = str(exc)
+    except Exception as exc:  # a record whose check raises is one mismatch
+        entry["reason"] = f"check raised {type(exc).__name__}: {exc}"
     return entry
 
 

@@ -10,7 +10,11 @@ it quantifies over.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -319,29 +323,44 @@ _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _DIGIT = [bytes(b"01"[(b >> k) & 1] for b in range(256)) for k in range(8)]
 
 
-def _dual_table(g: int) -> list:
+def _dual_table(g: int) -> array:
     """dual(f) for every family f over a ground of size g (1..4).
 
     A family is a bitmask over the 2^g subset masks; bit s of dual(f) is
     set iff f lacks the complement full ^ s = 2^g - 1 - s.  So dual(f) is
-    the complement of the 2^g-bit reversal of f.
+    the complement of the 2^g-bit reversal of f.  At g = 4, with
+    f = hi·256 + lo, the low byte of dual(f) is ~rev(hi) and the high byte
+    ~rev(lo), so the table is built from two byte columns.
     """
     width = 1 << g
     mask = (1 << width) - 1
     if width <= 8:
-        return [mask ^ (_REV8[f] >> (8 - width)) for f in range(1 << width)]
-    return [mask ^ (_REV8[lo] << 8 | _REV8[hi])
-            for hi in range(256) for lo in range(256)]
+        return array("H", [mask ^ (_REV8[f] >> (8 - width)) for f in range(1 << width)])
+    flipped = bytes(0xFF ^ r for r in _REV8)
+    low = b"".join(bytes([d]) * 256 for d in flipped)  # ~rev(hi), hi = f >> 8
+    high = flipped * 256  # ~rev(lo), lo = f & 0xFF
+    pairs = bytearray(2 << width)
+    pairs[0::2], pairs[1::2] = (low, high) if sys.byteorder == "little" else (high, low)
+    return array("H", pairs)
 
 
-def _bit_planes(values, width: int) -> list:
-    """Transpose ``values`` (ints below 2^width): plane k has bit i set iff
-    bit k of values[i] is set."""
+def _byte_planes(column: bytes) -> list:
+    """Transpose a byte column: plane k has bit i set iff bit k of
+    column[i] is set."""
+    return [int(column.translate(_DIGIT[k])[::-1], 2) for k in range(8)]
+
+
+def _identity_planes(n_subsets: int) -> list:
+    """Plane s has bit f set iff family f holds subset s, in closed form:
+    2^s families without s, then 2^s with it, repeated."""
     planes = []
-    for low in range(0, width, 8):
-        column = bytes([(v >> low) & 0xFF for v in values])
-        for k in range(min(8, width - low)):
-            planes.append(int(column.translate(_DIGIT[k])[::-1], 2))
+    for s in range(n_subsets):
+        run = 1 << s
+        plane, period = ((1 << run) - 1) << run, 2 * run
+        while period < 1 << n_subsets:
+            plane |= plane << period
+            period *= 2
+        planes.append(plane)
     return planes
 
 
@@ -419,9 +438,9 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
         return is_filter(f) and all((f >> s) & 1 or (f >> (full ^ s)) & 1
                                     for s in range(n_subsets))
 
-    duals = _dual_table(g)
+    duals = array("H", _dual_table(g))  # law 1 reads its raw bytes
     # plane s of the identity: the families that hold subset s
-    member = _bit_planes(range(n_families), n_subsets)
+    member = _identity_planes(n_subsets)
 
     def subset_mask(a: int, b: int) -> bool:
         return a | b == b
@@ -442,7 +461,10 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
         # The covering pair (f, f | 1<<b), f without b, breaks law 1 when
         # some subset s is in dual(f | 1<<b) but not in dual(f).  On the
         # plane of s, bit f of plane >> 2^b is bit f | 1<<b = f + 2^b.
-        planes = _bit_planes(duals, n_subsets)
+        # one byte column per half of each entry; law 1 ORs over all the
+        # planes, so their order, and with it the byte order, is immaterial
+        raw = duals.tobytes()
+        planes = _byte_planes(raw[0::2]) + _byte_planes(raw[1::2])
         every = (1 << n_families) - 1
         for b in range(n_subsets):
             without_b = every ^ member[b]
@@ -452,8 +474,12 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
                 escapes |= (plane >> (1 << b)) & ~plane
             viol1 += (escapes & without_b).bit_count()
 
-    count2 = n_families
-    viol2 = sum(1 for f in range(n_families) if duals[duals[f]] != f)
+    # double duals gathered in C a chunk at a time (each chunk has at
+    # least 4 entries, so itemgetter returns a tuple)
+    count2, viol2 = n_families, 0
+    for start in range(0, n_families, 4096):
+        double = operator.itemgetter(*duals[start:start + 4096])(duals)
+        viol2 += sum(map(operator.ne, double, itertools.count(start)))
 
     up_closed = list(_set_bits(_up_closed(member)))
     filters = [f for f in up_closed if is_filter(f)]
@@ -539,20 +565,26 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
     """Verify a symbolic chain up to the given depth: descension and
     freeness on samples, and the elementwise idempotence condition: for
     every n there is m > n such that each sampled a in A_m has k > m with
-    a + A_k ⊆ A_m.  Returns the witnessing m and k maps."""
+    a + A_k ⊆ A_m.  Returns the witnessing m and k maps.
+
+    Each sample list and each membership is computed once per call: the
+    idempotence search asks for the same links and sums again and again.
+    """
+    members_within = functools.cache(chain.members_within)
+    holds = functools.cache(lambda n, x: chain.set_at(n)(x))
+
     descending_failures = []
     for n in range(1, depth + 1):
-        pred_n = chain.set_at(n)
-        for x in chain.members_within(n + 1, window):
-            if not pred_n(x):
+        for x in members_within(n + 1, window):
+            if not holds(n, x):
                 descending_failures.append((n, x))
 
     freeness_failures = []
-    for x in chain.members_within(1, window):
+    for x in members_within(1, window):
         n = chain.exclusion_index(x)
         if n is None:
             freeness_failures.append((x, None))
-        elif chain.set_at(n)(x):
+        elif holds(n, x):
             freeness_failures.append((x, n))
 
     # Level m is self-absorbing when every sampled a in A_m has some k > m
@@ -565,14 +597,13 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
     def absorbs(m: int) -> bool:
         if m in self_absorbing:
             return self_absorbing[m]
-        pred_m = chain.set_at(m)
-        sampled = chain.members_within(m, window)
+        sampled = members_within(m, window)
         ok = bool(sampled)
         for a in sampled:
             k_found = None
             for k in range(m + 1, m + window + 2):
-                cs = chain.members_within(k, window)
-                if cs and all(pred_m(chain.semigroup.combine(a, c)) for c in cs):
+                cs = members_within(k, window)
+                if cs and all(holds(m, chain.semigroup.combine(a, c)) for c in cs):
                     k_found = k
                     break
             if k_found is None:
@@ -655,7 +686,9 @@ def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
         return None
 
     def members_within(n: int, bound: int) -> list:
-        w = min(bound, window_end(n) - n)
+        # at most index_window - 1 terms, so that the samples of A_{n+1}
+        # lie inside the window that decides membership in A_n
+        w = min(bound, index_window - 1, window_end(n) - n)
         sums = fs_enumerate(
             ElementSequence.from_fn(sg, lambda i, _n=n: seq.term(_n + i - 1)), w)
         seen, out = set(), []

@@ -254,6 +254,25 @@ def test_verify_report_counts_a_bad_line_and_goes_on(tmp_path, tamper, reason):
     assert good == {"line": 2, "command": "threshold", "matches": True}
 
 
+def test_verify_report_counts_a_raising_rerun_and_goes_on(tmp_path):
+    # judge() rejects the arguments play-game passes for target lambda
+    # with a TypeError, which once stopped verify-report with a traceback
+    run_config(tmp_path, {"command": "play-game", "rounds": 4, "horizon": 4},
+               name="g.jsonl")
+    path = tmp_path / "g.jsonl"
+    line = path.read_text().strip()
+    path.write_text(f"{_set_config(line, 'target', 'lambda')}\n{line}\n")
+    code, recs = run_config(tmp_path, {"command": "verify-report",
+                                       "input": str(path)}, name="v.jsonl")
+    assert code == EXIT_EXHAUSTED
+    result = recs[0]["result"]
+    assert result["records"] == 2 and result["mismatches"] == 1
+    bad, good = result["details"]
+    assert bad["matches"] is False and bad["command"] == "play-game"
+    assert bad["reason"].startswith("check raised TypeError: ")
+    assert good == {"line": 2, "command": "play-game", "matches": True}
+
+
 def _verify(tmp_path, path, rerun=False):
     code, recs = run_config(tmp_path, {"command": "verify-report", "input": str(path),
                                        "rerun": rerun}, name="verify.jsonl")

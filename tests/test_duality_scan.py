@@ -2,6 +2,7 @@
 replaced, and its bit encoding against the extensional definitions."""
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,12 +11,34 @@ from sumgames.filters import (
     DualityReport,
     LawLine,
     SetFamily,
-    _bit_planes,
+    _byte_planes,
     _dual_table,
+    _identity_planes,
     _up_closed,
     plus_dual,
     verify_duality_laws,
 )
+
+
+def _bit_planes(values, width: int) -> list:
+    """Transpose ``values`` (ints below 2^width): plane k has bit i set iff
+    bit k of values[i] is set."""
+    planes = []
+    for low in range(0, width, 8):
+        column = bytes([(v >> low) & 0xFF for v in values])
+        planes += _byte_planes(column)[:width - low]
+    return planes
+
+
+def reference_dual(f: int, g: int) -> int:
+    """The plus dual of family f over a ground of size g, one subset at a
+    time: subset s is in dual(f) iff its complement is not in f."""
+    full = (1 << g) - 1
+    out = 0
+    for s in range(1 << g):
+        if not (f >> (full ^ s)) & 1:
+            out |= 1 << s
+    return out
 
 
 def reference_duality_laws(ground_size: int) -> DualityReport:
@@ -38,13 +61,6 @@ def reference_duality_laws(ground_size: int) -> DualityReport:
 
     comp = [full ^ s for s in range(n_subsets)]
     supersets = [[t for t in range(n_subsets) if s | t == t] for s in range(n_subsets)]
-
-    def dual(f: int) -> int:
-        out = 0
-        for s in range(n_subsets):
-            if not (f >> comp[s]) & 1:
-                out |= 1 << s
-        return out
 
     def members(f: int):
         return [s for s in range(n_subsets) if (f >> s) & 1]
@@ -78,7 +94,7 @@ def reference_duality_laws(ground_size: int) -> DualityReport:
         return is_filter(f) and all((f >> s) & 1 or (f >> comp[s]) & 1
                                     for s in range(n_subsets))
 
-    duals = [dual(f) for f in range(n_families)]
+    duals = [reference_dual(f, g) for f in range(n_families)]
 
     def subset_mask(a: int, b: int) -> bool:
         return a | b == b
@@ -181,6 +197,25 @@ def test_up_closed_families_are_counted_by_dedekind_numbers():
         assert {f for f in range(1 << (1 << g)) if (x >> f) & 1} == _up_closed_by_definition(g)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_identity_planes_are_the_transposed_identity(g):
+    n_subsets = 1 << g
+    assert _identity_planes(n_subsets) == _bit_planes(range(1 << n_subsets), n_subsets)
+
+
+def test_ground_4_scan_peak_memory():
+    # the scan once built 65,536-int lists and peaked at 3.39 MiB, which
+    # showed in the benchmark's peak RSS
+    verify_duality_laws(4)
+    tracemalloc.start()
+    try:
+        verify_duality_laws(4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_bit_planes_transpose():
     rng = random.Random(7)
     for width in (4, 8, 16):
@@ -195,12 +230,15 @@ def _subset(s, g):
     return frozenset(i for i in range(g) if (s >> i) & 1)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_dual_table_is_the_plus_dual(g):
     # subset mask s stands for {i : bit i of s}
     n_subsets = 1 << g
     ground = frozenset(range(g))
     table = _dual_table(g)
+    assert list(table) == [reference_dual(f, g) for f in range(1 << n_subsets)]
+    if g == 4:
+        return  # 65,536 extensional plus duals take too long
     for f in range(1 << n_subsets):
         fam = SetFamily(ground, frozenset(_subset(s, g) for s in range(n_subsets)
                                           if (f >> s) & 1))
