@@ -203,7 +203,8 @@ _SEMIGROUPS = ("naturals", "finite-sets")
 
 def _sequence_descriptor(name, value):
     """A sequence descriptor: an object or its JSON text.  Literal terms are
-    integers over the naturals and lists of integers over finite sets."""
+    integers >= 1 over the naturals and nonempty lists of them over finite
+    sets, so that every term lies in its semigroup."""
     if isinstance(value, str):
         value = _json_text(name, value)
     if not isinstance(value, dict):
@@ -216,15 +217,17 @@ def _sequence_descriptor(name, value):
     semigroup = _choice(*_SEMIGROUPS)(f"{name}.semigroup",
                                       value.get("semigroup", "naturals"))
     if "terms" in value:
-        item = _integer() if semigroup == "naturals" else _list_of(_integer())
+        item = (_integer(1) if semigroup == "naturals"
+                else _list_of(_integer(1), nonempty=True))
         value["terms"] = _list_of(item)(f"{name}.terms", value["terms"])
     return value
 
 
-def _list_of(item: Callable) -> Callable:
+def _list_of(item: Callable, nonempty: bool = False) -> Callable:
     def parse(name, value):
-        if not isinstance(value, list):
-            raise ConfigError(f"{name}: expected a list, got {value!r}")
+        if not isinstance(value, list) or (nonempty and not value):
+            kind = "a nonempty list" if nonempty else "a list"
+            raise ConfigError(f"{name}: expected {kind}, got {value!r}")
         return [item(name, v) for v in value]
     return parse
 

@@ -110,7 +110,7 @@ class PartitionWitness:
 
     families: tuple                      # tuple over rounds of ((j, SSet), ...)
     unions: tuple                        # the V_n, as SSets
-    index_blocks: Optional[BlockSequence]
+    index_blocks: BlockSequence
     color_vertex: Optional[int]
     color_edge: int
     target: CoverKind
@@ -118,7 +118,7 @@ class PartitionWitness:
 
     def to_record(self) -> dict:
         return {
-            "index_blocks": [sorted(b) for b in self.index_blocks] if self.index_blocks else None,
+            "index_blocks": [sorted(b) for b in self.index_blocks],
             "families": [[j for j, _ in fam] for fam in self.families],
             "color_vertex": self.color_vertex,
             "color_edge": self.color_edge,
@@ -263,10 +263,8 @@ def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
         for j, s in fam:
             if dc.member_set(j) != s:
                 return False
-    if w.index_blocks is not None:
-        blocks = list(w.index_blocks)
-        if [frozenset(j for j, _ in fam) for fam in w.families] != blocks:
-            return False
+    if [frozenset(j for j, _ in fam) for fam in w.families] != list(w.index_blocks):
+        return False
     terms = [_union_term(frozenset(j for j, _ in fam), [s for _, s in fam])
              for fam in w.families]
     if tuple(w.unions) != tuple(t.value for t in terms):

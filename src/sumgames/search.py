@@ -16,12 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import (
-    Coloring,
-    canonical_key,
-    cardinality_coloring,
-    reduce_two_dim_to_one,
-)
+from .coloring import Coloring, canonical_key, reduce_two_dim_to_one
 from .semigroups import (
     BlockSequence,
     CertificateError,
@@ -291,8 +286,8 @@ def _color(chi: Coloring, members: list, keys: dict) -> int:
 def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
                  chi_edge: Optional[Coloring] = None, d: int = 0,
                  chi_vertex: Optional[Coloring] = None) -> Optional[_PrefixState]:
-    """The prefix check of the Hindman, Milliken–Taylor and cover-partition
-    searches, extended by one term.
+    """The prefix check of the Hindman, Milliken–Taylor, proper-or-collapse
+    and cover-partition searches, extended by one term.
 
     ``parent`` is the state of the first n - 1 terms (``_PrefixState.root()``
     when n = 1), which passed this check.  Only the 2^(n-1) sums of blocks
@@ -795,56 +790,45 @@ def threshold_search(k: int, allow_repeats: bool = True,
 def proper_or_collapse(seq: ElementSequence, depth: int,
                        budget: Optional[SearchBudget] = None):
     """Either a block sequence inducing a proper sumsequence, or a collapse
-    element e with e + e = e: the cardinality pair coloring decides which.
+    element e with e + e = e.
 
-    Searches block chains of length min(3, depth) inside {1..depth}; a
-    color-1 (all sums equal) chain is only accepted once e + e = e checks
-    out, so returned collapse certificates always verify.
+    Searches chains of min(3, depth) blocks inside {1..depth} whose pairs of
+    blocks F < H have all sums distinct (proper) or all equal (collapse).
+    The proper branch is ``_prefix_sums`` with no coloring.  At two terms
+    that check refuses the second only when it equals the first, e; the
+    collapse branch then accepts only terms equal to e, and returns a
+    collapse only once e + e = e checks out, so returned collapse
+    certificates always verify.
     """
     budget = budget or SearchBudget(max_index=depth)
     m = min(3, depth)
     if m < 2:
         raise ValueError("dichotomy needs depth >= 2")
-    card = cardinality_coloring(2)
+    if seq.length is not None and seq.length < depth:
+        raise ValueError(f"depth={depth} needs {depth} terms, the sequence has "
+                         f"{seq.length}")
     sg = seq.semigroup
     # the sum over a block depends on the block alone: take it once
     block_sum = functools.cache(functools.partial(indexed_sum, seq))
 
-    def check(blocks: list, parent: Optional[tuple]) -> Optional[tuple]:
-        # (sums, color): the finite sums, and the one cardinality color of
-        # the pairs F < H seen so far; only pairs with H holding n are new
-        parent_sums, color = parent or ({}, None)
-        n = len(blocks)
+    def check(blocks: list, parent):
         term = block_sum(blocks[-1])
-        table = _blocks_ending_at(n)
-        sums = dict(parent_sums)
-        sums[table[0][0]] = term
-        for (H, _), v in zip(table[1:], parent_sums.values()):
-            sums[H] = sg.combine(v, term)
-        for F, H in itertools.chain.from_iterable(_chains_ending_at(n, 2)):
-            c = card.of_set(frozenset({sums[F], sums[H]}))
-            if color is None:
-                color = c
-            elif c != color:
-                return None
-        return sums, color
+        if not isinstance(parent, _PrefixState):  # collapse branch: parent is e
+            return parent if term == parent else None
+        state = _prefix_sums(sg, parent, term)
+        # refused at two terms: the second term is the first, e
+        return term if state is None and len(blocks) == 2 else state
 
-    def finish(blocks: list, state: tuple):
-        sums = state[0]
-        # Every pair F < H has the color of ({1}, {2}): with 2 no two such
-        # sums are equal (proper); with 1 every term is e, and e + e = e
-        # makes every sum e.
+    def finish(blocks: list, state):
         bseq = BlockSequence(tuple(blocks))
-        taken = tuple(sums[frozenset([i])] for i in range(1, m + 1))
-        e = taken[0]
-        if card.of_set(frozenset({e, taken[1]})) == 2:
-            return Proper(blocks=bseq, terms=taken)
-        if sg.combine(e, e) == e:
-            return Collapse(element=e, blocks=bseq)
+        if isinstance(state, _PrefixState):
+            return Proper(blocks=bseq, terms=tuple(map(block_sum, blocks)))
+        if sg.combine(state, state) == state:
+            return Collapse(element=state, blocks=bseq)
         return None
 
     out = _depth_first(m, _chain_candidates(depth, m), check, finish,
-                       budget.node_limit)
+                       budget.node_limit, _PrefixState.root())
     if isinstance(out, Exhausted):
         return DichotomyUnknown(nodes=out.nodes, complete=out.complete)
     return out

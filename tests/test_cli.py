@@ -500,6 +500,14 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     ("play-game --mode foo", "mode: expected one of g1, gfin"),
     ("search-hindman --coloring parity --m two", "m: expected an integer"),
     ("search-mt --edge-coloring seeded-hash-k:x --m 2", "edge_coloring.k: expected an integer"),
+    # these three used to end in an IndexError or a TypeError traceback, or
+    # in a collapse to 0 or to the empty set, neither of which is a term
+    ("""proper-or-collapse --sequence '{"kind":"literal","terms":[1,2]}' --depth 4""",
+     "depth=4 needs 4 terms, the sequence has 2"),
+    ("""proper-or-collapse --sequence '{"kind":"literal","terms":[0,0,0]}' --depth 3""",
+     "sequence.terms: must be >= 1, got 0"),
+    ("""proper-or-collapse --sequence '{"kind":"literal","semigroup":"finite-sets","""
+     """"terms":[[],[]]}'""", "sequence.terms: expected a nonempty list, got []"),
 ])
 def test_bad_flag_is_a_config_error(capsys, argv, message):
     assert main(shlex.split(argv)) == EXIT_USAGE

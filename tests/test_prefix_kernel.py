@@ -9,6 +9,8 @@ import weakref
 
 import pytest
 
+from sumgames import partition as partition_module
+from sumgames import search as search_module
 from sumgames.coloring import (
     Coloring,
     canonical_key,
@@ -36,6 +38,7 @@ from sumgames.search import (
     _PrefixState,
     hindman_search,
     mt_search,
+    proper_or_collapse,
     verify_mt_witness,
 )
 from sumgames.semigroups import (
@@ -379,6 +382,45 @@ def test_each_subject_is_colored_once_per_search(case):
         assert subjects and len(subjects) == len(set(subjects))
 
 
+# One small instance of each block search, each of which finds its result
+KERNEL_SEARCHES = {
+    "hindman": lambda: hindman_search(seeded_hash_coloring(2, 0), 3,
+                                      SearchBudget(max_value=12)),
+    "mt": lambda: mt_search(seeded_hash_coloring(2, 0, d=2), FIN,
+                            ElementSequence.from_fn(FIN, lambda i: frozenset({i})),
+                            3, 2, SearchBudget(max_index=6)),
+    "proper-or-collapse": lambda: proper_or_collapse(
+        ElementSequence.from_fn(NAT, lambda i: 2 ** (i - 1)), 4),
+    "cover-partition": lambda: menger_mt_search(
+        initial_segment_covers(Space.naturals()), None, seeded_hash_coloring(2, 0, d=2),
+        2, 2, CoverKind.OP, 2, SearchBudget(max_index=6)),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_SEARCHES))
+def test_every_block_search_checks_its_nodes_with_the_shared_kernel(case, monkeypatch):
+    # each node of these instances reaches the prefix check, so a search
+    # with a check of its own calls the kernel fewer times than it spends
+    # nodes; partition imports the kernel by name, so both names are patched
+    calls, budgets = [], []
+
+    def counted_kernel(*args, **kwargs):
+        calls.append(args)
+        return _prefix_sums(*args, **kwargs)
+
+    class Recorded(search_module._NodeBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(search_module, "_prefix_sums", counted_kernel)
+    monkeypatch.setattr(partition_module, "_prefix_sums", counted_kernel)
+    monkeypatch.setattr(search_module, "_NodeBudget", Recorded)
+    assert not isinstance(KERNEL_SEARCHES[case](), Exhausted)
+    assert len(budgets) == 1 and budgets[0].used >= 2
+    assert len(calls) >= budgets[0].used
+
+
 def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
     made = []
     root = _PrefixState.root
@@ -579,7 +621,8 @@ def replace_member(w: PartitionWitness) -> PartitionWitness:
     lambda w: dataclasses.replace(w, color_vertex=flip(w.color_vertex)),
     replace_member,
     lambda w: dataclasses.replace(w, unions=(w.unions[1],) + w.unions[1:]),
-], ids=["color-edge", "color-vertex", "family-member", "union"])
+    lambda w: dataclasses.replace(w, index_blocks=BlockSequence(w.index_blocks[:-1])),
+], ids=["color-edge", "color-vertex", "family-member", "union", "index-blocks"])
 def test_tampered_partition_witness_is_rejected(tamper):
     w = menger_mt_search(PARTITION_COVERS, PARTITION_VERTEX, PARTITION_EDGE, 3, 2,
                          CoverKind.LAMBDA, 6, SearchBudget(max_index=10))

@@ -648,6 +648,68 @@ def test_dichotomy_first_result_is_first_verified(seed):
         assert type(got) is type(want) and got.blocks == want.blocks
 
 
+# (verdict, blocks, nodes) of each dichotomy run above, or ("unknown",
+# complete, nodes), at full budget and at a node limit of 3: pinned before
+# the proper branch ran on the shared prefix check.  The nodes of a run
+# that finds its result are those it spent up to that result.
+PINNED_DICHOTOMY = {
+    0: (("proper", [[1], [2], [4]], 5), ("unknown", False, 3)),
+    1: (("proper", [[1], [2, 3], [4]], 7), ("unknown", False, 3)),
+    2: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    3: (("proper", [[1], [2, 3], [4]], 7), ("unknown", False, 3)),
+    4: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    5: (("collapse", [[1], [2], [3, 5]], 7), ("unknown", False, 3)),
+    6: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    7: (("proper", [[1], [2], [3, 4]], 4), ("unknown", False, 3)),
+    8: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    9: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    10: (("unknown", True, 3), ("unknown", True, 3)),
+    11: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    12: (("proper", [[2], [3, 4], [5]], 101), ("unknown", False, 3)),
+    13: (("collapse", [[1], [2, 3], [4, 5]], 12), ("unknown", False, 3)),
+    14: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    15: (("unknown", True, 15), ("unknown", False, 3)),
+    16: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    17: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    18: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    19: (("unknown", True, 3), ("unknown", True, 3)),
+    20: (("collapse", [[1], [2], [4]], 5), ("unknown", False, 3)),
+    21: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+    22: (("proper", [[1], [2], [3, 4]], 4), ("unknown", False, 3)),
+    23: (("proper", [[1], [2], [3]], 3), ("proper", [[1], [2], [3]], 3)),
+}
+
+
+def dichotomy_outcome(result, nodes: int) -> tuple:
+    if isinstance(result, DichotomyUnknown):
+        assert result.nodes == nodes
+        return "unknown", result.complete, nodes
+    return type(result).__name__.lower(), [sorted(b) for b in result.blocks], nodes
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dichotomy_spends_pinned_nodes(seed, monkeypatch):
+    budgets = []
+
+    class Recorded(_NodeBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(search_module, "_NodeBudget", Recorded)
+    rng = random.Random(seed)
+    depth = rng.randint(3, 6)
+    terms = [frozenset(rng.sample(range(1, 4), rng.randint(1, 2)))
+             for _ in range(depth)]
+    seq = ElementSequence.from_terms(FIN, terms)
+    got = []
+    for limit in (10 ** 7, 3):
+        out = proper_or_collapse(seq, depth, SearchBudget(max_index=depth, node_limit=limit))
+        got.append(dichotomy_outcome(out, budgets[-1].used))
+    assert len(budgets) == 2
+    assert tuple(got) == PINNED_DICHOTOMY[seed]
+
+
 @pytest.mark.parametrize("run, need", [
     # (1, 2, 3) is improper, so the least witness (1, 2, 4) is the 4th node
     (lambda b: hindman_search(constant_coloring(1, 1), 3,
