@@ -199,18 +199,24 @@ def _coloring_descriptor(name, value):
 
 
 _SEMIGROUPS = ("naturals", "finite-sets")
+# the keys besides "kind" that each kind of sequence reads
+_SEQUENCE_KEYS = {"powers-of-two": (), "random-finite-sets": ("gen_max",),
+                  "literal": ("semigroup", "terms")}
 
 
 def _sequence_descriptor(name, value):
     """A sequence descriptor: an object or its JSON text.  Literal terms are
     integers >= 1 over the naturals and nonempty lists of them over finite
-    sets, so that every term lies in its semigroup."""
+    sets, so that every term lies in its semigroup.  A key that the kind
+    does not read is rejected, so that a report records only what ran."""
     if isinstance(value, str):
         value = _json_text(name, value)
     if not isinstance(value, dict):
         raise ConfigError(f"{name}: expected a sequence descriptor, got {value!r}")
-    _choice("powers-of-two", "random-finite-sets", "literal")(f"{name}.kind",
-                                                              value.get("kind"))
+    kind = _choice(*_SEQUENCE_KEYS)(f"{name}.kind", value.get("kind"))
+    for key in value:
+        if key != "kind" and key not in _SEQUENCE_KEYS[kind]:
+            raise ConfigError(f"{name}.{key}: not read by kind {kind}")
     value = dict(value)
     if "gen_max" in value:
         value["gen_max"] = _integer(1)(f"{name}.gen_max", value["gen_max"])

@@ -195,7 +195,11 @@ def cofinite_cover(space: Space, name: str = "cofinite") -> Cover:
     return Cover(space, set_fn=lambda i: SSet.cofinite({i}), name=name)
 
 
-def _ascending_chain_exists(sets: list, points: tuple, min_chain: int) -> bool:
+# the fewest sets in a strictly ascending chain that counts as ascending
+_MIN_CHAIN = 2
+
+
+def _ascending_chain_exists(sets: list, points: tuple) -> bool:
     """Longest strict-superset chain over horizon restrictions that ends in
     a covering set; strictness skips stalls automatically.
 
@@ -211,7 +215,7 @@ def _ascending_chain_exists(sets: list, points: tuple, min_chain: int) -> bool:
         for j in range(i):
             if restr[j] < restr[i]:
                 best[i] = max(best[i], best[j] + 1)
-    return any(best[i] >= min_chain and restr[i] == target for i in range(n))
+    return any(best[i] >= _MIN_CHAIN and restr[i] == target for i in range(n))
 
 
 def _covered(sets: Sequence[SSet], points: tuple) -> bool:
@@ -223,8 +227,7 @@ def _covered(sets: Sequence[SSet], points: tuple) -> bool:
 
 
 def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
-                   t: int = 2, s: int = 2, f: int = 2,
-                   min_chain: int = 2) -> Verdict:
+                   t: int = 2, s: int = 2, f: int = 2) -> Verdict:
     """Classify a cover prefix against a family at the given horizon.
 
     Failures are definitive only where adding more sets cannot help
@@ -244,7 +247,7 @@ def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
         if not _covered(sets, points):
             return short_fail
         return (Verdict.HOLDS
-                if _ascending_chain_exists(sets, points, min_chain) else short_fail)
+                if _ascending_chain_exists(sets, points) else short_fail)
 
     if kind is CoverKind.LAMBDA:
         mult = {p: sum(1 for ss in sets if ss.contains(p)) for p in points}
@@ -311,8 +314,7 @@ def has_finite_subcover(cover: Cover, horizon: int, max_size: int) -> SubcoverRe
     return SubcoverReport("unknown")
 
 
-def intersect_ascending(covers: Sequence[Cover], horizon: int,
-                        min_chain: int = 2) -> Cover:
+def intersect_ascending(covers: Sequence[Cover], horizon: int) -> Cover:
     """Pointwise intersections of ascending covers; ascending again at the
     same horizon (a chain may stall where inputs grow at different spots,
     and stalled duplicates are skipped by the strict-chain classifier)."""
@@ -320,7 +322,7 @@ def intersect_ascending(covers: Sequence[Cover], horizon: int,
     if not covers:
         raise ValueError("need at least one cover")
     for c in covers:
-        v = classify_cover(c, CoverKind.ASC, horizon, min_chain=min_chain)
+        v = classify_cover(c, CoverKind.ASC, horizon)
         if v is not Verdict.HOLDS:
             raise ValueError(f"input {c!r} not ascending at horizon {horizon}: {v}")
     lengths = [c.prefix_length(horizon) for c in covers]

@@ -638,9 +638,10 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
 
 
 def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
-    """The chain A_n = FS(a_n, a_{n+1}, ...), with membership decided by a
-    bounded block search over {n .. n + index_window - 1}, cut at the last
-    term of a finite sequence.
+    """The chain A_n = FS(a_n, a_{n+1}, ...), cut to the finite sums of the
+    window a_n .. a_{n + index_window - 1}, which stops at the last term of
+    a finite sequence.  Each link's sums are enumerated once, on the first
+    question about it; membership is then a set lookup.
 
     Freeness witnesses come from properness: for a proper sequence each
     element is eventually outside the tails.  For improper sequences the
@@ -648,49 +649,30 @@ def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
     """
     sg = seq.semigroup
 
-    def window_end(n: int) -> int:
-        # one past the last index the window reads
-        end = n + index_window
-        return end if seq.length is None else min(end, seq.length + 1)
+    def window_sums(n: int, width: int) -> dict:
+        # the sums of a_n .. a_{n + width - 1}, keyed by block of offsets
+        if seq.length is not None:
+            width = min(width, seq.length + 1 - n)
+        return fs_enumerate(
+            ElementSequence.from_fn(sg, lambda i: seq.term(n + i - 1)), width)
 
-    def cannot_extend(partial, x) -> bool:
-        if isinstance(partial, int) and isinstance(x, int):
-            return partial > x
-        if isinstance(partial, frozenset) and isinstance(x, frozenset):
-            return not partial <= x
-        return False
-
-    def member(n: int, x) -> bool:
-        def dfs(i_pos: int, partial) -> bool:
-            if partial is not None:
-                if partial == x:
-                    return True
-                if cannot_extend(partial, x):
-                    return False
-            for j_pos in range(i_pos, window_end(n)):
-                term = seq.term(j_pos)
-                nxt = term if partial is None else sg.combine(partial, term)
-                if dfs(j_pos + 1, nxt):
-                    return True
-            return False
-
-        return dfs(n, None)
+    @functools.cache
+    def link(n: int) -> frozenset:
+        return frozenset(window_sums(n, index_window).values())
 
     def set_at(n: int):
-        return lambda x, _n=n: member(_n, x)
+        return lambda x: x in link(n)
 
     def exclusion_index(x) -> Optional[int]:
         for n in range(1, index_window * 2 + 2):
-            if not member(n, x):
+            if x not in link(n):
                 return n
         return None
 
     def members_within(n: int, bound: int) -> list:
         # at most index_window - 1 terms, so that the samples of A_{n+1}
         # lie inside the window that decides membership in A_n
-        w = min(bound, index_window - 1, window_end(n) - n)
-        sums = fs_enumerate(
-            ElementSequence.from_fn(sg, lambda i, _n=n: seq.term(_n + i - 1)), w)
+        sums = window_sums(n, min(bound, index_window - 1))
         seen, out = set(), []
         for F in sorted(sums, key=lambda F: (len(F), tuple(sorted(F)))):
             v = sums[F]

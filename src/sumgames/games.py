@@ -335,9 +335,12 @@ class PlayReconstruction:
         return set(self.f_map.values()) == set(range(1, len(self.picks) + 1))
 
 
+# the last index of a strategy's cover searched for a fresh pick
+_COVER_BOUND = 32
+
+
 def reconstruct_parallel_plays(tree: Callable[[tuple], Cover],
-                               selections: Sequence[SSet],
-                               cover_bound: int = 32) -> PlayReconstruction:
+                               selections: Sequence[SSet]) -> PlayReconstruction:
     """Replay the two-plays construction from diagonal-cover selections.
 
     Step 1 picks a member of the opening cover containing the first
@@ -391,7 +394,7 @@ def reconstruct_parallel_plays(tree: Callable[[tuple], Cover],
         needed = union_of(batch)
         lo = (m_indices[-1] + 1) if m_indices else 2  # m_1 > 1
         m_i = None
-        for m in range(lo, cover_bound + 1):
+        for m in range(lo, _COVER_BOUND + 1):
             u = cover.set_at(m)
             if needed.issubset(u) and all(u != p for p in picked_sets):
                 m_i = m
@@ -445,8 +448,8 @@ def diagonal_transfer(tree: Callable[[tuple], Cover], n: int, space: Space):
     parallel plays from selections out of the diagonal covers."""
     cover = diagonal_cover(tree, n, space)
 
-    def extractor(selections: Sequence[SSet], cover_bound: int = 32) -> PlayReconstruction:
-        return reconstruct_parallel_plays(tree, selections, cover_bound)
+    def extractor(selections: Sequence[SSet]) -> PlayReconstruction:
+        return reconstruct_parallel_plays(tree, selections)
 
     return cover, extractor
 

@@ -417,9 +417,12 @@ def density_family(a_enum: Callable[[int], int], threshold: Fraction,
     return FiniteSetFamily(dense_inside, in_tail, name=f"density>{threshold}")
 
 
+# the links whose tail witnesses build_constrained_chain probes up front
+_PROBE_DEPTH = 4
+
+
 def build_constrained_chain(a_enum: Callable[[int], int],
-                            families: Callable[[int], FiniteSetFamily],
-                            probe_depth: int = 4) -> SymbolicChain:
+                            families: Callable[[int], FiniteSetFamily]) -> SymbolicChain:
     """The chain A_n = {finite F inside the tail {a_n, a_{n+1}, ...} that
     contains a member of the n-th family}.
 
@@ -435,7 +438,7 @@ def build_constrained_chain(a_enum: Callable[[int], int],
 
     sg = finite_sets()
 
-    for n in range(1, probe_depth + 1):
+    for n in range(1, _PROBE_DEPTH + 1):
         fam = families(n)
         w = fam.member_in_tail(n)  # raises if the hypothesis witness is missing
         if not fam.has_member_inside(w):

@@ -498,13 +498,15 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     With a vertex coloring (d = 2) the acceptance condition routes through
     the two-dimensional reduction: the combined coloring must be
     monochromatic, which at finite depth is enforced as "finite-sums set
-    vertex-monochromatic and sum graph edge-monochromatic".  With a chain,
-    the n-th block sum must lie in the chain's n-th set.
+    vertex-monochromatic and sum graph edge-monochromatic".  With a chain
+    over ``sg``, the n-th block sum must lie in the chain's n-th set.
     """
     if chi_edge.arity != d:
         raise ValueError(f"edge coloring arity {chi_edge.arity} != d={d}")
     if m < d:
         raise ValueError(f"m={m} < d={d}: m blocks hold no chain of d blocks")
+    if chain is not None and chain.semigroup.kind != sg.kind:
+        raise ValueError(f"chain over {chain.semigroup.kind} cannot hold sums over {sg.kind}")
     hi = budget.max_index
     if hi < m:
         raise ValueError("max_index must allow m blocks")

@@ -1,8 +1,10 @@
 """chain_check against the uncached check it replaced, the number of
-sample lists and memberships it asks the chain for, and fs-tails chains
-at windows past the membership window."""
+sample lists and memberships it asks the chain for, fs-tails chains at
+windows past the membership window, and fs-tails membership against the
+block search it replaced."""
 import collections
 import dataclasses
+from typing import Optional
 
 import pytest
 
@@ -14,10 +16,11 @@ from sumgames.filters import (
     constant_chain,
     fs_tail_chain,
 )
-from sumgames.semigroups import ElementSequence, finite_sets, naturals
+from sumgames.semigroups import ElementSequence, finite_sets, fs_enumerate, naturals
 from sumgames.verdicts import Verdict, all_verdicts
 
 NAT = naturals()
+FIN = finite_sets()
 
 
 def reference_chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainReport:
@@ -154,3 +157,126 @@ def test_fs_tails_never_fail_at_any_window(base):
             report = chain_check(chain, depth, window)
             assert report.verdict is not Verdict.FAILS, (window, depth)
             assert not report.descending_failures and not report.freeness_failures
+
+
+def reference_fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
+    """The reference fs-tails chain: membership in A_n decided by a
+    depth-first search for a block of {n .. n + index_window - 1}, cut at
+    the last term of a finite sequence, whose sum is x; a partial sum that
+    exceeds x (naturals) or is no subset of it (unions) is not extended.
+    Every question runs its own search."""
+    sg = seq.semigroup
+
+    def window_end(n: int) -> int:
+        # one past the last index the window reads
+        end = n + index_window
+        return end if seq.length is None else min(end, seq.length + 1)
+
+    def cannot_extend(partial, x) -> bool:
+        if isinstance(partial, int) and isinstance(x, int):
+            return partial > x
+        if isinstance(partial, frozenset) and isinstance(x, frozenset):
+            return not partial <= x
+        return False
+
+    def member(n: int, x) -> bool:
+        def dfs(i_pos: int, partial) -> bool:
+            if partial is not None:
+                if partial == x:
+                    return True
+                if cannot_extend(partial, x):
+                    return False
+            for j_pos in range(i_pos, window_end(n)):
+                term = seq.term(j_pos)
+                nxt = term if partial is None else sg.combine(partial, term)
+                if dfs(j_pos + 1, nxt):
+                    return True
+            return False
+
+        return dfs(n, None)
+
+    def exclusion_index(x) -> Optional[int]:
+        for n in range(1, index_window * 2 + 2):
+            if not member(n, x):
+                return n
+        return None
+
+    def members_within(n: int, bound: int) -> list:
+        w = min(bound, index_window - 1, window_end(n) - n)
+        sums = fs_enumerate(
+            ElementSequence.from_fn(sg, lambda i, _n=n: seq.term(_n + i - 1)), w)
+        seen, out = set(), []
+        for F in sorted(sums, key=lambda F: (len(F), tuple(sorted(F)))):
+            v = sums[F]
+            if v not in seen:
+                seen.add(v)
+                out.append(v)
+        return out
+
+    return SymbolicChain(sg, lambda n: lambda x, _n=n: member(_n, x), exclusion_index,
+                         members_within, name="fs-tails")
+
+
+def _constant_one():
+    # improper: every finite sum is {1}
+    return ElementSequence.from_fn(FIN, lambda i: frozenset({1}))
+
+
+_TAIL_CASES = ([(base, w) for base in (_pow2, _singletons, _short) for w in range(1, 9)]
+               + [(_constant_one, 4)])
+
+
+def _probes(seq: ElementSequence, window: int) -> list:
+    """Every window sum of A_1 .. A_3, then an empty sum, a value of the
+    other semigroup and, where the sequence has a term past A_1's window,
+    the sum a_1 + a_{window+1}."""
+    probes = set()
+    for n in range(1, 4):
+        width = window if seq.length is None else min(window, seq.length + 1 - n)
+        tail = ElementSequence.from_fn(seq.semigroup, lambda i, _n=n: seq.term(_n + i - 1))
+        probes.update(fs_enumerate(tail, width).values())
+    if seq.semigroup.kind == NAT.kind:
+        probes, extra = sorted(probes), [0, frozenset({1})]
+    else:
+        probes, extra = sorted(probes, key=sorted), [frozenset(), 1]
+    if seq.length is None or window < seq.length:
+        extra.append(seq.semigroup.combine(seq.term(1), seq.term(window + 1)))
+    return probes + extra
+
+
+@pytest.mark.parametrize("base, window", _TAIL_CASES,
+                         ids=[f"{b.__name__.strip('_')}-w{w}" for b, w in _TAIL_CASES])
+def test_fs_tail_chain_matches_block_search(base, window):
+    chain = fs_tail_chain(base(), index_window=window)
+    ref = reference_fs_tail_chain(base(), index_window=window)
+    probes = _probes(base(), window)
+    for n in range(1, 2 * window + 2):
+        held, ref_held = chain.set_at(n), ref.set_at(n)
+        assert [held(x) for x in probes] == [ref_held(x) for x in probes], n
+        for bound in range(1, window + 2):
+            assert chain.members_within(n, bound) == ref.members_within(n, bound), (n, bound)
+    assert ([chain.exclusion_index(x) for x in probes]
+            == [ref.exclusion_index(x) for x in probes])
+
+
+@pytest.mark.parametrize("base", [_pow2, _singletons], ids=["pow2", "singletons"])
+def test_fs_tail_chain_builds_each_link_once(base):
+    # a search per membership question would combine terms on every question
+    seq, calls = base(), []
+
+    def combine(a, b):
+        calls.append(1)
+        return seq.semigroup.combine(a, b)
+
+    counted = dataclasses.replace(seq.semigroup, combine=combine)
+    chain = fs_tail_chain(ElementSequence.from_fn(counted, seq.term))
+    sums = chain.members_within(1, 7)        # the sums over {1..7}
+    per_link = 2 ** 8 - 1 - 8                # combines that enumerate 8 terms
+    calls.clear()
+    assert chain.set_at(2)(sums[1]) and len(calls) == per_link
+    assert [chain.set_at(2)(x) for x in sums].count(False) == 2 ** 6
+    assert len(calls) == per_link
+    # the sum over F leaves at A_{min(F)+1}: A_1 .. A_8, each built once
+    for _ in range(2):
+        assert {chain.exclusion_index(x) for x in sums} == set(range(2, 9))
+    assert len(calls) == 8 * per_link

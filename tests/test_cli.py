@@ -508,6 +508,19 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
      "sequence.terms: must be >= 1, got 0"),
     ("""proper-or-collapse --sequence '{"kind":"literal","semigroup":"finite-sets","""
      """"terms":[[],[]]}'""", "sequence.terms: expected a nonempty list, got []"),
+    # this one ran powers of two over the naturals and reported proper,
+    # while its record claimed a finite-sets literal that would collapse
+    ("""proper-or-collapse --depth 3 --sequence '{"kind":"powers-of-two","""
+     """"semigroup":"finite-sets","terms":[[1],[1],[1]],"gen_max":3}'""",
+     "sequence.semigroup: not read by kind powers-of-two"),
+    # no block sum lies in a chain over the other semigroup, so these
+    # reported a complete exhaustion with exit 1
+    ("search-mt --semigroup finite-sets --base singletons --chain fs-tails-pow2 "
+     "--edge-coloring seeded-hash-k:2 --m 3 --max-index 8",
+     "chain over naturals-with-addition cannot hold sums over finite-sets-with-union"),
+    *(("search-mt --chain {} --edge-coloring seeded-hash-k:2 --m 3 --max-index 8".format(c),
+       "chain over finite-sets-with-union cannot hold sums over naturals-with-addition")
+      for c in ("fs-tails-singletons", "ap", "density")),
 ])
 def test_bad_flag_is_a_config_error(capsys, argv, message):
     assert main(shlex.split(argv)) == EXIT_USAGE
