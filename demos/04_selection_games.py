@@ -15,7 +15,7 @@ from sumgames import (
     judge,
     play,
 )
-from sumgames.covers import Cover, CoverKind, SSet, Space, interval_cover
+from sumgames.covers import Cover, CoverKind, SSet, Space
 from sumgames.games import (
     CoverMove,
     SetMove,

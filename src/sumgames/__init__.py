@@ -32,7 +32,6 @@ from .coloring import (
     mod_coloring,
     parity_coloring,
     product_coloring,
-    pullback_to_fin,
     reduce_two_dim_to_one,
     seeded_hash_coloring,
 )
@@ -43,7 +42,6 @@ from .filters import (
     classify_family,
     fs_tail_chain,
     is_idempotent_filter,
-    is_idempotent_superfilter,
     plus_dual,
     star_set,
     verify_duality_laws,
@@ -69,15 +67,12 @@ from .covers import (
     SSet,
     Space,
     classify_cover,
-    has_finite_subcover,
-    intersect_ascending,
 )
 from .games import (
     GameTranscript,
     Mode,
     Outcome,
     Strategy,
-    check_regular_family,
     convert_gfin_to_g1,
     diagonal_transfer,
     judge,

@@ -598,7 +598,11 @@ def _run_play_game(config: RunConfig):
     rounds = horizon if config["rounds"] is None else config["rounds"]
     alice = _alice_from_name(config["alice"], config["seed"], horizon)
     bob = first_bob() if config["bob"] == "first" else filter_intersection_bob(_tail)
-    t = play(alice, bob, rounds, Mode(config["mode"]))
+    mode = Mode(config["mode"])
+    if mode is Mode.GFIN:
+        # the stock Bobs pick one element; a finite selection holds that one
+        bob = Strategy("bob", lambda history, a_move, pick=bob.move: (pick(history, a_move),))
+    t = play(alice, bob, rounds, mode)
     if config["target"] == "meets-generators":
         target = meets_all_generators(_tail, min(horizon, rounds))
         outcome = judge(t, target, horizon=horizon)

@@ -1,5 +1,5 @@
-"""Finite colorings of elements, pairs and d-subsets, with the reductions
-that move coloring problems between dimensions and between semigroups.
+"""Finite colorings of elements, pairs and d-subsets, with the reduction
+that moves coloring problems between dimensions.
 
 A coloring of arity d is evaluated on the *set* of its d arguments, so a
 pair whose endpoints coincide is seen as a singleton (this is what makes
@@ -11,14 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from .semigroups import (
-    ElementSequence,
-    ImproperSequenceError,
-    IndexedUnion,
-    Semigroup,
-    block_less,
-    indexed_sum,
-)
+from .semigroups import IndexedUnion, Semigroup
 
 
 def canonical_key(x: Any) -> bytes:
@@ -145,14 +138,6 @@ def seeded_hash_coloring(k: int, seed: int, d: int = 1) -> Coloring:
                     name=f"seeded-hash-{k}/{seed}", keyed=keyed)
 
 
-def table_coloring(table: dict, d: int, k: int, default: int = 1, name: str = "table") -> Coloring:
-    def fn(s: frozenset) -> int:
-        key = s if d > 1 else next(iter(s))
-        return table.get(key, default)
-
-    return Coloring(d, k, fn, name=name)
-
-
 def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
     """Pair coloring (c1, c2) encoded as (c1-1)*k2 + c2, palette k1*k2."""
     if c1.arity != c2.arity:
@@ -164,11 +149,6 @@ def product_coloring(c1: Coloring, c2: Coloring) -> Coloring:
         lambda s: (c1.fn(s) - 1) * k2 + c2.fn(s),
         name=f"({c1.name} x {c2.name})",
     )
-
-
-def decode_product(color: int, k2: int) -> tuple:
-    """Inverse of the product encoding: color -> (c1, c2)."""
-    return ((color - 1) // k2 + 1, (color - 1) % k2 + 1)
 
 
 def reduce_two_dim_to_one(chi_vertex: Coloring, chi_edge: Coloring, sg: Semigroup) -> Coloring:
@@ -189,32 +169,6 @@ def reduce_two_dim_to_one(chi_vertex: Coloring, chi_edge: Coloring, sg: Semigrou
     kappa_coloring = Coloring(2, chi_vertex.palette, kappa, name=f"min[{chi_vertex.name}]")
     edge2 = chi_edge if chi_edge.arity == 2 else Coloring(2, chi_edge.palette, chi_edge.fn, chi_edge.name)
     return product_coloring(kappa_coloring, edge2)
-
-
-def pullback_to_fin(chi: Coloring, base: ElementSequence) -> Coloring:
-    """Pull an edge coloring of the base's semigroup back to blocks.
-
-    kappa({F, H}) = chi({a_F, a_H}) when the blocks are comparable in the
-    block order, and the fixed fallback color 1 otherwise.  Queries on
-    comparable blocks with colliding sums mean the base is improper at
-    that depth, which is an error rather than a silent wrong color.
-    """
-    if chi.arity != 2:
-        raise ValueError("pullback expects an edge coloring (arity 2)")
-
-    def fn(s: frozenset) -> int:
-        if len(s) == 1:
-            return 1
-        F, H = tuple(s)
-        if not (block_less(F, H) or block_less(H, F)):
-            return 1
-        aF, aH = indexed_sum(base, F), indexed_sum(base, H)
-        if aF == aH:
-            raise ImproperSequenceError(
-                f"base improper: a_F == a_H for comparable F={sorted(F)}, H={sorted(H)}")
-        return chi.fn(frozenset([aF, aH]))
-
-    return Coloring(2, chi.palette, fn, name=f"pullback[{chi.name}]")
 
 
 def coloring_from_descriptor(desc: dict) -> Coloring:

@@ -144,19 +144,17 @@ class CoverKind(enum.Enum):
 
 class Cover:
     """A sequence of space subsets.  Finite list or generator-backed
-    (1-based ``set_fn``), optionally with an escape-point witness
-    certifying "no finite subcover" on symbolic spaces."""
+    (1-based ``set_fn``)."""
 
     def __init__(self, space: Space, sets: Optional[Sequence[SSet]] = None,
                  set_fn: Optional[Callable[[int], SSet]] = None,
-                 name: str = "", escape_fn: Optional[Callable[[int], object]] = None):
+                 name: str = ""):
         if (sets is None) == (set_fn is None):
             raise ValueError("exactly one of sets/set_fn required")
         self.space = space
         self._sets = list(sets) if sets is not None else []
         self._set_fn = set_fn
         self.name = name
-        self.escape_fn = escape_fn
 
     @property
     def length(self) -> Optional[int]:
@@ -181,18 +179,6 @@ class Cover:
 
     def __repr__(self):
         return f"Cover({self.name or 'anonymous'})"
-
-
-def interval_cover(space: Space, name: str = "intervals") -> Cover:
-    """[0..n] for n = 1, 2, ...; ascending, no finite subcover over the
-    naturals (escape point n+1 past the n-th union)."""
-    return Cover(space, set_fn=lambda i: SSet.interval(0, i), name=name,
-                 escape_fn=lambda n: n + 1)
-
-
-def cofinite_cover(space: Space, name: str = "cofinite") -> Cover:
-    """The sets naturals-minus-{n}, n = 1, 2, ...; a gamma cover."""
-    return Cover(space, set_fn=lambda i: SSet.cofinite({i}), name=name)
 
 
 # the fewest sets in a strictly ascending chain that counts as ascending
@@ -270,69 +256,3 @@ def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
         return Verdict.HOLDS if _covered(sets, points) else short_fail
 
     raise ValueError(f"unknown cover kind {kind!r}")
-
-
-@dataclass
-class SubcoverReport:
-    kind: str                      # subcover | no-subcover-certified | not-cover | unknown
-    indices: Optional[tuple] = None
-    escapes_checked: int = 0
-
-    def __str__(self):
-        return f"SubcoverReport({self.kind}, indices={self.indices})"
-
-
-def has_finite_subcover(cover: Cover, horizon: int, max_size: int) -> SubcoverReport:
-    """Search for a small subfamily covering the horizon points; on
-    symbolic spaces an escape-point witness instead certifies that the true
-    cover has no finite subcover (the horizon restriction always has one)."""
-    points = cover.space.points_up_to(horizon)
-    n_sets = cover.prefix_length(horizon)
-    sets = cover.prefix(n_sets)
-
-    if not _covered(sets, points):
-        return SubcoverReport("not-cover")
-
-    if cover.escape_fn is not None and cover.space.kind == "naturals":
-        ok = 0
-        for n in range(1, n_sets + 1):
-            x = cover.escape_fn(n)
-            if any(cover.set_at(i).contains(x) for i in range(1, n + 1)):
-                break
-            ok += 1
-        if ok == n_sets:
-            return SubcoverReport("no-subcover-certified", escapes_checked=ok)
-
-    target = set(points)
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(1, n_sets + 1), size):
-            got = set()
-            for i in combo:
-                got.update(sets[i - 1].restrict(points))
-            if got >= target:
-                return SubcoverReport("subcover", indices=combo)
-    return SubcoverReport("unknown")
-
-
-def intersect_ascending(covers: Sequence[Cover], horizon: int) -> Cover:
-    """Pointwise intersections of ascending covers; ascending again at the
-    same horizon (a chain may stall where inputs grow at different spots,
-    and stalled duplicates are skipped by the strict-chain classifier)."""
-    covers = list(covers)
-    if not covers:
-        raise ValueError("need at least one cover")
-    for c in covers:
-        v = classify_cover(c, CoverKind.ASC, horizon)
-        if v is not Verdict.HOLDS:
-            raise ValueError(f"input {c!r} not ascending at horizon {horizon}: {v}")
-    lengths = [c.prefix_length(horizon) for c in covers]
-    n = min(lengths)
-    space = covers[0].space
-
-    sets = []
-    for i in range(1, n + 1):
-        acc = covers[0].set_at(i)
-        for c in covers[1:]:
-            acc = acc.intersect(c.set_at(i))
-        sets.append(acc)
-    return Cover(space, sets=sets, name="∩(" + ",".join(c.name for c in covers) + ")")

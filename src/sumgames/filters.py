@@ -58,13 +58,6 @@ def all_subsets(ground: frozenset) -> list:
     return out
 
 
-def upward_closure(ground: Iterable, seeds: Iterable) -> SetFamily:
-    ground = frozenset(ground)
-    seeds = [frozenset(s) for s in seeds]
-    members = {s for s in all_subsets(ground) if any(seed <= s for seed in seeds)}
-    return SetFamily(ground, frozenset(members))
-
-
 def principal_ultrafilter(ground: Iterable, point) -> SetFamily:
     ground = frozenset(ground)
     return SetFamily(ground, frozenset(s for s in all_subsets(ground) if point in s))
@@ -138,13 +131,6 @@ class StarReport:
     members: list
     failed: list
     unknown: list
-
-    def verdict_for(self, b) -> Verdict:
-        if b in self.members:
-            return Verdict.HOLDS
-        if b in self.failed:
-            return Verdict.FAILS
-        return Verdict.UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -258,28 +244,6 @@ def is_idempotent_filter(fam, sg: Optional[Semigroup] = None, depth: int = 0,
             verdicts.append(best)
         return all_verdicts(verdicts)
     raise TypeError(f"unsupported family type {type(fam).__name__}")
-
-
-def is_idempotent_superfilter(fam: SetFamily, sg: Semigroup) -> Verdict:
-    """For each subset A with A*(fam) in fam, A itself must be in fam."""
-    for A in all_subsets(fam.ground):
-        if star_set(A, fam, sg) in fam.members and A not in fam.members:
-            return Verdict.FAILS
-    return Verdict.HOLDS
-
-
-def translation_invariance_check(family_pred: Callable, sets_sample: Iterable,
-                                 translations: Iterable, sg: Semigroup) -> Verdict:
-    """s + A stays in the family for sampled s and A.  A sufficient
-    condition for being an idempotent superfilter, checked on samples."""
-    for A in sets_sample:
-        if not family_pred(A):
-            return Verdict.UNKNOWN
-        for s in translations:
-            shifted = frozenset(sg.combine(s, a) for a in A)
-            if not family_pred(shifted):
-                return Verdict.FAILS
-    return Verdict.HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +497,15 @@ class SymbolicChain:
 
     ``exclusion_index(x)`` must name an n with x not in A_n (sampled
     freeness evidence; an empty total intersection is not decidable by
-    sampling).  ``members_within_fn(n, bound)`` produces sampled members
+    sampling).  ``members_within(n, bound)`` produces sampled members
     of A_n with about ``bound`` units of work.
     """
 
     semigroup: Semigroup
     set_at: Callable[[int], Callable[[Any], bool]]
     exclusion_index: Callable[[Any], Optional[int]]
-    members_within_fn: Optional[Callable[[int, int], list]] = None
+    members_within: Callable[[int, int], list]
     name: str = ""
-
-    def members_within(self, n: int, bound: int) -> list:
-        if self.members_within_fn is not None:
-            return self.members_within_fn(n, bound)
-        pred = self.set_at(n)
-        return [self.semigroup.enumeration(i) for i in range(1, bound + 1)
-                if pred(self.semigroup.enumeration(i))]
 
 
 @dataclass
@@ -682,19 +639,3 @@ def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:
         return out
 
     return SymbolicChain(sg, set_at, exclusion_index, members_within, name="fs-tails")
-
-
-def constant_chain(sg: Semigroup, pred: Callable) -> SymbolicChain:
-    """A_n = A for a fixed set; fails freeness (the intersection is A)."""
-    return SymbolicChain(sg, lambda n: pred, lambda x: None, name="constant")
-
-
-def chain_generated_filter_contains(chain: SymbolicChain, A_pred: Callable,
-                                    depth: int, window: int) -> Verdict:
-    """Does the filter generated by the chain contain {x : A_pred(x)}?
-    Holds when some sampled link lies inside it."""
-    for n in range(1, depth + 1):
-        sampled = chain.members_within(n, window)
-        if sampled and all(A_pred(x) for x in sampled):
-            return Verdict.HOLDS
-    return Verdict.UNKNOWN

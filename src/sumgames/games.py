@@ -11,7 +11,6 @@ horizon H never claims the infinite-game outcome.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -452,89 +451,3 @@ def diagonal_transfer(tree: Callable[[tuple], Cover], n: int, space: Space):
         return reconstruct_parallel_plays(tree, selections)
 
     return cover, extractor
-
-
-# ---------------------------------------------------------------------------
-# regular families of covers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RegularReport:
-    split_instances: int
-    split_violations: int
-    enlarge_instances: int
-    enlarge_violations: int
-
-    @property
-    def verdict(self) -> Verdict:
-        bad = self.split_violations + self.enlarge_violations
-        return Verdict.FAILS if bad else Verdict.HOLDS
-
-
-def check_regular_family(family_pred: Callable, covers_sample: Sequence[Cover],
-                         horizon: int, tau_sample: Optional[Sequence[SSet]] = None,
-                         seed: int = 0) -> RegularReport:
-    """Test the two regularity conditions on samples.
-
-    Splits: a sampled cover in the family, split into odd/even-indexed and
-    seeded random halves, must leave at least one half in the family.
-    Enlargements: sampled at-most-two-to-one maps into containing members
-    of ``tau_sample`` (never the whole space) must keep the image in the
-    family.  The family predicate takes (sets, horizon) and returns a
-    Verdict or bool.
-    """
-    rng = random.Random(seed)
-    split_i = split_v = enl_i = enl_v = 0
-
-    def in_family(sets) -> bool:
-        v = family_pred(list(sets), horizon)
-        if isinstance(v, Verdict):
-            return v is Verdict.HOLDS
-        return bool(v)
-
-    for cover in covers_sample:
-        n_sets = cover.prefix_length(horizon)
-        sets = cover.prefix(n_sets)
-        if not in_family(sets):
-            continue
-        halvings = [
-            (sets[0::2], sets[1::2]),
-        ]
-        marks = [rng.random() < 0.5 for _ in sets]
-        halvings.append(
-            ([s for s, m_ in zip(sets, marks) if m_],
-             [s for s, m_ in zip(sets, marks) if not m_]))
-        for u, v in halvings:
-            split_i += 1
-            if not (in_family(u) or in_family(v)):
-                split_v += 1
-
-        space_sets = list(tau_sample) if tau_sample is not None else sets
-        image = []
-        ok = True
-        for i, s in enumerate(sets):
-            candidates = [u for u in space_sets
-                          if s.issubset(u) and not cover.space.whole_set(u, horizon)]
-            if not candidates:
-                ok = False
-                break
-            image.append(candidates[min(i // 2, len(candidates) - 1)]
-                         if len(candidates) > 1 else candidates[0])
-        if ok:
-            enl_i += 1
-            distinct = []
-            for u in image:
-                if u not in distinct:
-                    distinct.append(u)
-            if not in_family(distinct):
-                enl_v += 1
-    return RegularReport(split_i, split_v, enl_i, enl_v)
-
-
-def cover_kind_predicate(kind: CoverKind, space: Space, **params) -> Callable:
-    """A family predicate from a CoverKind, for judging and regularity."""
-
-    def pred(sets, horizon):
-        return classify_cover(Cover(space, sets=list(sets)), kind, horizon, **params)
-
-    return pred

@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .coloring import Coloring
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
@@ -300,9 +300,6 @@ class CofiniteInstance:
     def o_set(self, n: int) -> SSet:
         return self.cover.set_at(n)
 
-    def point(self, complement: Iterable) -> frozenset:
-        return frozenset(complement)
-
     def decode_union(self, s: SSet) -> frozenset:
         """Invert F -> O_F via the co-singleton points."""
         t = self.truncation
@@ -360,13 +357,6 @@ class FiniteSetFamily:
     has_member_inside: Callable[[frozenset], bool]
     member_in_tail: Callable[[int], frozenset]
     name: str = ""
-
-
-def singleton_family(a_enum: Callable[[int], int], n: int) -> FiniteSetFamily:
-    return FiniteSetFamily(
-        has_member_inside=lambda F: a_enum(n) in F,
-        member_in_tail=lambda k: frozenset({a_enum(max(k, n))}),
-        name=f"singleton-{n}")
 
 
 def ap_family(a_enum: Callable[[int], int], length: int,

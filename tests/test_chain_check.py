@@ -13,7 +13,6 @@ from sumgames.filters import (
     ChainReport,
     SymbolicChain,
     chain_check,
-    constant_chain,
     fs_tail_chain,
 )
 from sumgames.semigroups import ElementSequence, finite_sets, fs_enumerate, naturals
@@ -111,7 +110,10 @@ CHAINS = {
     "fs-tails-short": lambda: fs_tail_chain(_short()),
     "ap": lambda: cli._chain_from_name("ap", cli._DENSITY_DELTA),
     "density": lambda: cli._chain_from_name("density", cli._DENSITY_DELTA),
-    "constant": lambda: constant_chain(NAT, lambda x: x % 2 == 0),
+    # A_n = the evens for every n: fails freeness
+    "constant": lambda: SymbolicChain(
+        NAT, lambda n: lambda x: x % 2 == 0, lambda x: None,
+        lambda n, bound: list(range(2, bound + 1, 2)), name="constant"),
 }
 
 
@@ -140,7 +142,7 @@ def test_chain_check_asks_each_sample_and_membership_once(name):
         samples[(n, bound)] += 1
         return chain.members_within(n, bound)
 
-    counted = dataclasses.replace(chain, set_at=set_at, members_within_fn=members_within)
+    counted = dataclasses.replace(chain, set_at=set_at, members_within=members_within)
     report = chain_check(counted, depth=3, window=4)
     assert dataclasses.asdict(report) == dataclasses.asdict(chain_check(chain, 3, 4))
     assert max(memberships.values()) == 1 and max(samples.values()) == 1

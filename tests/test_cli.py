@@ -691,6 +691,9 @@ FLAG_SURFACE = [
      "--target meets-generators",
      {"command": "play-game", "horizon": 6, "alice": "intervals", "bob": "first",
       "rounds": 6, "mode": "g1", "target": "meets-generators"}, EXIT_OK),
+    ("play-game --alice intervals --bob first --rounds 8 --horizon 8 --mode gfin",
+     {"command": "play-game", "horizon": 8, "alice": "intervals", "bob": "first",
+      "rounds": 8, "mode": "gfin"}, EXIT_OK),
     ("game-transfer --which gfin-to-g1 --horizon 6 --rounds 6 --seed 2",
      {"command": "game-transfer", "seed": 2, "horizon": 6, "which": "gfin-to-g1",
       "rounds": 6}, EXIT_OK),

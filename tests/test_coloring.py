@@ -1,4 +1,4 @@
-"""Colorings, the product encoding, and the dimension/semigroup reductions."""
+"""Colorings, the product encoding, and the two-dim to one-dim reduction."""
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,25 +9,20 @@ from sumgames.coloring import (
     cardinality_coloring,
     coloring_from_descriptor,
     constant_coloring,
-    decode_product,
     mod_coloring,
     parity_coloring,
     product_coloring,
-    pullback_to_fin,
     reduce_two_dim_to_one,
     seeded_hash_coloring,
 )
 from sumgames.semigroups import (
-    BlockSequence,
     ElementSequence,
-    ImproperSequenceError,
     IndexedUnion,
     block_chains,
     finite_sets,
     fs_enumerate,
     naturals,
     sum_hypergraph,
-    take_sumsequence,
 )
 
 NAT = naturals()
@@ -49,7 +44,7 @@ def test_product_encoding_formula():
     c = product_coloring(c1, c2)
     assert c.palette == 6
     assert c.of(5) == 6  # (2-1)*3 + 3
-    assert decode_product(6, 3) == (2, 3)
+    assert divmod(6 - 1, 3) == (2 - 1, 3 - 1)
 
 
 def test_product_palette_squares():
@@ -68,7 +63,7 @@ def test_product_roundtrip(k1, k2, x):
     c1 = mod_coloring(k1)
     c2 = mod_coloring(k2)
     c = product_coloring(c1, c2)
-    assert decode_product(c.of(x), k2) == (c1.of(x), c2.of(x))
+    assert divmod(c.of(x) - 1, k2) == (c1.of(x) - 1, c2.of(x) - 1)
 
 
 def test_cardinality_coloring():
@@ -169,7 +164,7 @@ def test_reduction_of_constants_is_constant():
 def test_reduction_kappa_uses_enumeration_min():
     eta = reduce_two_dim_to_one(parity_coloring(), constant_coloring(2, 1), NAT)
     # kappa component of {1, 2} is parity(1) = odd = 2.
-    assert decode_product(eta.of(1, 2), 1)[0] == 2
+    assert divmod(eta.of(1, 2) - 1, 1) == (2 - 1, 0)
 
 
 def test_reduction_even_base_monochromatic():
@@ -203,55 +198,10 @@ def test_reduction_guarantee_finite_shadow(seed, k):
     edges = [(sums[F], sums[H]) for F, H in block_chains(4, 2)]
     eta_colors = {eta.of(a, b) for a, b in edges}
     if len(eta_colors) == 1:
-        kappa, edge_color = decode_product(next(iter(eta_colors)), chi_e.palette)
+        kappa, edge_color = (c + 1 for c in divmod(next(iter(eta_colors)) - 1, chi_e.palette))
         assert {chi_e.of(a, b) for a, b in edges} == {edge_color}
         pinned = {min(a, b) for a, b in edges}
         assert {chi_v.of(v) for v in pinned} == {kappa}
-
-
-# ------------------------------------------------ pullback to Fin
-
-def test_pullback_constant():
-    base = nat_seq(1, 2, 4)
-    kappa = pullback_to_fin(constant_coloring(2, 1), base)
-    assert kappa.of(frozenset({1}), frozenset({2, 3})) == 1
-
-
-def test_pullback_substitutes_sums():
-    base = nat_seq(1, 2, 4)
-    kappa = pullback_to_fin(parity_coloring(2), base)
-    # chi({a_{1}, a_{2}}) = parity(1 + 2) = odd = 2.
-    assert kappa.of(frozenset({1}), frozenset({2})) == 2
-
-
-def test_pullback_incomparable_fallback():
-    base = nat_seq(1, 2, 4)
-    kappa = pullback_to_fin(parity_coloring(2), base)
-    assert kappa.of(frozenset({1, 2}), frozenset({2, 3})) == 1
-
-
-def test_pullback_improper_base_errors():
-    base = nat_seq(1, 2, 3)  # a_{1,2} == a_3
-    kappa = pullback_to_fin(constant_coloring(2, 1), base)
-    with pytest.raises(ImproperSequenceError):
-        kappa.of(frozenset({1, 2}), frozenset({3}))
-
-
-@given(st.integers(0, 2 ** 31))
-def test_pullback_soundness(seed):
-    """A kappa-monochromatic block sum graph pulls back to a
-    chi-monochromatic sum graph of the induced sumsequence."""
-    chi = seeded_hash_coloring(2, seed, d=2)
-    base = nat_seq(1, 2, 4, 8, 16)
-    kappa = pullback_to_fin(chi, base)
-    blocks = BlockSequence((frozenset({1}), frozenset({2, 3}), frozenset({4, 5})))
-    fin = finite_sets()
-    block_elems = ElementSequence.from_terms(fin, list(blocks))
-    taken = take_sumsequence(base, blocks)
-    block_sums = fs_enumerate(block_elems, 3)
-    taken_sums = fs_enumerate(taken, 3)
-    for F, H in block_chains(3, 2):
-        assert kappa.of(block_sums[F], block_sums[H]) == chi.of(taken_sums[F], taken_sums[H])
 
 
 def test_collapse_detector_on_sumsequence():

@@ -1,5 +1,4 @@
-"""Space subsets, cover classification, subcovers, ascending intersections."""
-import pytest
+"""Space subsets and cover classification."""
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,10 +8,6 @@ from sumgames.covers import (
     SSet,
     Space,
     classify_cover,
-    cofinite_cover,
-    has_finite_subcover,
-    interval_cover,
-    intersect_ascending,
 )
 from sumgames.verdicts import Verdict
 
@@ -64,11 +59,13 @@ def test_sset_algebra_matches_pointwise(xs, ys, h):
 # ---------------------------------------------------------------- classify
 
 def test_intervals_are_ascending():
-    assert classify_cover(interval_cover(NATS), CoverKind.ASC, 10) is Verdict.HOLDS
+    intervals = Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
+    assert classify_cover(intervals, CoverKind.ASC, 10) is Verdict.HOLDS
 
 
 def test_cofinite_sets_are_gamma():
-    assert classify_cover(cofinite_cover(NATS), CoverKind.GAMMA, 10, f=1) is Verdict.HOLDS
+    cofinite = Cover(NATS, set_fn=lambda i: SSet.cofinite({i}))
+    assert classify_cover(cofinite, CoverKind.GAMMA, 10, f=1) is Verdict.HOLDS
 
 
 def test_gamma_fails_definitively_on_repeated_exclusion():
@@ -77,10 +74,18 @@ def test_gamma_fails_definitively_on_repeated_exclusion():
 
 
 def test_lambda_multiplicity():
-    assert classify_cover(cofinite_cover(NATS), CoverKind.LAMBDA, 8, t=2) is Verdict.HOLDS
+    cofinite = Cover(NATS, set_fn=lambda i: SSet.cofinite({i}))
+    assert classify_cover(cofinite, CoverKind.LAMBDA, 8, t=2) is Verdict.HOLDS
     pair_cover = Cover(NATS, sets=[SSet.interval(0, 9), SSet.interval(0, 9)])
     # a finite cover that reaches multiplicity 2 only through duplicates
     assert classify_cover(pair_cover, CoverKind.LAMBDA, 10, t=3) is Verdict.FAILS
+    # two interleaved point-finite halves: odd positions sweep [2j, 2j+1],
+    # even positions {0}, [1,2], [3,4], ...; together every point is met twice
+    sets = []
+    for j in range(8):
+        sets.append(SSet.interval(2 * j, 2 * j + 1))
+        sets.append(SSet.finite({0}) if j == 0 else SSet.interval(2 * j - 1, 2 * j))
+    assert classify_cover(Cover(NATS, sets=sets), CoverKind.LAMBDA, 8, t=2) is Verdict.HOLDS
 
 
 def test_lambda_unknown_on_short_generator_prefix():
@@ -91,7 +96,8 @@ def test_lambda_unknown_on_short_generator_prefix():
 def test_omega_interval_cover():
     # Every pair of points lands in a long enough interval, and finite
     # intervals are never the whole naturals (intensionally).
-    assert classify_cover(interval_cover(NATS), CoverKind.OMEGA, 8, s=2) is Verdict.HOLDS
+    intervals = Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
+    assert classify_cover(intervals, CoverKind.OMEGA, 8, s=2) is Verdict.HOLDS
 
 
 def test_omega_rejects_whole_space_member():
@@ -102,7 +108,8 @@ def test_omega_rejects_whole_space_member():
 def test_op_cover_detection():
     missing = Cover(NATS, sets=[SSet.interval(1, 9)])
     assert classify_cover(missing, CoverKind.OP, 10) is Verdict.FAILS
-    assert classify_cover(interval_cover(NATS), CoverKind.OP, 10) is Verdict.HOLDS
+    intervals = Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
+    assert classify_cover(intervals, CoverKind.OP, 10) is Verdict.HOLDS
 
 
 def test_asc_fails_on_constant_finite_cover():
@@ -114,8 +121,8 @@ def test_lambda_and_omega_verdicts_never_restrict_a_set(monkeypatch):
     # only the op, asc and gamma verdicts read whether the sets cover the
     # horizon points, so only they may restrict a set to those points
     covers = [
-        (cofinite_cover(NATS), 8),
-        (interval_cover(NATS), 8),
+        (Cover(NATS, set_fn=lambda i: SSet.cofinite({i})), 8),
+        (Cover(NATS, set_fn=lambda i: SSet.interval(0, i)), 8),
         (Cover(NATS, sets=[SSet.interval(0, 9), SSet.interval(0, 9)]), 10),
         (Cover(NATS, set_fn=lambda i: SSet.finite({i - 1}), name="singletons"), 6),
         (Cover(NATS, sets=[SSet.cofinite(set()), SSet.interval(0, 3)]), 4),
@@ -133,59 +140,3 @@ def test_lambda_and_omega_verdicts_never_restrict_a_set(monkeypatch):
 
     monkeypatch.setattr(SSet, "restrict", restrict)
     assert [classify_cover(c, kind, h, **params) for c, kind, h, params in cases] == want
-
-
-# ---------------------------------------------------------------- subcovers
-
-def test_no_finite_subcover_certified_by_escape_points():
-    report = has_finite_subcover(interval_cover(NATS), horizon=8, max_size=3)
-    assert report.kind == "no-subcover-certified"
-    assert report.escapes_checked == 8
-
-
-def test_finite_space_has_subcover():
-    space = Space.finite_points(range(4))
-    c = Cover(space, sets=[SSet.finite({0, 1}), SSet.finite({2, 3}), SSet.finite({1, 2})])
-    report = has_finite_subcover(c, horizon=0, max_size=2)
-    assert report.kind == "subcover"
-    assert report.indices == (1, 2)
-
-
-def test_not_a_cover_distinct_verdict():
-    space = Space.finite_points(range(3))
-    c = Cover(space, sets=[SSet.finite({1, 2})])
-    assert has_finite_subcover(c, horizon=0, max_size=2).kind == "not-cover"
-
-
-# ---------------------------------------------------------------- intersections
-
-def test_intersect_ascending_idempotent():
-    a = interval_cover(NATS)
-    b = interval_cover(NATS)
-    both = intersect_ascending([a, b], horizon=8)
-    assert classify_cover(both, CoverKind.ASC, 8) is Verdict.HOLDS
-    assert both.set_at(3) == SSet.interval(0, 3)
-
-
-def test_intersect_ascending_takes_pointwise_min():
-    a = interval_cover(NATS)
-    b = Cover(NATS, set_fn=lambda i: SSet.interval(0, 2 * i), name="twice")
-    both = intersect_ascending([a, b], horizon=8)
-    assert both.set_at(4) == SSet.interval(0, 4)
-    assert classify_cover(both, CoverKind.ASC, 8) is Verdict.HOLDS
-
-
-def test_intersect_three_ascending_covers():
-    covers = [
-        interval_cover(NATS),
-        Cover(NATS, set_fn=lambda i: SSet.interval(0, i + 1), name="shift"),
-        Cover(NATS, set_fn=lambda i: SSet.interval(0, 3 * i), name="thrice"),
-    ]
-    out = intersect_ascending(covers, horizon=9)
-    assert classify_cover(out, CoverKind.ASC, 9) is Verdict.HOLDS
-
-
-def test_intersect_rejects_non_ascending():
-    flat = Cover(NATS, sets=[SSet.interval(0, 9)] * 4)
-    with pytest.raises(ValueError):
-        intersect_ascending([interval_cover(NATS), flat], horizon=8)

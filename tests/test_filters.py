@@ -1,6 +1,4 @@
 """Filter/superfilter algebra: duality laws, star sets, symbolic chains."""
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,20 +6,16 @@ from hypothesis import strategies as st
 from sumgames.filters import (
     PredicateFilter,
     SetFamily,
+    SymbolicChain,
     all_subsets,
     chain_check,
-    chain_generated_filter_contains,
     classify_family,
-    constant_chain,
     family,
     fs_tail_chain,
     is_idempotent_filter,
-    is_idempotent_superfilter,
     plus_dual,
     principal_ultrafilter,
     star_set,
-    translation_invariance_check,
-    upward_closure,
     verify_duality_laws,
 )
 from sumgames.semigroups import ElementSequence, finite_sets, naturals
@@ -81,7 +75,8 @@ def test_classify_trivial_filter():
 
 def test_classify_superfilter_conditions():
     # Oracle: exhaustive over all unions A1 ∪ A2 (done inside classify).
-    fam = upward_closure({1, 2, 3}, [{1}, {2}])
+    # the upward closure of {1} and {2} in {1, 2, 3}
+    fam = family({1, 2, 3}, [{1}, {2}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}])
     flags = classify_family(fam)
     assert flags.is_superfilter
     assert flags.superfilter_surrogate
@@ -142,29 +137,6 @@ def test_trivial_extensional_filter_idempotent():
     ground = frozenset(all_subsets(frozenset({1, 2, 3}))) - {frozenset()}
     fam = SetFamily(frozenset(ground), frozenset([frozenset(ground)]))
     assert is_idempotent_filter(fam, FIN) is Verdict.HOLDS
-
-
-def test_translation_invariance_ap_family():
-    # Sets containing a 3-term arithmetic progression stay such after
-    # shifting; bounded stand-in for the van der Waerden superfilter.
-    def has_ap3(A):
-        elems = sorted(A)
-        return any(b - a == c - b for a, b, c in itertools.combinations(elems, 3))
-
-    samples = [frozenset({1, 2, 3, 7}), frozenset(range(4, 12)), frozenset({2, 4, 6})]
-    shifts = [1, 2, 5]
-    verdict = translation_invariance_check(has_ap3, samples, shifts, NAT)
-    assert verdict is Verdict.HOLDS
-
-
-def test_idempotent_superfilter_exhaustive():
-    # Ground: the union semigroup on nonempty subsets of {1,2}.  The upward
-    # closure of {{1,2}} is translation-invariant (s ∪ {1,2} = {1,2}), so
-    # it must pass the exhaustive idempotent-superfilter check.
-    top = frozenset({1, 2})
-    ground = frozenset({frozenset({1}), frozenset({2}), top})
-    fam = upward_closure(ground, [{top}])
-    assert is_idempotent_superfilter(fam, FIN) is Verdict.HOLDS
 
 
 # ---------------------------------------------------------------- duality laws
@@ -229,7 +201,9 @@ def test_tail_chain_excludes_early_elements():
 
 
 def test_constant_chain_fails_freeness():
-    chain = constant_chain(NAT, lambda x: True)
+    # A_n = all of N for every n, so no element is ever excluded
+    chain = SymbolicChain(NAT, lambda n: lambda x: True, lambda x: None,
+                          lambda n, bound: list(range(1, bound + 1)), name="constant")
     report = chain_check(chain, depth=2, window=4)
     assert report.verdict is Verdict.FAILS
     assert report.freeness_failures
@@ -241,10 +215,3 @@ def test_improper_sequence_chain_lacks_freeness_evidence():
     report = chain_check(fs_tail_chain(seq, index_window=4), depth=2, window=3)
     assert report.verdict is Verdict.FAILS
     assert any(w is None for _, w in report.freeness_failures)
-
-
-def test_chain_generated_filter_contains_tail_sets():
-    seq = ElementSequence.from_fn(NAT, lambda i: 2 ** (i - 1))
-    chain = fs_tail_chain(seq)
-    assert chain_generated_filter_contains(
-        chain, lambda x: x >= 2, depth=3, window=4) is Verdict.HOLDS

@@ -1,7 +1,7 @@
-"""Game referee, judging, strategy transfers, regular families."""
+"""Game referee, judging, strategy transfers."""
 import pytest
 
-from sumgames.covers import Cover, CoverKind, SSet, Space, classify_cover, interval_cover
+from sumgames.covers import Cover, CoverKind, SSet, Space, classify_cover
 from sumgames.games import (
     CoverMove,
     GameTranscript,
@@ -9,9 +9,7 @@ from sumgames.games import (
     Outcome,
     SetMove,
     Strategy,
-    check_regular_family,
     convert_gfin_to_g1,
-    cover_kind_predicate,
     diagonal_cover,
     diagonal_transfer,
     filter_intersection_bob,
@@ -163,7 +161,7 @@ def test_converted_multiplicity_inheritance_horizon_6():
 # ---------------------------------------------------------------- diagonal
 
 def constant_tree(sigma):
-    return interval_cover(NATS)
+    return Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
 
 
 def shifted_tree(sigma):
@@ -214,49 +212,8 @@ def test_diagonal_reconstruction_rejects_non_refining():
 
 def test_tree_gap_raises():
     def gappy(sigma):
-        return None if sigma else interval_cover(NATS)
+        return None if sigma else Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
 
     v1 = diagonal_cover(gappy, 1, NATS)
     with pytest.raises(KeyError):
         v1.set_at(1)
-
-
-# ---------------------------------------------------------------- regularity
-
-def omega_pred():
-    return cover_kind_predicate(CoverKind.OMEGA, NATS, s=2)
-
-
-def test_omega_regular_on_interval_samples():
-    covers = [interval_cover(NATS),
-              Cover(NATS, set_fn=lambda i: SSet.interval(0, i + 2), name="wide")]
-    tau = [SSet.interval(0, i) for i in range(1, 20)]
-    report = check_regular_family(omega_pred(), covers, horizon=6, tau_sample=tau)
-    assert report.verdict is Verdict.HOLDS
-    assert report.split_instances > 0 and report.enlarge_instances > 0
-
-
-def test_gamma_regular_on_cofinite_samples():
-    pred = cover_kind_predicate(CoverKind.GAMMA, NATS, f=2)
-    covers = [Cover(NATS, set_fn=lambda i: SSet.cofinite({i}), name="cof")]
-    tau = [SSet.cofinite({i}) for i in range(1, 12)]
-    report = check_regular_family(pred, covers, horizon=6, tau_sample=tau)
-    assert report.verdict is Verdict.HOLDS
-
-
-def lambda_counterexample_cover() -> Cover:
-    # Interleave two point-finite halves whose union is point-2-infinite:
-    # odd positions sweep [2j, 2j+1], even positions sweep {0}, [1,2], [3,4], ...
-    sets = []
-    for j in range(8):
-        sets.append(SSet.interval(2 * j, 2 * j + 1))
-        sets.append(SSet.finite({0}) if j == 0 else SSet.interval(2 * j - 1, 2 * j))
-    return Cover(NATS, sets=sets, name="interleaved")
-
-
-def test_lambda_fails_split_condition():
-    pred = cover_kind_predicate(CoverKind.LAMBDA, NATS, t=2)
-    cover = lambda_counterexample_cover()
-    assert classify_cover(cover, CoverKind.LAMBDA, 8, t=2) is Verdict.HOLDS
-    report = check_regular_family(pred, [cover], horizon=8)
-    assert report.split_violations >= 1

@@ -17,6 +17,7 @@ from sumgames.coloring import (
 from sumgames.covers import CoverKind, SSet, Space, classify_cover
 from sumgames.filters import chain_check
 from sumgames.partition import (
+    FiniteSetFamily,
     PartitionWitness,
     ap_family,
     build_constrained_chain,
@@ -25,7 +26,6 @@ from sumgames.partition import (
     encode_cofinite_example,
     initial_segment_covers,
     menger_mt_search,
-    singleton_family,
     upper_density,
     verify_partition_witness,
 )
@@ -206,8 +206,12 @@ def test_density_chain_passes_chain_check():
 
 def test_singleton_families_fail_descension():
     # {{a_n}} levels do not refine each other, so the honest check fails.
-    chain = build_constrained_chain(lambda i: i,
-                                    lambda n: singleton_family(lambda i: i, n))
+    def singleton(n):
+        return FiniteSetFamily(has_member_inside=lambda F: n in F,
+                               member_in_tail=lambda k: frozenset({max(k, n)}),
+                               name=f"singleton-{n}")
+
+    chain = build_constrained_chain(lambda i: i, singleton)
     report = chain_check(chain, depth=3, window=3)
     assert report.verdict is Verdict.FAILS
     assert report.descending_failures

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from sumgames import search as search_module
 from sumgames.cli import EXIT_OK, main
 from sumgames.coloring import (
+    Coloring,
     cardinality_coloring,
     constant_coloring,
     parity_coloring,
     seeded_hash_coloring,
-    table_coloring,
 )
 from sumgames.search import (
     Collapse,
@@ -77,14 +77,14 @@ def test_hindman_constant_prefers_proper_witness():
 
 def test_hindman_known_avoider_exhausts():
     # Oracle: {1,4 | 2,3} admits no monochromatic {x, y, x+y} inside {1..4}.
-    chi = table_coloring({1: 1, 4: 1, 2: 2, 3: 2}, d=1, k=2)
+    chi = Coloring(1, 2, lambda s: {1: 1, 4: 1, 2: 2, 3: 2}[min(s)])
     out = hindman_search(chi, 2, SearchBudget(max_value=4))
     assert isinstance(out, Exhausted)
     assert out.complete
 
 
 def test_hindman_budget_exhaustion_is_distinct():
-    chi = table_coloring({1: 1, 4: 1, 2: 2, 3: 2}, d=1, k=2)
+    chi = Coloring(1, 2, lambda s: {1: 1, 4: 1, 2: 2, 3: 2}[min(s)])
     out = hindman_search(chi, 2, SearchBudget(max_value=4, node_limit=2))
     assert isinstance(out, Exhausted)
     assert not out.complete

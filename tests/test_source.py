@@ -1,10 +1,12 @@
 """Checks on the package source itself."""
 import ast
+import collections
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sumgames").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "sumgames").glob("*.py"))
 
 
 def test_sources_are_found():
@@ -17,3 +19,32 @@ def test_no_guard_depends_on_assert(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements on lines {lines}"
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _top_level(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+
+
+def test_every_top_level_name_has_a_caller_outside_the_tests():
+    # Library surface that only tests reach is code no command, verifier,
+    # search, demo or benchmark pays for.  A name counts as used when the
+    # package, a demo or the benchmark mentions it outside its own body.
+    modules = [p for p in SOURCES if p.name != "__init__.py"]
+    callers = (modules + sorted((ROOT / "demos").glob("*.py"))
+               + [p for p in sorted((ROOT / "bench").glob("*.py"))
+                  if not p.name.startswith("test_")])
+    users = collections.defaultdict(set)
+    for path in callers:
+        for stmt in _top_level(path):
+            owner = stmt.name if isinstance(stmt, _DEFINITIONS) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    users[node.id].add((path, owner))
+                elif isinstance(node, ast.Attribute):
+                    users[node.attr].add((path, owner))
+    unused = [f"{path.stem}.{stmt.name}" for path in modules for stmt in _top_level(path)
+              if isinstance(stmt, _DEFINITIONS) and users[stmt.name] <= {(path, stmt.name)}]
+    assert unused == [], f"reached only by tests: {unused}"
