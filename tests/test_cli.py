@@ -750,3 +750,22 @@ def test_verify_report_agrees_with_rerun(tmp_path, argv, config):
     assert by_certificate[0] == by_rerun[0] == EXIT_OK
     assert ([d["matches"] for d in by_certificate[1]["details"]]
             == [d["matches"] for d in by_rerun[1]["details"]])
+
+
+# A finite-selection game whose Bob takes one pick a round selects what the
+# single-selection game selects; each round records the pick as a 1-tuple.
+@pytest.mark.parametrize("alice", ["intervals", "dual-random"])
+@pytest.mark.parametrize("bob", ["first", "filter"])
+@pytest.mark.parametrize("seed", [1, 3])
+def test_play_game_gfin_selects_as_g1(tmp_path, alice, bob, seed):
+    config = {"command": "play-game", "alice": alice, "bob": bob, "seed": seed,
+              "rounds": 6, "horizon": 6}
+    g1_code, [g1] = run_config(tmp_path, {**config, "mode": "g1"}, name="g1.jsonl")
+    gfin_code, [gfin] = run_config(tmp_path, {**config, "mode": "gfin"}, name="gfin.jsonl")
+    assert gfin_code == g1_code == gfin["exit"]
+    for key in ("outcome", "illegal", "rounds_played", "selections"):
+        assert gfin["result"][key] == g1["result"][key]
+    assert ([r["bob"] for r in gfin["result"]["rounds"]]
+            == [f"({r['bob']},)" for r in g1["result"]["rounds"]])
+    code, result = _verify(tmp_path, tmp_path / "gfin.jsonl")
+    assert code == EXIT_OK and result["details"][0]["matches"] is True

@@ -117,6 +117,41 @@ def test_asc_fails_on_constant_finite_cover():
     assert classify_cover(c, CoverKind.ASC, 10) is Verdict.FAILS
 
 
+def test_finite_space_cover_reads_every_point():
+    # horizon 0 reads all points of a finite space
+    space = Space.finite_points(range(4))
+    c = Cover(space, sets=[SSet.finite({0, 1}), SSet.finite({2, 3}), SSet.finite({1, 2})])
+    assert classify_cover(c, CoverKind.OP, 0) is Verdict.HOLDS
+
+
+def test_finite_space_non_cover_fails_definitively():
+    space = Space.finite_points(range(3))
+    c = Cover(space, sets=[SSet.finite({1, 2})])
+    assert classify_cover(c, CoverKind.OP, 0) is Verdict.FAILS
+
+
+def test_pointwise_intersection_of_ascending_covers_is_ascending():
+    a = Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
+    b = Cover(NATS, set_fn=lambda i: SSet.interval(0, 2 * i))
+    both = Cover(NATS, set_fn=lambda i: a.set_at(i).intersect(b.set_at(i)))
+    assert both.set_at(4) == SSet.interval(0, 4)
+    assert classify_cover(both, CoverKind.ASC, 8) is Verdict.HOLDS
+
+
+def test_omega_wide_interval_cover():
+    wide = Cover(NATS, set_fn=lambda i: SSet.interval(0, i + 2))
+    assert classify_cover(wide, CoverKind.OMEGA, 6, s=2) is Verdict.HOLDS
+
+
+def test_gamma_counts_exclusions_against_f():
+    # each point is left out by one set of the first cover, but 0 and 1
+    # are each left out by every other set of the second
+    once = Cover(NATS, set_fn=lambda i: SSet.cofinite({i}))
+    assert classify_cover(once, CoverKind.GAMMA, 6, f=2) is Verdict.HOLDS
+    alternating = Cover(NATS, set_fn=lambda i: SSet.cofinite({i % 2}))
+    assert classify_cover(alternating, CoverKind.GAMMA, 6, f=2) is Verdict.FAILS
+
+
 def test_lambda_and_omega_verdicts_never_restrict_a_set(monkeypatch):
     # only the op, asc and gamma verdicts read whether the sets cover the
     # horizon points, so only they may restrict a set to those points

@@ -139,6 +139,27 @@ def test_trivial_extensional_filter_idempotent():
     assert is_idempotent_filter(fam, FIN) is Verdict.HOLDS
 
 
+def test_union_absorbing_filter_idempotent():
+    # Ground: the union semigroup on nonempty subsets of {1, 2}.  The sets
+    # holding {1, 2} form a filter, and s ∪ {1, 2} = {1, 2} puts every
+    # ground element into each member's star set.
+    one, two, top = frozenset({1}), frozenset({2}), frozenset({1, 2})
+    fam = family({one, two, top}, [{top}, {one, top}, {two, top}, {one, two, top}])
+    assert classify_family(fam).is_filter
+    assert all(star_set(A, fam, FIN) == fam.ground for A in fam.members)
+    assert is_idempotent_filter(fam, FIN) is Verdict.HOLDS
+
+
+def test_filter_without_absorbing_member_not_idempotent():
+    # {{1}, {2}} is a member, but {1} ∪ {2} lies outside it, so its star
+    # set is empty and not in the filter.
+    one, two, top = frozenset({1}), frozenset({2}), frozenset({1, 2})
+    fam = family({one, two, top}, [{one, two}, {one, two, top}])
+    assert classify_family(fam).is_filter
+    assert star_set(frozenset({one, two}), fam, FIN) == frozenset()
+    assert is_idempotent_filter(fam, FIN) is Verdict.FAILS
+
+
 # ---------------------------------------------------------------- duality laws
 
 def test_duality_laws_ground_2():
@@ -207,6 +228,13 @@ def test_constant_chain_fails_freeness():
     report = chain_check(chain, depth=2, window=4)
     assert report.verdict is Verdict.FAILS
     assert report.freeness_failures
+
+
+def test_symbolic_chain_needs_its_member_sampler():
+    # chain_check and the idempotence check sample links only through
+    # members_within, so a chain cannot be built without one
+    with pytest.raises(TypeError, match="members_within"):
+        SymbolicChain(NAT, lambda n: lambda x: True, lambda x: None)
 
 
 def test_improper_sequence_chain_lacks_freeness_evidence():

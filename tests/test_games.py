@@ -92,6 +92,28 @@ def test_judge_partial_coverage_loses_at_horizon():
     assert judge(t, CoverKind.OP, horizon=8, space=NATS) is Outcome.ALICE_WINS
 
 
+def test_judge_ascending_selection_wins_asc_and_omega():
+    alice = scripted_alice([interval_move(6, count=6)])
+    bob = Strategy("bob", lambda hist, move: move.sets[len(hist)])
+    t = play(alice, bob, rounds=6, mode=Mode.G1)
+    assert judge(t, CoverKind.ASC, horizon=6, space=NATS) is Outcome.BOB_WINS
+    assert judge(t, CoverKind.OMEGA, horizon=6, space=NATS, s=2) is Outcome.BOB_WINS
+
+
+def test_judge_counts_a_repeated_selection_once():
+    # four picks of [0, 1] cover the horizon once, not four times
+    t = play(scripted_alice([interval_move(6)]), first_bob(), rounds=4, mode=Mode.G1)
+    assert t.selections() == [SSet.interval(0, 1)] * 4
+    assert judge(t, CoverKind.OP, horizon=2, space=NATS) is Outcome.BOB_WINS
+    assert judge(t, CoverKind.LAMBDA, horizon=2, space=NATS) is Outcome.ALICE_WINS
+
+
+def test_judge_cover_target_needs_the_space():
+    t = play(scripted_alice([interval_move(6)]), first_bob(), rounds=2, mode=Mode.G1)
+    with pytest.raises(ValueError, match="space"):
+        judge(t, CoverKind.OP, horizon=2)
+
+
 # ---------------------------------------------------------------- filter game
 
 def test_filter_bob_wins_at_every_horizon():

@@ -150,6 +150,20 @@ def test_sumsequence_composition_is_transitive():
     assert composed.blocks == (frozenset({1, 2, 4, 5}), frozenset({6}))
 
 
+@given(st.lists(st.integers(1, 2), min_size=1, max_size=3),
+       st.lists(st.integers(1, 9), min_size=6, max_size=6))
+def test_sumsequence_sums_are_base_sums_over_block_unions(sizes, terms):
+    # b_F = a_{union of the blocks B_i, i in F} for consecutive blocks
+    seq = nat_seq(*terms)
+    starts = list(itertools.accumulate([1] + sizes))
+    blocks = BlockSequence(tuple(frozenset(range(lo, lo + k))
+                                 for lo, k in zip(starts, sizes)))
+    taken = fs_enumerate(take_sumsequence(seq, blocks), len(blocks))
+    base = fs_enumerate(seq, blocks.max_index)
+    for F, value in taken.items():
+        assert value == base[frozenset().union(*(blocks[i - 1] for i in F))]
+
+
 def test_fs_of_sumsequence_is_subset():
     seq = nat_seq(1, 2, 4, 8)
     sub = take_sumsequence(seq, BlockSequence((frozenset({1, 2}), frozenset({3, 4}))))
