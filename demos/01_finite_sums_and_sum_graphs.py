@@ -12,7 +12,6 @@ from sumgames import (
     ElementSequence,
     finite_sets,
     fs_enumerate,
-    indexed_sum,
     is_proper_up_to,
     naturals,
     proper_violation,

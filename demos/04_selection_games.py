@@ -8,7 +8,6 @@ into strategies of another while preserving what the winner achieved.
 """
 from sumgames import (
     Mode,
-    Outcome,
     classify_cover,
     convert_gfin_to_g1,
     diagonal_transfer,

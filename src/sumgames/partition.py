@@ -23,6 +23,7 @@ from .filters import SymbolicChain
 from .search import (
     Exhausted,
     SearchBudget,
+    _block,
     _chain_candidates,
     _depth_first,
     _prefix_sums,
@@ -190,7 +191,8 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     if bad:
         raise ValueError(f"descension fails on samples: {bad[:3]}")
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
-    allowed = {n: set(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
+    allowed = {n: sum(1 << (j - 1) for j in dc.allowed_indices(n, hi))  # as a mask
+               for n in range(1, m + 1)}
     usg = _union_semigroup(dc)
     member_set = dc.cover_at(1).set_at
     chains = _chain_candidates(hi, m)
@@ -198,12 +200,13 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
 
     def candidates(blocks: list):
         pool = allowed[len(blocks) + 1]
-        return (F for F in chains(blocks) if F <= pool)
+        return (F for F in chains(blocks) if not F & ~pool)
 
     @functools.cache
-    def union_of(F: frozenset) -> IndexedUnion:
+    def union_of(F: int) -> IndexedUnion:
         # V_n depends on the index block alone: build it once
-        return _union_term(F, [member_set(j) for j in F])
+        gens = _block(F)
+        return _union_term(gens, [member_set(j) for j in gens])
 
     def check(blocks: list, parent):
         nonlocal best_depth
@@ -217,11 +220,12 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         return state
 
     def finish(blocks: list, state):
-        unions = tuple(state.sums[frozenset([n])].value for n in range(1, m + 1))
+        unions = tuple(state.sums[(1 << (n - 1)) - 1].value for n in range(1, m + 1))
         cover = Cover(dc.space, sets=list(dict.fromkeys(unions)), name="partition-unions")
         coverage = classify_cover(cover, target, horizon, **tparams)
         if coverage is not Verdict.HOLDS:
             return None
+        blocks = list(map(_block, blocks))
         return PartitionWitness(
             families=tuple(tuple((j, member_set(j)) for j in sorted(F)) for F in blocks),
             unions=unions,

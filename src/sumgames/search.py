@@ -190,6 +190,11 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
     return Exhausted(True, nodes.used)
 
 
+def _block(mask: int) -> frozenset:
+    """The block of a mask inside a search: index i is in it iff bit i - 1 is."""
+    return frozenset(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _chains_ending_at(n: int, d: int) -> tuple:
     """The chains F_1 < ... < F_d inside {1..n} whose last block holds n:
@@ -197,24 +202,27 @@ def _chains_ending_at(n: int, d: int) -> tuple:
 
     Returned as two tuples: the head chains, whose last block is {n}, and
     the others, whose last block is F | {n} for a block F inside {1..n-1}.
-    A head chain's members other than the term are sums of the parent."""
-    head = frozenset([n])
-    heads = tuple(rest + (head,) for rest in block_chains(n - 1, d - 1))
-    others = tuple(rest + (L,) for L in blocks_within(n) if n in L and L != head
+    A head chain's members other than the term are sums of the parent.
+    Chains are given as list positions in ``_prefix_sums``: a head chain as
+    those of F_1 .. F_{d-1} in the parent's sums (mask - 1), any other as
+    ``(last, rest)``, with ``rest`` so and ``last`` the position of F_d in
+    the sums that n adds (mask - 2^(n-1))."""
+    head, top = frozenset([n]), 1 << (n - 1)
+
+    def positions(blocks) -> tuple:
+        return tuple(sum(1 << (i - 1) for i in F) - 1 for F in blocks)
+
+    heads = tuple(map(positions, block_chains(n - 1, d - 1)))
+    others = tuple((positions([L])[0] + 1 - top, positions(rest))
+                   for L in blocks_within(n) if n in L and L != head
                    for rest in block_chains(min(L) - 1, d - 1))
     return heads, others
 
 
 @functools.lru_cache(maxsize=None)
-def _blocks_ending_at(n: int) -> tuple:
-    """The blocks inside {1..n} that hold n, each with its least index, in
-    the order in which the prefix state of n terms adds their sums: {n}
-    first, then F | {n} for each block F inside {1..n-1}, in the order of
-    the state of n - 1 terms.  So entry i > 0 extends the parent's i-th
-    sum, and the order of every state's sums is that of these tables."""
-    head = frozenset([n])
-    older = [H for k in range(1, n) for H, _ in _blocks_ending_at(k)]
-    return ((head, n),) + tuple((F | head, min(F)) for F in older)
+def _least_indices(n: int) -> tuple:
+    """The least index of each block inside {1..n-1}: entry j - 1 for mask j."""
+    return tuple((j & -j).bit_length() for j in range(1, 1 << (n - 1)))
 
 
 class _SearchTables:
@@ -246,19 +254,19 @@ class _SearchTables:
 @dataclass(slots=True)
 class _PrefixState:
     """What the prefix check knows about a prefix of n terms: its finite
-    sums by block, the least max index of a block with each sum value, the
-    interned bit of each sum by block (under an edge coloring; else the
-    root's empty dict), and the one edge and vertex color seen so far (None
-    before the first).
+    sums and the interned bit of each (under an edge coloring; else the
+    root's empty list), as lists whose entry mask - 1 is that block's; the
+    least max index of a block with each sum value; and the one edge and
+    vertex color seen so far (None before the first).
 
     ``tables`` holds the search's interned bits and colors: ``root`` makes
     them, and every later state holds the same ``_SearchTables``.
     """
 
     n: int
-    sums: dict
+    sums: list
     least_max: dict
-    masks: dict
+    masks: list
     edge_color: Optional[int]
     vertex_color: Optional[int]
     tables: _SearchTables
@@ -266,7 +274,7 @@ class _PrefixState:
     @classmethod
     def root(cls) -> "_PrefixState":
         """The state of the empty prefix, with new tables."""
-        return cls(0, {}, {}, {}, None, None, _SearchTables())
+        return cls(0, [], {}, [], None, None, _SearchTables())
 
 
 def _color(chi: Coloring, members: list, keys: dict) -> int:
@@ -302,15 +310,16 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
        Their members are d distinct values, since the parent is proper and
        step 1 held, so the arity check of the coloring cannot fire there,
        as it cannot on the chains of step 5;
-    4. properness of the other new sums, in the order of
-       ``_blocks_ending_at(n)``: H = F | {n} collides when a block below
-       min(H) has the same sum, that is when the parent's least max index of
-       a block with that sum lies below min(F).  A new sum can collide only
-       with an older one: two blocks holding n are incomparable;
+    4. properness of the other new sums, H = F | {n} for each block F of
+       the parent in mask order: H collides when a block below min(H) has
+       the same sum, that is when the parent's least max index of a block
+       with that sum lies below min(F).  A new sum can collide only with
+       an older one: two blocks holding n are incomparable;
     5. ``chi_edge`` on the other new chains, then ``chi_vertex`` on the other
        new sums;
-    6. only then are the parent's ``sums``, ``least_max`` and ``masks``
-       copied and extended.  The parent's state is never changed.
+    6. only then are the parent's lists copied and extended by the new
+       sums, which belong to the masks 2^(n-1) .. 2^n - 1, and its
+       ``least_max`` copied.  The parent's state is never changed.
 
     Every color is read from the search's tables, and a coloring is called
     only on a subject that its table lacks.
@@ -337,60 +346,55 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
         if term_bit is None:
             term_bit = bits[term] = 1 << len(bits)
         heads, others = _chains_ending_at(n, d)
-        for ch in heads:
+        for rest in heads:
             mask = term_bit
-            for F in ch[:-1]:
-                mask |= masks[F]
+            for p in rest:
+                mask |= masks[p]
             c = edge_colors.get(mask)
             if c is None:
                 c = edge_colors[mask] = _color(
-                    chi_edge, [older[F] for F in ch[:-1]] + [term], tables.keys)
+                    chi_edge, [older[p] for p in rest] + [term], tables.keys)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
                 return None
-    table = _blocks_ending_at(n)
-    added = {table[0][0]: term}
+    added = [term]
     combine = sg.combine
-    for (H, low), v in zip(table[1:], older.values()):
+    for low, v in zip(_least_indices(n), older):
         v = combine(v, term)
         if least_max.get(v, n) < low:
             return None
-        added[H] = v
+        added.append(v)
     # a new chain or sum is checked only once a head chain or the term has
     # fixed the color
     if chi_edge is not None:
-        new_masks = {}
-        for H, v in added.items():
+        new_masks = []
+        for v in added:
             bit = bits.get(v)
             if bit is None:
                 bit = bits[v] = 1 << len(bits)
-            new_masks[H] = bit
-        for ch in others:
-            last = ch[-1]
+            new_masks.append(bit)
+        for last, rest in others:
             mask = new_masks[last]
-            for F in ch[:-1]:
-                mask |= masks[F]
+            for p in rest:
+                mask |= masks[p]
             c = edge_colors.get(mask)
             if c is None:
                 c = edge_colors[mask] = _color(
-                    chi_edge, [older[F] for F in ch[:-1]] + [added[last]], tables.keys)
+                    chi_edge, [older[p] for p in rest] + [added[last]], tables.keys)
             if c != edge_color:
                 return None
-        masks = dict(masks)
-        masks.update(new_masks)
+        masks = masks + new_masks
     if chi_vertex is not None:
-        for v in itertools.islice(added.values(), 1, None):
+        for v in itertools.islice(added, 1, None):
             c = vertex_colors.get(v)
             if c is None:
                 c = vertex_colors[v] = _color(chi_vertex, [v], tables.keys)
             if c != vertex_color:
                 return None
-    sums, least = dict(older), dict(least_max)
-    sums.update(added)
-    for v in added.values():
-        least.setdefault(v, n)
-    return _PrefixState(n, sums, least, masks, edge_color, vertex_color, tables)
+    least = dict.fromkeys(added, n)  # an older value keeps its entry
+    least.update(least_max)
+    return _PrefixState(n, older + added, least, masks, edge_color, vertex_color, tables)
 
 
 def _proper_up_to(seq: ElementSequence, n: int, root: _PrefixState) -> bool:
@@ -412,8 +416,8 @@ def _chain_candidates(hi: int, m: int) -> Callable:
     """Candidates for chains F_1 < ... < F_m inside {1..hi}: blocks above
     the last one that leave an index for each block still to come."""
 
-    def candidates(blocks: list) -> Iterator[frozenset]:
-        lo = max(blocks[-1]) + 1 if blocks else 1
+    def candidates(blocks: list) -> Iterator[int]:
+        lo = blocks[-1].bit_length() + 1 if blocks else 1
         return _candidate_blocks(lo, hi - (m - len(blocks) - 1))
 
     return candidates
@@ -443,7 +447,7 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
             terms=tuple(terms),
             color_vertex=chi.of(terms[0]),
             color_edge=None,
-            certificate={"fs_values": sorted(state.sums.values())},
+            certificate={"fs_values": sorted(state.sums)},
         )
 
     result = _depth_first(
@@ -470,9 +474,9 @@ def verify_hindman_witness(w: Witness, chi: Coloring) -> bool:
 # Milliken–Taylor style block search
 # ---------------------------------------------------------------------------
 
-def _candidate_blocks(lo: int, hi: int) -> Iterator[frozenset]:
-    """Blocks inside {lo..hi} ordered by max index first, then by sorted
-    tuple: the greedy least-max order the searches use.
+def _candidate_blocks(lo: int, hi: int) -> Iterator[int]:
+    """Masks of the blocks inside {lo..hi} ordered by max index first, then
+    by sorted tuple: the greedy least-max order the searches use.
 
     The blocks with max index k are generated in that order, one at a
     time: {lo..k} first, and after a block whose indices below k are
@@ -480,13 +484,15 @@ def _candidate_blocks(lo: int, hi: int) -> Iterator[frozenset]:
     j + 1..k - 1.  So a block is followed by the least block that sorts
     after it, and {k} comes last."""
     for k in range(lo, hi + 1):
-        below = list(range(lo, k))
+        top = 1 << (k - 1)
+        below = top - (1 << (lo - 1))
         while True:
-            yield frozenset((*below, k))
+            yield below | top
             if not below:
                 break
-            j = below.pop()
-            below.extend(range(j + 1, k))
+            j = below.bit_length()
+            below ^= 1 << (j - 1)
+            below |= top - (1 << j)
 
 
 def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
@@ -517,7 +523,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
            if (chi_vertex is not None and d == 2) else None)
 
     # the sum over a block depends on the block alone: take it once
-    block_sum = functools.cache(functools.partial(indexed_sum, base))
+    block_sum = functools.cache(lambda F: indexed_sum(base, _block(F)))
 
     def check(blocks: list, parent: _PrefixState) -> Optional[_PrefixState]:
         term = block_sum(blocks[-1])
@@ -526,9 +532,9 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
         return _prefix_sums(sg, parent, term, chi_edge, d, chi_vertex)
 
     def finish(blocks: list, state: _PrefixState) -> Witness:
-        sums = state.sums
+        sums = dict(zip(map(_block, itertools.count(1)), state.sums))
         return Witness(
-            blocks=BlockSequence(tuple(blocks)),
+            blocks=BlockSequence(tuple(map(_block, blocks))),
             terms=tuple(sums[frozenset([i])] for i in range(1, m + 1)),
             color_vertex=state.vertex_color,
             color_edge=state.edge_color,
@@ -811,7 +817,7 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
                          f"{seq.length}")
     sg = seq.semigroup
     # the sum over a block depends on the block alone: take it once
-    block_sum = functools.cache(functools.partial(indexed_sum, seq))
+    block_sum = functools.cache(lambda F: indexed_sum(seq, _block(F)))
 
     def check(blocks: list, parent):
         term = block_sum(blocks[-1])
@@ -822,7 +828,7 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
         return term if state is None and len(blocks) == 2 else state
 
     def finish(blocks: list, state):
-        bseq = BlockSequence(tuple(blocks))
+        bseq = BlockSequence(tuple(map(_block, blocks)))
         if isinstance(state, _PrefixState):
             return Proper(blocks=bseq, terms=tuple(map(block_sum, blocks)))
         if sg.combine(state, state) == state:

@@ -7,8 +7,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from sumgames.coloring import (
     cardinality_coloring,
     constant_coloring,

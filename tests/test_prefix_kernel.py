@@ -21,6 +21,7 @@ from sumgames.coloring import (
     seeded_hash_coloring,
 )
 from sumgames.covers import CoverKind, Space
+from sumgames.filters import fs_tail_chain
 from sumgames.partition import (
     PartitionWitness,
     encode_cofinite_example,
@@ -32,6 +33,7 @@ from sumgames.search import (
     Exhausted,
     SearchBudget,
     Witness,
+    _block,
     _chains_ending_at,
     _color,
     _prefix_sums,
@@ -102,7 +104,9 @@ def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
             assert not any(reference_accepts(sg, terms[:j], chi_edge, d, chi_vertex)
                            for j in range(n + 1, len(terms) + 1))
             return n - 1
-        assert state.sums == fs_enumerate(ElementSequence.from_terms(sg, terms[:n]), n)
+        want = fs_enumerate(ElementSequence.from_terms(sg, terms[:n]), n)
+        assert {_block(mask): v for mask, v in enumerate(state.sums, start=1)} == want
+        assert state.sums == list(want.values())
     return len(terms)
 
 
@@ -215,6 +219,34 @@ def test_incremental_properness_matches_reference(kind):
         fold(sg, terms)
 
 
+def wide_terms(kind, rng, length=8):
+    """Terms over so many values that no two sums of comparable blocks
+    coincide, so that every prefix is proper."""
+    if kind == "naturals":
+        return NAT, [rng.randint(1, 10 ** 9) for _ in range(length)]
+    values = [frozenset(rng.sample(range(1, 1000), 3)) for _ in range(length)]
+    if kind == "finite-sets":
+        return FIN, values
+    return union_semigroup(values), [IndexedUnion(gens=frozenset([i]), value=v)
+                                     for i, v in enumerate(values, start=1)]
+
+
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+def test_sums_are_listed_in_mask_order(kind):
+    # the kernel reads the sum over the block with mask j at position j - 1
+    for seed in range(10):
+        sg, terms = wide_terms(kind, random.Random(seed))
+        seq = ElementSequence.from_terms(sg, terms)
+        state = _PrefixState.root()
+        for n, term in enumerate(terms, start=1):
+            state = _prefix_sums(sg, state, term)
+            assert state is not None and len(state.sums) == 2 ** n - 1
+            for mask in range(1, 2 ** n):
+                want = indexed_sum(seq, _block(mask))
+                assert state.sums[mask - 1] == want
+                assert getattr(state.sums[mask - 1], "gens", None) == getattr(want, "gens", None)
+
+
 @pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
 def test_extending_a_parent_leaves_its_state_unchanged(kind):
     outcomes = set()
@@ -228,13 +260,13 @@ def test_extending_a_parent_leaves_its_state_unchanged(kind):
         for term in terms:
             parent = state
             sums, least_max = parent.sums, parent.least_max
-            before = (list(sums.items()), list(least_max.items()))
+            before = (list(sums), list(least_max.items()))
             for last in (*siblings, term):
                 child = _prefix_sums(sg, parent, last, chi_edge, 2, chi_vertex)
                 outcomes.add(child is not None)
-                # the same dicts, in the same order, with the same entries
+                # the same list and dict, in the same order, with the same entries
                 assert parent.sums is sums and parent.least_max is least_max
-                assert (list(sums.items()), list(least_max.items())) == before
+                assert (list(sums), list(least_max.items())) == before
                 assert child is None or child.sums is not sums
             state = child
             if state is None:
@@ -245,7 +277,13 @@ def test_extending_a_parent_leaves_its_state_unchanged(kind):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_head_and_other_chains_are_the_new_chains(n, d):
-    heads, others = _chains_ending_at(n, d)
+    def decoded(rest, last=0):
+        # positions in the parent's sums, then in the sums that n adds
+        return tuple(_block(p + 1) for p in rest) + (_block((1 << (n - 1)) + last),)
+
+    head_positions, other_positions = _chains_ending_at(n, d)
+    heads = [decoded(rest) for rest in head_positions]
+    others = [decoded(rest, last) for last, rest in other_positions]
     new = set(block_chains(n, d)) - set(block_chains(n - 1, d))
     assert len(heads) + len(others) == len(new)
     assert set(heads) | set(others) == new
@@ -352,6 +390,41 @@ def test_menger_lambda_witness_is_found_at_its_pinned_node():
         "index_blocks": [[1], [2, 3, 4, 5, 6], [7]],
         "families": [[1], [2, 3, 4, 5, 6], [7]],
         "color_vertex": None, "color_edge": 2, "target": "lambda", "coverage": "holds"}
+
+
+# mt witnesses over the powers of two, each found at its pinned node, with
+# its terms and edge sets read from the kernel's state; one under a
+# seeded-hash vertex coloring (checked through eta, the reduced coloring),
+# one under the fs-tails chain.  Each cut run stops one node before.
+POW2 = ElementSequence.from_fn(NAT, lambda i: 2 ** (i - 1))
+PINNED_MT_WITNESSES = {
+    "vertex": (lambda limit: mt_search(
+        seeded_hash_coloring(2, 3, d=2), NAT, POW2, 3, 2,
+        SearchBudget(max_index=9, node_limit=limit),
+        chi_vertex=seeded_hash_coloring(2, 103)), 767,
+        {"blocks": [[1, 2, 4], [5], [7]], "terms": [11, 16, 64],
+         "color_vertex": 2, "color_edge": 2, "certificate_size": 5},
+        [[11, 16], [11, 80], [11, 64], [27, 64], [16, 64]]),
+    "fs-tails-pow2": (lambda limit: mt_search(
+        seeded_hash_coloring(2, 4, d=2), NAT, POW2, 4, 2,
+        SearchBudget(max_index=10, node_limit=limit), chain=fs_tail_chain(POW2)), 2397,
+        {"blocks": [[2, 3], [4, 6], [7], [8]], "terms": [6, 40, 64, 128],
+         "color_vertex": None, "color_edge": 2, "certificate_size": 17},
+        [[6, 40], [6, 104], [6, 232], [6, 168], [6, 64], [6, 192], [6, 128],
+         [46, 64], [46, 192], [46, 128], [110, 128], [70, 128], [40, 64],
+         [40, 192], [40, 128], [104, 128], [64, 128]]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_MT_WITNESSES))
+def test_mt_witness_is_found_at_its_pinned_node(case):
+    run, nodes, record, edge_sets = PINNED_MT_WITNESSES[case]
+    w = run(nodes)
+    assert w.to_record() == record
+    assert [sorted(e) for e in w.certificate["edge_sets"]] == edge_sets
+    cut = run(nodes - 1)
+    assert isinstance(cut, Exhausted)
+    assert (cut.complete, cut.nodes) == (False, nodes - 1)
 
 
 def counted(chi: Coloring) -> tuple:

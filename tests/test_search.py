@@ -35,6 +35,7 @@ from sumgames.search import (
     _NodeBudget,
     _PrefixState,
     _avoider_exists_fc,
+    _block,
     _candidate_blocks,
     _lex_first_avoider,
     _proper_up_to,
@@ -487,13 +488,11 @@ def test_hindman_matches_bruteforce(seed, m, n_max):
 def brute_force_mt_pairs(chi, base, hi):
     """All block pairs F < H in the search's (max, lex) order; first pair
     with a monochromatic depth-2 hypergraph of a proper taken sequence."""
-    from sumgames.search import _candidate_blocks
-    from sumgames.semigroups import (BlockSequence, fs_enumerate,
-                                     block_chains, indexed_sum,
+    from sumgames.semigroups import (fs_enumerate, block_chains, indexed_sum,
                                      proper_violation)
 
-    for F in _candidate_blocks(1, hi - 1):
-        for H in _candidate_blocks(max(F) + 1, hi):
+    for F in sorted_candidate_blocks(1, hi - 1):
+        for H in sorted_candidate_blocks(max(F) + 1, hi):
             taken = ElementSequence.from_terms(
                 base.semigroup, [indexed_sum(base, F), indexed_sum(base, H)])
             if proper_violation(taken, 2) is not None:
@@ -519,7 +518,8 @@ def sorted_candidate_blocks(lo, hi):
 def test_candidate_blocks_are_generated_in_sorted_order():
     for hi in range(0, 13):
         for lo in range(1, hi + 2):
-            assert list(_candidate_blocks(lo, hi)) == list(sorted_candidate_blocks(lo, hi))
+            got = [_block(mask) for mask in _candidate_blocks(lo, hi)]
+            assert got == list(sorted_candidate_blocks(lo, hi))
 
 
 @given(st.integers(0, 2 ** 31))

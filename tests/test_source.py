@@ -48,3 +48,26 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
     unused = [f"{path.stem}.{stmt.name}" for path in modules for stmt in _top_level(path)
               if isinstance(stmt, _DEFINITIONS) and users[stmt.name] <= {(path, stmt.name)}]
     assert unused == [], f"reached only by tests: {unused}"
+
+
+def test_every_top_level_import_is_used():
+    # An import that its file never reads is dead weight.  The package's
+    # __init__.py is left out: its imports are the public API.
+    paths = ([p for p in SOURCES if p.name != "__init__.py"]
+             + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")))
+    unused = []
+    for path in paths:
+        body = _top_level(path)
+        # the base of an attribute, as in pytest.mark, is itself a Name
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)}
+        for stmt in body:
+            if isinstance(stmt, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                bound = [alias.asname or alias.name for alias in stmt.names]
+            else:
+                continue
+            unused += [f"{path.parent.name}/{path.name}: {name}"
+                       for name in bound if name not in read]
+    assert unused == [], f"imported but never used: {unused}"
