@@ -515,7 +515,8 @@ def _run_proper_or_collapse(config: RunConfig):
     worst = EXIT_OK
     for r in range(config["runs"]):
         seq = _dichotomy_sequence(config, r)
-        out = proper_or_collapse(seq, config["depth"])
+        out = proper_or_collapse(seq, config["depth"], SearchBudget(
+            max_index=config["depth"], node_limit=config["node_limit"]))
         ok = verify_dichotomy(out, seq)
         if isinstance(out, DichotomyUnknown):
             worst = max(worst, EXIT_UNKNOWN)

@@ -71,7 +71,9 @@ class SSet:
 
     def issubset(self, other: "SSet") -> bool:
         if self.kind == "finite":
-            return all(other.contains(p) for p in self.data)
+            if other.kind == "finite":
+                return self.data <= other.data
+            return self.data.isdisjoint(other.data)
         if other.kind == "finite":
             return False  # a cofinite set of naturals is infinite
         return other.data <= self.data

@@ -11,6 +11,7 @@ horizon H never claims the infinite-game outcome.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -104,17 +105,11 @@ def play(alice: Strategy, bob: Strategy, rounds: int, mode: Mode) -> GameTranscr
         except Exception as exc:
             t.illegal = IllegalMove(idx, "bob", f"strategy failure: {exc}")
             return t
-        if mode is Mode.GFIN:
-            picks = tuple(b_move)
-            if not all(a_move.legal_pick(p) for p in picks):
-                t.illegal = IllegalMove(idx, "bob", "selection outside Alice's move")
-                return t
-        else:
-            picks = b_move
-            if not a_move.legal_pick(picks):
-                t.illegal = IllegalMove(idx, "bob", "selection outside Alice's move")
-                return t
-        t.rounds.append(Round(a_move, picks))
+        picks = tuple(b_move) if mode is Mode.GFIN else (b_move,)
+        if not all(a_move.legal_pick(p) for p in picks):
+            t.illegal = IllegalMove(idx, "bob", "selection outside Alice's move")
+            return t
+        t.rounds.append(Round(a_move, picks if mode is Mode.GFIN else b_move))
     return t
 
 
@@ -124,13 +119,15 @@ class Outcome(enum.Enum):
     UNKNOWN = "unknown-at-depth"
 
 
-def judge(t: GameTranscript, target, horizon: int, space: Optional[Space] = None,
+def judge(t: GameTranscript, target, /, horizon: int, space: Optional[Space] = None,
           **params) -> Outcome:
     """Apply the target family to Bob's selection set.
 
     ``target`` is a CoverKind (selections must be sets; they are assembled
     into a cover and classified) or a predicate on the selection list
     returning bool or Verdict.  An illegal move loses for the offender.
+    The transcript and target are positional-only, so ``params`` may hold
+    the classifier's threshold ``t``.
     """
     if t.illegal is not None:
         return Outcome.ALICE_WINS if t.illegal.offender == "bob" else Outcome.BOB_WINS
@@ -140,6 +137,8 @@ def judge(t: GameTranscript, target, horizon: int, space: Optional[Space] = None
     if isinstance(target, CoverKind):
         if space is None:
             raise ValueError("judging a cover target needs the space")
+        if not all(isinstance(s, SSet) for s in sel):
+            raise TypeError("a cover target judges set selections; Bob selected points")
         # distinct sets only: a cover is a family
         distinct = []
         for s in sel:
@@ -345,96 +344,62 @@ def reconstruct_parallel_plays(tree: Callable[[tuple], Cover],
     Step 1 picks a member of the opening cover containing the first
     selection; step i >= 2 picks, from the cover the strategy answers along
     the odd or even path, a fresh member containing the batch of selections
-    between the previous two pick indices.  Selections are assigned to the
-    pick that absorbed their batch (skipping duplicates of earlier sets),
-    which is the finite-to-one surjection of the construction.
+    between the previous two pick indices.  The batches tile the
+    selections: step 1 absorbs selection 1, step 2 absorbs 2..m_1 and step
+    i absorbs m_{i-2}+1..m_{i-1}.  So a selection is new, not a duplicate
+    of an earlier set, exactly when it is the first occurrence of its value.
+    Each new selection is assigned to the pick that absorbed its batch,
+    which is the finite-to-one surjection of the construction; a batch
+    with no new selection ends the replay.
     """
     V = list(selections)
     M = len(V)
     if M == 0:
         raise ValueError("no selections to reconstruct from")
+    first: dict = {}
+    for j, v in enumerate(V, start=1):
+        first.setdefault(v, j)
 
     picks: list = []          # (sigma, m_index, sset) in pick order
-    picked_sets: list = []
-    m_indices: list = []      # m_1, m_2, ... as picked
-    odd_path: list = []
-    even_path: list = []
     f_map: dict = {}
     batch_sizes: dict = {}
-    note = ""
-
-    def union_of(batch) -> SSet:
-        acc = V[batch[0] - 1]
-        for j in batch[1:]:
-            acc = acc.union(V[j - 1])
-        return acc
-
-    step = 1
+    absorbed = 0              # the selections 1..absorbed are in batches
     while True:
-        if step == 1:
-            batch = [1]
-        elif step == 2:
-            batch = list(range(2, m_indices[0] + 1))
-        else:
-            batch = list(range(m_indices[step - 3] + 1, m_indices[step - 2] + 1))
-        batch = [j for j in batch if j <= M]
-        if not batch:
+        step = len(picks) + 1
+        if absorbed == M:
             note = f"selections exhausted before step {step}"
             break
-        if step <= 2:
-            sigma: tuple = ()
-        elif step % 2 == 1:
-            sigma = tuple(odd_path)
-        else:
-            sigma = tuple(even_path)
+        last = picks[-1][1] if picks else 1  # m_{i-1}; step 1 ends at selection 1
+        batch = range(absorbed + 1, min(last, M) + 1)
+        # the m-indices picked along this step's path, odd or even
+        sigma = tuple(m for _, m, _ in picks[len(picks) % 2::2])
         cover = tree(sigma)
         if cover is None:
             raise KeyError(f"strategy tree gap at {sigma}")
-        needed = union_of(batch)
-        lo = (m_indices[-1] + 1) if m_indices else 2  # m_1 > 1
-        m_i = None
-        for m in range(lo, _COVER_BOUND + 1):
+        needed = functools.reduce(SSet.union, (V[j - 1] for j in batch))
+        for m in range(last + 1, _COVER_BOUND + 1):
             u = cover.set_at(m)
-            if needed.issubset(u) and all(u != p for p in picked_sets):
-                m_i = m
+            if needed.issubset(u) and all(u != p for _, _, p in picks):
                 break
-        if m_i is None:
+        else:
             note = f"no fresh containing member found at step {step}"
             break
-        sset = cover.set_at(m_i)
-        picks.append((sigma, m_i, sset))
-        picked_sets.append(sset)
-        m_indices.append(m_i)
-        (odd_path if step % 2 == 1 else even_path).append(m_i)
-        pick_pos = len(picks)
-        seen_before = set()
-        for j in range(1, batch[0]):
-            seen_before.add(V[j - 1])
-        fiber = 0
-        for j in batch:
-            if V[j - 1] in seen_before:
-                continue  # duplicate of an earlier selection; not a new family member
-            seen_before.add(V[j - 1])
-            f_map[j] = pick_pos
-            fiber += 1
-        batch_sizes[pick_pos] = max(1, len(batch))
-        if fiber == 0:
+        fiber = {j: step for j in batch if first[V[j - 1]] == j}
+        if not fiber:
             note = f"no new selection in the batch at step {step}"
-            picks.pop(), picked_sets.pop(), m_indices.pop()
-            (odd_path if step % 2 == 1 else even_path).pop()
-            del batch_sizes[pick_pos]
             break
-        step += 1
+        picks.append((sigma, m, u))
+        f_map.update(fiber)
+        batch_sizes[len(picks)] = len(batch)
+        absorbed = batch[-1]
 
     if not picks:
         raise ValueError(
             "first selection does not refine the opening cover: " + note)
-    odd_sets = [p[2] for i, p in enumerate(picks) if i % 2 == 0]
-    even_sets = [p[2] for i, p in enumerate(picks) if i % 2 == 1]
     return PlayReconstruction(
         picks=picks,
-        odd_play=odd_sets,
-        even_play=even_sets,
+        odd_play=[p[2] for p in picks[0::2]],
+        even_play=[p[2] for p in picks[1::2]],
         f_map=f_map,
         batch_sizes=batch_sizes,
         complete=not note,

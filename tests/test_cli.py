@@ -138,6 +138,17 @@ def test_proper_or_collapse_dispatch(tmp_path):
     assert all(r["reverified"] for r in recs[0]["result"]["runs"])
 
 
+def test_proper_or_collapse_obeys_node_limit(tmp_path):
+    code, recs = run_config(tmp_path, {
+        "command": "proper-or-collapse", "depth": 5, "runs": 2, "seed": 1,
+        "node_limit": 1})
+    assert code == EXIT_UNKNOWN
+    assert recs[0]["result"]["runs"] == [
+        {"verdict": "unknown-at-depth", "nodes": 1, "reverified": True}] * 2
+    verify_code, result = _verify(tmp_path, tmp_path / "report.jsonl")
+    assert verify_code == EXIT_OK and result["details"][0]["matches"] is True
+
+
 def test_play_game_dispatch(tmp_path):
     code, recs = run_config(tmp_path, {
         "command": "play-game", "alice": "dual-random", "bob": "filter",
@@ -255,8 +266,9 @@ def test_verify_report_counts_a_bad_line_and_goes_on(tmp_path, tamper, reason):
 
 
 def test_verify_report_counts_a_raising_rerun_and_goes_on(tmp_path):
-    # judge() rejects the arguments play-game passes for target lambda
-    # with a TypeError, which once stopped verify-report with a traceback
+    # judge() rejects a lambda target for dual-random Alice, whose Bob
+    # selects points, with a TypeError, which once stopped verify-report
+    # with a traceback
     run_config(tmp_path, {"command": "play-game", "rounds": 4, "horizon": 4},
                name="g.jsonl")
     path = tmp_path / "g.jsonl"
@@ -769,3 +781,25 @@ def test_play_game_gfin_selects_as_g1(tmp_path, alice, bob, seed):
             == [f"({r['bob']},)" for r in g1["result"]["rounds"]])
     code, result = _verify(tmp_path, tmp_path / "gfin.jsonl")
     assert code == EXIT_OK and result["details"][0]["matches"] is True
+
+
+# Every play-game pairing at 8 rounds runs to a verdict that verify-report
+# matches, except a cover-kind target against dual-random Alice: she plays
+# sets of points, so Bob selects points, and a cover target judges sets.
+@pytest.mark.parametrize("alice", ["intervals", "dual-random"])
+@pytest.mark.parametrize("bob", ["first", "filter"])
+@pytest.mark.parametrize("mode", ["g1", "gfin"])
+@pytest.mark.parametrize("target", ["meets-generators", "op", "asc", "lambda",
+                                    "omega", "gamma"])
+def test_play_game_every_target(tmp_path, alice, bob, mode, target):
+    config = {"command": "play-game", "alice": alice, "bob": bob, "mode": mode,
+              "target": target, "rounds": 8, "horizon": 8}
+    if alice == "dual-random" and target != "meets-generators":
+        with pytest.raises(TypeError, match="^a cover target judges set selections; "
+                                            "Bob selected points$"):
+            run_config(tmp_path, config)
+        return
+    code, [rec] = run_config(tmp_path, config)
+    assert code in (EXIT_OK, EXIT_EXHAUSTED, EXIT_UNKNOWN) and rec["exit"] == code
+    verify_code, result = _verify(tmp_path, tmp_path / "report.jsonl")
+    assert verify_code == EXIT_OK and result["details"][0]["matches"] is True

@@ -56,6 +56,16 @@ def test_sset_algebra_matches_pointwise(xs, ys, h):
     assert fin.intersect(cof).restrict(pts) == fin.restrict(pts) & cof.restrict(pts)
 
 
+_SSETS = st.builds(SSet, st.sampled_from(["finite", "cofinite"]),
+                   st.frozensets(st.integers(0, 8)))
+
+
+@given(_SSETS, _SSETS)
+def test_sset_issubset_matches_pointwise(a, b):
+    # the sets differ only below 9, and a cofinite set holds 9
+    assert a.issubset(b) == all(b.contains(p) for p in range(10) if a.contains(p))
+
+
 # ---------------------------------------------------------------- classify
 
 def test_intervals_are_ascending():

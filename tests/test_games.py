@@ -7,6 +7,7 @@ from sumgames.games import (
     GameTranscript,
     Mode,
     Outcome,
+    PlayReconstruction,
     SetMove,
     Strategy,
     convert_gfin_to_g1,
@@ -239,3 +240,69 @@ def test_tree_gap_raises():
     v1 = diagonal_cover(gappy, 1, NATS)
     with pytest.raises(KeyError):
         v1.set_at(1)
+
+
+# The full reconstruction for fixed selection lists.  Every run ends with a
+# note, so ``complete`` is False even when the selections run out.
+def plateau_tree(sigma):
+    # consecutive members repeat a set, so a fresh pick skips the equal one
+    return Cover(NATS, set_fn=lambda i: SSet.interval(0, (i + 1) // 2))
+
+
+I = SSet.interval
+RECONSTRUCTIONS = {
+    # duplicates inside the batch 2..4 and across batches; selections run out
+    "batches": (constant_tree,
+                [I(0, 4), I(0, 1), I(0, 1), I(0, 4), I(0, 9), I(0, 2), I(0, 9),
+                 I(0, 10), I(0, 3)],
+                PlayReconstruction(
+                    picks=[((), 4, I(0, 4)), ((), 5, I(0, 5)), ((4,), 9, I(0, 9)),
+                           ((5,), 10, I(0, 10))],
+                    odd_play=[I(0, 4), I(0, 9)], even_play=[I(0, 5), I(0, 10)],
+                    f_map={1: 1, 2: 2, 5: 3, 6: 4, 8: 4, 9: 4},
+                    batch_sizes={1: 1, 2: 3, 3: 1, 4: 4}, complete=False,
+                    note="selections exhausted before step 5")),
+    "only-duplicates": (constant_tree,
+                        [I(0, 2), I(0, 5), I(0, 2), I(0, 5), I(0, 2), I(0, 5)],
+                        PlayReconstruction(
+                            picks=[((), 2, I(0, 2)), ((), 5, I(0, 5))],
+                            odd_play=[I(0, 2)], even_play=[I(0, 5)],
+                            f_map={1: 1, 2: 2}, batch_sizes={1: 1, 2: 1},
+                            complete=False,
+                            note="no new selection in the batch at step 3")),
+    # the last member searched is the 32nd
+    "no-fresh-member": (constant_tree, [I(0, 1), I(0, 32), I(0, 33)],
+                        PlayReconstruction(
+                            picks=[((), 2, I(0, 2)), ((), 32, I(0, 32))],
+                            odd_play=[I(0, 2)], even_play=[I(0, 32)],
+                            f_map={1: 1, 2: 2}, batch_sizes={1: 1, 2: 1},
+                            complete=False,
+                            note="no fresh containing member found at step 3")),
+    "skips-picked-set": (plateau_tree, [I(0, 1), I(0, 2), I(0, 0), I(0, 3)],
+                         PlayReconstruction(
+                             picks=[((), 2, I(0, 1)), ((), 3, I(0, 2)),
+                                    ((2,), 5, I(0, 3)), ((3,), 7, I(0, 4))],
+                             odd_play=[I(0, 1), I(0, 3)], even_play=[I(0, 2), I(0, 4)],
+                             f_map={1: 1, 2: 2, 3: 3, 4: 4},
+                             batch_sizes={1: 1, 2: 1, 3: 1, 4: 1}, complete=False,
+                             note="selections exhausted before step 5")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCTIONS))
+def test_reconstruction_pinned(name):
+    tree, selections, expected = RECONSTRUCTIONS[name]
+    assert reconstruct_parallel_plays(tree, selections) == expected
+
+
+@pytest.mark.parametrize("tree, selections, error, message", [
+    (constant_tree, [], ValueError, "no selections to reconstruct from"),
+    (constant_tree, [SSet.cofinite(())], ValueError,
+     "first selection does not refine the opening cover: "
+     "no fresh containing member found at step 1"),
+    (lambda sigma: None if sigma else constant_tree(sigma),
+     [I(0, 1), I(0, 2), I(0, 3)], KeyError, "strategy tree gap at \\(2,\\)"),
+])
+def test_reconstruction_errors_pinned(tree, selections, error, message):
+    with pytest.raises(error, match=message):
+        reconstruct_parallel_plays(tree, selections)
