@@ -390,7 +390,7 @@ def reconstruct_parallel_plays(tree: Callable[[tuple], Cover],
             break
         picks.append((sigma, m, u))
         f_map.update(fiber)
-        batch_sizes[len(picks)] = len(batch)
+        batch_sizes[step] = len(batch)
         absorbed = batch[-1]
 
     if not picks:
