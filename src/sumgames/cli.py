@@ -595,6 +595,10 @@ def _alice_from_name(name: str, seed: int, horizon: int) -> Strategy:
 
 
 def _run_play_game(config: RunConfig):
+    if config["bob"] == "filter" and config["alice"] != "dual-random":
+        # filter_intersection_bob intersects a set of points, which only
+        # dual-random plays; intervals plays covers
+        raise ConfigError("bob: filter needs alice dual-random, which plays sets of points")
     horizon = config["horizon"]
     rounds = horizon if config["rounds"] is None else config["rounds"]
     alice = _alice_from_name(config["alice"], config["seed"], horizon)

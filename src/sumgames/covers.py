@@ -81,14 +81,13 @@ class SSet:
     def strict_subset(self, other: "SSet") -> bool:
         return self.issubset(other) and self != other
 
-    def least(self, start: int = 0):
+    def least(self):
         """Least natural number in the set (symbolic-naturals sets only)."""
         if self.kind == "finite":
-            cands = [p for p in self.data if p >= start]
-            if not cands:
+            if not self.data:
                 raise ValueError("empty finite set has no least element")
-            return min(cands)
-        x = start
+            return min(self.data)
+        x = 0
         while x in self.data:
             x += 1
         return x
@@ -129,7 +128,7 @@ class Space:
             return self.points[:horizon] if horizon else self.points
         return tuple(range(horizon))
 
-    def whole_set(self, sset: SSet, horizon: int) -> bool:
+    def whole_set(self, sset: SSet) -> bool:
         """Is the set the whole space?  Intensional for the naturals."""
         if self.kind == "naturals":
             return sset.is_whole_naturals
@@ -242,7 +241,7 @@ def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
         return Verdict.HOLDS if all(v >= t for v in mult.values()) else short_fail
 
     if kind is CoverKind.OMEGA:
-        if any(cover.space.whole_set(ss, horizon) for ss in sets):
+        if any(cover.space.whole_set(ss) for ss in sets):
             return Verdict.FAILS
         for r in range(1, s + 1):
             for combo in itertools.combinations(points, r):

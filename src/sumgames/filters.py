@@ -86,36 +86,72 @@ class FamilyFlags:
     infinite_members_condition: str = "unverifiable-on-finite-ground"
 
 
-def _is_upward_closed(fam: SetFamily, subsets) -> bool:
-    return all(t in fam.members
-               for s in fam.members for t in subsets if s <= t)
+# A family over a ground of g points is also an int f with bit s set iff it
+# holds the subset whose g-bit mask is s.
+
+@functools.cache
+def _supersets(g: int) -> tuple:
+    """For each subset mask s of a g-point ground, the masks that contain s."""
+    n_subsets = 1 << g
+    return tuple([t for t in range(n_subsets) if s | t == t] for s in range(n_subsets))
 
 
-def _splits_unions(fam: SetFamily, subsets) -> bool:
-    return all(a in fam.members or b in fam.members
-               for a in subsets for b in subsets if (a | b) in fam.members)
+def _members(f: int, g: int) -> list:
+    return [s for s in range(1 << g) if (f >> s) & 1]
+
+
+def _is_filter(f: int, g: int) -> bool:
+    """Nonempty, without the empty set, up-closed and closed under
+    intersection."""
+    ms = _members(f, g)
+    if not ms or (f & 1):  # empty family, or contains the empty set
+        return False
+    supersets = _supersets(g)
+    for s in ms:
+        for t in supersets[s]:
+            if not (f >> t) & 1:
+                return False
+        for t in ms:
+            if not (f >> (s & t)) & 1:
+                return False
+    return True
+
+
+def _is_superfilter_23(f: int, g: int) -> bool:
+    """Up-closed, and a member union of two sets has one of them in f."""
+    supersets = _supersets(g)
+    for s in _members(f, g):
+        for t in supersets[s]:
+            if not (f >> t) & 1:
+                return False
+    n_subsets = 1 << g
+    for a in range(n_subsets):
+        for b in range(n_subsets):
+            if (f >> (a | b)) & 1 and not ((f >> a) & 1 or (f >> b) & 1):
+                return False
+    return True
+
+
+def _is_ultrafilter(f: int, g: int) -> bool:
+    full = (1 << g) - 1
+    return _is_filter(f, g) and all((f >> s) & 1 or (f >> (full ^ s)) & 1
+                                    for s in range(1 << g))
 
 
 def classify_family(fam: SetFamily) -> FamilyFlags:
-    subsets = all_subsets(fam.ground)
-    upward = _is_upward_closed(fam, subsets)
-    inter_closed = all((a & b) in fam.members
-                       for a in fam.members for b in fam.members)
-    is_filter = bool(fam.members) and frozenset() not in fam.members and upward and inter_closed
-    total = fam.ground
-    for m in fam.members:
-        total = total & m
-    is_free = is_filter and not total and bool(fam.members)
-    is_super = upward and _splits_unions(fam, subsets)
-    surrogate = is_super and bool(fam.members) and frozenset() not in fam.members
-    is_ultra = is_filter and all(
-        s in fam.members or (fam.ground - s) in fam.members for s in subsets)
+    g = len(fam.ground)
+    bit = {x: 1 << i for i, x in enumerate(fam.ground)}
+    masks = [sum(bit[x] for x in m) for m in fam.members]
+    f = sum(1 << s for s in masks)
+    is_filter = _is_filter(f, g)
+    total = functools.reduce(operator.and_, masks, (1 << g) - 1)
+    is_super = _is_superfilter_23(f, g)
     return FamilyFlags(
         is_filter=is_filter,
-        is_free_filter=is_free,
+        is_free_filter=is_filter and not total,
         is_superfilter=is_super,
-        is_ultrafilter=is_ultra,
-        superfilter_surrogate=surrogate,
+        is_ultrafilter=_is_ultrafilter(f, g),
+        superfilter_surrogate=is_super and f != 0 and not f & 1,
     )
 
 
@@ -146,32 +182,22 @@ class PredicateFilter:
     name: str = ""
 
 
-def star_set(A, fam, sg: Optional[Semigroup] = None, depth: int = 0, window: int = 0):
+def star_set(A, fam, sg: Semigroup, window: int = 0):
     """A*(F) = {b : b + C ⊆ A for some C in F}.
 
     Extensional regime (SetFamily): exact, returns a frozenset of ground
     elements; combine results falling outside the ground never land in A.
-    Symbolic regime (PredicateFilter / SymbolicChain): A is a membership
-    predicate, candidates b and samples c range over the semigroup
-    enumeration up to ``window``; returns a StarReport with three-valued
-    per-element verdicts.
+    Symbolic regime (PredicateFilter): A is a membership predicate,
+    candidates b and samples c range over the semigroup enumeration up to
+    ``window``; returns a StarReport with three-valued per-element verdicts.
     """
     if isinstance(fam, SetFamily):
-        combine = sg.combine if sg is not None else _default_combine
         return frozenset(
             b for b in fam.ground
-            if any(all(combine(b, c) in A for c in C) for C in fam.members))
-    if sg is None or window <= 0:
-        raise ValueError("symbolic star needs a semigroup and a positive window")
-    if isinstance(fam, PredicateFilter):
-        gens = list(fam.generators)
-        open_ended = False
-    elif isinstance(fam, SymbolicChain):
-        if depth <= 0:
-            raise ValueError("chain star needs a positive depth")
-        gens = [fam.set_at(n) for n in range(1, depth + 1)]
-        open_ended = True
-    else:
+            if any(all(sg.combine(b, c) in A for c in C) for C in fam.members))
+    if window <= 0:
+        raise ValueError("symbolic star needs a positive window")
+    if not isinstance(fam, PredicateFilter):
         raise TypeError(f"unsupported family type {type(fam).__name__}")
 
     a_pred = A if callable(A) else (lambda x, _s=frozenset(A): x in _s)
@@ -179,35 +205,19 @@ def star_set(A, fam, sg: Optional[Semigroup] = None, depth: int = 0, window: int
     members, failed, unknown = [], [], []
     for b in candidates:
         best = Verdict.FAILS
-        for pred in gens:
+        for pred in fam.generators:
             samples = [c for c in candidates if pred(c)]
             if not samples:
-                best = _at_least(best, Verdict.UNKNOWN)
+                best = Verdict.UNKNOWN
                 continue
             if all(a_pred(sg.combine(b, c)) for c in samples):
                 best = Verdict.HOLDS
                 break
-        if best is Verdict.FAILS and open_ended:
-            # deeper chain links shrink, so failure on the sampled links
-            # never refutes membership outright
-            best = Verdict.UNKNOWN
         {Verdict.HOLDS: members, Verdict.FAILS: failed, Verdict.UNKNOWN: unknown}[best].append(b)
     return StarReport(members, failed, unknown)
 
 
-def _default_combine(b, c):
-    if isinstance(b, frozenset):
-        return b | c
-    return b + c
-
-
-def _at_least(current: Verdict, candidate: Verdict) -> Verdict:
-    order = {Verdict.FAILS: 0, Verdict.UNKNOWN: 1, Verdict.HOLDS: 2}
-    return candidate if order[candidate] > order[current] else current
-
-
-def is_idempotent_filter(fam, sg: Optional[Semigroup] = None, depth: int = 0,
-                         window: int = 0) -> Verdict:
+def is_idempotent_filter(fam, sg: Semigroup, depth: int = 0, window: int = 0) -> Verdict:
     """A filter is idempotent when each member's star set is again in it.
 
     Extensional: checked exactly on every member.  Chains: each sampled
@@ -366,41 +376,6 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
         raise ValueError("exhaustive regime supports ground sizes 1..4")
     n_subsets = 1 << g
     n_families = 1 << n_subsets
-    full = n_subsets - 1  # bitmask of the whole ground set
-
-    supersets = [[t for t in range(n_subsets) if s | t == t] for s in range(n_subsets)]
-
-    def members(f: int):
-        return [s for s in range(n_subsets) if (f >> s) & 1]
-
-    def is_filter(f: int) -> bool:
-        ms = members(f)
-        if not ms or (f & 1):  # empty family, or contains the empty set
-            return False
-        for s in ms:
-            for t in supersets[s]:
-                if not (f >> t) & 1:
-                    return False
-            for t in ms:
-                if not (f >> (s & t)) & 1:
-                    return False
-        return True
-
-    def is_superfilter_23(f: int) -> bool:
-        ms = members(f)
-        for s in ms:
-            for t in supersets[s]:
-                if not (f >> t) & 1:
-                    return False
-        for a in range(n_subsets):
-            for b in range(n_subsets):
-                if (f >> (a | b)) & 1 and not ((f >> a) & 1 or (f >> b) & 1):
-                    return False
-        return True
-
-    def is_ultrafilter(f: int) -> bool:
-        return is_filter(f) and all((f >> s) & 1 or (f >> (full ^ s)) & 1
-                                    for s in range(n_subsets))
 
     duals = array("H", _dual_table(g))  # law 1 reads its raw bytes
     # plane s of the identity: the families that hold subset s
@@ -446,25 +421,26 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
         viol2 += sum(map(operator.ne, double, itertools.count(start)))
 
     up_closed = list(_set_bits(_up_closed(member)))
-    filters = [f for f in up_closed if is_filter(f)]
+    filters = [f for f in up_closed if _is_filter(f, g)]
     count3 = len(filters)
     viol3 = sum(1 for f in filters
-                if not (subset_mask(f, duals[f]) and is_superfilter_23(duals[f])))
+                if not (subset_mask(f, duals[f]) and _is_superfilter_23(duals[f], g)))
 
-    sufs = [f for f in up_closed if f and not (f & 1) and is_superfilter_23(f)]
+    sufs = [f for f in up_closed if f and not (f & 1) and _is_superfilter_23(f, g)]
     count4 = len(sufs)
-    viol4 = sum(1 for f in sufs if not (is_filter(duals[f]) and subset_mask(duals[f], f)))
+    viol4 = sum(1 for f in sufs
+                if not (_is_filter(duals[f], g) and subset_mask(duals[f], f)))
 
     count5 = viol5 = 0
     for f in filters:
         d = duals[f]
-        for a in members(d):
-            for b in members(f):
+        for a in _members(d, g):
+            for b in _members(f, g):
                 count5 += 1
                 if not (d >> (a & b)) & 1:
                     viol5 += 1
 
-    ultras = [f for f in up_closed if is_ultrafilter(f)]
+    ultras = [f for f in up_closed if _is_ultrafilter(f, g)]
     count6 = len(ultras)
     viol6 = sum(1 for p in ultras if duals[p] != p)
 
@@ -514,7 +490,6 @@ class ChainReport:
     descending_failures: list
     freeness_failures: list
     idem_witness_m: dict
-    idem_witness_k: dict
     notes: list = field(default_factory=list)
 
 
@@ -522,7 +497,7 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
     """Verify a symbolic chain up to the given depth: descension and
     freeness on samples, and the elementwise idempotence condition: for
     every n there is m > n such that each sampled a in A_m has k > m with
-    a + A_k ⊆ A_m.  Returns the witnessing m and k maps.
+    a + A_k ⊆ A_m.  Returns the witnessing m map.
 
     Each sample list and each membership is computed once per call: the
     idempotence search asks for the same links and sums again and again.
@@ -547,29 +522,18 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
     # Level m is self-absorbing when every sampled a in A_m has some k > m
     # with a + A_k ⊆ A_m; the chain condition for n then holds with any
     # self-absorbing m > n (A_m ⊆ A_n puts A_m inside the star of A_n).
-    idem_m: dict = {}
-    idem_k: dict = {}
-    self_absorbing: dict = {}
+    def lands(m: int, a, k: int) -> bool:
+        # a + A_k ⊆ A_m on the samples of A_k
+        cs = members_within(k, window)
+        return bool(cs) and all(holds(m, chain.semigroup.combine(a, c)) for c in cs)
 
+    @functools.cache
     def absorbs(m: int) -> bool:
-        if m in self_absorbing:
-            return self_absorbing[m]
         sampled = members_within(m, window)
-        ok = bool(sampled)
-        for a in sampled:
-            k_found = None
-            for k in range(m + 1, m + window + 2):
-                cs = members_within(k, window)
-                if cs and all(holds(m, chain.semigroup.combine(a, c)) for c in cs):
-                    k_found = k
-                    break
-            if k_found is None:
-                ok = False
-                break
-            idem_k[(m, repr(a))] = k_found
-        self_absorbing[m] = ok
-        return ok
+        return bool(sampled) and all(
+            any(lands(m, a, k) for k in range(m + 1, m + window + 2)) for a in sampled)
 
+    idem_m: dict = {}
     idem_verdicts = []
     for n in range(1, depth + 1):
         level_verdict = Verdict.UNKNOWN
@@ -591,7 +555,7 @@ def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainRepor
         verdict = all_verdicts(idem_verdicts)
         if verdict is not Verdict.HOLDS:
             notes.append("idempotence witnesses not found within window")
-    return ChainReport(verdict, descending_failures, freeness_failures, idem_m, idem_k, notes)
+    return ChainReport(verdict, descending_failures, freeness_failures, idem_m, notes)
 
 
 def fs_tail_chain(seq: ElementSequence, index_window: int = 8) -> SymbolicChain:

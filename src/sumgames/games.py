@@ -140,11 +140,7 @@ def judge(t: GameTranscript, target, /, horizon: int, space: Optional[Space] = N
         if not all(isinstance(s, SSet) for s in sel):
             raise TypeError("a cover target judges set selections; Bob selected points")
         # distinct sets only: a cover is a family
-        distinct = []
-        for s in sel:
-            if s not in distinct:
-                distinct.append(s)
-        cover = Cover(space, sets=distinct, name="selections")
+        cover = Cover(space, sets=list(dict.fromkeys(sel)), name="selections")
         verdict = classify_cover(cover, target, horizon, **params)
     else:
         verdict = target(sel)
@@ -320,7 +316,6 @@ class PlayReconstruction:
     even_play: list
     f_map: dict            # selection position j -> pick position i
     batch_sizes: dict      # pick position -> fiber bound from block lengths
-    complete: bool
     note: str = ""
 
     def f_is_finite_to_one(self) -> bool:
@@ -402,7 +397,6 @@ def reconstruct_parallel_plays(tree: Callable[[tuple], Cover],
         even_play=[p[2] for p in picks[1::2]],
         f_map=f_map,
         batch_sizes=batch_sizes,
-        complete=not note,
         note=note,
     )
 

@@ -59,16 +59,12 @@ class DescendingCovers:
     def member_set(self, j: int) -> SSet:
         return self.cover_at(1).set_at(j)
 
-    def base_prefix_length(self, hi: int) -> int:
-        base = self.cover_at(1)
-        return base.length if base.length is not None else hi
-
     def allowed_indices(self, n: int, hi: int) -> list:
         """U_1-indices j >= n whose set is (extensionally) a member of U_n."""
         base = self.cover_at(1)
         cn = self.cover_at(n)
-        hi = min(hi, self.base_prefix_length(hi))
-        cn_sets = cn.prefix(min(cn.prefix_length(hi), self.base_prefix_length(hi)))
+        hi = min(hi, base.prefix_length(hi))
+        cn_sets = cn.prefix(min(cn.prefix_length(hi), base.prefix_length(hi)))
         out = []
         for j in range(n, hi + 1):
             u = base.set_at(j)
@@ -183,7 +179,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     U_n's members."""
     if m < d:
         raise ValueError(f"m={m} < d={d}: m rounds hold no chain of d unions")
-    hi = min(budget.max_index, dc.base_prefix_length(budget.max_index))
+    hi = min(budget.max_index, dc.cover_at(1).prefix_length(budget.max_index))
     if hi < m:
         raise ValueError("max_index must allow m rounds")
     tparams = dict(target_params or {})
@@ -363,8 +359,12 @@ class FiniteSetFamily:
     name: str = ""
 
 
-def ap_family(a_enum: Callable[[int], int], length: int,
-              window: int = 64) -> FiniteSetFamily:
+# how many terms of the tail ap_family and density_family sample for a member
+_AP_WINDOW = 64
+_DENSITY_WINDOW = 256
+
+
+def ap_family(a_enum: Callable[[int], int], length: int) -> FiniteSetFamily:
     """Arithmetic progressions of the given length inside the enumerated set."""
 
     def has_ap(F: frozenset) -> bool:
@@ -378,7 +378,7 @@ def ap_family(a_enum: Callable[[int], int], length: int,
         return False
 
     def in_tail(k: int) -> frozenset:
-        values = [a_enum(i) for i in range(k, k + window)]
+        values = [a_enum(i) for i in range(k, k + _AP_WINDOW)]
         present = set(values)
         for start in values:
             for step in range(1, (values[-1] - start) // max(1, length - 1) + 1 if length > 1 else 2):
@@ -389,8 +389,7 @@ def ap_family(a_enum: Callable[[int], int], length: int,
     return FiniteSetFamily(has_ap, in_tail, name=f"ap-{length}")
 
 
-def density_family(a_enum: Callable[[int], int], threshold: Fraction,
-                   window: int = 256) -> FiniteSetFamily:
+def density_family(a_enum: Callable[[int], int], threshold: Fraction) -> FiniteSetFamily:
     """Finite sets whose density |F| / max F exceeds the threshold."""
 
     def dense_inside(F: frozenset) -> bool:
@@ -402,7 +401,7 @@ def density_family(a_enum: Callable[[int], int], threshold: Fraction,
 
     def in_tail(k: int) -> frozenset:
         got: list = []
-        for i in range(k, k + window):
+        for i in range(k, k + _DENSITY_WINDOW):
             got.append(a_enum(i))
             if Fraction(len(got), got[-1]) > threshold:
                 return frozenset(got)

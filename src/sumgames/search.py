@@ -73,22 +73,14 @@ class Witness:
     certificate: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        def enc(x):
-            if isinstance(x, frozenset):
-                return sorted((enc(v) for v in x), key=repr)
-            if isinstance(x, (list, tuple)):
-                return [enc(v) for v in x]
-            if isinstance(x, dict):
-                return {str(k): enc(v) for k, v in x.items()}
-            if hasattr(x, "gens"):
-                return {"gens": sorted(x.gens)}
-            return x
-
         cert = self.certificate
         size = len(cert.get("edge_sets") or cert.get("fs_values") or ())
+        # a term is a number or a finite set, whose members are listed in text order
+        terms = [sorted(t, key=repr) if isinstance(t, frozenset) else t
+                 for t in self.terms] if self.terms else None
         return {
             "blocks": [sorted(b) for b in self.blocks] if self.blocks else None,
-            "terms": enc(self.terms) if self.terms else None,
+            "terms": terms,
             "color_vertex": self.color_vertex,
             "color_edge": self.color_edge,
             "certificate_size": size,

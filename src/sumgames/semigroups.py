@@ -216,35 +216,20 @@ class BlockSequence:
     def max_index(self) -> int:
         return max(self.blocks[-1]) if self.blocks else 0
 
-    def compose(self, outer: "BlockSequence") -> "BlockSequence":
-        """Blocks of `outer` taken over self: block j of the result is the
-        union of self's blocks at outer's j-th index block."""
-        merged = []
-        for G in outer:
-            merged.append(frozenset().union(*(self.blocks[i - 1] for i in sorted(G))))
-        return BlockSequence(tuple(merged))
-
 
 class ElementSequence:
     """A 1-based sequence of semigroup elements.
 
     Either a finite tuple of terms or generator-backed (``term_fn``), in
-    which case terms are memoized up to the largest index touched.  When
-    produced by :func:`take_sumsequence` the sequence remembers its root
-    sequence and the blocks relative to that root, so nested sumsequences
-    compose.
+    which case terms are memoized up to the largest index touched.
     """
 
-    def __init__(self, semigroup: Semigroup, terms=None, term_fn=None,
-                 base: Optional["ElementSequence"] = None,
-                 base_blocks: Optional[BlockSequence] = None):
+    def __init__(self, semigroup: Semigroup, terms=None, term_fn=None):
         if (terms is None) == (term_fn is None):
             raise ValueError("exactly one of terms/term_fn required")
         self.semigroup = semigroup
         self._terms = list(terms) if terms is not None else []
         self._term_fn = term_fn
-        self.base = base
-        self.base_blocks = base_blocks
 
     @classmethod
     def from_terms(cls, semigroup: Semigroup, terms) -> "ElementSequence":
@@ -304,22 +289,8 @@ def fs_enumerate(seq: ElementSequence, n: int) -> dict:
 
 
 def take_sumsequence(seq: ElementSequence, blocks: BlockSequence) -> ElementSequence:
-    """The sumsequence a_{F_1}, a_{F_2}, ... with provenance recorded.
-
-    If seq is itself a sumsequence of some root, the recorded blocks are
-    composed so the result is presented as a sumsequence of the root
-    (the sumsequence relation is transitive).
-    """
-    if not isinstance(blocks, BlockSequence):
-        blocks = BlockSequence(tuple(blocks))
-    terms = [indexed_sum(seq, F) for F in blocks]
-    if seq.base is not None and seq.base_blocks is not None:
-        root = seq.base
-        root_blocks = seq.base_blocks.compose(blocks)
-    else:
-        root = seq
-        root_blocks = blocks
-    return ElementSequence(seq.semigroup, terms=terms, base=root, base_blocks=root_blocks)
+    """The sumsequence a_{F_1}, a_{F_2}, ... of seq over the blocks."""
+    return ElementSequence.from_terms(seq.semigroup, [indexed_sum(seq, F) for F in blocks])
 
 
 def proper_violation(seq: ElementSequence, depth: int):

@@ -44,7 +44,6 @@ def reference_chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> 
             freeness_failures.append((x, n))
 
     idem_m: dict = {}
-    idem_k: dict = {}
     self_absorbing: dict = {}
 
     def absorbs(m: int) -> bool:
@@ -63,7 +62,6 @@ def reference_chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> 
             if k_found is None:
                 ok = False
                 break
-            idem_k[(m, repr(a))] = k_found
         self_absorbing[m] = ok
         return ok
 
@@ -88,7 +86,7 @@ def reference_chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> 
         verdict = all_verdicts(idem_verdicts)
         if verdict is not Verdict.HOLDS:
             notes.append("idempotence witnesses not found within window")
-    return ChainReport(verdict, descending_failures, freeness_failures, idem_m, idem_k, notes)
+    return ChainReport(verdict, descending_failures, freeness_failures, idem_m, notes)
 
 
 def _pow2():

@@ -624,6 +624,18 @@ def test_verify_report_multiple_records(tmp_path):
     assert recs[0]["result"]["mismatches"] == 0
 
 
+def test_search_mt_records_finite_set_terms_in_text_order(tmp_path):
+    # a finite-set term lists its members sorted as text, so 10 precedes 8
+    path = tmp_path / "mt.jsonl"
+    argv = ("search-mt --edge-coloring seeded-hash-k:3:seed=2 --semigroup finite-sets "
+            f"--base singletons --m 4 --d 3 --max-index 12 --out {path}")
+    assert main(shlex.split(argv)) == EXIT_OK
+    [rec] = [json.loads(line) for line in path.read_text().splitlines()]
+    assert rec["result"]["witness"]["terms"] == [[1], [2], [3], [10, 8, 9]]
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_OK and result["details"][0]["matches"] is True
+
+
 # ---------------------------------------------------------------- flag surface
 
 # Every config key a report records even when it was not given.
@@ -764,14 +776,29 @@ def test_verify_report_agrees_with_rerun(tmp_path, argv, config):
             == [d["matches"] for d in by_rerun[1]["details"]])
 
 
+# The filter Bob intersects Alice's set of points with a generator, so he
+# cannot answer the covers that intervals Alice plays: the pairing is a
+# usage error that names bob, not a game Bob loses in round 0.
+def _play_is_refused(tmp_path, capsys, config):
+    path = tmp_path / "play.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("config error: bob: filter needs alice "
+                                       "dual-random, which plays sets of points\n")
+
+
 # A finite-selection game whose Bob takes one pick a round selects what the
 # single-selection game selects; each round records the pick as a 1-tuple.
 @pytest.mark.parametrize("alice", ["intervals", "dual-random"])
 @pytest.mark.parametrize("bob", ["first", "filter"])
 @pytest.mark.parametrize("seed", [1, 3])
-def test_play_game_gfin_selects_as_g1(tmp_path, alice, bob, seed):
+def test_play_game_gfin_selects_as_g1(tmp_path, capsys, alice, bob, seed):
     config = {"command": "play-game", "alice": alice, "bob": bob, "seed": seed,
               "rounds": 6, "horizon": 6}
+    if alice == "intervals" and bob == "filter":
+        for mode in ("g1", "gfin"):
+            _play_is_refused(tmp_path, capsys, {**config, "mode": mode})
+        return
     g1_code, [g1] = run_config(tmp_path, {**config, "mode": "g1"}, name="g1.jsonl")
     gfin_code, [gfin] = run_config(tmp_path, {**config, "mode": "gfin"}, name="gfin.jsonl")
     assert gfin_code == g1_code == gfin["exit"]
@@ -784,16 +811,20 @@ def test_play_game_gfin_selects_as_g1(tmp_path, alice, bob, seed):
 
 
 # Every play-game pairing at 8 rounds runs to a verdict that verify-report
-# matches, except a cover-kind target against dual-random Alice: she plays
-# sets of points, so Bob selects points, and a cover target judges sets.
+# matches, except the filter Bob against intervals Alice, which is refused,
+# and a cover-kind target against dual-random Alice: she plays sets of
+# points, so Bob selects points, and a cover target judges sets.
 @pytest.mark.parametrize("alice", ["intervals", "dual-random"])
 @pytest.mark.parametrize("bob", ["first", "filter"])
 @pytest.mark.parametrize("mode", ["g1", "gfin"])
 @pytest.mark.parametrize("target", ["meets-generators", "op", "asc", "lambda",
                                     "omega", "gamma"])
-def test_play_game_every_target(tmp_path, alice, bob, mode, target):
+def test_play_game_every_target(tmp_path, capsys, alice, bob, mode, target):
     config = {"command": "play-game", "alice": alice, "bob": bob, "mode": mode,
               "target": target, "rounds": 8, "horizon": 8}
+    if alice == "intervals" and bob == "filter":
+        _play_is_refused(tmp_path, capsys, config)
+        return
     if alice == "dual-random" and target != "meets-generators":
         with pytest.raises(TypeError, match="^a cover target judges set selections; "
                                             "Bob selected points$"):

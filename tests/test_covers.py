@@ -44,7 +44,6 @@ def test_sset_subset_relations():
 def test_sset_least():
     assert SSet.cofinite({0, 1, 2}).least() == 3
     assert SSet.finite({4, 9}).least() == 4
-    assert SSet.cofinite(set()).least(start=7) == 7
 
 
 @given(st.frozensets(st.integers(0, 8)), st.frozensets(st.integers(0, 8)),

@@ -116,12 +116,12 @@ def test_star_monotone_in_family_and_set():
     big = family(ground, [{1, 2}, {1}])
     A = frozenset({1, 2, 3})
     # F within G gives star(A, F) within star(A, G)
-    assert star_set(A, small) <= star_set(A, big)
+    assert star_set(A, small, NAT) <= star_set(A, big, NAT)
     # monotone in A
     for a1 in subsets:
         for a2 in subsets:
             if a1 <= a2:
-                assert star_set(a1, small) <= star_set(a2, small)
+                assert star_set(a1, small, NAT) <= star_set(a2, small, NAT)
 
 
 # ---------------------------------------------------------------- idempotence

@@ -243,7 +243,7 @@ def test_tree_gap_raises():
 
 
 # The full reconstruction for fixed selection lists.  Every run ends with a
-# note, so ``complete`` is False even when the selections run out.
+# note, also when the selections run out.
 def plateau_tree(sigma):
     # consecutive members repeat a set, so a fresh pick skips the equal one
     return Cover(NATS, set_fn=lambda i: SSet.interval(0, (i + 1) // 2))
@@ -260,7 +260,7 @@ RECONSTRUCTIONS = {
                            ((5,), 10, I(0, 10))],
                     odd_play=[I(0, 4), I(0, 9)], even_play=[I(0, 5), I(0, 10)],
                     f_map={1: 1, 2: 2, 5: 3, 6: 4, 8: 4, 9: 4},
-                    batch_sizes={1: 1, 2: 3, 3: 1, 4: 4}, complete=False,
+                    batch_sizes={1: 1, 2: 3, 3: 1, 4: 4},
                     note="selections exhausted before step 5")),
     "only-duplicates": (constant_tree,
                         [I(0, 2), I(0, 5), I(0, 2), I(0, 5), I(0, 2), I(0, 5)],
@@ -268,7 +268,6 @@ RECONSTRUCTIONS = {
                             picks=[((), 2, I(0, 2)), ((), 5, I(0, 5))],
                             odd_play=[I(0, 2)], even_play=[I(0, 5)],
                             f_map={1: 1, 2: 2}, batch_sizes={1: 1, 2: 1},
-                            complete=False,
                             note="no new selection in the batch at step 3")),
     # the last member searched is the 32nd
     "no-fresh-member": (constant_tree, [I(0, 1), I(0, 32), I(0, 33)],
@@ -276,7 +275,6 @@ RECONSTRUCTIONS = {
                             picks=[((), 2, I(0, 2)), ((), 32, I(0, 32))],
                             odd_play=[I(0, 2)], even_play=[I(0, 32)],
                             f_map={1: 1, 2: 2}, batch_sizes={1: 1, 2: 1},
-                            complete=False,
                             note="no fresh containing member found at step 3")),
     "skips-picked-set": (plateau_tree, [I(0, 1), I(0, 2), I(0, 0), I(0, 3)],
                          PlayReconstruction(
@@ -284,7 +282,7 @@ RECONSTRUCTIONS = {
                                     ((2,), 5, I(0, 3)), ((3,), 7, I(0, 4))],
                              odd_play=[I(0, 1), I(0, 3)], even_play=[I(0, 2), I(0, 4)],
                              f_map={1: 1, 2: 2, 3: 3, 4: 4},
-                             batch_sizes={1: 1, 2: 1, 3: 1, 4: 1}, complete=False,
+                             batch_sizes={1: 1, 2: 1, 3: 1, 4: 1},
                              note="selections exhausted before step 5")),
 }
 

@@ -71,3 +71,39 @@ def test_every_top_level_import_is_used():
             unused += [f"{path.parent.name}/{path.name}: {name}"
                        for name in bound if name not in read]
     assert unused == [], f"imported but never used: {unused}"
+
+
+# Parameters that the body never reads, each kept for a caller that passes
+# it by position.
+_UNREAD_ALLOWED = {
+    # bench/workloads.py:_build_mt passes it positionally
+    "search.verify_mt_witness(sg)",
+}
+
+
+def test_every_parameter_is_read():
+    # A parameter its function never reads is an input that changes
+    # nothing.  Top-level functions and methods only: a nested callback or
+    # lambda takes the arguments its caller's protocol passes.
+    unread = []
+    for path in SOURCES:
+        for stmt in _top_level(path):
+            if isinstance(stmt, ast.ClassDef):
+                functions = [(f"{stmt.name}.", f) for f in stmt.body
+                             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions = [("", stmt)]
+            else:
+                continue
+            for prefix, fn in functions:
+                a = fn.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [a.vararg, a.kwarg] if p is not None]
+                if prefix and params:
+                    params = params[1:]  # self or cls
+                read = {node.id for body in fn.body for node in ast.walk(body)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                unread += [f"{path.stem}.{prefix}{fn.name}({p})" for p in params
+                           if p not in read]
+    unread = [name for name in unread if name not in _UNREAD_ALLOWED]
+    assert unread == [], f"parameters never read: {unread}"
