@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -172,9 +173,16 @@ def _json_text(name, text: str):
         raise ConfigError(f"{name}: not valid JSON: {exc}") from exc
 
 
+# the keys besides "name" that each coloring reads; its arity d comes from
+# the command
+_COLORING_KEYS = {"constant": ("k", "color"), "parity": (), "mod-k": ("k",),
+                  "cardinality": (), "seeded-hash-k": ("k", "seed")}
+
+
 def _coloring_descriptor(name, value):
     """A coloring descriptor: an object, its JSON text, or the compact
-    text name[:k][:key=value]..."""
+    text name[:k][:key=value]...  A key that the named coloring does not
+    read is rejected, so that a report records only what ran."""
     if isinstance(value, str):
         text = value.strip()
         if text.startswith("{"):
@@ -184,13 +192,18 @@ def _coloring_descriptor(name, value):
             value = {"name": parts[0]}
             for part in parts[1:]:
                 k, sep, v = part.partition("=")
-                if sep:
-                    value[k] = v
-                else:
-                    value.setdefault("k", part)
+                if not sep:
+                    k, v = "k", part
+                if k in value:
+                    raise ConfigError(f"{name}.{k}: given twice")
+                value[k] = v
     if not isinstance(value, dict) or not isinstance(value.get("name"), str):
         raise ConfigError(f"{name}: expected a coloring descriptor with a name, "
                           f"got {value!r}")
+    coloring = _choice(*_COLORING_KEYS)(f"{name}.name", value["name"])
+    for key in value:
+        if key != "name" and key not in _COLORING_KEYS[coloring]:
+            raise ConfigError(f"{name}.{key}: not read by {coloring}")
     value = {k: v if k == "name" else _integer()(f"{name}.{k}", v)
              for k, v in value.items()}
     if value.get("k", 1) < 1:
@@ -320,7 +333,11 @@ def parse_config(source) -> RunConfig:
     for key, spec in _COMMON.items():
         if spec.default is not None:
             options.setdefault(key, spec.default)
-    return RunConfig(command=command, options=options)
+    config = RunConfig(command=command, options=options)
+    for key, (variant_key, variant) in _VARIANT_KEYS.get(command, {}).items():
+        if key in options and config[variant_key] != variant:
+            raise ConfigError(f"{key}: not read by {variant_key} {config[variant_key]}")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +753,7 @@ def _run_encode_classical(config: RunConfig):
     inst = encode_cofinite_example(t)
     iso_checks = []
     for F, H in ((frozenset({1}), frozenset({2})), (frozenset({1, 2}), frozenset({3}))):
-        oF, oH = _o_union(inst, F), _o_union(inst, H)
+        oF, oH = (functools.reduce(SSet.union, map(inst.o_set, sorted(B))) for B in (F, H))
         iso_checks.append(inst.decode_union(oF.union(oH)) == (F | H))
     lam = classify_cover(inst.cover, CoverKind.LAMBDA, horizon=min(t + 1, 9),
                          t=config["t"])
@@ -749,13 +766,6 @@ def _run_encode_classical(config: RunConfig):
     }
     ok = all(iso_checks) and lam is Verdict.HOLDS and escapes_ok
     return (EXIT_OK if ok else EXIT_EXHAUSTED), result
-
-
-def _o_union(inst, F):
-    out = None
-    for n in sorted(F):
-        out = inst.o_set(n) if out is None else out.union(inst.o_set(n))
-    return out
 
 
 # What a certifier meets in a result that does not have the shape its
@@ -844,6 +854,17 @@ _EDGE_COLORING = Key(_coloring_descriptor, ...)
 _VERTEX_COLORING = Key(_coloring_descriptor)
 # rounds defaults to the horizon
 _ROUNDS = Key(_integer(1))
+
+# Keys that one variant of a command reads and the others ignore: for each
+# command, key -> (the key that names the variant, the variant that reads it).
+# Given to another variant, such a key is rejected, so that a report records
+# only what ran.
+_VARIANT_KEYS = {
+    "chain-check": {"delta": ("chain", "density")},
+    "game-transfer": {"n": ("which", "diagonal"), "picks": ("which", "diagonal"),
+                      "rounds": ("which", "gfin-to-g1")},
+    "cover-partition": {"truncation": ("instance", "cofinite")},
+}
 
 _COMMANDS = {
     "search-hindman": _command(
@@ -972,14 +993,16 @@ def dispatch(config: RunConfig) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per command and one flag per config key: ``--max-index``
-    sets ``max_index``.  Flags keep their text; parse_config parses it."""
+    sets ``max_index``.  Flags keep their text; parse_config parses it.  A
+    flag must be spelled out in full: an abbreviation would set whichever
+    key it happens to prefix, as ``--s`` would set ``seed``."""
     parser = argparse.ArgumentParser(
-        prog="sumgames",
+        prog="sumgames", allow_abbrev=False,
         description="finite-sums combinatorics, filter algebra and selection games")
     parser.add_argument("--config", help="JSON config file (flags override it)")
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key, spec in command.keys.items():
             if spec.dashes is None:
                 continue

@@ -64,13 +64,8 @@ class DescendingCovers:
         base = self.cover_at(1)
         cn = self.cover_at(n)
         hi = min(hi, base.prefix_length(hi))
-        cn_sets = cn.prefix(min(cn.prefix_length(hi), base.prefix_length(hi)))
-        out = []
-        for j in range(n, hi + 1):
-            u = base.set_at(j)
-            if any(u == s for s in cn_sets):
-                out.append(j)
-        return out
+        cn_sets = set(cn.prefix(min(cn.prefix_length(hi), base.prefix_length(hi))))
+        return [j for j in range(n, hi + 1) if base.set_at(j) in cn_sets]
 
     def check_descension(self, depth: int, hi: int) -> list:
         """Sampled violations: members of U_{n+1} missing from U_n.  The
@@ -81,10 +76,9 @@ class DescendingCovers:
         for n in range(1, depth + 1):
             upper = self.cover_at(n)
             lower = self.cover_at(n + 1)
-            upper_sets = upper.prefix(min(upper.prefix_length(wide), wide))
-            for s in lower.prefix(min(lower.prefix_length(hi), hi)):
-                if not any(s == u for u in upper_sets):
-                    bad.append((n, s))
+            upper_sets = set(upper.prefix(min(upper.prefix_length(wide), wide)))
+            bad.extend((n, s) for s in lower.prefix(min(lower.prefix_length(hi), hi))
+                       if s not in upper_sets)
         return bad
 
     def check_escapes(self, n_max: int) -> list:
@@ -132,8 +126,7 @@ class PartitionWitness:
                          for fam in record["families"])
         return cls(
             families=families,
-            unions=tuple(_union_term(frozenset(j for j, _ in fam), [s for _, s in fam]).value
-                         for fam in families),
+            unions=tuple(_union_term([s for _, s in fam]).value for fam in families),
             index_blocks=BlockSequence(tuple(record["index_blocks"])),
             color_vertex=record["color_vertex"],
             color_edge=record["color_edge"],
@@ -142,9 +135,8 @@ class PartitionWitness:
         )
 
 
-def _union_term(gens: frozenset, members: Sequence[SSet]) -> IndexedUnion:
-    """V_n as an indexed-union semigroup element (generator indices plus
-    extensional set value, so equality is extensional).
+def _union_term(members: Sequence[SSet]) -> IndexedUnion:
+    """V_n as an element of ``_UNIONS``, held and compared by its set value.
 
     The union is built in one step, as ``SSet.union`` folded over the
     members would build it: the union of the finite members' points, or,
@@ -156,11 +148,11 @@ def _union_term(gens: frozenset, members: Sequence[SSet]) -> IndexedUnion:
         value = SSet.cofinite(frozenset.intersection(*excluded).difference(*finite))
     else:
         value = SSet.finite(frozenset().union(*finite))
-    return IndexedUnion(gens=gens, value=value)
+    return IndexedUnion(value)
 
 
-def _union_semigroup(dc: DescendingCovers):
-    return indexed_unions(lambda j: dc.member_set(j), lambda a, b: a.union(b))
+# the semigroup of the unions V_n, shared by every search and verifier
+_UNIONS = indexed_unions(SSet.union)
 
 
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
@@ -189,7 +181,6 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
     allowed = {n: sum(1 << (j - 1) for j in dc.allowed_indices(n, hi))  # as a mask
                for n in range(1, m + 1)}
-    usg = _union_semigroup(dc)
     member_set = dc.cover_at(1).set_at
     chains = _chain_candidates(hi, m)
     best_depth = 0
@@ -201,8 +192,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     @functools.cache
     def union_of(F: int) -> IndexedUnion:
         # V_n depends on the index block alone: build it once
-        gens = _block(F)
-        return _union_term(gens, [member_set(j) for j in gens])
+        return _union_term([member_set(j) for j in _block(F)])
 
     def check(blocks: list, parent):
         nonlocal best_depth
@@ -210,7 +200,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         # the escape points x_1..x_{n-1} must lie in the new union V_n
         if not all(term.value.contains(x) for x in escapes[:len(blocks) - 1]):
             return None
-        state = _prefix_sums(usg, parent, term, chi_edge, d, chi_vertex)
+        state = _prefix_sums(_UNIONS, parent, term, chi_edge, d, chi_vertex)
         if state is not None:
             best_depth = max(best_depth, len(blocks))
         return state
@@ -265,8 +255,7 @@ def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
                 return False
     if [frozenset(j for j, _ in fam) for fam in w.families] != list(w.index_blocks):
         return False
-    terms = [_union_term(frozenset(j for j, _ in fam), [s for _, s in fam])
-             for fam in w.families]
+    terms = [_union_term([s for _, s in fam]) for fam in w.families]
     if tuple(w.unions) != tuple(t.value for t in terms):
         return False
     # escape points gathered so far lie in every later union
@@ -275,7 +264,7 @@ def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
         for later in range(i + 1, m + 1):
             if not w.unions[later - 1].contains(x):
                 return False
-    seq = ElementSequence.from_terms(_union_semigroup(dc), terms)
+    seq = ElementSequence.from_terms(_UNIONS, terms)
     if _recheck_sums(seq, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex) is None:
         return False
     cover = Cover(dc.space, sets=list(dict.fromkeys(w.unions)), name="verify")

@@ -73,18 +73,20 @@ def block_chains(n: int, d: int, lo: int = 1) -> Iterator[tuple]:
 
 @dataclass(frozen=True)
 class Semigroup:
-    """An associative structure with equality and an enumeration order.
+    """An associative structure with equality and, optionally, an
+    enumeration order.
 
     ``enumeration(i)`` (1-based) injects the naturals into the elements;
     ``rank`` inverts it where defined.  The rank order is what "min" means
     for the vertex-coloring reduction: every element has finitely many
-    enumeration-smaller elements.
+    enumeration-smaller elements.  A semigroup whose elements are only
+    combined and compared leaves both None.
     """
 
     kind: str
     combine: Callable[[Any, Any], Any]
-    enumeration: Callable[[int], Any]
-    rank: Callable[[Any], int]
+    enumeration: Optional[Callable[[int], Any]] = None
+    rank: Optional[Callable[[Any], int]] = None
 
     def fold(self, items) -> Any:
         items = list(items)
@@ -139,13 +141,11 @@ def finite_sets() -> Semigroup:
 
 @dataclass(frozen=True)
 class IndexedUnion:
-    """A union of indexed generator sets: canonical generator index set
-    plus the extensional value.  Equality and hashing are extensional
-    (two different generator sets denoting the same value are equal).
-    The hash is taken once, when the union is made: a search looks each
-    sum up several times."""
+    """A union of indexed generator sets, held as its value: equality and
+    hashing are by value, so two different generator sets denoting the
+    same value are one element.  The hash is taken once, when the union
+    is made: a search looks each sum up several times."""
 
-    gens: frozenset
     value: Any
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -160,34 +160,15 @@ class IndexedUnion:
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return f"U{sorted(self.gens)}"
 
-
-def indexed_unions(generator_at: Callable[[int], Any], union: Callable[[Any, Any], Any]) -> Semigroup:
-    """Unions of indexed generator sets over some universe.
-
-    ``generator_at(i)`` yields the i-th generator's value; ``union`` joins
-    values.  The enumeration order lists elements by binary encoding of
-    their generator index sets.
-    """
-
-    def build(gens: frozenset) -> IndexedUnion:
-        vals = [generator_at(i) for i in sorted(gens)]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = union(acc, v)
-        return IndexedUnion(gens=gens, value=acc)
+def indexed_unions(union: Callable[[Any, Any], Any]) -> Semigroup:
+    """Unions of indexed generator sets, as ``IndexedUnion`` values joined
+    by ``union``."""
 
     def combine(a: IndexedUnion, b: IndexedUnion) -> IndexedUnion:
-        return IndexedUnion(gens=a.gens | b.gens, value=union(a.value, b.value))
+        return IndexedUnion(union(a.value, b.value))
 
-    return Semigroup(
-        kind="indexed-set-union-over-universe",
-        combine=combine,
-        enumeration=lambda i: build(_bits_to_set(i)),
-        rank=lambda x: _set_to_bits(x.gens),
-    )
+    return Semigroup(kind="indexed-set-union", combine=combine)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 """Config parsing, dispatch, report formats, exit codes, verify-report."""
+import argparse
 import json
 import shlex
 import signal
@@ -533,10 +534,69 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     *(("search-mt --chain {} --edge-coloring seeded-hash-k:2 --m 3 --max-index 8".format(c),
        "chain over finite-sets-with-union cannot hold sums over naturals-with-addition")
       for c in ("fs-tails-singletons", "ap", "density")),
+    # keys that the coloring never reads: these recorded a k that no color
+    # used, a sed that the hash never saw (it hashed with seed 0), or
+    # dropped the 4 in silence
+    ("search-hindman --coloring parity:5 --m 2", "coloring.k: not read by parity"),
+    ("search-mt --edge-coloring cardinality:5 --m 3 --max-index 8",
+     "edge_coloring.k: not read by cardinality"),
+    ("search-mt --edge-coloring seeded-hash-k:2:sed=3 --m 3 --max-index 8",
+     "edge_coloring.sed: not read by seeded-hash-k"),
+    ("search-hindman --coloring mod-k:3:seed=1 --m 2", "coloring.seed: not read by mod-k"),
+    ("search-hindman --coloring constant:1:seed=1 --m 2",
+     "coloring.seed: not read by constant"),
+    ("""search-mt --edge-coloring '{"name":"constant","d":3}' --m 3 --max-index 8""",
+     "edge_coloring.d: not read by constant"),
+    ("search-hindman --coloring mod-k:3:4 --m 2", "coloring.k: given twice"),
+    ("search-hindman --coloring mod-k:k=3:4 --m 2", "coloring.k: given twice"),
+    ("search-hindman --coloring modk:3 --m 2", "coloring.name: expected one of"),
+    # keys that only another variant of the command reads
+    ("game-transfer --n 3", "n: not read by which gfin-to-g1"),
+    ("game-transfer --which gfin-to-g1 --picks 5", "picks: not read by which gfin-to-g1"),
+    ("game-transfer --which diagonal --rounds 4", "rounds: not read by which diagonal"),
+    ("cover-partition --truncation 5 --edge-coloring constant --m 2 --max-index 6",
+     "truncation: not read by instance initial-segments"),
+    ("chain-check --chain ap --delta 1/2", "delta: not read by chain ap"),
+    ("chain-check --delta 1/2", "delta: not read by chain fs-tails-pow2"),
 ])
 def test_bad_flag_is_a_config_error(capsys, argv, message):
     assert main(shlex.split(argv)) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def _subcommands():
+    """Each subcommand's parser, by name."""
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_abbreviated_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, name):
+    # argparse reads an abbreviation as the flag it prefixes, so that
+    # cover-partition --s 9 used to run with seed 9
+    monkeypatch.chdir(tmp_path)
+    flags = _subcommands()[name]._option_string_actions
+    checked = 0
+    for flag, action in flags.items():
+        short = flag[:-1]
+        if not flag.startswith("--") or short in flags:
+            continue
+        argv = [name, short] + (["1"] if action.nargs is None else [])
+        assert main(argv) == EXIT_USAGE, argv
+        assert f"unrecognized arguments: {short}" in capsys.readouterr().err
+        checked += 1
+    assert checked >= 2  # --help and --seed at least
+
+
+def test_abbreviated_top_level_flag_is_a_usage_error(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command": "threshold", "colors": 1}')
+    ran = []
+    monkeypatch.setattr(cli, "dispatch", ran.append)
+    assert main(["--confi", str(cfg), "threshold"]) == EXIT_USAGE
+    assert ran == []
 
 
 # parity and mod-k add up their subject's elements, so sums that are sets

@@ -85,18 +85,18 @@ def test_seeded_hash_coloring_is_stable_and_seeded():
     assert set(colors_a) <= {1, 2, 3}
 
 
-def _union(gens, value):
-    return IndexedUnion(gens=frozenset(gens), value=frozenset(value))
+def _union(value):
+    return IndexedUnion(frozenset(value))
 
 
 # Subjects by arity: ints, finite sets and indexed unions, each arity with
 # a subject whose repeated member leaves fewer distinct elements.
 _PINNED_SUBJECTS = {
-    1: [(0,), (7,), (frozenset({1, 2}),), (_union({1}, {2, 5}),)],
+    1: [(0,), (7,), (frozenset({1, 2}),), (_union({2, 5}),)],
     2: [(1, 2), (3, 3), (frozenset({1}), frozenset({1, 2})),
-        (frozenset({4}), frozenset({4})), (_union({1}, {2}), _union({2, 3}, {2, 7}))],
+        (frozenset({4}), frozenset({4})), (_union({2}), _union({2, 7}))],
     3: [(1, 2, 3), (5, 5, 6), (frozenset({1}), frozenset({2}), frozenset({1, 2})),
-        (_union({1}, {1}), _union({2}, {3}), _union({1}, {1}))],
+        (_union({1}), _union({3}), _union({1}))],
 }
 
 # Colors recorded from the one-shot blake2b of each subject's canonical

@@ -14,9 +14,10 @@ from sumgames.coloring import (
     constant_coloring,
     seeded_hash_coloring,
 )
-from sumgames.covers import CoverKind, SSet, Space, classify_cover
+from sumgames.covers import Cover, CoverKind, SSet, Space, classify_cover
 from sumgames.filters import chain_check
 from sumgames.partition import (
+    DescendingCovers,
     FiniteSetFamily,
     PartitionWitness,
     ap_family,
@@ -56,14 +57,83 @@ def test_union_term_equals_the_pairwise_union_fold():
             points = rng.sample(range(8), rng.randint(0, 5))
             fam.append((j, SSet.cofinite(points) if rng.random() < 0.4
                         else SSet.finite(points)))
-        term = partition_module._union_term(frozenset(j for j, _ in fam),
-                                            [s for _, s in fam])
+        term = partition_module._union_term([s for _, s in fam])
         want = functools.reduce(lambda a, b: a.union(b), (s for _, s in fam))
         assert term.value == want and term.value.kind == want.kind
-        assert term.gens == frozenset(j for j, _ in fam)
         kinds.add(tuple(sorted({s.kind for _, s in fam})))
     # finite only, cofinite only, and mixed families all occur
     assert kinds == {("finite",), ("cofinite",), ("cofinite", "finite")}
+
+
+# ---------------------------------------------------------------- cover membership
+
+def scanned_allowed_indices(dc, n, hi):
+    """``allowed_indices`` as a scan of U_n's prefix for each U_1-index,
+    the reference for its set lookup."""
+    base = dc.cover_at(1)
+    cn = dc.cover_at(n)
+    hi = min(hi, base.prefix_length(hi))
+    cn_sets = cn.prefix(min(cn.prefix_length(hi), base.prefix_length(hi)))
+    out = []
+    for j in range(n, hi + 1):
+        u = base.set_at(j)
+        if any(u == s for s in cn_sets):
+            out.append(j)
+    return out
+
+
+def scanned_check_descension(dc, depth, hi):
+    """``check_descension`` as a scan of U_n's prefix for each member of
+    U_{n+1}, the reference for its set lookup."""
+    bad = []
+    wide = hi + depth + 4
+    for n in range(1, depth + 1):
+        upper = dc.cover_at(n)
+        lower = dc.cover_at(n + 1)
+        upper_sets = upper.prefix(min(upper.prefix_length(wide), wide))
+        for s in lower.prefix(min(lower.prefix_length(hi), hi)):
+            if not any(s == u for u in upper_sets):
+                bad.append((n, s))
+    return bad
+
+
+def finite_pair(u1, u2):
+    """Descending covers U_1 = u1 and U_n = u2 for every n >= 2."""
+    space = Space.finite_points(range(8))
+    covers = {1: Cover(space, sets=u1), 2: Cover(space, sets=u2)}
+    return DescendingCovers(space=space, cover_at=lambda n: covers[min(n, 2)],
+                            escape_point=lambda n: 7)
+
+
+A, B, C, D, E, X, Y = (SSet.finite({p}) for p in range(7))
+
+
+def membership_instances():
+    yield initial_segment_covers(NATS), range(1, 5), range(1, 15)
+    for t in range(3, 8):
+        yield encode_cofinite_example(t).dc, range(1, t + 1), range(1, t + 3)
+    yield finite_pair([A, B, C, D, E], [D, E, C, B]), range(1, 3), range(1, 7)
+    # U_2 holds members that U_1 lacks, so descension fails
+    yield finite_pair([A, B, C, D, E], [X, D, Y, B]), range(1, 3), range(1, 7)
+
+
+def test_membership_lookups_equal_the_scans():
+    for dc, ns, his in membership_instances():
+        for hi in his:
+            for n in ns:
+                assert dc.allowed_indices(n, hi) == scanned_allowed_indices(dc, n, hi)
+            for depth in (1, 2, 3):
+                assert (dc.check_descension(depth, hi)
+                        == scanned_check_descension(dc, depth, hi))
+
+
+def test_membership_reads_u_n_past_hi():
+    # B is the 4th member of U_2, past hi = 3, and still a member of U_2:
+    # a U_n prefix cut at hi would drop index 2
+    dc = finite_pair([A, B, C, D, E], [D, E, C, B])
+    assert dc.allowed_indices(2, 3) == [2, 3]
+    broken = finite_pair([A, B, C, D, E], [X, D, Y, B])
+    assert broken.check_descension(2, 4) == [(1, X), (1, Y)]
 
 
 # ---------------------------------------------------------------- menger search
