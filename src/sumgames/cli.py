@@ -168,7 +168,7 @@ def _fraction(name, value):
 
 def _json_text(name, text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name}: not valid JSON: {exc}") from exc
 
@@ -850,6 +850,9 @@ _RERUN_ONLY = {
 _M = Key(_integer(1), ...)
 _D = Key(_integer(1), 2)
 _MAX_INDEX = Key(_integer(0), 0)
+# search-mt checks its base for properness over all 2^max_index block sums
+# before its first node, outside the node budget: 20 takes about 0.4 s
+_MT_MAX_INDEX = Key(_integer(0, 20), 0)
 _EDGE_COLORING = Key(_coloring_descriptor, ...)
 _VERTEX_COLORING = Key(_coloring_descriptor)
 # rounds defaults to the horizon
@@ -878,7 +881,7 @@ _COMMANDS = {
         edge_coloring=_EDGE_COLORING, vertex_coloring=_VERTEX_COLORING,
         semigroup=Key(_choice(*_SEMIGROUPS), "naturals"),
         base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
-        m=_M, d=_D, max_index=_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
+        m=_M, d=_D, max_index=_MT_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
     "threshold": _command(
         _run_threshold, "least N forcing monochromatic {x,y,x+y}",
         certify=_certify_threshold,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -35,6 +36,7 @@ from .semigroups import (
     CertificateError,
     ElementSequence,
     IndexedUnion,
+    Semigroup,
     indexed_unions,
 )
 from .verdicts import Verdict
@@ -151,8 +153,58 @@ def _union_term(members: Sequence[SSet]) -> IndexedUnion:
     return IndexedUnion(value)
 
 
-# the semigroup of the unions V_n, shared by every search and verifier
+# the semigroup of the unions V_n as values, for the verifier
 _UNIONS = indexed_unions(SSet.union)
+
+# the same unions inside a search, as point masks: union is ``|``
+_MASK_UNIONS = Semigroup(kind="point-mask-union", combine=operator.or_)
+
+
+class _PointMasks:
+    """The sets of one search as ints.  Each point gets one bit, in order
+    of first sight; a finite set is the OR of its points' bits, a cofinite
+    one ``~`` of its excluded points' mask.  By two's complement, union is
+    ``|`` in every case (~c | ~d = ~(c & d), ~c | f = ~(c & ~f)), p lies in
+    a set iff the set's mask has p's bit, and equal sets have equal masks
+    while distinct sets have distinct ones.
+
+    Masks are built and read a byte and a digit at a time, so that their
+    cost stays linear in the number of points."""
+
+    __slots__ = ("index", "points", "decoded")
+
+    def __init__(self):
+        self.index: dict = {}
+        self.points: list = []
+        self.decoded: dict = {}
+
+    def _index_of(self, p) -> int:
+        i = self.index.get(p)
+        if i is None:
+            i = self.index[p] = len(self.points)
+            self.points.append(p)
+        return i
+
+    def point(self, p) -> int:
+        return 1 << self._index_of(p)
+
+    def encode(self, s: SSet) -> int:
+        indices = [self._index_of(p) for p in s.data]
+        buf = bytearray(len(self.points) // 8 + 1)
+        for i in indices:
+            buf[i >> 3] |= 1 << (i & 7)
+        mask = int.from_bytes(buf, "little")
+        return mask if s.kind == "finite" else ~mask
+
+    def decode(self, mask: int) -> IndexedUnion:
+        """The set of a mask, as the value that the colorings see."""
+        out = self.decoded.get(mask)
+        if out is None:
+            digits = bin(~mask if mask < 0 else mask)[:1:-1]  # bit i is digit i
+            points = itertools.compress(self.points, map("1".__eq__, digits))
+            value = SSet.cofinite(points) if mask < 0 else SSet.finite(points)
+            out = self.decoded[mask] = IndexedUnion(value)
+        return out
 
 
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
@@ -184,33 +236,46 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     member_set = dc.cover_at(1).set_at
     chains = _chain_candidates(hi, m)
     best_depth = 0
+    # the unions are held as point masks; a coloring sees them decoded
+    masks = _PointMasks()
+    # need[n - 1]: the mask of the escape points x_1..x_{n-1}
+    need = list(itertools.accumulate(map(masks.point, escapes[:-1]), operator.or_,
+                                     initial=0))
+    member_mask = functools.cache(lambda j: masks.encode(member_set(j)))
+    # the coverage verdict of each tuple of unions V_1..V_m
+    verdicts: dict = {}
 
     def candidates(blocks: list):
         pool = allowed[len(blocks) + 1]
         return (F for F in chains(blocks) if not F & ~pool)
 
     @functools.cache
-    def union_of(F: int) -> IndexedUnion:
+    def union_of(F: int) -> int:
         # V_n depends on the index block alone: build it once
-        return _union_term([member_set(j) for j in _block(F)])
+        return functools.reduce(operator.or_, map(member_mask, _block(F)))
 
     def check(blocks: list, parent):
         nonlocal best_depth
         term = union_of(blocks[-1])
         # the escape points x_1..x_{n-1} must lie in the new union V_n
-        if not all(term.value.contains(x) for x in escapes[:len(blocks) - 1]):
+        if term & need[len(blocks) - 1] != need[len(blocks) - 1]:
             return None
-        state = _prefix_sums(_UNIONS, parent, term, chi_edge, d, chi_vertex)
+        state = _prefix_sums(_MASK_UNIONS, parent, term, chi_edge, d, chi_vertex)
         if state is not None:
             best_depth = max(best_depth, len(blocks))
         return state
 
     def finish(blocks: list, state):
-        unions = tuple(state.sums[(1 << (n - 1)) - 1].value for n in range(1, m + 1))
-        cover = Cover(dc.space, sets=list(dict.fromkeys(unions)), name="partition-unions")
-        coverage = classify_cover(cover, target, horizon, **tparams)
+        heads = tuple(state.sums[(1 << (n - 1)) - 1] for n in range(1, m + 1))
+        # the cover is a function of the ordered unions, so of their masks
+        coverage = verdicts.get(heads)
+        if coverage is None:
+            sets = [masks.decode(v).value for v in dict.fromkeys(heads)]
+            cover = Cover(dc.space, sets=sets, name="partition-unions")
+            coverage = verdicts[heads] = classify_cover(cover, target, horizon, **tparams)
         if coverage is not Verdict.HOLDS:
             return None
+        unions = tuple(masks.decode(v).value for v in heads)
         blocks = list(map(_block, blocks))
         return PartitionWitness(
             families=tuple(tuple((j, member_set(j)) for j in sorted(F)) for F in blocks),
@@ -223,7 +288,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         )
 
     out = _depth_first(m, candidates, check, finish, budget.node_limit,
-                       _PrefixState.root())
+                       _PrefixState.root(masks.decode))
     if isinstance(out, Exhausted):
         out.note = f"best depth reached: {best_depth} of {m}"
         return out

@@ -227,16 +227,18 @@ class _SearchTables:
     edge coloring to its colors by mask, ``vertex`` each vertex coloring
     to its colors by sum value, and ``keys`` holds the ``canonical_key``
     of each value that a keyed coloring has been given.  So a search
-    colors each distinct subject once.
+    colors each distinct subject once.  ``decode``, when set, maps a sum as
+    the search holds it to the value that a coloring sees.
 
     A coloring is a function of the values, and all sums of one search lie
     in one semigroup, so equal values share one bit, one key and one color.
     The tables hold the colorings they are keyed by, so a table is never
     read for another coloring."""
 
-    __slots__ = ("bits", "keys", "edge", "vertex", "__weakref__")
+    __slots__ = ("bits", "keys", "edge", "vertex", "decode", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, decode: Optional[Callable] = None):
+        self.decode = decode
         self.bits: dict = {}
         self.keys: dict = {}
         self.edge: dict = defaultdict(dict)
@@ -264,21 +266,25 @@ class _PrefixState:
     tables: _SearchTables
 
     @classmethod
-    def root(cls) -> "_PrefixState":
-        """The state of the empty prefix, with new tables."""
-        return cls(0, [], {}, [], None, None, _SearchTables())
+    def root(cls, decode: Optional[Callable] = None) -> "_PrefixState":
+        """The state of the empty prefix, with new tables; ``decode`` maps
+        each sum to the value that the colorings see (the sum itself when
+        None)."""
+        return cls(0, [], {}, [], None, None, _SearchTables(decode))
 
 
-def _color(chi: Coloring, members: list, keys: dict) -> int:
-    """``chi`` on the set of ``members``; a keyed coloring is given their
-    keys from ``keys``, which gains the keys it lacked."""
+def _color(chi: Coloring, members: list, keys: dict,
+           decode: Optional[Callable] = None) -> int:
+    """``chi`` on the set of ``members``, each mapped through ``decode``
+    when given; a keyed coloring is given their keys from ``keys``, which
+    gains the keys it lacked."""
     if chi.keyed is None:
-        return chi.of_set(frozenset(members))
+        return chi.of_set(frozenset(members if decode is None else map(decode, members)))
     member_keys = []
     for v in members:
         key = keys.get(v)
         if key is None:
-            key = keys[v] = canonical_key(v)
+            key = keys[v] = canonical_key(v if decode is None else decode(v))
         member_keys.append(key)
     return chi.of_keys(member_keys)
 
@@ -327,7 +333,8 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
         vertex_colors = tables.vertex[chi_vertex]
         vertex_color = vertex_colors.get(term)
         if vertex_color is None:
-            vertex_color = vertex_colors[term] = _color(chi_vertex, [term], tables.keys)
+            vertex_color = vertex_colors[term] = _color(chi_vertex, [term], tables.keys,
+                                                        tables.decode)
         if parent.vertex_color not in (None, vertex_color):
             return None
     edge_color, masks = parent.edge_color, parent.masks
@@ -345,7 +352,7 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
             c = edge_colors.get(mask)
             if c is None:
                 c = edge_colors[mask] = _color(
-                    chi_edge, [older[p] for p in rest] + [term], tables.keys)
+                    chi_edge, [older[p] for p in rest] + [term], tables.keys, tables.decode)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
@@ -373,7 +380,8 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
             c = edge_colors.get(mask)
             if c is None:
                 c = edge_colors[mask] = _color(
-                    chi_edge, [older[p] for p in rest] + [added[last]], tables.keys)
+                    chi_edge, [older[p] for p in rest] + [added[last]], tables.keys,
+                    tables.decode)
             if c != edge_color:
                 return None
         masks = masks + new_masks
@@ -381,7 +389,7 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
         for v in itertools.islice(added, 1, None):
             c = vertex_colors.get(v)
             if c is None:
-                c = vertex_colors[v] = _color(chi_vertex, [v], tables.keys)
+                c = vertex_colors[v] = _color(chi_vertex, [v], tables.keys, tables.decode)
             if c != vertex_color:
                 return None
     least = dict.fromkeys(added, n)  # an older value keeps its entry

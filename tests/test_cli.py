@@ -491,6 +491,11 @@ _HASH2 = {"name": "seeded-hash-k", "k": 2}
                                  "coloring": {"name": "parity"}}),
     ("max_index must allow m blocks", {"command": "search-mt", "m": 3, "max_index": 2,
                                        "edge_coloring": {"name": "parity"}}),
+    # the base's properness check builds all 2^max_index sums before the
+    # first node, which no node budget counts
+    ("max_index: must be in 0..20, got 21", {"command": "search-mt", "m": 3,
+                                             "max_index": 21, "node_limit": 5,
+                                             "edge_coloring": {"name": "parity"}}),
     ("delta: expected a fraction", {"command": "chain-check", "chain": "density",
                                     "delta": "abc"}),
     ("coloring: mod-k needs a palette size", {"command": "search-hindman", "m": 2,
@@ -547,6 +552,10 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
      "coloring.seed: not read by constant"),
     ("""search-mt --edge-coloring '{"name":"constant","d":3}' --m 3 --max-index 8""",
      "edge_coloring.d: not read by constant"),
+    # a JSON flag's duplicate key used to take the last value in silence,
+    # where the same descriptor in a --config file was rejected
+    ("""search-hindman --coloring '{"name":"mod-k","k":3,"k":4}' --m 2 --max-value 20""",
+     "duplicate key: k"),
     ("search-hindman --coloring mod-k:3:4 --m 2", "coloring.k: given twice"),
     ("search-hindman --coloring mod-k:k=3:4 --m 2", "coloring.k: given twice"),
     ("search-hindman --coloring modk:3 --m 2", "coloring.name: expected one of"),

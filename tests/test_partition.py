@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumgames import partition as partition_module
 from sumgames.coloring import (
@@ -30,7 +32,16 @@ from sumgames.partition import (
     upper_density,
     verify_partition_witness,
 )
-from sumgames.search import Exhausted, SearchBudget, mt_search
+from sumgames.search import (
+    Exhausted,
+    SearchBudget,
+    _block,
+    _chain_candidates,
+    _depth_first,
+    _prefix_sums,
+    _PrefixState,
+    mt_search,
+)
 from sumgames.semigroups import CertificateError, ElementSequence, finite_sets
 from sumgames.verdicts import Verdict
 
@@ -514,3 +525,134 @@ def test_pinned_searches_include_exhausted_ones():
     outcomes = [want[:2] for want in PINNED_RESULTS.values() if want[0] == "exhausted"]
     assert outcomes.count(("exhausted", True)) >= 3
     assert ("exhausted", False) in outcomes
+
+
+# ---------------------------------------------------------------- point masks
+
+def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
+                            budget, **target_params):
+    """The search on union values, as it ran before unions became point
+    masks: each V_n an ``IndexedUnion`` held and compared by its SSet, the
+    escape points tested with ``contains``, and the cover of every
+    full-depth node classified anew.  Returns the driver's ``Exhausted``,
+    or the witness's (blocks, unions, vertex color, edge color, coverage)."""
+    hi = min(budget.max_index, dc.cover_at(1).prefix_length(budget.max_index))
+    escapes = [dc.escape_point(n) for n in range(1, m + 1)]
+    allowed = {n: sum(1 << (j - 1) for j in dc.allowed_indices(n, hi))
+               for n in range(1, m + 1)}
+    chains = _chain_candidates(hi, m)
+    union_of = functools.cache(lambda F: partition_module._union_term(
+        [dc.member_set(j) for j in _block(F)]))
+
+    def candidates(blocks):
+        return (F for F in chains(blocks) if not F & ~allowed[len(blocks) + 1])
+
+    def check(blocks, parent):
+        term = union_of(blocks[-1])
+        if not all(term.value.contains(x) for x in escapes[:len(blocks) - 1]):
+            return None
+        return _prefix_sums(partition_module._UNIONS, parent, term, chi_edge, d, chi_vertex)
+
+    def finish(blocks, state):
+        unions = tuple(state.sums[(1 << (n - 1)) - 1].value for n in range(1, m + 1))
+        cover = Cover(dc.space, sets=list(dict.fromkeys(unions)), name="reference")
+        coverage = classify_cover(cover, target, horizon, **target_params)
+        if coverage is not Verdict.HOLDS:
+            return None
+        return ([sorted(_block(F)) for F in blocks], unions, state.vertex_color,
+                state.edge_color, coverage)
+
+    return _depth_first(m, candidates, check, finish, budget.node_limit,
+                        _PrefixState.root())
+
+
+def assert_same_as_reference(dc, chi_vertex, chi_edge, m, target, horizon, budget,
+                             **target_params) -> bool:
+    """The search and its value-path reference agree; True on a witness."""
+    args = (dc, chi_vertex, chi_edge, m, 2, target, horizon, budget)
+    want = reference_menger_search(*args, **target_params)
+    got = menger_mt_search(*args, target_params=target_params)
+    if isinstance(want, Exhausted):
+        assert isinstance(got, Exhausted)
+        assert (got.complete, got.nodes) == (want.complete, want.nodes)
+        return False
+    blocks, unions, color_vertex, color_edge, coverage = want
+    assert got.to_record() == {
+        "index_blocks": blocks, "families": blocks, "color_vertex": color_vertex,
+        "color_edge": color_edge, "target": target.value, "coverage": coverage.value}
+    assert got.unions == unions
+    assert [u.kind for u in got.unions] == [u.kind for u in unions]
+    return True
+
+
+@pytest.mark.parametrize("vertex", [False, True])
+@pytest.mark.parametrize("target", list(CoverKind))
+def test_mask_search_equals_the_value_search_on_initial_segments(target, vertex):
+    found = 0
+    for seed in range(6):
+        for max_index in range(6, 12):
+            found += assert_same_as_reference(
+                initial_segment_covers(NATS),
+                seeded_hash_coloring(2, 100 + seed) if vertex else None,
+                seeded_hash_coloring(2, seed, d=2), 3, target, 6,
+                SearchBudget(max_index=max_index))
+    assert found  # not every run exhausts
+
+
+@pytest.mark.parametrize("chi", [constant_coloring(2), cardinality_coloring(2)],
+                         ids=lambda chi: chi.name)
+def test_mask_search_equals_the_value_search_on_cofinite_sets(chi):
+    for t in range(4, 8):
+        dc = encode_cofinite_example(t).dc
+        for target in CoverKind:
+            for m in (2, 3):
+                assert_same_as_reference(dc, None, chi, m, target, 4,
+                                         SearchBudget(max_index=t))
+
+
+def escaping_covers() -> DescendingCovers:
+    """One cover U_n = U_1 of S_j = {j, 3j mod 10} over the points 1..9,
+    whose escape points x_n = 7n mod 10 prune: V_2 must hold 7 and V_3
+    both 7 and 4, which only some blocks give."""
+    space = Space.finite_points(range(1, 10))
+    cover = Cover(space, sets=[SSet.finite({j, 3 * j % 10}) for j in range(1, 10)])
+    return DescendingCovers(space=space, cover_at=lambda n: cover,
+                            escape_point=lambda n: 7 * n % 10)
+
+
+@pytest.mark.parametrize("target", list(CoverKind))
+def test_mask_search_equals_the_value_search_where_escape_points_prune(target):
+    colorings = [(None, constant_coloring(2))] + [
+        (seeded_hash_coloring(2, 100 + seed), seeded_hash_coloring(2, seed, d=2))
+        for seed in range(6)]
+    for chi_vertex, chi_edge in colorings:
+        for horizon in (2, 5, 9):
+            for t in (1, 2, 3):
+                assert_same_as_reference(escaping_covers(), chi_vertex, chi_edge, 3, target,
+                                         horizon, SearchBudget(max_index=9), t=t, s=t, f=t)
+
+
+def test_mask_search_equals_the_value_search_when_cut():
+    cut = SearchBudget(max_index=10, node_limit=300)
+    assert not assert_same_as_reference(
+        initial_segment_covers(NATS), seeded_hash_coloring(2, 101),
+        seeded_hash_coloring(2, 1, d=2), 4, CoverKind.OMEGA, 5, cut, s=2)
+
+
+_POINTS = st.integers(0, 12)
+_SSETS = st.builds(lambda cofinite, points: (SSet.cofinite if cofinite else SSet.finite)(points),
+                   st.booleans(), st.frozensets(_POINTS, max_size=6))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(_SSETS, min_size=2, max_size=5))
+def test_point_masks_encode_union_membership_and_decode(sets):
+    masks = partition_module._PointMasks()
+    for a, b in zip(sets, sets[1:]):
+        assert masks.encode(a) | masks.encode(b) == masks.encode(a.union(b))
+    for s in sets:
+        mask = masks.encode(s)
+        assert masks.decode(mask).value == s
+        assert all(bool(mask & masks.point(p)) == s.contains(p) for p in range(14))
+    # equal sets and only equal sets share a mask
+    assert (len({masks.encode(s) for s in sets}) == len(set(sets)))

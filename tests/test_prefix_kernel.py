@@ -491,8 +491,8 @@ def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
     made = []
     root = _PrefixState.root
 
-    def tracked_root():
-        state = root()
+    def tracked_root(decode=None):
+        state = root(decode)
         made.append(weakref.ref(state.tables))
         return state
 
