@@ -38,7 +38,7 @@ dc = initial_segment_covers(Space.naturals())
 
 def max_parity(s):
     elem = next(iter(s))
-    return 1 + (max(elem.value.data) % 2)
+    return 1 + (max(elem.data) % 2)
 
 chi_v = Coloring(1, 2, max_parity, name="max-parity")
 w = menger_mt_search(dc, chi_v, constant_coloring(2, 1), m=2, d=2,
@@ -56,7 +56,7 @@ print("  escape points certified:", inst.dc.check_escapes(8) == [])
 chi = seeded_hash_coloring(2, seed=3, d=2)
 
 def chi_on_unions(s):
-    return chi.fn(frozenset(inst.decode_union(u.value) for u in s))
+    return chi.fn(frozenset(inst.decode_union(u) for u in s))
 
 menger = menger_mt_search(inst.dc, None, Coloring(2, 2, chi_on_unions), m=2, d=2,
                           target=CoverKind.OP, horizon=1,

@@ -17,7 +17,6 @@ from .semigroups import (
     finite_sets,
     fs_enumerate,
     indexed_sum,
-    indexed_unions,
     is_proper_up_to,
     naturals,
     proper_violation,

@@ -168,7 +168,8 @@ def _fraction(name, value):
 
 def _json_text(name, text: str):
     try:
-        return json.loads(text, object_pairs_hook=_reject_duplicates)
+        return json.loads(text, object_pairs_hook=functools.partial(_reject_duplicates,
+                                                                    name=name))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name}: not valid JSON: {exc}") from exc
 
@@ -292,12 +293,15 @@ class RunConfig:
         return {"command": self.command, **opts}
 
 
-def _reject_duplicates(pairs):
+def _reject_duplicates(pairs, name=None):
+    """The object of ``pairs``, refusing a key given twice; ``name`` is the
+    field whose JSON text holds the object, if any."""
     seen = set()
     out = {}
     for k, v in pairs:
         if k in seen:
-            raise ConfigError(f"duplicate key: {k}")
+            raise ConfigError(f"duplicate key: {k}" if name is None
+                              else f"{name}.{k}: given twice")
         seen.add(k)
         out[k] = v
     return out
@@ -908,7 +912,10 @@ _COMMANDS = {
     "game-transfer": _command(
         _run_game_transfer, "strategy transfer replays",
         which=Key(_choice("gfin-to-g1", "diagonal"), "gfin-to-g1"),
-        n=Key(_integer(), 2), rounds=_ROUNDS, picks=Key(_integer(1), 8)),
+        # the diagonal cover intersects the sets of 1 + n + ... + n^n tree
+        # covers, so n = 5 already takes seconds; the replay reads no set
+        # past games._COVER_BOUND, so more picks than that add nothing
+        n=Key(_integer(0, 4), 2), rounds=_ROUNDS, picks=Key(_integer(1, 32), 8)),
     "cover-partition": _command(
         _run_cover_partition, "monochromatic cover partition search",
         certify=_certify_cover_partition,

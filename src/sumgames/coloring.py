@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from .semigroups import IndexedUnion, Semigroup
+from .semigroups import Semigroup
 
 
 def canonical_key(x: Any) -> bytes:
@@ -22,8 +22,6 @@ def canonical_key(x: Any) -> bytes:
         return b"i:%d" % x
     if isinstance(x, str):
         return b"t:" + x.encode()
-    if isinstance(x, IndexedUnion):
-        return b"u:" + canonical_key(x.value)
     if isinstance(x, (frozenset, set)):
         return _set_key({canonical_key(v) for v in x})
     if isinstance(x, tuple):

@@ -99,8 +99,10 @@ class SSet:
         return (0, len(self.data))
 
     def stable_key(self) -> bytes:
+        # A set is colored only as a cover union, and recorded reports hold
+        # the colors of union keys tagged "u:", so the key carries the tag.
         inner = b",".join(b"%d" % x for x in sorted(self.data))
-        return self.kind.encode() + b"{" + inner + b"}"
+        return b"u:" + self.kind.encode() + b"{" + inner + b"}"
 
     def __repr__(self):
         inside = sorted(self.data)

@@ -16,7 +16,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from .coloring import Coloring
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
@@ -24,7 +24,6 @@ from .filters import SymbolicChain
 from .search import (
     Exhausted,
     SearchBudget,
-    _block,
     _chain_candidates,
     _depth_first,
     _prefix_sums,
@@ -35,9 +34,9 @@ from .semigroups import (
     BlockSequence,
     CertificateError,
     ElementSequence,
-    IndexedUnion,
     Semigroup,
-    indexed_unions,
+    _block,
+    _mask,
 )
 from .verdicts import Verdict
 
@@ -128,7 +127,8 @@ class PartitionWitness:
                          for fam in record["families"])
         return cls(
             families=families,
-            unions=tuple(_union_term([s for _, s in fam]).value for fam in families),
+            unions=tuple(functools.reduce(SSet.union, (s for _, s in fam))
+                         for fam in families),
             index_blocks=BlockSequence(tuple(record["index_blocks"])),
             color_vertex=record["color_vertex"],
             color_edge=record["color_edge"],
@@ -137,24 +137,8 @@ class PartitionWitness:
         )
 
 
-def _union_term(members: Sequence[SSet]) -> IndexedUnion:
-    """V_n as an element of ``_UNIONS``, held and compared by its set value.
-
-    The union is built in one step, as ``SSet.union`` folded over the
-    members would build it: the union of the finite members' points, or,
-    with a cofinite member, the cofinite set whose complement is the
-    intersection of the cofinite members' complements less those points."""
-    finite = [s.data for s in members if s.kind == "finite"]
-    excluded = [s.data for s in members if s.kind == "cofinite"]
-    if excluded:
-        value = SSet.cofinite(frozenset.intersection(*excluded).difference(*finite))
-    else:
-        value = SSet.finite(frozenset().union(*finite))
-    return IndexedUnion(value)
-
-
 # the semigroup of the unions V_n as values, for the verifier
-_UNIONS = indexed_unions(SSet.union)
+_UNIONS = Semigroup(kind="set-union", combine=SSet.union)
 
 # the same unions inside a search, as point masks: union is ``|``
 _MASK_UNIONS = Semigroup(kind="point-mask-union", combine=operator.or_)
@@ -196,14 +180,14 @@ class _PointMasks:
         mask = int.from_bytes(buf, "little")
         return mask if s.kind == "finite" else ~mask
 
-    def decode(self, mask: int) -> IndexedUnion:
+    def decode(self, mask: int) -> SSet:
         """The set of a mask, as the value that the colorings see."""
         out = self.decoded.get(mask)
         if out is None:
             digits = bin(~mask if mask < 0 else mask)[:1:-1]  # bit i is digit i
             points = itertools.compress(self.points, map("1".__eq__, digits))
-            value = SSet.cofinite(points) if mask < 0 else SSet.finite(points)
-            out = self.decoded[mask] = IndexedUnion(value)
+            out = self.decoded[mask] = (SSet.cofinite(points) if mask < 0
+                                        else SSet.finite(points))
         return out
 
 
@@ -231,8 +215,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     if bad:
         raise ValueError(f"descension fails on samples: {bad[:3]}")
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
-    allowed = {n: sum(1 << (j - 1) for j in dc.allowed_indices(n, hi))  # as a mask
-               for n in range(1, m + 1)}
+    allowed = {n: _mask(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
     member_set = dc.cover_at(1).set_at
     chains = _chain_candidates(hi, m)
     best_depth = 0
@@ -270,12 +253,12 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         # the cover is a function of the ordered unions, so of their masks
         coverage = verdicts.get(heads)
         if coverage is None:
-            sets = [masks.decode(v).value for v in dict.fromkeys(heads)]
+            sets = [masks.decode(v) for v in dict.fromkeys(heads)]
             cover = Cover(dc.space, sets=sets, name="partition-unions")
             coverage = verdicts[heads] = classify_cover(cover, target, horizon, **tparams)
         if coverage is not Verdict.HOLDS:
             return None
-        unions = tuple(masks.decode(v).value for v in heads)
+        unions = tuple(map(masks.decode, heads))
         blocks = list(map(_block, blocks))
         return PartitionWitness(
             families=tuple(tuple((j, member_set(j)) for j in sorted(F)) for F in blocks),
@@ -320,8 +303,8 @@ def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
                 return False
     if [frozenset(j for j, _ in fam) for fam in w.families] != list(w.index_blocks):
         return False
-    terms = [_union_term([s for _, s in fam]) for fam in w.families]
-    if tuple(w.unions) != tuple(t.value for t in terms):
+    terms = [functools.reduce(SSet.union, (s for _, s in fam)) for fam in w.families]
+    if tuple(w.unions) != tuple(terms):
         return False
     # escape points gathered so far lie in every later union
     for i in range(1, m + 1):

@@ -23,6 +23,8 @@ from .semigroups import (
     ElementSequence,
     ImproperSequenceError,
     Semigroup,
+    _block,
+    _mask,
     block_chains,
     blocks_within,
     chain_sum_sets,
@@ -182,11 +184,6 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
     return Exhausted(True, nodes.used)
 
 
-def _block(mask: int) -> frozenset:
-    """The block of a mask inside a search: index i is in it iff bit i - 1 is."""
-    return frozenset(i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _chains_ending_at(n: int, d: int) -> tuple:
     """The chains F_1 < ... < F_d inside {1..n} whose last block holds n:
@@ -202,10 +199,10 @@ def _chains_ending_at(n: int, d: int) -> tuple:
     head, top = frozenset([n]), 1 << (n - 1)
 
     def positions(blocks) -> tuple:
-        return tuple(sum(1 << (i - 1) for i in F) - 1 for F in blocks)
+        return tuple(_mask(F) - 1 for F in blocks)
 
     heads = tuple(map(positions, block_chains(n - 1, d - 1)))
-    others = tuple((positions([L])[0] + 1 - top, positions(rest))
+    others = tuple((_mask(L) - top, positions(rest))
                    for L in blocks_within(n) if n in L and L != head
                    for rest in block_chains(min(L) - 1, d - 1))
     return heads, others

@@ -8,7 +8,7 @@ sequence.  Blocks are 1-based throughout.  ``F < H`` between blocks means
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 Block = frozenset  # nonempty frozenset of 1-based indices
@@ -98,20 +98,16 @@ class Semigroup:
         return acc
 
 
-def _bits_to_set(i: int) -> frozenset:
-    # 1 -> {1}, 2 -> {2}, 3 -> {1,2}, ... (binary digits, 1-based positions)
-    out = []
-    pos = 1
-    while i:
-        if i & 1:
-            out.append(pos)
-        i >>= 1
-        pos += 1
-    return frozenset(out)
+def _block(mask: int) -> Block:
+    """The block of a mask: index i is in it iff bit i - 1 is, so 1 -> {1},
+    2 -> {2}, 3 -> {1, 2}, ..."""
+    digits = bin(mask)[:1:-1]  # bit i - 1 is digit i - 1
+    return frozenset(itertools.compress(itertools.count(1), map("1".__eq__, digits)))
 
 
-def _set_to_bits(s: frozenset) -> int:
-    return sum(1 << (j - 1) for j in s)
+def _mask(F: Iterable[int]) -> int:
+    """The mask of a block, inverse to ``_block``."""
+    return sum(1 << (j - 1) for j in F)
 
 
 def naturals() -> Semigroup:
@@ -134,41 +130,9 @@ def finite_sets() -> Semigroup:
     return Semigroup(
         kind="finite-sets-with-union",
         combine=lambda a, b: a | b,
-        enumeration=_bits_to_set,
-        rank=_set_to_bits,
+        enumeration=_block,
+        rank=_mask,
     )
-
-
-@dataclass(frozen=True)
-class IndexedUnion:
-    """A union of indexed generator sets, held as its value: equality and
-    hashing are by value, so two different generator sets denoting the
-    same value are one element.  The hash is taken once, when the union
-    is made: a search looks each sum up several times."""
-
-    value: Any
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("IndexedUnion", self.value)))
-
-    def __eq__(self, other):
-        if isinstance(other, IndexedUnion):
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-
-def indexed_unions(union: Callable[[Any, Any], Any]) -> Semigroup:
-    """Unions of indexed generator sets, as ``IndexedUnion`` values joined
-    by ``union``."""
-
-    def combine(a: IndexedUnion, b: IndexedUnion) -> IndexedUnion:
-        return IndexedUnion(union(a.value, b.value))
-
-    return Semigroup(kind="indexed-set-union", combine=combine)
 
 
 @dataclass(frozen=True)

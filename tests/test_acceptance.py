@@ -246,7 +246,7 @@ def test_criterion_8_cover_partition_roundtrip():
         chi = seeded_hash_coloring(2, seed, d=2)
 
         def chi_on_unions(s, _chi=chi):
-            return _chi.fn(frozenset(inst.decode_union(u.value) for u in s))
+            return _chi.fn(frozenset(inst.decode_union(u) for u in s))
 
         chi_prime = Coloring(2, 2, chi_on_unions, name="decoded")
         direct = mt_search(chi, FIN, base, m=2, d=2, budget=budget)

@@ -553,9 +553,14 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     ("""search-mt --edge-coloring '{"name":"constant","d":3}' --m 3 --max-index 8""",
      "edge_coloring.d: not read by constant"),
     # a JSON flag's duplicate key used to take the last value in silence,
-    # where the same descriptor in a --config file was rejected
+    # where the same descriptor in a --config file was rejected; it is
+    # named by its flag, as in the compact form
     ("""search-hindman --coloring '{"name":"mod-k","k":3,"k":4}' --m 2 --max-value 20""",
-     "duplicate key: k"),
+     "coloring.k: given twice"),
+    ("""search-mt --edge-coloring '{"name":"seeded-hash-k","k":2,"k":3}' --m 3 """
+     """--max-index 8""", "edge_coloring.k: given twice"),
+    ("""proper-or-collapse --sequence '{"kind":"random-finite-sets","gen_max":3,"""
+     """"gen_max":4}'""", "sequence.gen_max: given twice"),
     ("search-hindman --coloring mod-k:3:4 --m 2", "coloring.k: given twice"),
     ("search-hindman --coloring mod-k:k=3:4 --m 2", "coloring.k: given twice"),
     ("search-hindman --coloring modk:3 --m 2", "coloring.name: expected one of"),
@@ -563,6 +568,12 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     ("game-transfer --n 3", "n: not read by which gfin-to-g1"),
     ("game-transfer --which gfin-to-g1 --picks 5", "picks: not read by which gfin-to-g1"),
     ("game-transfer --which diagonal --rounds 4", "rounds: not read by which diagonal"),
+    # the diagonal cover's work grows as n^n, and the replay reads no more
+    # than 32 picks: n = 5 took seconds, and picks = 1000 over a minute
+    ("game-transfer --which diagonal --n 5", "n: must be in 0..4, got 5"),
+    ("game-transfer --which diagonal --n=-1", "n: must be in 0..4, got -1"),
+    ("game-transfer --which diagonal --picks 33", "picks: must be in 1..32, got 33"),
+    ("game-transfer --which diagonal --picks 0", "picks: must be in 1..32, got 0"),
     ("cover-partition --truncation 5 --edge-coloring constant --m 2 --max-index 6",
      "truncation: not read by instance initial-segments"),
     ("chain-check --chain ap --delta 1/2", "delta: not read by chain ap"),

@@ -2,7 +2,6 @@
 import functools
 import hashlib
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -35,14 +34,13 @@ from sumgames.partition import (
 from sumgames.search import (
     Exhausted,
     SearchBudget,
-    _block,
     _chain_candidates,
     _depth_first,
     _prefix_sums,
     _PrefixState,
     mt_search,
 )
-from sumgames.semigroups import CertificateError, ElementSequence, finite_sets
+from sumgames.semigroups import CertificateError, ElementSequence, _block, _mask, finite_sets
 from sumgames.verdicts import Verdict
 
 NATS = Space.naturals()
@@ -52,28 +50,9 @@ FIN = finite_sets()
 def max_parity_vertex() -> Coloring:
     def fn(s):
         elem = next(iter(s))
-        return 1 + (max(elem.value.data) % 2)
+        return 1 + (max(elem.data) % 2)
 
     return Coloring(1, 2, fn, name="max-parity")
-
-
-# ---------------------------------------------------------------- union terms
-
-def test_union_term_equals_the_pairwise_union_fold():
-    kinds = set()
-    for seed in range(200):
-        rng = random.Random(seed)
-        fam = []
-        for j in sorted(rng.sample(range(1, 12), rng.randint(1, 4))):
-            points = rng.sample(range(8), rng.randint(0, 5))
-            fam.append((j, SSet.cofinite(points) if rng.random() < 0.4
-                        else SSet.finite(points)))
-        term = partition_module._union_term([s for _, s in fam])
-        want = functools.reduce(lambda a, b: a.union(b), (s for _, s in fam))
-        assert term.value == want and term.value.kind == want.kind
-        kinds.add(tuple(sorted({s.kind for _, s in fam})))
-    # finite only, cofinite only, and mixed families all occur
-    assert kinds == {("finite",), ("cofinite",), ("cofinite", "finite")}
 
 
 # ---------------------------------------------------------------- cover membership
@@ -175,6 +154,27 @@ def test_menger_interval_instance_horizon_10():
     assert [max(u.data) for u in out.unions] == [9, 11]
 
 
+def test_custom_colorings_are_given_sset_members():
+    # a coloring without a canonical key sees each union as its set, in
+    # the search and in the verifier alike
+    seen = {"vertex": [], "edge": []}
+
+    def recorder(kind):
+        def fn(s):
+            seen[kind].extend(s)
+            return 1
+        return Coloring(1 if kind == "vertex" else 2, 1, fn, name=kind)
+
+    out = menger_mt_search(initial_segment_covers(NATS), recorder("vertex"),
+                           recorder("edge"), m=2, d=2, target=CoverKind.LAMBDA,
+                           horizon=3, budget=SearchBudget(max_index=8),
+                           target_params={"t": 1})
+    assert isinstance(out, PartitionWitness)
+    for members in seen.values():
+        assert members and all(type(x) is SSet for x in members)
+        assert set(out.unions) <= set(members)
+
+
 def test_menger_constant_coloring_first_blocks():
     dc = initial_segment_covers(NATS)
     out = menger_mt_search(dc, None, constant_coloring(2, 1), m=2, d=2,
@@ -254,7 +254,7 @@ def test_cofinite_roundtrip_against_direct_search():
         inst = encode_cofinite_example(8)
 
         def chi_on_unions(s, _chi=chi, _inst=inst):
-            return _chi.fn(frozenset(_inst.decode_union(u.value) for u in s))
+            return _chi.fn(frozenset(_inst.decode_union(u) for u in s))
 
         chi_prime = Coloring(2, 2, chi_on_unions, name="decoded")
         base = ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
@@ -532,29 +532,28 @@ def test_pinned_searches_include_exhausted_ones():
 def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
                             budget, **target_params):
     """The search on union values, as it ran before unions became point
-    masks: each V_n an ``IndexedUnion`` held and compared by its SSet, the
+    masks: each V_n an SSet, held and compared by value, the
     escape points tested with ``contains``, and the cover of every
     full-depth node classified anew.  Returns the driver's ``Exhausted``,
     or the witness's (blocks, unions, vertex color, edge color, coverage)."""
     hi = min(budget.max_index, dc.cover_at(1).prefix_length(budget.max_index))
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
-    allowed = {n: sum(1 << (j - 1) for j in dc.allowed_indices(n, hi))
-               for n in range(1, m + 1)}
+    allowed = {n: _mask(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
     chains = _chain_candidates(hi, m)
-    union_of = functools.cache(lambda F: partition_module._union_term(
-        [dc.member_set(j) for j in _block(F)]))
+    union_of = functools.cache(lambda F: functools.reduce(
+        SSet.union, map(dc.member_set, _block(F))))
 
     def candidates(blocks):
         return (F for F in chains(blocks) if not F & ~allowed[len(blocks) + 1])
 
     def check(blocks, parent):
         term = union_of(blocks[-1])
-        if not all(term.value.contains(x) for x in escapes[:len(blocks) - 1]):
+        if not all(term.contains(x) for x in escapes[:len(blocks) - 1]):
             return None
         return _prefix_sums(partition_module._UNIONS, parent, term, chi_edge, d, chi_vertex)
 
     def finish(blocks, state):
-        unions = tuple(state.sums[(1 << (n - 1)) - 1].value for n in range(1, m + 1))
+        unions = tuple(state.sums[(1 << (n - 1)) - 1] for n in range(1, m + 1))
         cover = Cover(dc.space, sets=list(dict.fromkeys(unions)), name="reference")
         coverage = classify_cover(cover, target, horizon, **target_params)
         if coverage is not Verdict.HOLDS:
@@ -652,7 +651,7 @@ def test_point_masks_encode_union_membership_and_decode(sets):
         assert masks.encode(a) | masks.encode(b) == masks.encode(a.union(b))
     for s in sets:
         mask = masks.encode(s)
-        assert masks.decode(mask).value == s
+        assert masks.decode(mask) == s
         assert all(bool(mask & masks.point(p)) == s.contains(p) for p in range(14))
     # equal sets and only equal sets share a mask
     assert (len({masks.encode(s) for s in sets}) == len(set(sets)))

@@ -20,7 +20,7 @@ from sumgames.coloring import (
     parity_coloring,
     seeded_hash_coloring,
 )
-from sumgames.covers import CoverKind, Space
+from sumgames.covers import CoverKind, SSet, Space
 from sumgames.filters import fs_tail_chain
 from sumgames.partition import (
     PartitionWitness,
@@ -33,7 +33,6 @@ from sumgames.search import (
     Exhausted,
     SearchBudget,
     Witness,
-    _block,
     _chains_ending_at,
     _color,
     _prefix_sums,
@@ -46,13 +45,12 @@ from sumgames.search import (
 from sumgames.semigroups import (
     BlockSequence,
     ElementSequence,
-    IndexedUnion,
+    _block,
     block_chains,
     chain_sum_sets,
     finite_sets,
     fs_enumerate,
     indexed_sum,
-    indexed_unions,
     naturals,
     proper_violation,
     sum_hypergraph,
@@ -110,7 +108,7 @@ def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
     return len(terms)
 
 
-UNIONS = indexed_unions(frozenset.union)
+UNIONS = partition_module._UNIONS
 
 
 def random_terms(kind, rng, length=6):
@@ -124,14 +122,14 @@ def random_terms(kind, rng, length=6):
               for _ in range(length)]
     if kind == "finite-sets":
         return FIN, values
-    return UNIONS, [IndexedUnion(v) for v in values]
+    return UNIONS, list(map(SSet.finite, values))
 
 
 @pytest.mark.parametrize("sg, terms", [
     # a_2 = a_1 + a_3 on the incomparable blocks {2} and {1, 3}
     (NAT, [1, 5, 4]),
     (FIN, [frozenset({1}), frozenset({1, 2}), frozenset({2})]),
-    (UNIONS, [IndexedUnion(v) for v in [frozenset({1}), frozenset({1, 2}), frozenset({2})]]),
+    (UNIONS, [SSet.finite(v) for v in [{1}, {1, 2}, {2}]]),
 ])
 def test_equal_sums_on_incomparable_blocks_stay_proper(sg, terms):
     assert fold(sg, terms) == 3
@@ -153,7 +151,7 @@ def reference_cases(test):
         pytest.mark.parametrize("kind, coloring", [
             ("naturals", "seeded-hash"), ("naturals", "mod"),
             ("multiples-of-3", "mod"), ("finite-sets", "seeded-hash"),
-            ("indexed-unions", "seeded-hash"),
+            ("set-unions", "seeded-hash"),
         ]),
         pytest.mark.parametrize("d", [2, 3]),
         pytest.mark.parametrize("vertex", [False, True]),
@@ -208,7 +206,7 @@ def test_sibling_prefixes_sharing_one_key_table_match_reference(kind, coloring, 
     test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_keys=True)
 
 
-@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "set-unions"])
 def test_incremental_properness_matches_reference(kind):
     for seed in range(60):
         sg, terms = random_terms(kind, random.Random(seed))
@@ -223,10 +221,10 @@ def wide_terms(kind, rng, length=8):
     values = [frozenset(rng.sample(range(1, 1000), 3)) for _ in range(length)]
     if kind == "finite-sets":
         return FIN, values
-    return UNIONS, [IndexedUnion(v) for v in values]
+    return UNIONS, list(map(SSet.finite, values))
 
 
-@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "set-unions"])
 def test_sums_are_listed_in_mask_order(kind):
     # the kernel reads the sum over the block with mask j at position j - 1
     for seed in range(10):
@@ -241,7 +239,7 @@ def test_sums_are_listed_in_mask_order(kind):
                 assert state.sums[mask - 1] == want
 
 
-@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "set-unions"])
 def test_extending_a_parent_leaves_its_state_unchanged(kind):
     outcomes = set()
     for seed in range(40):
@@ -285,15 +283,6 @@ def test_head_and_other_chains_are_the_new_chains(n, d):
     assert all(ch[-1] != frozenset([n]) for ch in others)
 
 
-def test_indexed_unions_with_equal_values_are_equal_and_hash_equal():
-    a = IndexedUnion(frozenset({1, 2, 3}))
-    b = IndexedUnion(frozenset({1, 2, 3}))
-    c = IndexedUnion(frozenset({1, 2}))
-    assert a == b and hash(a) == hash(b)
-    assert a != c
-    assert {a: 1}[b] == 1
-
-
 def colliding_terms(kind, rng, length=5):
     """Terms over so few values that sums of comparable blocks often
     coincide, so that a chain's sum set has fewer than d elements."""
@@ -303,11 +292,11 @@ def colliding_terms(kind, rng, length=5):
               for _ in range(length)]
     if kind == "finite-sets":
         return FIN, values
-    return UNIONS, [IndexedUnion(v) for v in values]
+    return UNIONS, list(map(SSet.finite, values))
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "indexed-unions"])
+@pytest.mark.parametrize("kind", ["naturals", "finite-sets", "set-unions"])
 def test_color_from_keys_equals_of_set(kind, d):
     shrunk = 0
     for seed in range(40):
@@ -530,17 +519,15 @@ def rebuilt_mt_witness(w, base, chi_edge, chi_vertex, d) -> Witness:
 
 def rebuilt_partition_witness(w, chi_edge, chi_vertex, d) -> PartitionWitness:
     """The partition witness on w's families as rebuilt from scratch: the
-    unions as an indexed-union sequence, then every sum and chain again,
+    unions as a sequence of sets under union, then every sum and chain again,
     for the colors."""
-    terms = [IndexedUnion(functools.reduce(lambda a, b: a.union(b), (s for _, s in fam)))
-             for fam in w.families]
+    terms = [functools.reduce(SSet.union, (s for _, s in fam)) for fam in w.families]
     m = len(terms)
-    sg = indexed_unions(lambda a, b: a.union(b))
-    sums = fs_enumerate(ElementSequence.from_terms(sg, terms), m)
+    sums = fs_enumerate(ElementSequence.from_terms(UNIONS, terms), m)
     edges = [frozenset(sums[F] for F in ch) for ch in block_chains(m, d)]
     return PartitionWitness(
         families=w.families,
-        unions=tuple(t.value for t in terms),
+        unions=tuple(terms),
         index_blocks=BlockSequence(tuple(frozenset(j for j, _ in fam) for fam in w.families)),
         color_vertex=chi_vertex.of(next(iter(sums.values()))) if chi_vertex else None,
         color_edge=chi_edge.of_set(edges[0]),

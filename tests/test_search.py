@@ -35,7 +35,6 @@ from sumgames.search import (
     _NodeBudget,
     _PrefixState,
     _avoider_exists_fc,
-    _block,
     _candidate_blocks,
     _lex_first_avoider,
     _proper_up_to,
@@ -45,6 +44,7 @@ from sumgames.semigroups import (
     CertificateError,
     ElementSequence,
     ImproperSequenceError,
+    _block,
     block_key,
     finite_sets,
     is_proper_up_to,

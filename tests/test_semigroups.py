@@ -10,7 +10,6 @@ from sumgames.semigroups import (
     BlockSequence,
     ElementSequence,
     ImproperSequenceError,
-    IndexedUnion,
     block_chains,
     chain_sum_sets,
     block_less,
@@ -18,7 +17,6 @@ from sumgames.semigroups import (
     finite_sets,
     fs_enumerate,
     indexed_sum,
-    indexed_unions,
     is_proper_up_to,
     least_collision,
     make_block,
@@ -280,12 +278,6 @@ def test_chain_sum_sets_list_a_repeated_sum_set_once():
 def test_sum_hypergraph_rejects_improper():
     with pytest.raises(ImproperSequenceError):
         sum_hypergraph(nat_seq(1, 2, 3), 3, 2)
-
-
-def test_indexed_unions_semigroup():
-    sg = indexed_unions(lambda a, b: a | b)
-    z = sg.combine(IndexedUnion(frozenset({1, 2})), IndexedUnion(frozenset({3})))
-    assert z.value == frozenset({1, 2, 3})
 
 
 def test_semigroup_sampled_invariants():
