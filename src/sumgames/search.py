@@ -394,10 +394,10 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
     return _PrefixState(n, older + added, least, masks, edge_color, vertex_color, tables)
 
 
-def _proper_up_to(seq: ElementSequence, n: int, root: _PrefixState) -> bool:
-    """True iff the first ``n`` terms of ``seq`` are proper: the answer of
-    ``proper_violation(seq, n) is None``, found by extending the prefix
-    check one term at a time from the empty prefix's state ``root``, with
+def _base_sums(seq: ElementSequence, n: int, root: _PrefixState) -> Optional[list]:
+    """The sums of the first ``n`` terms of ``seq``, entry mask - 1 for each
+    block's, or None if ``proper_violation(seq, n)`` finds a collision;
+    built by the prefix check from the empty prefix's state ``root``, with
     no colorings, so that it stops at the first collision and never sorts
     blocks to find the least one.  Without colorings the check neither
     reads nor fills the tables of ``root``, so a search may share it."""
@@ -405,8 +405,8 @@ def _proper_up_to(seq: ElementSequence, n: int, root: _PrefixState) -> bool:
     for i in range(1, n + 1):
         state = _prefix_sums(seq.semigroup, state, seq.term(i))
         if state is None:
-            return False
-    return True
+            return None
+    return state.sums
 
 
 def _chain_candidates(hi: int, m: int) -> Callable:
@@ -442,7 +442,7 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
         return Witness(
             blocks=BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))),
             terms=tuple(terms),
-            color_vertex=chi.of(terms[0]),
+            color_vertex=state.vertex_color,
             color_edge=None,
             certificate={"fs_values": sorted(state.sums)},
         )
@@ -514,16 +514,14 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     if hi < m:
         raise ValueError("max_index must allow m blocks")
     root = _PrefixState.root()
-    if not _proper_up_to(base, hi, root):
+    block_sums = _base_sums(base, hi, root)
+    if block_sums is None:
         raise ImproperSequenceError(f"base improper up to index {hi}")
     eta = (reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
            if (chi_vertex is not None and d == 2) else None)
 
-    # the sum over a block depends on the block alone: take it once
-    block_sum = functools.cache(lambda F: indexed_sum(base, _block(F)))
-
     def check(blocks: list, parent: _PrefixState) -> Optional[_PrefixState]:
-        term = block_sum(blocks[-1])
+        term = block_sums[blocks[-1] - 1]
         if chain is not None and not chain.set_at(len(blocks))(term):
             return None
         return _prefix_sums(sg, parent, term, chi_edge, d, chi_vertex)

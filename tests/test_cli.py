@@ -249,7 +249,10 @@ def _set_config(line, key, value):
     (lambda line: line[:-1], "Expecting"),
     (lambda line: _set_config(line, "command", "fly"), "command: unknown"),
     (lambda line: _set_config(line, "colors", "two"), "colors: expected an integer"),
-], ids=["not-json", "unknown-command", "non-integer-field"])
+    # the last of two values used to win, so this line matched
+    (lambda line: line.replace('"config": {', '"config": {"colors": 99, ', 1),
+     "config.colors: given twice"),
+], ids=["not-json", "unknown-command", "non-integer-field", "duplicate-key"])
 def test_verify_report_counts_a_bad_line_and_goes_on(tmp_path, tamper, reason):
     run_config(tmp_path, {"command": "threshold", "colors": 2, "repeats": True},
                name="t.jsonl")
@@ -493,9 +496,15 @@ _HASH2 = {"name": "seeded-hash-k", "k": 2}
                                        "edge_coloring": {"name": "parity"}}),
     # the base's properness check builds all 2^max_index sums before the
     # first node, which no node budget counts
-    ("max_index: must be in 0..20, got 21", {"command": "search-mt", "m": 3,
-                                             "max_index": 21, "node_limit": 5,
+    ("max_index: must be in 0..16, got 17", {"command": "search-mt", "m": 3,
+                                             "max_index": 17, "node_limit": 5,
                                              "edge_coloring": {"name": "parity"}}),
+    # a duplicate key inside a descriptor is named by its path, as in a flag
+    ("coloring.k: given twice", '{"command": "search-hindman", "m": 2, "max_value": 20, '
+                                '"coloring": {"name": "mod-k", "k": 3, "k": 4}}'),
+    ("sequence.terms: given twice", '{"command": "proper-or-collapse", "depth": 2, '
+                                    '"sequence": {"kind": "literal", "terms": [1, 2], '
+                                    '"terms": [1, 2, 4]}}'),
     ("delta: expected a fraction", {"command": "chain-check", "chain": "density",
                                     "delta": "abc"}),
     ("coloring: mod-k needs a palette size", {"command": "search-hindman", "m": 2,
@@ -509,7 +518,7 @@ _HASH2 = {"name": "seeded-hash-k", "k": 2}
 ])
 def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(config if isinstance(config, str) else json.dumps(config))
     assert main(["--config", str(cfg)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
@@ -574,6 +583,13 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     ("game-transfer --which diagonal --n=-1", "n: must be in 0..4, got -1"),
     ("game-transfer --which diagonal --picks 33", "picks: must be in 1..32, got 33"),
     ("game-transfer --which diagonal --picks 0", "picks: must be in 1..32, got 0"),
+    # no budget counts the sets that a horizon makes the referee read: the
+    # diagonal took 2.3 s at horizon 64, gfin-to-g1 minutes at 1024, and
+    # play-game 5 s at 800 rounds and horizon 800
+    ("game-transfer --which diagonal --n 4 --horizon 33",
+     "horizon: must be in 1..32, got 33"),
+    ("game-transfer --which gfin-to-g1 --horizon 33", "horizon: must be in 1..32, got 33"),
+    ("play-game --horizon 257", "horizon: must be in 1..256, got 257"),
     ("cover-partition --truncation 5 --edge-coloring constant --m 2 --max-index 6",
      "truncation: not read by instance initial-segments"),
     ("chain-check --chain ap --delta 1/2", "delta: not read by chain ap"),

@@ -37,7 +37,7 @@ from sumgames.search import (
     _avoider_exists_fc,
     _candidate_blocks,
     _lex_first_avoider,
-    _proper_up_to,
+    _base_sums,
 )
 from sumgames.semigroups import (
     BlockSequence,
@@ -47,6 +47,7 @@ from sumgames.semigroups import (
     _block,
     block_key,
     finite_sets,
+    indexed_sum,
     is_proper_up_to,
     naturals,
     proper_violation,
@@ -154,8 +155,30 @@ _BASES = ([nat_seq(1, 2, 3, 8, 16, 32, 64, 128), nat_seq(1, 1, 4, 8, 16, 32, 64,
 @pytest.mark.parametrize("base", _BASES + [pow2_base(), nat_seq(1, 3, 2, 9)],
                          ids=lambda base: repr(base))
 def test_base_properness_fold_agrees_with_proper_violation(base):
+    # None exactly when the base collides; else the sum of every block, by mask
     for hi in range(0, min(8, base.length or 8) + 1):
-        assert _proper_up_to(base, hi, _PrefixState.root()) == (proper_violation(base, hi) is None), hi
+        sums = _base_sums(base, hi, _PrefixState.root())
+        assert (sums is None) == (proper_violation(base, hi) is not None), hi
+        if sums is not None:
+            assert sums == [indexed_sum(base, _block(mask)) for mask in range(1, 1 << hi)], hi
+
+
+@pytest.mark.parametrize("sg, base", [(NAT, pow2_base()), (FIN, fin_singletons())],
+                         ids=["naturals", "finite-sets"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_mt_search_reads_block_sums_from_the_base_fold(sg, base, d, monkeypatch):
+    def run(seed):
+        return mt_search(seeded_hash_coloring(2, seed, d=d), sg, base, 3, d,
+                         SearchBudget(max_index=8, node_limit=20000))
+
+    want = [run(seed) for seed in range(4)]
+
+    def no_fold(*_args):
+        raise AssertionError("mt_search folded a block sum again")
+
+    monkeypatch.setattr(search_module, "indexed_sum", no_fold)
+    assert [run(seed) for seed in range(4)] == want
+    assert all(isinstance(w, Witness) for w in want)
 
 
 @pytest.mark.parametrize("base", _BASES, ids=lambda base: repr(base))

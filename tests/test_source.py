@@ -21,6 +21,19 @@ def test_no_guard_depends_on_assert(path):
     assert lines == [], f"{path.name}: assert statements on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_json_parse_refuses_a_duplicate_key(path):
+    # plain json.loads keeps the last of two values for a key, so a config
+    # or report line could claim one value and run another
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("load", "loads")
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+             and "object_pairs_hook" not in {kw.arg for kw in node.keywords}]
+    assert lines == [], f"{path.name}: json parsed without object_pairs_hook on lines {lines}"
+
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
