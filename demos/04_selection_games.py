@@ -9,6 +9,7 @@ into strategies of another while preserving what the winner achieved.
 from sumgames import (
     Mode,
     classify_cover,
+    collapse_selections,
     convert_gfin_to_g1,
     diagonal_transfer,
     judge,
@@ -46,12 +47,11 @@ print("  judged:", judge(t, lambda sel: True, horizon=4).value)
 
 print("\n== collapsing finite selections to single ones ==")
 inner = scripted_alice([CoverMove(tuple(SSet.interval(0, i) for i in range(1, 40)))])
-conv = convert_gfin_to_g1(inner)
 bob3 = Strategy("bob", lambda hist, move: tuple(move.sets[:3]))
-t = play(conv.as_strategy(), bob3, rounds=8, mode=Mode.GFIN)
+t = play(convert_gfin_to_g1(inner), bob3, rounds=8, mode=Mode.GFIN)
 points = space.points_up_to(8)
 union_mult = point_multiplicity(t.selections(), points)
-collapsed = conv.collapse_selections(t)
+collapsed = collapse_selections(t)
 col_mult = point_multiplicity(collapsed, points)
 print("  union multiplicities    :", [union_mult[p] for p in points])
 print("  collapsed multiplicities:", [col_mult[p] for p in points])

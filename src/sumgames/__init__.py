@@ -72,6 +72,7 @@ from .games import (
     Mode,
     Outcome,
     Strategy,
+    collapse_selections,
     convert_gfin_to_g1,
     diagonal_transfer,
     judge,

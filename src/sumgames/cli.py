@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
-from .coloring import Coloring, coloring_from_descriptor, reduce_two_dim_to_one
+from .coloring import Coloring, coloring_from_descriptor
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
 from .filters import chain_check, fs_tail_chain, verify_duality_laws
 from .games import (
@@ -44,6 +44,7 @@ from .games import (
     Outcome,
     Strategy,
     SetMove,
+    collapse_selections,
     convert_gfin_to_g1,
     diagonal_transfer,
     filter_intersection_bob,
@@ -226,6 +227,8 @@ def _coloring_descriptor(name, value):
              for k, v in value.items()}
     if value.get("k", 1) < 1:
         raise ConfigError(f"{name}.k: palette size must be >= 1")
+    if "color" in value:
+        _integer(1, value.get("k", 1))(f"{name}.color", value["color"])
     return value
 
 
@@ -250,7 +253,9 @@ def _sequence_descriptor(name, value):
             raise ConfigError(f"{name}.{key}: not read by kind {kind}")
     value = dict(value)
     if "gen_max" in value:
-        value["gen_max"] = _integer(1)(f"{name}.gen_max", value["gen_max"])
+        # each of the depth terms samples up to gen_max / 2 points: 10^4
+        # takes 0.02 s a run, and 10^6 took 1 s and 215 MB
+        value["gen_max"] = _integer(1, 10 ** 4)(f"{name}.gen_max", value["gen_max"])
     semigroup = _choice(*_SEMIGROUPS)(f"{name}.semigroup",
                                       value.get("semigroup", "naturals"))
     if "terms" in value:
@@ -481,8 +486,7 @@ def _certify_search_mt(config: RunConfig, result: dict) -> Optional[bool]:
     edge_sets = sum_hypergraph(ElementSequence.from_terms(sg, terms), m, d)
     w = Witness(blocks, terms, record["color_vertex"], record["color_edge"],
                 {"edge_sets": edge_sets})
-    eta = reduce_two_dim_to_one(chi_v, chi_e, sg) if chi_v is not None and d == 2 else None
-    return (verify_mt_witness(w, sg, base, chi_e, d, chi_vertex=chi_v, chain=chain, eta=eta)
+    return (verify_mt_witness(w, sg, base, chi_e, d, chi_vertex=chi_v, chain=chain)
             and {"witness": w.to_record()} == result)
 
 
@@ -655,20 +659,21 @@ def _run_game_transfer(config: RunConfig):
     which = config["which"]
     horizon = config["horizon"]
     if which == "gfin-to-g1":
+        rounds = horizon if config["rounds"] is None else config["rounds"]
+        # Bob takes at most 3 sets a round, so the cover outlasts every round
+        size = 4 * max(horizon, rounds) + 7
         inner = scripted_alice([CoverMove(tuple(SSet.interval(0, i)
-                                                for i in range(1, 4 * horizon + 8)))])
-        conv = convert_gfin_to_g1(inner)
+                                                for i in range(1, size + 1)))])
         rng = random.Random(config["seed"])
 
         def bob_move(history, move):
             k = rng.randint(1, min(3, len(move.sets)))
             return tuple(move.sets[:k])
 
-        rounds = horizon if config["rounds"] is None else config["rounds"]
-        t = play(conv.as_strategy(), Strategy("bob", bob_move), rounds, Mode.GFIN)
+        t = play(convert_gfin_to_g1(inner), Strategy("bob", bob_move), rounds, Mode.GFIN)
         points = Space.naturals().points_up_to(horizon)
         union_mult = point_multiplicity(t.selections(), points)
-        collapsed = conv.collapse_selections(t)
+        collapsed = collapse_selections(t)
         col_mult = point_multiplicity(collapsed, points)
         t_param = config["t"]
         preserved = all(col_mult[p] >= t_param
@@ -851,17 +856,17 @@ _RERUN_ONLY = {
 }
 
 
-_M = Key(_integer(1), ...)
 _D = Key(_integer(1), 2)
-_MAX_INDEX = Key(_integer(0), 0)
 # search-mt builds its terms, all 2^max_index block sums of its base, before
 # its first node and outside the node budget: over finite sets 16 takes
 # 0.18 s and 65 MB, 18 takes 0.9 s, and 20 takes 5 s and 826 MB
 _MT_MAX_INDEX = Key(_integer(0, 16), 0)
 _EDGE_COLORING = Key(_coloring_descriptor, ...)
 _VERTEX_COLORING = Key(_coloring_descriptor)
-# rounds defaults to the horizon
-_ROUNDS = Key(_integer(1))
+# the cofinite encoding builds all 2^truncation points, and each O_n as
+# 2^(truncation - 1) of them, before anything else (ROADMAP item 12): 14
+# takes 0.06 s and 45 MB, 16 takes 0.4 s and 120 MB, and 20 took 9 s
+_MAX_TRUNCATION = 14
 
 # Keys that one variant of a command reads and the others ignore: for each
 # command, key -> (the key that names the variant, the variant that reads it).
@@ -878,7 +883,11 @@ _COMMANDS = {
     "search-hindman": _command(
         _run_search_hindman, "monochromatic finite-sums search",
         certify=_certify_search_hindman,
-        coloring=Key(_coloring_descriptor, ...), m=_M,
+        coloring=Key(_coloring_descriptor, ...),
+        # each node and the witness check build the 2^m finite sums of the
+        # terms, which node_limit does not count: 16 takes 0.3 s and 78 MB,
+        # 17 takes 0.5 s and 140 MB, and 20 took 7.8 s and 1 GB
+        m=Key(_integer(1, 16), ...),
         max_value=Key(_integer(0), 0)),
     "search-mt": _command(
         _run_search_mt, "monochromatic sum-graph search",
@@ -886,12 +895,20 @@ _COMMANDS = {
         edge_coloring=_EDGE_COLORING, vertex_coloring=_VERTEX_COLORING,
         semigroup=Key(_choice(*_SEMIGROUPS), "naturals"),
         base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
-        m=_M, d=_D, max_index=_MT_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
+        # each node and the witness check build the 2^m sums and about 3^m
+        # chains of the prefix, which node_limit does not count: 12 takes
+        # 0.35 s and 47 MB, 13 takes 1 s and 96 MB, and 15 took 9.1 s and 745 MB
+        m=Key(_integer(1, 12), ...),
+        d=_D, max_index=_MT_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
     "threshold": _command(
         _run_threshold, "least N forcing monochromatic {x,y,x+y}",
         certify=_certify_threshold,
-        colors=Key(_integer(1), 2), repeats=Key(_boolean, True),
-        max_value=Key(_integer(0), 64)),
+        # lists of colors + 1 and max_value + 2 entries are built before the
+        # first node, and each new depth copies the avoider, so max_value
+        # costs its square: 1024 takes 0.05 s, 4096 takes 0.6 s, and 10^7 of
+        # either took 175 or 251 MB
+        colors=Key(_integer(1, 64), 2), repeats=Key(_boolean, True),
+        max_value=Key(_integer(0, 1024), 64)),
     "proper-or-collapse": _command(
         _run_proper_or_collapse, "dichotomy certificates",
         certify=_certify_proper_or_collapse,
@@ -902,12 +919,21 @@ _COMMANDS = {
         ground=Key(_integer(1, 4), 3)),
     "chain-check": _command(
         _run_chain_check, "verify a symbolic chain",
-        chain=Key(_choice(*_CHAINS), "fs-tails-pow2"), depth=Key(_integer(1), 3),
+        chain=Key(_choice(*_CHAINS), "fs-tails-pow2"),
+        # the ap chain samples progressions of length depth + 2 among
+        # partition._AP_WINDOW = 64 terms, so 63 cannot be checked; at 62
+        # every chain takes under 0.05 s at window 4, and density took 1.6 s
+        # at depth 500
+        depth=Key(_integer(1, 62), 3),
         window=Key(_integer(1), 4), delta=Key(_fraction, _DENSITY_DELTA)),
     "play-game": _command(
         _run_play_game, "referee a selection game",
         alice=Key(_choice("intervals", "dual-random"), "dual-random"),
-        bob=Key(_choice("first", "filter"), "filter"), rounds=_ROUNDS,
+        bob=Key(_choice("first", "filter"), "filter"),
+        # defaults to the horizon; no budget counts the replay: 256 rounds
+        # at horizon 256 take 0.13 s (1 s against --alice intervals, whose
+        # covers the report writes out), 3,000 took 0.64 s and 20,000 22.8 s
+        rounds=Key(_integer(1, 256)),
         mode=Key(_choice("g1", "gfin"), "g1"),
         target=Key(_choice("meets-generators", *_TARGETS), "meets-generators"),
         # no budget counts the judge's reads of the horizon's sets:
@@ -919,7 +945,10 @@ _COMMANDS = {
         # the diagonal cover intersects the sets of 1 + n + ... + n^n tree
         # covers, so n = 5 already takes seconds; the replay reads no set
         # past games._COVER_BOUND, so more picks than that add nothing
-        n=Key(_integer(0, 4), 2), rounds=_ROUNDS, picks=Key(_integer(1, 32), 8),
+        n=Key(_integer(0, 4), 2), picks=Key(_integer(1, 32), 8),
+        # defaults to the horizon; the gfin-to-g1 cover grows with it, and no
+        # budget counts the replay, so it is bounded as the horizon is
+        rounds=Key(_integer(1, 32)),
         # no budget counts the horizon's sets that either variant reads:
         # the diagonal at n = 4 takes 0.5 s at 32 and 2.3 s at 64, and
         # gfin-to-g1 4 s at 256 and minutes at 1024
@@ -928,12 +957,20 @@ _COMMANDS = {
         _run_cover_partition, "monochromatic cover partition search",
         certify=_certify_cover_partition,
         instance=Key(_choice("initial-segments", "cofinite"), "initial-segments"),
-        truncation=Key(_integer(1), 6), edge_coloring=_EDGE_COLORING,
-        vertex_coloring=_VERTEX_COLORING, m=_M, d=_D,
-        target=Key(_choice(*_TARGETS), "lambda"), max_index=_MAX_INDEX),
+        truncation=Key(_integer(1, _MAX_TRUNCATION), 6), edge_coloring=_EDGE_COLORING,
+        vertex_coloring=_VERTEX_COLORING,
+        # each node and the witness check build the 2^m unions and about 3^m
+        # chains of the prefix, which node_limit does not count (--target op
+        # --max-index 64): 10 takes 0.2 s, 11 takes 1 s, and 12 took 3.7 s
+        m=Key(_integer(1, 10), ...), d=_D,
+        target=Key(_choice(*_TARGETS), "lambda"),
+        # initial segments build every interval up to max_index, on four
+        # cover levels, before the first node: 256 takes 0.1 s and 27 MB,
+        # 1000 takes 0.26 s and 120 MB, and 3000 took 2.2 s and 1.1 GB
+        max_index=Key(_integer(0, 256), 0)),
     "encode-classical": _command(
         _run_encode_classical, "the cofinite-sets encoding",
-        truncation=Key(_integer(3), 6)),
+        truncation=Key(_integer(3, _MAX_TRUNCATION), 6)),
     "verify-report": _command(
         _run_verify_report, "re-check a report file",
         input=Key(_text, ...), rerun=Key(_boolean, False)),

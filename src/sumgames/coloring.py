@@ -100,6 +100,8 @@ class Coloring:
 
 
 def constant_coloring(d: int = 1, k: int = 1, color: int = 1) -> Coloring:
+    if not 1 <= color <= k:
+        raise ValueError(f"color {color} outside palette 1..{k}")
     return Coloring(d, k, lambda s: color, name=f"const-{color}")
 
 

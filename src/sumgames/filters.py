@@ -230,29 +230,10 @@ def is_idempotent_filter(fam, sg: Semigroup, depth: int = 0, window: int = 0) ->
                 return Verdict.FAILS
         return Verdict.HOLDS
     if isinstance(fam, SymbolicChain):
-        verdicts = []
-        for n in range(1, depth + 1):
-            pred_n = fam.set_at(n)
-            best = Verdict.UNKNOWN
-            for m in range(n + 1, depth + 2):
-                sampled = fam.members_within(m, window)
-                if not sampled:
-                    continue
-                # star(A_n) contains A_m when each sampled a in A_m has
-                # some link A_k with a + A_k ⊆ A_n
-                ok = True
-                for a in sampled:
-                    if not any(
-                        cs and all(pred_n(fam.semigroup.combine(a, c)) for c in cs)
-                        for cs in (fam.members_within(k, window)
-                                   for k in range(m + 1, m + window + 2))):
-                        ok = False
-                        break
-                if ok:
-                    best = Verdict.HOLDS
-                    break
-            verdicts.append(best)
-        return all_verdicts(verdicts)
+        absorbed = _absorption(fam, window)[2]
+        return all_verdicts([
+            Verdict.HOLDS if any(absorbed(n, m) for m in range(n + 1, depth + 2))
+            else Verdict.UNKNOWN for n in range(1, depth + 1)])
     raise TypeError(f"unsupported family type {type(fam).__name__}")
 
 
@@ -493,52 +474,62 @@ class ChainReport:
     notes: list = field(default_factory=list)
 
 
+def _absorption(chain: SymbolicChain, window: int):
+    """``(samples, holds, absorbed)`` for a chain: the sampled members of
+    A_n, whether x is in A_n, and whether A_m lies in the star of A_n on
+    the samples, that is, every sampled a in A_m has some k in
+    m + 1 .. m + window + 1 with a + A_k ⊆ A_n.  Each is computed once per
+    pair of arguments: the idempotence searches ask for the same links and
+    sums again and again."""
+    samples = functools.cache(lambda n: chain.members_within(n, window))
+    holds = functools.cache(lambda n, x: chain.set_at(n)(x))
+
+    def lands(n: int, a, k: int) -> bool:
+        # a + A_k ⊆ A_n on the samples of A_k
+        cs = samples(k)
+        return bool(cs) and all(holds(n, chain.semigroup.combine(a, c)) for c in cs)
+
+    @functools.cache
+    def absorbed(n: int, m: int) -> bool:
+        sampled = samples(m)
+        return bool(sampled) and all(
+            any(lands(n, a, k) for k in range(m + 1, m + window + 2)) for a in sampled)
+
+    return samples, holds, absorbed
+
+
 def chain_check(chain: SymbolicChain, depth: int, window: int = 6) -> ChainReport:
     """Verify a symbolic chain up to the given depth: descension and
     freeness on samples, and the elementwise idempotence condition: for
     every n there is m > n such that each sampled a in A_m has k > m with
-    a + A_k ⊆ A_m.  Returns the witnessing m map.
-
-    Each sample list and each membership is computed once per call: the
-    idempotence search asks for the same links and sums again and again.
+    a + A_k ⊆ A_m.  Returns the witnessing m map.  Each sample list and
+    each membership is computed once per call.
     """
-    members_within = functools.cache(chain.members_within)
-    holds = functools.cache(lambda n, x: chain.set_at(n)(x))
+    samples, holds, absorbed = _absorption(chain, window)
 
     descending_failures = []
     for n in range(1, depth + 1):
-        for x in members_within(n + 1, window):
+        for x in samples(n + 1):
             if not holds(n, x):
                 descending_failures.append((n, x))
 
     freeness_failures = []
-    for x in members_within(1, window):
+    for x in samples(1):
         n = chain.exclusion_index(x)
         if n is None:
             freeness_failures.append((x, None))
         elif holds(n, x):
             freeness_failures.append((x, n))
 
-    # Level m is self-absorbing when every sampled a in A_m has some k > m
-    # with a + A_k ⊆ A_m; the chain condition for n then holds with any
-    # self-absorbing m > n (A_m ⊆ A_n puts A_m inside the star of A_n).
-    def lands(m: int, a, k: int) -> bool:
-        # a + A_k ⊆ A_m on the samples of A_k
-        cs = members_within(k, window)
-        return bool(cs) and all(holds(m, chain.semigroup.combine(a, c)) for c in cs)
-
-    @functools.cache
-    def absorbs(m: int) -> bool:
-        sampled = members_within(m, window)
-        return bool(sampled) and all(
-            any(lands(m, a, k) for k in range(m + 1, m + window + 2)) for a in sampled)
-
+    # Level m is self-absorbing when A_m lies in the star of A_m; the chain
+    # condition for n then holds with any self-absorbing m > n (A_m ⊆ A_n
+    # puts A_m inside the star of A_n).
     idem_m: dict = {}
     idem_verdicts = []
     for n in range(1, depth + 1):
         level_verdict = Verdict.UNKNOWN
         for m in range(n + 1, depth + 2):
-            if absorbs(m):
+            if absorbed(m, m):
                 idem_m[n] = m
                 level_verdict = Verdict.HOLDS
                 break

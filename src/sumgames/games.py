@@ -224,51 +224,37 @@ def largest_of(picks: Sequence[SSet]) -> SSet:
     return max(picks, key=lambda s: s.size_key())
 
 
-class ConvertedAlice:
-    """A finite-selection Alice built from a single-selection Alice.
+def convert_gfin_to_g1(alice_single: Strategy) -> Strategy:
+    """The finite-selection Alice built from a single-selection Alice; the
+    name reflects the game reduction (finite choices collapse to single
+    ones before the inner strategy is consulted).
 
     Each inning the inner strategy's proposed cover is thinned to an
     ascending one and stripped of everything Bob already picked; when Bob
     picks several sets, only the largest is reported back to the inner
-    strategy.  ``collapse_selections`` exposes those largest picks for
+    strategy.  ``collapse_selections`` gives those largest picks for
     comparing the two plays.
     """
+    if alice_single.side != "alice":
+        raise ValueError("inner strategy must play Alice")
 
-    def __init__(self, inner: Strategy):
-        if inner.side != "alice":
-            raise ValueError("inner strategy must play Alice")
-        self.inner = inner
-
-    def _inner_history(self, history) -> list:
-        collapsed = []
-        for r in history:
-            collapsed.append(Round(r.alice, largest_of(r.bob)))
-        return collapsed
-
-    def move(self, history) -> CoverMove:
-        inner_hist = self._inner_history(history)
-        proposed = self.inner.move(inner_hist)
+    def move(history) -> CoverMove:
+        proposed = alice_single.move([Round(r.alice, largest_of(r.bob)) for r in history])
         if not isinstance(proposed, CoverMove):
             raise ValueError("conversion expects cover moves")
-        thinned = _thin_ascending(proposed.sets)
         chosen = {s for r in history for s in r.bob}
-        remaining = [s for s in thinned if s not in chosen]
+        remaining = [s for s in _thin_ascending(proposed.sets) if s not in chosen]
         if not remaining:
             raise ValueError("thinning removed every member; cover exhausted")
         return CoverMove(tuple(remaining), label=f"thinned[{proposed.label}]")
 
-    def as_strategy(self) -> Strategy:
-        return Strategy("alice", self.move)
-
-    def collapse_selections(self, t: GameTranscript) -> list:
-        return [largest_of(r.bob) for r in t.rounds if r.bob]
+    return Strategy("alice", move)
 
 
-def convert_gfin_to_g1(alice_single: Strategy) -> ConvertedAlice:
-    """Build the finite-selection Alice from a single-selection Alice; the
-    name reflects the game reduction (finite choices collapse to single
-    ones before the inner strategy is consulted)."""
-    return ConvertedAlice(alice_single)
+def collapse_selections(t: GameTranscript) -> list:
+    """The largest pick of each inning of a finite-selection play: what the
+    converted Alice reports back to her inner strategy."""
+    return [largest_of(r.bob) for r in t.rounds if r.bob]
 
 
 def point_multiplicity(sets: Sequence[SSet], points: Sequence) -> dict:

@@ -517,8 +517,6 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     block_sums = _base_sums(base, hi, root)
     if block_sums is None:
         raise ImproperSequenceError(f"base improper up to index {hi}")
-    eta = (reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
-           if (chi_vertex is not None and d == 2) else None)
 
     def check(blocks: list, parent: _PrefixState) -> Optional[_PrefixState]:
         term = block_sums[blocks[-1] - 1]
@@ -539,7 +537,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     result = _depth_first(m, _chain_candidates(hi, m), check, finish,
                           budget.node_limit, root)
     if isinstance(result, Witness) and not verify_mt_witness(
-            result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain, eta=eta):
+            result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain):
         raise CertificateError("mt_search produced a witness that fails "
                                "verify_mt_witness")
     return result
@@ -577,7 +575,10 @@ def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
                       chi_vertex: Optional[Coloring] = None,
                       chain=None, eta: Optional[Coloring] = None) -> bool:
     """Re-verify a witness from scratch: recompute the sumsequence from the
-    blocks, re-enumerate the hypergraph, recheck every color and membership."""
+    blocks, re-enumerate the hypergraph, recheck every color and membership.
+    With a vertex coloring, the edge sets must also have one color under
+    ``eta``, which defaults to the two-dimensional reduction of the
+    colorings over ``sg`` when d = 2."""
     taken = take_sumsequence(base, w.blocks)
     if tuple(taken.prefix(len(w.blocks))) != w.terms:
         return False
@@ -587,6 +588,8 @@ def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
     edges = checked[1]
     if Counter(edges) != Counter(w.certificate["edge_sets"]):
         return False
+    if eta is None and chi_vertex is not None and d == 2:
+        eta = reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
     if chi_vertex is not None and eta is not None and len({eta.of(e) for e in edges}) != 1:
         return False
     if chain is not None:

@@ -20,6 +20,7 @@ from sumgames.games import (
     Outcome,
     SetMove,
     Strategy,
+    collapse_selections,
     convert_gfin_to_g1,
     diagonal_transfer,
     filter_intersection_bob,
@@ -199,18 +200,17 @@ def test_criterion_7_strategy_transfers():
     for seed in range(10):
         inner = Strategy("alice", lambda hist: CoverMove(
             tuple(SSet.interval(0, i) for i in range(1, 4 * horizon + 8))))
-        conv = convert_gfin_to_g1(inner)
         rng = random.Random(seed)
 
         def bob_move(history, move, _rng=rng):
             k = _rng.randint(1, min(3, len(move.sets)))
             return tuple(move.sets[:k])
 
-        t = play(conv.as_strategy(), Strategy("bob", bob_move),
+        t = play(convert_gfin_to_g1(inner), Strategy("bob", bob_move),
                  rounds=horizon, mode=Mode.GFIN)
         assert t.illegal is None
         union_mult = point_multiplicity(t.selections(), points)
-        col_mult = point_multiplicity(conv.collapse_selections(t), points)
+        col_mult = point_multiplicity(collapse_selections(t), points)
         for p in points:
             if union_mult[p] >= 2 and col_mult[p] < 2:
                 bad_mult += 1

@@ -1,7 +1,8 @@
-"""chain_check against the uncached check it replaced, the number of
-sample lists and memberships it asks the chain for, fs-tails chains at
-windows past the membership window, and fs-tails membership against the
-block search it replaced."""
+"""chain_check and the idempotence check of a chain against the uncached
+checks they replaced, the number of sample lists and memberships
+chain_check asks the chain for, fs-tails chains at windows past the
+membership window, and fs-tails membership against the block search it
+replaced."""
 import collections
 import dataclasses
 from typing import Optional
@@ -14,6 +15,7 @@ from sumgames.filters import (
     SymbolicChain,
     chain_check,
     fs_tail_chain,
+    is_idempotent_filter,
 )
 from sumgames.semigroups import ElementSequence, finite_sets, fs_enumerate, naturals
 from sumgames.verdicts import Verdict, all_verdicts
@@ -123,6 +125,44 @@ def test_chain_check_matches_reference(name):
             assert (dataclasses.asdict(chain_check(chain, depth, window))
                     == dataclasses.asdict(reference_chain_check(chain, depth, window))), \
                 (window, depth)
+
+
+def reference_is_idempotent_chain(chain: SymbolicChain, depth: int, window: int) -> Verdict:
+    """The reference idempotence check of a chain, with nothing cached: each
+    sampled link A_n must have its star contain all sampled members of some
+    link A_m, m up to depth + 1."""
+    verdicts = []
+    for n in range(1, depth + 1):
+        pred_n = chain.set_at(n)
+        best = Verdict.UNKNOWN
+        for m in range(n + 1, depth + 2):
+            sampled = chain.members_within(m, window)
+            if not sampled:
+                continue
+            # star(A_n) contains A_m when each sampled a in A_m has some
+            # link A_k with a + A_k ⊆ A_n
+            ok = True
+            for a in sampled:
+                if not any(
+                    cs and all(pred_n(chain.semigroup.combine(a, c)) for c in cs)
+                    for cs in (chain.members_within(k, window)
+                               for k in range(m + 1, m + window + 2))):
+                    ok = False
+                    break
+            if ok:
+                best = Verdict.HOLDS
+                break
+        verdicts.append(best)
+    return all_verdicts(verdicts)
+
+
+@pytest.mark.parametrize("name", list(CHAINS))
+def test_is_idempotent_filter_matches_reference(name):
+    chain = CHAINS[name]()
+    for window in range(2, 7):
+        for depth in range(1, 6):
+            assert (is_idempotent_filter(chain, chain.semigroup, depth, window)
+                    is reference_is_idempotent_chain(chain, depth, window)), (window, depth)
 
 
 @pytest.mark.parametrize("name", ["fs-tails-pow2", "fs-tails-singletons", "density"])

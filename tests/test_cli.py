@@ -2,7 +2,6 @@
 import argparse
 import json
 import shlex
-import signal
 
 import pytest
 
@@ -157,6 +156,17 @@ def test_play_game_dispatch(tmp_path):
     assert code == EXIT_OK
     assert recs[0]["result"]["outcome"] == "bob-wins"
     assert recs[0]["result"]["illegal"] is None
+
+
+def test_gfin_to_g1_cover_outlasts_every_round(tmp_path):
+    # Bob takes up to 3 sets a round; a cover sized from the horizon alone
+    # ran out here, and the converted Alice's "cover exhausted" was recorded
+    # as her illegal move
+    code, recs = run_config(tmp_path, {
+        "command": "game-transfer", "which": "gfin-to-g1", "horizon": 4, "rounds": 32})
+    assert code == EXIT_OK
+    assert recs[0]["result"]["legal"] is True
+    assert recs[0]["result"]["collapsed_count"] == 32
 
 
 def test_game_transfer_dispatch(tmp_path):
@@ -419,25 +429,75 @@ def test_exhausted_and_found_records_are_rerun(tmp_path):
                                       "matches": True}]
 
 
-class _WallLimit(Exception):
-    """Raised by the alarm; not an OSError, which main() would catch."""
+class _Built(Exception):
+    """Raised by the stand-in encoding; not an error that main() catches."""
 
 
-def test_cover_partition_rejects_max_index_below_m_before_building(capsys):
-    # the cofinite encoding at truncation 20 takes many seconds to build
-    def fire(signum, frame):
-        raise _WallLimit
+def test_cover_partition_rejects_max_index_below_m_before_building(capsys, monkeypatch):
+    # the cofinite encoding takes time exponential in the truncation to build
+    def build(truncation):
+        raise _Built(truncation)
 
-    previous = signal.signal(signal.SIGALRM, fire)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        code = main(shlex.split("cover-partition --instance cofinite --truncation 20 "
-                                "--edge-coloring constant --m 3 --max-index 2"))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    monkeypatch.setattr(cli, "encode_cofinite_example", build)
+    code = main(shlex.split("cover-partition --instance cofinite --truncation 14 "
+                            "--edge-coloring constant --m 3 --max-index 2"))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "config error: max_index must allow m rounds\n"
+
+
+# Integer keys that take any size, each with its reason: a common key by
+# its name, another by command.key, a descriptor key by descriptor.key.
+# An entry leaves when its key gets a bound or a budget; none is added.
+_UNBOUNDED = {
+    # no work of their own
+    "node_limit": "the budget itself",
+    "seed": "selects the colorings, sequences and plays; no work of its own",
+    "coloring.seed": "keys the hash; no work of its own",
+    # work that node_limit counts
+    "search-hindman.max_value": "each candidate term is a node",
+    # pure thresholds
+    "t": "a multiplicity compared with counts",
+    "s": "a size compared with sizes",
+    "f": "an exclusion bound compared with counts",
+    "coloring.k": "a palette size; colors are reduced mod k",
+    # bounded through another key
+    "search-mt.d": "d <= m, or the search exits 3",
+    "cover-partition.d": "d <= m, or the search exits 3",
+    # open entries of ROADMAP item 7
+    "horizon": "ROADMAP item 7: cover-partition reads the horizon's points "
+               "(100,000 took 1.3 s on gamma); the other commands that take "
+               "the common key do not read it",
+    "proper-or-collapse.depth": "ROADMAP item 7",
+    "proper-or-collapse.runs": "ROADMAP item 7 (20,000 runs took 3.1 s)",
+    "chain-check.window": "ROADMAP item 7",
+}
+
+
+def _accepts_any_size(parse, name, value=10 ** 12) -> bool:
+    try:
+        parse(name, value)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_every_integer_key_is_bounded_or_budgeted():
+    # a size that no budget counts lets one config run for minutes or
+    # take gigabytes before the first node
+    unbounded = set()
+    for command, spec in cli._COMMANDS.items():
+        for key, k in spec.keys.items():
+            if k.parse.__qualname__.startswith("_integer.") and _accepts_any_size(k.parse, key):
+                unbounded.add(key if key in cli._COMMON else f"{command}.{key}")
+    for coloring, keys in cli._COLORING_KEYS.items():
+        for key in keys:
+            if _accepts_any_size(lambda name, v: cli._coloring_descriptor(
+                    "coloring", {"name": coloring, key: v}), key):
+                unbounded.add(f"coloring.{key}")
+    if _accepts_any_size(lambda name, v: cli._sequence_descriptor(
+            "sequence", {"kind": "random-finite-sets", "gen_max": v}), "gen_max"):
+        unbounded.add("sequence.gen_max")
+    assert unbounded == set(_UNBOUNDED)
 
 
 # ---------------------------------------------------------------- main()
@@ -486,10 +546,10 @@ _HASH2 = {"name": "seeded-hash-k", "k": 2}
 
 @pytest.mark.parametrize("message, config", [
     ("ground: must be in 1..4", {"command": "verify-filter-laws", "ground": 9}),
-    ("truncation: must be >= 1", {"command": "cover-partition", "instance": "cofinite",
+    ("truncation: must be in 1..14", {"command": "cover-partition", "instance": "cofinite",
                                   "truncation": 0, "edge_coloring": {"name": "constant"},
                                   "m": 2}),
-    ("colors: must be >= 1", {"command": "threshold", "colors": 0}),
+    ("colors: must be in 1..64", {"command": "threshold", "colors": 0}),
     ("max_value: must be >= 0", {"command": "search-hindman", "m": 2, "max_value": -1,
                                  "coloring": {"name": "parity"}}),
     ("max_index must allow m blocks", {"command": "search-mt", "m": 3, "max_index": 2,
@@ -590,6 +650,34 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
      "horizon: must be in 1..32, got 33"),
     ("game-transfer --which gfin-to-g1 --horizon 33", "horizon: must be in 1..32, got 33"),
     ("play-game --horizon 257", "horizon: must be in 1..256, got 257"),
+    # sizes that no node budget counts, one past their bounds (the reasons
+    # are in the key table)
+    ("play-game --rounds 257", "rounds: must be in 1..256, got 257"),
+    ("game-transfer --rounds 33", "rounds: must be in 1..32, got 33"),
+    ("search-hindman --coloring constant --m 17 --max-value 1000000",
+     "m: must be in 1..16, got 17"),
+    ("search-mt --edge-coloring constant --m 13 --max-index 13",
+     "m: must be in 1..12, got 13"),
+    ("cover-partition --edge-coloring constant --target op --m 11 --max-index 64",
+     "m: must be in 1..10, got 11"),
+    ("cover-partition --edge-coloring constant --target op --m 2 --max-index 257",
+     "max_index: must be in 0..256, got 257"),
+    ("cover-partition --instance cofinite --truncation 15 --edge-coloring constant "
+     "--m 2 --target op --horizon 1 --max-index 6", "truncation: must be in 1..14, got 15"),
+    ("encode-classical --truncation 15", "truncation: must be in 3..14, got 15"),
+    ("""proper-or-collapse --sequence '{"kind":"random-finite-sets","gen_max":10001}'""",
+     "sequence.gen_max: must be in 1..10000, got 10001"),
+    ("threshold --colors 65", "colors: must be in 1..64, got 65"),
+    ("threshold --max-value 1025", "max_value: must be in 0..1024, got 1025"),
+    # ap samples progressions of length depth + 2 among 64 terms, and depth
+    # 63 used to exit 3 with a message that named no key
+    ("chain-check --chain ap --depth 63", "depth: must be in 1..62, got 63"),
+    # a constant color outside the palette used to be refused only once the
+    # search first colored a sum, with a message that named no key
+    ("search-hindman --coloring constant:1:color=3 --m 2 --max-value 7",
+     "coloring.color: must be in 1..1, got 3"),
+    ("search-hindman --coloring constant:color=0 --m 2 --max-value 7",
+     "coloring.color: must be in 1..1, got 0"),
     ("cover-partition --truncation 5 --edge-coloring constant --m 2 --max-index 6",
      "truncation: not read by instance initial-segments"),
     ("chain-check --chain ap --delta 1/2", "delta: not read by chain ap"),
@@ -671,14 +759,14 @@ def test_arithmetic_coloring_of_integer_sums_still_runs(tmp_path):
 # run, a chain that "holds" at depth 0) or, for encode-classical below
 # truncation 3, an IndexError in the isomorphism checks, which ask for O_3.
 @pytest.mark.parametrize("argv, message", [
-    ("chain-check --depth=0", "depth: must be >= 1, got 0"),
-    ("chain-check --depth=-1", "depth: must be >= 1, got -1"),
+    ("chain-check --depth=0", "depth: must be in 1..62, got 0"),
+    ("chain-check --depth=-1", "depth: must be in 1..62, got -1"),
     ("chain-check --window=0", "window: must be >= 1, got 0"),
-    ("play-game --rounds=0", "rounds: must be >= 1, got 0"),
-    ("game-transfer --rounds=0", "rounds: must be >= 1, got 0"),
+    ("play-game --rounds=0", "rounds: must be in 1..256, got 0"),
+    ("game-transfer --rounds=0", "rounds: must be in 1..32, got 0"),
     ("proper-or-collapse --runs=0", "runs: must be >= 1, got 0"),
-    ("encode-classical --truncation=1", "truncation: must be >= 3, got 1"),
-    ("encode-classical --truncation=2", "truncation: must be >= 3, got 2"),
+    ("encode-classical --truncation=1", "truncation: must be in 3..14, got 1"),
+    ("encode-classical --truncation=2", "truncation: must be in 3..14, got 2"),
 ])
 def test_count_below_its_bound_is_a_config_error(capsys, argv, message):
     assert main(shlex.split(argv)) == EXIT_USAGE

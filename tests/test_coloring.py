@@ -151,6 +151,12 @@ def test_descriptor_parsing():
         coloring_from_descriptor({"name": "nope"})
     with pytest.raises(ValueError):
         coloring_from_descriptor({"k": 2})
+    # a constant color outside the palette is refused when it is built, not
+    # when a search first colors with it
+    assert coloring_from_descriptor({"name": "constant", "k": 3, "color": 3}).of(1) == 3
+    for color in (0, 4):
+        with pytest.raises(ValueError, match=f"color {color} outside palette 1..3"):
+            constant_coloring(1, 3, color)
 
 
 # ------------------------------------------------ two-dim -> one-dim

@@ -10,6 +10,7 @@ from sumgames.games import (
     PlayReconstruction,
     SetMove,
     Strategy,
+    collapse_selections,
     convert_gfin_to_g1,
     diagonal_cover,
     diagonal_transfer,
@@ -140,19 +141,26 @@ def ascending_alice() -> Strategy:
     return scripted_alice([CoverMove(tuple(SSet.interval(0, i) for i in range(1, 13)))])
 
 
+def test_converted_alice_is_a_strategy_playing_alice():
+    alice = convert_gfin_to_g1(ascending_alice())
+    assert isinstance(alice, Strategy) and alice.side == "alice"
+    first = alice.move([])
+    assert isinstance(first, CoverMove) and first.label == "thinned[]"
+    with pytest.raises(ValueError, match="must play Alice"):
+        convert_gfin_to_g1(first_bob())
+
+
 def test_converted_identity_on_singletons():
-    conv = convert_gfin_to_g1(ascending_alice())
     bob = Strategy("bob", lambda hist, move: (move.sets[0],))
-    t = play(conv.as_strategy(), bob, rounds=3, mode=Mode.GFIN)
+    t = play(convert_gfin_to_g1(ascending_alice()), bob, rounds=3, mode=Mode.GFIN)
     assert t.illegal is None
-    collapsed = conv.collapse_selections(t)
+    collapsed = collapse_selections(t)
     assert collapsed == [r.bob[0] for r in t.rounds]
 
 
 def test_converted_removes_chosen_sets():
-    conv = convert_gfin_to_g1(ascending_alice())
     bob = Strategy("bob", lambda hist, move: (move.sets[0], move.sets[1]))
-    t = play(conv.as_strategy(), bob, rounds=3, mode=Mode.GFIN)
+    t = play(convert_gfin_to_g1(ascending_alice()), bob, rounds=3, mode=Mode.GFIN)
     assert t.illegal is None
     seen = set()
     for r in t.rounds:
@@ -169,13 +177,12 @@ def test_largest_of_uses_containment():
 
 def test_converted_multiplicity_inheritance_horizon_6():
     # Replay both transcripts and compare point multiplicities.
-    conv = convert_gfin_to_g1(ascending_alice())
     bob = Strategy("bob", lambda hist, move: tuple(move.sets[:2]))
-    t = play(conv.as_strategy(), bob, rounds=6, mode=Mode.GFIN)
+    t = play(convert_gfin_to_g1(ascending_alice()), bob, rounds=6, mode=Mode.GFIN)
     assert t.illegal is None
     points = NATS.points_up_to(6)
     union_mult = point_multiplicity(t.selections(), points)
-    collapsed_mult = point_multiplicity(conv.collapse_selections(t), points)
+    collapsed_mult = point_multiplicity(collapse_selections(t), points)
     for p in points:
         if union_mult[p] >= 2:
             assert collapsed_mult[p] >= 2

@@ -18,6 +18,7 @@ from sumgames.coloring import (
     constant_coloring,
     mod_coloring,
     parity_coloring,
+    reduce_two_dim_to_one,
     seeded_hash_coloring,
 )
 from sumgames.covers import CoverKind, SSet, Space
@@ -638,9 +639,12 @@ def test_tampered_mt_witness_is_rejected(tamper):
     w = mt_search(MT_EDGE, FIN, MT_BASE, 3, 2, SearchBudget(max_index=7),
                   chi_vertex=MT_VERTEX)
     assert isinstance(w, Witness)
-    assert verify_mt_witness(w, FIN, MT_BASE, MT_EDGE, 2, chi_vertex=MT_VERTEX)
-    assert not verify_mt_witness(tamper(w), FIN, MT_BASE, MT_EDGE, 2,
-                                 chi_vertex=MT_VERTEX)
+    # the verifier builds the two-dimensional reduction itself unless given one
+    eta = reduce_two_dim_to_one(MT_VERTEX, MT_EDGE, FIN)
+    for given in ({}, {"eta": eta}):
+        assert verify_mt_witness(w, FIN, MT_BASE, MT_EDGE, 2, chi_vertex=MT_VERTEX, **given)
+        assert not verify_mt_witness(tamper(w), FIN, MT_BASE, MT_EDGE, 2,
+                                     chi_vertex=MT_VERTEX, **given)
 
 
 def test_improper_mt_witness_is_rejected():

@@ -1,4 +1,5 @@
 """Witness searches: Hindman, Milliken–Taylor, Schur thresholds, dichotomy."""
+import dataclasses
 import functools
 import itertools
 import random
@@ -14,6 +15,7 @@ from sumgames.coloring import (
     cardinality_coloring,
     constant_coloring,
     parity_coloring,
+    reduce_two_dim_to_one,
     seeded_hash_coloring,
 )
 from sumgames.search import (
@@ -238,6 +240,22 @@ def test_mt_with_vertex_coloring_both_monochromatic():
     values = (*w.terms, sum(w.terms))  # the finite sums of two terms
     assert all(v % 2 == 0 for v in values)
     assert verify_mt_witness(w, NAT, base, chi_e, 2, chi_vertex=chi_v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("sg, base", [(NAT, pow2_base(10)), (FIN, fin_singletons())],
+                         ids=["naturals", "finite-sets"])
+def test_mt_verdict_is_the_same_with_and_without_eta(sg, base, seed):
+    # without eta the verifier builds the reduction from sg, as callers did
+    chi_e, chi_v = seeded_hash_coloring(2, seed, d=2), seeded_hash_coloring(2, 100 + seed)
+    eta = reduce_two_dim_to_one(chi_v, chi_e, sg)
+    w = mt_search(chi_e, sg, base, 3, 2, SearchBudget(max_index=10), chi_vertex=chi_v)
+    assert isinstance(w, Witness)
+    tampered = dataclasses.replace(w, color_vertex=3 - w.color_vertex)
+    for candidate, verdict in ((w, True), (tampered, False)):
+        for given in ({}, {"eta": eta}):
+            assert verify_mt_witness(candidate, sg, base, chi_e, 2, chi_vertex=chi_v,
+                                     **given) is verdict
 
 
 def test_mt_chain_constraint_membership():

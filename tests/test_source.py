@@ -86,14 +86,6 @@ def test_every_top_level_import_is_used():
     assert unused == [], f"imported but never used: {unused}"
 
 
-# Parameters that the body never reads, each kept for a caller that passes
-# it by position.
-_UNREAD_ALLOWED = {
-    # bench/workloads.py:_build_mt passes it positionally
-    "search.verify_mt_witness(sg)",
-}
-
-
 def test_every_parameter_is_read():
     # A parameter its function never reads is an input that changes
     # nothing.  Top-level functions and methods only: a nested callback or
@@ -118,5 +110,4 @@ def test_every_parameter_is_read():
                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
                 unread += [f"{path.stem}.{prefix}{fn.name}({p})" for p in params
                            if p not in read]
-    unread = [name for name in unread if name not in _UNREAD_ALLOWED]
     assert unread == [], f"parameters never read: {unread}"
