@@ -26,7 +26,6 @@ from .semigroups import (
 from .coloring import (
     Coloring,
     cardinality_coloring,
-    coloring_from_descriptor,
     constant_coloring,
     mod_coloring,
     parity_coloring,

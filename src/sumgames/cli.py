@@ -35,7 +35,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
-from .coloring import Coloring, coloring_from_descriptor
+from .coloring import (
+    Coloring,
+    cardinality_coloring,
+    constant_coloring,
+    mod_coloring,
+    parity_coloring,
+    seeded_hash_coloring,
+)
 from .covers import Cover, CoverKind, SSet, Space, classify_cover
 from .filters import chain_check, fs_tail_chain, verify_duality_laws
 from .games import (
@@ -192,10 +199,15 @@ def _unique_keys(value, path: Optional[str]):
     return value
 
 
-# the keys besides "name" that each coloring reads; its arity d comes from
-# the command
-_COLORING_KEYS = {"constant": ("k", "color"), "parity": (), "mod-k": ("k",),
-                  "cardinality": (), "seeded-hash-k": ("k", "seed")}
+# each coloring's keys besides "name", and its builder, given the command's
+# arity d, the config's seed and those keys (a descriptor's seed wins)
+_COLORING_KEYS = {
+    "constant": (("k", "color"), lambda d, seed, k=1, color=1: constant_coloring(d, k, color)),
+    "parity": ((), lambda d, seed: parity_coloring(d)),
+    "mod-k": (("k",), lambda d, seed, k: mod_coloring(k, d)),
+    "cardinality": ((), lambda d, seed: cardinality_coloring(d)),
+    "seeded-hash-k": (("k", "seed"), lambda d, seed, k: seeded_hash_coloring(k, seed, d)),
+}
 
 
 def _coloring_descriptor(name, value):
@@ -221,8 +233,11 @@ def _coloring_descriptor(name, value):
                           f"got {value!r}")
     coloring = _choice(*_COLORING_KEYS)(f"{name}.name", value["name"])
     for key in value:
-        if key != "name" and key not in _COLORING_KEYS[coloring]:
+        if key != "name" and key not in _COLORING_KEYS[coloring][0]:
             raise ConfigError(f"{name}.{key}: not read by {coloring}")
+    # a name ending in -k has no default palette size
+    if coloring.endswith("-k") and "k" not in value:
+        raise ConfigError(f"{name}: {coloring} needs a palette size 'k'")
     value = {k: v if k == "name" else _integer()(f"{name}.{k}", v)
              for k, v in value.items()}
     if value.get("k", 1) < 1:
@@ -288,9 +303,13 @@ _COMMON = {
     "node_limit": Key(_integer(1), 10 ** 7),
     # searches run sequentially; the key stays so that earlier reports parse
     "parallelism": Key(_choice(1), 1, dashes=None),
+    # read by no command: each command with a horizon has its own, bounded
     "horizon": Key(_integer(1), 16),
     "t": Key(_integer(1), 2, dashes="-"),
-    "s": Key(_integer(1), 2, dashes="-"),
+    # the omega check lists every set of up to s of the horizon's points: at
+    # cover-partition's horizon bound 16, --target omega --m 10 takes 0.85 s
+    # at 6, 1.6 s at 8 and 2.2 s at 16, and --horizon 24 -s 8 took 24 s
+    "s": Key(_integer(1, 6), 2, dashes="-"),
     "f": Key(_integer(1), 2, dashes="-"),
 }
 
@@ -366,10 +385,8 @@ def _build_coloring(config: RunConfig, key: str, d: int,
         return None
     if sums != "integers" and desc["name"] in _ARITHMETIC_COLORINGS:
         raise ConfigError(f"{key}: {desc['name']} needs integer sums, not {sums}")
-    try:
-        return coloring_from_descriptor({"d": d, "seed": config["seed"], **desc})
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+    keys, build = _COLORING_KEYS[desc["name"]]
+    return build(d, **{"seed": config["seed"], **{k: desc[k] for k in keys if k in desc}})
 
 
 def _base_sequence(config: RunConfig):
@@ -904,15 +921,19 @@ _COMMANDS = {
         _run_threshold, "least N forcing monochromatic {x,y,x+y}",
         certify=_certify_threshold,
         # lists of colors + 1 and max_value + 2 entries are built before the
-        # first node, and each new depth copies the avoider, so max_value
-        # costs its square: 1024 takes 0.05 s, 4096 takes 0.6 s, and 10^7 of
-        # either took 175 or 251 MB
+        # first node, and each new depth copies a slice of the colors, so
+        # max_value costs its square: 1024 takes 0.005 s, 4096 takes 0.04 s,
+        # and 10^7 of either took 175 or 251 MB
         colors=Key(_integer(1, 64), 2), repeats=Key(_boolean, True),
         max_value=Key(_integer(0, 1024), 64)),
     "proper-or-collapse": _command(
         _run_proper_or_collapse, "dichotomy certificates",
         certify=_certify_proper_or_collapse,
-        depth=Key(_integer(2), 4), runs=Key(_integer(1), 1),
+        # node_limit caps each run alone, and a run whose first blocks lead
+        # nowhere tries about 2^depth third blocks: 16 runs over 1, 1, 1, ...
+        # take 1.2 s at depth 15, 2.3 s at 16, and 32 runs took 1.9 s at 15;
+        # --depth 1000000 took 4.4 s to build its terms
+        depth=Key(_integer(2, 15), 4), runs=Key(_integer(1, 16), 1),
         sequence=Key(_sequence_descriptor, {"kind": "random-finite-sets"})),
     "verify-filter-laws": _command(
         _run_verify_filter_laws, "exhaustive duality-law scan",
@@ -925,7 +946,10 @@ _COMMANDS = {
         # every chain takes under 0.05 s at window 4, and density took 1.6 s
         # at depth 500
         depth=Key(_integer(1, 62), 3),
-        window=Key(_integer(1), 4), delta=Key(_fraction, _DENSITY_DELTA)),
+        # each absorption check tries window links for each of window sampled
+        # members: at depth 62, 1024 takes 1 s (fs-tails-singletons), 2048
+        # took 1.8 s (fs-tails-pow2), and 100,000 ran over 30 s
+        window=Key(_integer(1, 1024), 4), delta=Key(_fraction, _DENSITY_DELTA)),
     "play-game": _command(
         _run_play_game, "referee a selection game",
         alice=Key(_choice("intervals", "dual-random"), "dual-random"),
@@ -967,7 +991,11 @@ _COMMANDS = {
         # initial segments build every interval up to max_index, on four
         # cover levels, before the first node: 256 takes 0.1 s and 27 MB,
         # 1000 takes 0.26 s and 120 MB, and 3000 took 2.2 s and 1.1 GB
-        max_index=Key(_integer(0, 256), 0)),
+        max_index=Key(_integer(0, 256), 0),
+        # classify_cover reads the horizon's points, outside node_limit, and
+        # omega lists their sets of up to s points: with -s 6 --m 10, 16 takes
+        # 0.85 s and 20 took 3.2 s; gamma ran over 30 s at 100,000
+        horizon=Key(_integer(1, 16), 16)),
     "encode-classical": _command(
         _run_encode_classical, "the cofinite-sets encoding",
         truncation=Key(_integer(3, _MAX_TRUNCATION), 6)),

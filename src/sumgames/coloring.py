@@ -47,8 +47,7 @@ class Coloring:
     caller that already holds its members' keys color the subject through
     ``of_keys`` without encoding the members again.
 
-    A coloring compares and hashes by identity, as its ``fn`` does: the
-    searches key their color tables by the coloring, once per node.
+    A coloring compares and hashes by identity, as its ``fn`` does.
     """
 
     arity: int
@@ -170,26 +169,3 @@ def reduce_two_dim_to_one(chi_vertex: Coloring, chi_edge: Coloring, sg: Semigrou
     edge2 = chi_edge if chi_edge.arity == 2 else Coloring(2, chi_edge.palette, chi_edge.fn, chi_edge.name)
     return product_coloring(kappa_coloring, edge2)
 
-
-def coloring_from_descriptor(desc: dict) -> Coloring:
-    """Build a coloring from a config descriptor.
-
-    Recognized names: constant, parity, mod-k, cardinality, seeded-hash-k.
-    """
-    if not isinstance(desc, dict) or "name" not in desc:
-        raise ValueError("coloring descriptor needs a 'name' field")
-    name = desc["name"]
-    if name in ("mod-k", "seeded-hash-k") and "k" not in desc:
-        raise ValueError(f"{name} needs a palette size 'k'")
-    d = int(desc.get("d", 1))
-    if name == "constant":
-        return constant_coloring(d, int(desc.get("k", 1)), int(desc.get("color", 1)))
-    if name == "parity":
-        return parity_coloring(d)
-    if name == "mod-k":
-        return mod_coloring(int(desc["k"]), d)
-    if name == "cardinality":
-        return cardinality_coloring(d)
-    if name == "seeded-hash-k":
-        return seeded_hash_coloring(int(desc["k"]), int(desc.get("seed", 0)), d)
-    raise ValueError(f"unknown coloring name: {name!r}")

@@ -243,7 +243,7 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         # the escape points x_1..x_{n-1} must lie in the new union V_n
         if term & need[len(blocks) - 1] != need[len(blocks) - 1]:
             return None
-        state = _prefix_sums(_MASK_UNIONS, parent, term, chi_edge, d, chi_vertex)
+        state = _prefix_sums(parent, term)
         if state is not None:
             best_depth = max(best_depth, len(blocks))
         return state
@@ -271,7 +271,8 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         )
 
     out = _depth_first(m, candidates, check, finish, budget.node_limit,
-                       _PrefixState.root(masks.decode))
+                       _PrefixState.root(_MASK_UNIONS, chi_edge, d, chi_vertex,
+                                         masks.decode))
     if isinstance(out, Exhausted):
         out.note = f"best depth reached: {best_depth} of {m}"
         return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -214,32 +214,31 @@ def _least_indices(n: int) -> tuple:
     return tuple((j & -j).bit_length() for j in range(1, 1 << (n - 1)))
 
 
+@dataclass(eq=False)
 class _SearchTables:
-    """The tables that one search shares across all its prefix states.
+    """What one search fixes before its first node, and the tables that
+    all its prefix states share.  ``sg`` combines the sums; ``chi_edge``
+    colors the sum sets of the d-chains and ``chi_vertex`` the sums, when
+    set; ``decode``, when set, maps a sum as the search holds it to the
+    value that a coloring sees.
 
     ``bits`` interns each sum value to a bit, ``1 << id``, the first time
-    the kernel builds it under an edge coloring, so the subject of a chain
-    is the OR of its members' bits: equal member sets give equal masks,
-    and a repeated member is one member, as in a set.  ``edge`` maps each
-    edge coloring to its colors by mask, ``vertex`` each vertex coloring
-    to its colors by sum value, and ``keys`` holds the ``canonical_key``
-    of each value that a keyed coloring has been given.  So a search
-    colors each distinct subject once.  ``decode``, when set, maps a sum as
-    the search holds it to the value that a coloring sees.
+    the kernel builds it under ``chi_edge``, so a chain's subject is the
+    OR of its members' bits: equal member sets give equal masks, and a
+    repeated member is one member, as in a set.  ``edge`` maps masks to
+    their colors, ``vertex`` sums to theirs, and ``keys`` holds the
+    ``canonical_key`` of each value that a keyed coloring has been given,
+    so that a search colors each distinct subject once."""
 
-    A coloring is a function of the values, and all sums of one search lie
-    in one semigroup, so equal values share one bit, one key and one color.
-    The tables hold the colorings they are keyed by, so a table is never
-    read for another coloring."""
-
-    __slots__ = ("bits", "keys", "edge", "vertex", "decode", "__weakref__")
-
-    def __init__(self, decode: Optional[Callable] = None):
-        self.decode = decode
-        self.bits: dict = {}
-        self.keys: dict = {}
-        self.edge: dict = defaultdict(dict)
-        self.vertex: dict = defaultdict(dict)
+    sg: Semigroup
+    chi_edge: Optional[Coloring]
+    d: int
+    chi_vertex: Optional[Coloring]
+    decode: Optional[Callable]
+    bits: dict = field(default_factory=dict, init=False)
+    keys: dict = field(default_factory=dict, init=False)
+    edge: dict = field(default_factory=dict, init=False)
+    vertex: dict = field(default_factory=dict, init=False)
 
 
 @dataclass(slots=True)
@@ -250,8 +249,9 @@ class _PrefixState:
     least max index of a block with each sum value; and the one edge and
     vertex color seen so far (None before the first).
 
-    ``tables`` holds the search's interned bits and colors: ``root`` makes
-    them, and every later state holds the same ``_SearchTables``.
+    ``tables`` holds the search's fixed inputs and its interned bits and
+    colors: ``root`` makes them, and every later state holds the same
+    ``_SearchTables``.
     """
 
     n: int
@@ -263,21 +263,23 @@ class _PrefixState:
     tables: _SearchTables
 
     @classmethod
-    def root(cls, decode: Optional[Callable] = None) -> "_PrefixState":
-        """The state of the empty prefix, with new tables; ``decode`` maps
-        each sum to the value that the colorings see (the sum itself when
-        None)."""
-        return cls(0, [], {}, [], None, None, _SearchTables(decode))
+    def root(cls, sg: Semigroup, chi_edge: Optional[Coloring] = None, d: int = 0,
+             chi_vertex: Optional[Coloring] = None,
+             decode: Optional[Callable] = None) -> "_PrefixState":
+        """The state of the empty prefix of a search with these fixed
+        inputs, with new tables."""
+        return cls(0, [], {}, [], None, None,
+                   _SearchTables(sg, chi_edge, d, chi_vertex, decode))
 
 
-def _color(chi: Coloring, members: list, keys: dict,
-           decode: Optional[Callable] = None) -> int:
-    """``chi`` on the set of ``members``, each mapped through ``decode``
-    when given; a keyed coloring is given their keys from ``keys``, which
-    gains the keys it lacked."""
+def _color(chi: Coloring, members: list, tables: _SearchTables) -> int:
+    """``chi`` on the set of ``members``, each mapped through the search's
+    ``decode`` when it has one; a keyed coloring is given their keys from
+    ``tables.keys``, which gains the keys it lacked."""
+    decode = tables.decode
     if chi.keyed is None:
         return chi.of_set(frozenset(members if decode is None else map(decode, members)))
-    member_keys = []
+    keys, member_keys = tables.keys, []
     for v in members:
         key = keys.get(v)
         if key is None:
@@ -286,16 +288,14 @@ def _color(chi: Coloring, members: list, keys: dict,
     return chi.of_keys(member_keys)
 
 
-def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
-                 chi_edge: Optional[Coloring] = None, d: int = 0,
-                 chi_vertex: Optional[Coloring] = None) -> Optional[_PrefixState]:
+def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
     """The prefix check of the Hindman, Milliken–Taylor, proper-or-collapse
     and cover-partition searches, extended by one term.
 
-    ``parent`` is the state of the first n - 1 terms (``_PrefixState.root()``
-    when n = 1), which passed this check.  Only the 2^(n-1) sums of blocks
-    holding n are new.  Most prefixes fail, so the checks run cheapest
-    first, and nothing is copied until all of them hold:
+    ``parent`` is the state of the first n - 1 terms (the search's root
+    when n = 1), which passed this check; its tables fix the rest.  Only
+    the 2^(n-1) sums of blocks holding n are new.  Most prefixes fail, so
+    the checks run cheapest first, and nothing is copied until all hold:
 
     1. properness of the term: every older block lies below {n}, so an
        older sum equal to the term collides;
@@ -325,23 +325,22 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
     older, least_max = parent.sums, parent.least_max
     if term in least_max:
         return None
+    chi_edge, chi_vertex = tables.chi_edge, tables.chi_vertex
     vertex_color = parent.vertex_color
     if chi_vertex is not None:
-        vertex_colors = tables.vertex[chi_vertex]
+        vertex_colors = tables.vertex
         vertex_color = vertex_colors.get(term)
         if vertex_color is None:
-            vertex_color = vertex_colors[term] = _color(chi_vertex, [term], tables.keys,
-                                                        tables.decode)
+            vertex_color = vertex_colors[term] = _color(chi_vertex, [term], tables)
         if parent.vertex_color not in (None, vertex_color):
             return None
     edge_color, masks = parent.edge_color, parent.masks
     if chi_edge is not None:
-        bits = tables.bits
-        edge_colors = tables.edge[chi_edge]
+        bits, edge_colors = tables.bits, tables.edge
         term_bit = bits.get(term)
         if term_bit is None:
             term_bit = bits[term] = 1 << len(bits)
-        heads, others = _chains_ending_at(n, d)
+        heads, others = _chains_ending_at(n, tables.d)
         for rest in heads:
             mask = term_bit
             for p in rest:
@@ -349,13 +348,13 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
             c = edge_colors.get(mask)
             if c is None:
                 c = edge_colors[mask] = _color(
-                    chi_edge, [older[p] for p in rest] + [term], tables.keys, tables.decode)
+                    chi_edge, [older[p] for p in rest] + [term], tables)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
                 return None
     added = [term]
-    combine = sg.combine
+    combine = tables.sg.combine
     for low, v in zip(_least_indices(n), older):
         v = combine(v, term)
         if least_max.get(v, n) < low:
@@ -377,8 +376,7 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
             c = edge_colors.get(mask)
             if c is None:
                 c = edge_colors[mask] = _color(
-                    chi_edge, [older[p] for p in rest] + [added[last]], tables.keys,
-                    tables.decode)
+                    chi_edge, [older[p] for p in rest] + [added[last]], tables)
             if c != edge_color:
                 return None
         masks = masks + new_masks
@@ -386,7 +384,7 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
         for v in itertools.islice(added, 1, None):
             c = vertex_colors.get(v)
             if c is None:
-                c = vertex_colors[v] = _color(chi_vertex, [v], tables.keys, tables.decode)
+                c = vertex_colors[v] = _color(chi_vertex, [v], tables)
             if c != vertex_color:
                 return None
     least = dict.fromkeys(added, n)  # an older value keeps its entry
@@ -394,16 +392,14 @@ def _prefix_sums(sg: Semigroup, parent: _PrefixState, term,
     return _PrefixState(n, older + added, least, masks, edge_color, vertex_color, tables)
 
 
-def _base_sums(seq: ElementSequence, n: int, root: _PrefixState) -> Optional[list]:
+def _base_sums(seq: ElementSequence, n: int) -> Optional[list]:
     """The sums of the first ``n`` terms of ``seq``, entry mask - 1 for each
     block's, or None if ``proper_violation(seq, n)`` finds a collision;
-    built by the prefix check from the empty prefix's state ``root``, with
-    no colorings, so that it stops at the first collision and never sorts
-    blocks to find the least one.  Without colorings the check neither
-    reads nor fills the tables of ``root``, so a search may share it."""
-    state = root
+    built by the prefix check with no colorings, so that it stops at the
+    first collision and never sorts blocks to find the least one."""
+    state = _PrefixState.root(seq.semigroup)
     for i in range(1, n + 1):
-        state = _prefix_sums(seq.semigroup, state, seq.term(i))
+        state = _prefix_sums(state, seq.term(i))
         if state is None:
             return None
     return state.sums
@@ -449,8 +445,8 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
 
     result = _depth_first(
         m, candidates,
-        lambda terms, parent: _prefix_sums(_NATS, parent, terms[-1], chi_vertex=chi),
-        finish, budget.node_limit, _PrefixState.root())
+        lambda terms, parent: _prefix_sums(parent, terms[-1]),
+        finish, budget.node_limit, _PrefixState.root(_NATS, chi_vertex=chi))
     if isinstance(result, Witness) and not verify_hindman_witness(result, chi):
         raise CertificateError("hindman_search produced a witness that fails "
                                "verify_hindman_witness")
@@ -513,8 +509,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     hi = budget.max_index
     if hi < m:
         raise ValueError("max_index must allow m blocks")
-    root = _PrefixState.root()
-    block_sums = _base_sums(base, hi, root)
+    block_sums = _base_sums(base, hi)
     if block_sums is None:
         raise ImproperSequenceError(f"base improper up to index {hi}")
 
@@ -522,7 +517,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
         term = block_sums[blocks[-1] - 1]
         if chain is not None and not chain.set_at(len(blocks))(term):
             return None
-        return _prefix_sums(sg, parent, term, chi_edge, d, chi_vertex)
+        return _prefix_sums(parent, term)
 
     def finish(blocks: list, state: _PrefixState) -> Witness:
         sums = dict(zip(map(_block, itertools.count(1)), state.sums))
@@ -534,8 +529,8 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
             certificate={"edge_sets": chain_sum_sets(sums, m, d)},
         )
 
-    result = _depth_first(m, _chain_candidates(hi, m), check, finish,
-                          budget.node_limit, root)
+    result = _depth_first(m, _chain_candidates(hi, m), check, finish, budget.node_limit,
+                          _PrefixState.root(sg, chi_edge, d, chi_vertex))
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain):
         raise CertificateError("mt_search produced a witness that fails "
@@ -651,7 +646,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     colors = [0] * (max_value + 2)
     saved = [0] * (max_value + 2)   # forb[colors[v]] before v was colored
     in_use = [0] * (max_value + 2)  # colors used by 1..v-1
-    depth, avoider = 0, None
+    depth, held = 0, []  # held: colors[1:depth + 1] when depth was first reached
     v = 1 if max_value else 0
     while v:
         c = colors[v]
@@ -662,7 +657,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
         c += 1
         while c <= top:
             if not nodes.spend():
-                return depth, avoider
+                return depth, dict(enumerate(held, start=1)) or None
             if not forb[c] >> v & 1:
                 break
             c += 1
@@ -677,12 +672,12 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             forb[c] |= 1 << (2 * v)
         mask[c] |= 1 << v
         if v > depth:
-            depth, avoider = v, {i: colors[i] for i in range(1, v + 1)}
+            depth, held = v, colors[1:v + 1]
             if v == max_value:
-                return depth, avoider
+                break
         in_use[v + 1] = max(in_use[v], c)
         v += 1
-    return depth, avoider
+    return depth, dict(enumerate(held, start=1)) or None
 
 
 def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
@@ -821,7 +816,7 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
         term = block_sum(blocks[-1])
         if not isinstance(parent, _PrefixState):  # collapse branch: parent is e
             return parent if term == parent else None
-        state = _prefix_sums(sg, parent, term)
+        state = _prefix_sums(parent, term)
         # refused at two terms: the second term is the first, e
         return term if state is None and len(blocks) == 2 else state
 
@@ -834,7 +829,7 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
         return None
 
     out = _depth_first(m, _chain_candidates(depth, m), check, finish,
-                       budget.node_limit, _PrefixState.root())
+                       budget.node_limit, _PrefixState.root(sg))
     if isinstance(out, Exhausted):
         return DichotomyUnknown(nodes=out.nodes, complete=out.complete)
     return out

@@ -17,6 +17,7 @@ from sumgames.cli import (
     main,
     parse_config,
 )
+from sumgames.coloring import seeded_hash_coloring
 
 
 def run_config(tmp_path, data, name="report.jsonl"):
@@ -453,23 +454,17 @@ _UNBOUNDED = {
     "node_limit": "the budget itself",
     "seed": "selects the colorings, sequences and plays; no work of its own",
     "coloring.seed": "keys the hash; no work of its own",
+    "horizon": "read by no command: play-game, game-transfer and cover-partition "
+               "each have a bounded horizon of their own",
     # work that node_limit counts
     "search-hindman.max_value": "each candidate term is a node",
     # pure thresholds
     "t": "a multiplicity compared with counts",
-    "s": "a size compared with sizes",
     "f": "an exclusion bound compared with counts",
     "coloring.k": "a palette size; colors are reduced mod k",
     # bounded through another key
     "search-mt.d": "d <= m, or the search exits 3",
     "cover-partition.d": "d <= m, or the search exits 3",
-    # open entries of ROADMAP item 7
-    "horizon": "ROADMAP item 7: cover-partition reads the horizon's points "
-               "(100,000 took 1.3 s on gamma); the other commands that take "
-               "the common key do not read it",
-    "proper-or-collapse.depth": "ROADMAP item 7",
-    "proper-or-collapse.runs": "ROADMAP item 7 (20,000 runs took 3.1 s)",
-    "chain-check.window": "ROADMAP item 7",
 }
 
 
@@ -489,10 +484,11 @@ def test_every_integer_key_is_bounded_or_budgeted():
         for key, k in spec.keys.items():
             if k.parse.__qualname__.startswith("_integer.") and _accepts_any_size(k.parse, key):
                 unbounded.add(key if key in cli._COMMON else f"{command}.{key}")
-    for coloring, keys in cli._COLORING_KEYS.items():
+    for coloring, (keys, _) in cli._COLORING_KEYS.items():
         for key in keys:
+            # the coloring's other keys at 1, since a -k coloring needs its k
             if _accepts_any_size(lambda name, v: cli._coloring_descriptor(
-                    "coloring", {"name": coloring, key: v}), key):
+                    "coloring", {"name": coloring, **dict.fromkeys(keys, 1), key: v}), key):
                 unbounded.add(f"coloring.{key}")
     if _accepts_any_size(lambda name, v: cli._sequence_descriptor(
             "sequence", {"kind": "random-finite-sets", "gen_max": v}), "gen_max"):
@@ -539,6 +535,40 @@ def test_non_integer_field_is_a_config_error(tmp_path, capsys, field, config):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}: expected an integer")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("desc, d, subject, color", [
+    ({"name": "parity"}, 1, (4,), 1),
+    ({"name": "mod-k", "k": 3}, 1, (5,), 3),
+    ({"name": "cardinality"}, 2, (1, 2), 2),
+    ({"name": "constant", "k": 3, "color": 3}, 1, (1,), 3),
+    ("mod-k:4", 2, (3, 6), 2),
+])
+def test_coloring_descriptor_builds_its_coloring(desc, d, subject, color):
+    config = parse_config({"command": "search-hindman", "m": 2, "coloring": desc})
+    assert cli._build_coloring(config, "coloring", d).of(*subject) == color
+
+
+@pytest.mark.parametrize("desc, seed", [
+    ({"name": "seeded-hash-k", "k": 5}, 7),
+    ({"name": "seeded-hash-k", "k": 5, "seed": 3}, 3),
+])
+def test_seeded_hash_descriptor_takes_the_config_seed_unless_it_has_one(desc, seed):
+    config = parse_config({"command": "search-hindman", "m": 2, "coloring": desc, "seed": 7})
+    chi, want = cli._build_coloring(config, "coloring", 1), seeded_hash_coloring(5, seed)
+    assert [chi.of(v) for v in range(1, 40)] == [want.of(v) for v in range(1, 40)]
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"name": "nope"}, "coloring.name: expected one of"),
+    ({"k": 2}, "coloring: expected a coloring descriptor with a name"),
+    ({"name": "mod-k"}, "coloring: mod-k needs a palette size 'k'"),
+    ({"name": "seeded-hash-k", "seed": 1}, "coloring: seeded-hash-k needs a palette size 'k'"),
+])
+def test_bad_coloring_descriptor_is_refused(desc, message):
+    with pytest.raises(ConfigError) as exc:
+        cli._coloring_descriptor("coloring", desc)
+    assert str(exc.value).startswith(message)
 
 
 _HASH2 = {"name": "seeded-hash-k", "k": 2}
@@ -672,6 +702,14 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
     # ap samples progressions of length depth + 2 among 64 terms, and depth
     # 63 used to exit 3 with a message that named no key
     ("chain-check --chain ap --depth 63", "depth: must be in 1..62, got 63"),
+    ("chain-check --chain fs-tails-pow2 --depth 62 --window 1025",
+     "window: must be in 1..1024, got 1025"),
+    ("proper-or-collapse --depth 16", "depth: must be in 2..15, got 16"),
+    ("proper-or-collapse --runs 17", "runs: must be in 1..16, got 17"),
+    ("cover-partition --edge-coloring constant --m 2 --target gamma --max-index 64 "
+     "--horizon 17", "horizon: must be in 1..16, got 17"),
+    ("cover-partition --edge-coloring constant --m 2 --target omega --max-index 64 "
+     "-s 7", "s: must be in 1..6, got 7"),
     # a constant color outside the palette used to be refused only once the
     # search first colored a sum, with a message that named no key
     ("search-hindman --coloring constant:1:color=3 --m 2 --max-value 7",
@@ -761,10 +799,10 @@ def test_arithmetic_coloring_of_integer_sums_still_runs(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     ("chain-check --depth=0", "depth: must be in 1..62, got 0"),
     ("chain-check --depth=-1", "depth: must be in 1..62, got -1"),
-    ("chain-check --window=0", "window: must be >= 1, got 0"),
+    ("chain-check --window=0", "window: must be in 1..1024, got 0"),
     ("play-game --rounds=0", "rounds: must be in 1..256, got 0"),
     ("game-transfer --rounds=0", "rounds: must be in 1..32, got 0"),
-    ("proper-or-collapse --runs=0", "runs: must be >= 1, got 0"),
+    ("proper-or-collapse --runs=0", "runs: must be in 1..16, got 0"),
     ("encode-classical --truncation=1", "truncation: must be in 3..14, got 1"),
     ("encode-classical --truncation=2", "truncation: must be in 3..14, got 2"),
 ])

@@ -7,7 +7,6 @@ from sumgames.coloring import (
     Coloring,
     canonical_key,
     cardinality_coloring,
-    coloring_from_descriptor,
     constant_coloring,
     mod_coloring,
     parity_coloring,
@@ -143,17 +142,7 @@ def test_keyed_entry_point_keeps_the_checks_of_of_set():
         wild.of_keys([one])
 
 
-def test_descriptor_parsing():
-    assert coloring_from_descriptor({"name": "parity"}).of(4) == 1
-    assert coloring_from_descriptor({"name": "mod-k", "k": 3}).of(5) == 3
-    assert coloring_from_descriptor({"name": "cardinality", "d": 2}).of(1, 2) == 2
-    with pytest.raises(ValueError):
-        coloring_from_descriptor({"name": "nope"})
-    with pytest.raises(ValueError):
-        coloring_from_descriptor({"k": 2})
-    # a constant color outside the palette is refused when it is built, not
-    # when a search first colors with it
-    assert coloring_from_descriptor({"name": "constant", "k": 3, "color": 3}).of(1) == 3
+def test_constant_color_outside_the_palette_is_refused():
     for color in (0, 4):
         with pytest.raises(ValueError, match=f"color {color} outside palette 1..3"):
             constant_coloring(1, 3, color)

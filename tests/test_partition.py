@@ -550,7 +550,7 @@ def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
         term = union_of(blocks[-1])
         if not all(term.contains(x) for x in escapes[:len(blocks) - 1]):
             return None
-        return _prefix_sums(partition_module._UNIONS, parent, term, chi_edge, d, chi_vertex)
+        return _prefix_sums(parent, term)
 
     def finish(blocks, state):
         unions = tuple(state.sums[(1 << (n - 1)) - 1] for n in range(1, m + 1))
@@ -562,7 +562,7 @@ def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
                 state.edge_color, coverage)
 
     return _depth_first(m, candidates, check, finish, budget.node_limit,
-                        _PrefixState.root())
+                        _PrefixState.root(partition_module._UNIONS, chi_edge, d, chi_vertex))
 
 
 def assert_same_as_reference(dc, chi_vertex, chi_edge, m, target, horizon, budget,

@@ -85,16 +85,17 @@ def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
     """Fold the terms through the incremental check, comparing it with the
     reference at every length; returns the longest accepted length.
 
-    From ``root`` (a new root state by default), as a search would, every
-    parent is also extended by each of the ``siblings`` terms first, and
-    each sibling is compared with the reference too.  Every state holds
-    the root's tables."""
-    root = root or _PrefixState.root()
+    From ``root`` (by default a new root state of a search over ``sg``
+    under the given colorings), as a search would, every parent is also
+    extended by each of the ``siblings`` terms first, and each sibling is
+    compared with the reference too.  Every state holds the root's
+    tables."""
+    root = root or _PrefixState.root(sg, chi_edge, d, chi_vertex)
     state = root
     for n in range(1, len(terms) + 1):
         parent = state
         for last in (*siblings, terms[n - 1]):
-            state = _prefix_sums(sg, parent, last, chi_edge, d, chi_vertex)
+            state = _prefix_sums(parent, last)
             assert (state is not None) == reference_accepts(
                 sg, terms[:n - 1] + [last], chi_edge, d, chi_vertex), (terms, n, last)
             assert state is None or state.tables is root.tables
@@ -163,8 +164,7 @@ def reference_cases(test):
 
 @reference_cases
 def test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_keys=False):
-    root = _PrefixState.root() if shared_keys else None
-    reached = []
+    reached, made = [], []
     for seed in range(100):
         rng = random.Random(seed)
         sg, terms = random_terms(kind, rng)
@@ -174,36 +174,40 @@ def test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_k
         else:
             chi_edge = seeded_hash_coloring(2, seed, d)
             chi_vertex = seeded_hash_coloring(2, seed + 1)
-        reached.append(fold(sg, terms, chi_edge, d, chi_vertex if vertex else None,
-                            root=root, siblings=siblings))
+        chi_vertex = chi_vertex if vertex else None
+        root = _PrefixState.root(sg, chi_edge, d, chi_vertex)
+        made.append(root.tables)
+        reached.append(fold(sg, terms, chi_edge, d, chi_vertex, root=root,
+                            siblings=siblings))
     # some cases hold on two terms or more, and some are rejected; the
     # multiples of 3 under mod-3 colorings reach all six terms
     assert max(reached) >= (6 if kind == "multiples-of-3" else 2)
     assert min(reached) < 6
     if shared_keys:
-        tables = root.tables
         # keys are filled only by keyed colorings, and only with canonical keys
-        assert bool(tables.keys) == (coloring == "seeded-hash")
-        assert all(key == canonical_key(v) for v, key in tables.keys.items())
-        # every value has its own bit, and every stored color is the
-        # coloring's color of the subject that the mask or value stands for
-        assert sorted(tables.bits.values()) == [1 << i for i in range(len(tables.bits))]
-        value_of = {bit: v for v, bit in tables.bits.items()}
-        for chi, colors in tables.edge.items():
-            for mask, color in colors.items():
+        assert any(tables.keys for tables in made) == (coloring == "seeded-hash")
+        for tables in made:
+            assert all(key == canonical_key(v) for v, key in tables.keys.items())
+            # every value has its own bit, and every stored color is the
+            # search's coloring's color of the subject that the mask or
+            # value stands for
+            assert sorted(tables.bits.values()) == [1 << i for i in range(len(tables.bits))]
+            value_of = {bit: v for v, bit in tables.bits.items()}
+            for mask, color in tables.edge.items():
                 members = [v for bit, v in value_of.items() if mask & bit]
-                assert color == chi.of_set(frozenset(members))
-        for chi, colors in tables.vertex.items():
-            assert all(color == chi.of(v) for v, color in colors.items())
-        assert len(tables.edge) == 100 and len(tables.vertex) == (100 if vertex else 0)
+                assert color == tables.chi_edge.of_set(frozenset(members))
+            assert all(color == tables.chi_vertex.of(v) for v, color in tables.vertex.items())
+        # the edge tables are filled, and the vertex tables only under a
+        # vertex coloring
+        assert any(tables.edge for tables in made)
+        assert any(tables.vertex for tables in made) == vertex
 
 
 @reference_cases
 def test_sibling_prefixes_sharing_one_key_table_match_reference(kind, coloring, d, vertex):
-    # one root serves every seed, and each parent is extended by two
-    # sibling terms before its own: siblings fill and read one set of
-    # tables, as the prefixes of one search do, and each seed's colorings
-    # keep their own colors there
+    # each parent is extended by two sibling terms before its own: the
+    # siblings fill and read the one set of tables of each seed's search,
+    # as the prefixes of one search do
     test_incremental_check_matches_reference(kind, coloring, d, vertex, shared_keys=True)
 
 
@@ -231,9 +235,9 @@ def test_sums_are_listed_in_mask_order(kind):
     for seed in range(10):
         sg, terms = wide_terms(kind, random.Random(seed))
         seq = ElementSequence.from_terms(sg, terms)
-        state = _PrefixState.root()
+        state = _PrefixState.root(sg)
         for n, term in enumerate(terms, start=1):
-            state = _prefix_sums(sg, state, term)
+            state = _prefix_sums(state, term)
             assert state is not None and len(state.sums) == 2 ** n - 1
             for mask in range(1, 2 ** n):
                 want = indexed_sum(seq, _block(mask))
@@ -249,13 +253,13 @@ def test_extending_a_parent_leaves_its_state_unchanged(kind):
         siblings = random_terms(kind, rng, length=4)[1]
         chi_edge = seeded_hash_coloring(2, seed, 2)
         chi_vertex = seeded_hash_coloring(2, seed + 1)
-        state = _PrefixState.root()
+        state = _PrefixState.root(sg, chi_edge, 2, chi_vertex)
         for term in terms:
             parent = state
             sums, least_max = parent.sums, parent.least_max
             before = (list(sums), list(least_max.items()))
             for last in (*siblings, term):
-                child = _prefix_sums(sg, parent, last, chi_edge, 2, chi_vertex)
+                child = _prefix_sums(parent, last)
                 outcomes.add(child is not None)
                 # the same list and dict, in the same order, with the same entries
                 assert parent.sums is sums and parent.least_max is least_max
@@ -304,15 +308,15 @@ def test_color_from_keys_equals_of_set(kind, d):
         sg, terms = colliding_terms(kind, random.Random(seed))
         chi = seeded_hash_coloring(3, seed, d)
         sums = fs_enumerate(ElementSequence.from_terms(sg, terms), len(terms))
-        keys: dict = {}
+        tables = _PrefixState.root(sg, chi, d).tables
         for ch in block_chains(len(terms), d):
             values = [sums[F] for F in ch]
             want = chi.of_set(frozenset(values))
             assert chi.of_keys([canonical_key(v) for v in values]) == want
             # the kernel's path, which fills the key table as it goes
-            assert _color(chi, values, keys) == want
+            assert _color(chi, values, tables) == want
             shrunk += len(set(values)) < d
-        assert all(key == canonical_key(v) for v, key in keys.items())
+        assert all(key == canonical_key(v) for v, key in tables.keys.items())
     assert shrunk > 0
 
 
@@ -481,8 +485,8 @@ def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
     made = []
     root = _PrefixState.root
 
-    def tracked_root(decode=None):
-        state = root(decode)
+    def tracked_root(*args, **kwargs):
+        state = root(*args, **kwargs)
         made.append(weakref.ref(state.tables))
         return state
 
@@ -493,11 +497,13 @@ def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
     gc.disable()
     try:
         for search in runs:
+            before = len(made)
             out = search()
-            assert made and made[-1]() is None, out
+            assert len(made) > before and all(ref() is None for ref in made), out
     finally:
         gc.enable()
-    assert len(made) == len(runs)
+    # one root per search, and one more for mt_search's base check
+    assert len(made) == len(runs) + 1
 
 
 # ---------------------------------------------------------------- witnesses

@@ -35,7 +35,6 @@ from sumgames.search import (
 )
 from sumgames.search import (
     _NodeBudget,
-    _PrefixState,
     _avoider_exists_fc,
     _candidate_blocks,
     _lex_first_avoider,
@@ -159,7 +158,7 @@ _BASES = ([nat_seq(1, 2, 3, 8, 16, 32, 64, 128), nat_seq(1, 1, 4, 8, 16, 32, 64,
 def test_base_properness_fold_agrees_with_proper_violation(base):
     # None exactly when the base collides; else the sum of every block, by mask
     for hi in range(0, min(8, base.length or 8) + 1):
-        sums = _base_sums(base, hi, _PrefixState.root())
+        sums = _base_sums(base, hi)
         assert (sums is None) == (proper_violation(base, hi) is not None), hi
         if sums is not None:
             assert sums == [indexed_sum(base, _block(mask)) for mask in range(1, 1 << hi)], hi
