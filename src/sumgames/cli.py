@@ -923,7 +923,9 @@ _COMMANDS = {
         # lists of colors + 1 and max_value + 2 entries are built before the
         # first node, and each new depth copies a slice of the colors, so
         # max_value costs its square: 1024 takes 0.005 s, 4096 takes 0.04 s,
-        # and 10^7 of either took 175 or 251 MB
+        # and 10^7 of either took 175 or 251 MB; node_limit bounds the rest:
+        # --colors 4 --no-repeats at 1024 spends the default 10^7 nodes and
+        # ends "budget exhausted at N=53" in 3.8 s (median of 6 runs)
         colors=Key(_integer(1, 64), 2), repeats=Key(_boolean, True),
         max_value=Key(_integer(0, 1024), 64)),
     "proper-or-collapse": _command(

@@ -640,7 +640,13 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     every lower color is already in use.  The least avoider satisfies this
     (swapping two color names would make it smaller otherwise), so the
     result is the least avoider among all colorings.
+
+    Each color tried at a value is one node, one ``nodes.spend()``, also
+    when the color is refused because it would complete a monochromatic
+    triple; the pass stops at the first spend the budget refuses.  Nodes
+    are not counted in a local, since tracers count the ``spend`` calls.
     """
+    spend = nodes.spend
     mask = [0] * (k + 1)        # mask[c]: bit v set when v has color c
     forb = [0] * (k + 1)        # forb[c]: bit z set when z = x + y, x, y in c
     colors = [0] * (max_value + 2)
@@ -650,15 +656,17 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     v = 1 if max_value else 0
     while v:
         c = colors[v]
+        bit = 1 << v
         if c:  # undo v's color before trying the next one
-            mask[c] ^= 1 << v
+            mask[c] ^= bit
             forb[c] = saved[v]
-        top = min(k, in_use[v] + 1)
+        prior = in_use[v]
+        top = prior + 1 if prior < k else k
         c += 1
         while c <= top:
-            if not nodes.spend():
+            if not spend():
                 return depth, dict(enumerate(held, start=1)) or None
-            if not forb[c] >> v & 1:
+            if not forb[c] & bit:
                 break
             c += 1
         if c > top:
@@ -666,16 +674,17 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             v -= 1
             continue
         colors[v] = c
-        saved[v] = forb[c]
-        forb[c] |= mask[c] << v
+        f = saved[v] = forb[c]
+        f |= mask[c] << v
         if allow_repeats:
-            forb[c] |= 1 << (2 * v)
-        mask[c] |= 1 << v
+            f |= 1 << (2 * v)
+        forb[c] = f
+        mask[c] |= bit
         if v > depth:
             depth, held = v, colors[1:v + 1]
             if v == max_value:
                 break
-        in_use[v + 1] = max(in_use[v], c)
+        in_use[v + 1] = c if c > prior else prior
         v += 1
     return depth, dict(enumerate(held, start=1)) or None
 
@@ -755,7 +764,8 @@ def threshold_search(k: int, allow_repeats: bool = True,
     confirms that {1..N} has no avoider, and the avoider of {1..N-1} is
     rechecked triple by triple; ``confirmed_independent`` is set only when
     both hold, and ``note`` says which did not.  ``nodes`` counts both
-    enumerators.
+    enumerators; ``budget.node_limit`` caps each of them alone, so
+    ``nodes`` may exceed it.
     """
     if k < 1:
         raise ValueError("k >= 1 required")

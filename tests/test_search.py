@@ -338,14 +338,16 @@ def test_threshold_budget_report():
 
 
 # Published thresholds: S(1..3) = 1, 4, 13 (Schur 1916; Baumert 1965) and
-# the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.
-@pytest.mark.parametrize("k, repeats, n", [
-    (1, True, 2), (2, True, 5), (3, True, 14),
-    (1, False, 3), (2, False, 9), (3, False, 24),
+# the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.  The node
+# counts (DFS plus confirmer) are pinned too: a faster enumerator must
+# visit exactly these nodes.
+@pytest.mark.parametrize("k, repeats, n, nodes", [
+    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 1_115),
+    (1, False, 3, 5), (2, False, 9, 71), (3, False, 24, 65_394),
 ])
-def test_threshold_published_values(k, repeats, n):
+def test_threshold_published_values(k, repeats, n, nodes):
     report = threshold_search(k, allow_repeats=repeats)
-    assert report.found and report.n == n
+    assert report.found and report.n == n and report.nodes == nodes
     assert report.confirmed_independent and report.note == ""
     assert sorted(report.avoider) == list(range(1, n))
     assert not _has_mono_triple_reference(report.avoider, n - 1, repeats)
@@ -386,6 +388,11 @@ def test_threshold_dfs_obeys_node_limit():
     report = threshold_search(4, budget=SearchBudget(max_value=40, node_limit=1000))
     assert not report.found and report.nodes == 1000
     assert report.note == f"budget exhausted at N={depth + 1}; threshold > {depth}"
+    # a budget entered partly spent stops at the same limit
+    nodes = _NodeBudget(1000)
+    nodes.used = 400
+    assert _lex_first_avoider(4, 40, True, nodes)[0] == 19
+    assert nodes.used == 1000 and nodes.refused
 
 
 def test_threshold_confirmation_obeys_node_limit(monkeypatch):
@@ -399,6 +406,65 @@ def test_threshold_confirmation_obeys_node_limit(monkeypatch):
     assert report.found and report.n == 24
     assert not report.confirmed_independent
     assert "confirmation budget" in report.note
+
+
+# Node counts of the two DFS passes the schur benchmark runs most.
+@pytest.mark.parametrize("k, max_value, repeats, depth, used", [
+    (4, 40, True, 40, 132_983),
+    (3, 64, False, 23, 62_114),
+])
+def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
+    nodes = _NodeBudget(10 ** 7)
+    assert _lex_first_avoider(k, max_value, repeats, nodes)[0] == depth
+    assert nodes.used == used and not nodes.refused
+
+
+@pytest.mark.parametrize("k, repeats, max_value, limit, found, nodes, note", [
+    # node_limit caps each enumerator alone, so the report's 65,394 nodes
+    # (62,114 DFS + 3,280 confirmer) exceed it
+    (3, False, 64, 62_114, True, 65_394, ""),
+    (3, False, 64, 62_113, False, 62_113, "budget exhausted at N=24; threshold > 23"),
+    (4, True, 40, 132_983, False, 132_983, "no threshold within 40"),
+    (4, True, 40, 132_982, False, 132_982, "budget exhausted at N=40; threshold > 39"),
+])
+def test_threshold_budget_edges(k, repeats, max_value, limit, found, nodes, note):
+    report = threshold_search(k, repeats, SearchBudget(max_value=max_value,
+                                                       node_limit=limit))
+    assert report.found is found and report.nodes == nodes and report.note == note
+    assert report.confirmed_independent is found
+    if found:
+        assert report.n == 24
+
+
+class _CountedBudget(_NodeBudget):
+    """Counts calls of ``spend``, the method the benchmark's tracer wraps to
+    count search nodes."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.calls = 0
+
+    def spend(self):
+        self.calls += 1
+        return super().spend()
+
+
+@pytest.mark.parametrize("enumerate_, args", [
+    (_lex_first_avoider, (4, 40, True)),
+    (_lex_first_avoider, (3, 64, False)),
+    (_avoider_exists_fc, (3, 24, False)),
+    (_avoider_exists_fc, (3, 14, True)),
+])
+@pytest.mark.parametrize("limit", [10 ** 7, 100])
+def test_threshold_enumerators_spend_once_per_node(enumerate_, args, limit):
+    # a loop that counted its nodes locally would call spend fewer times
+    # than it records as used
+    nodes = _CountedBudget(limit)
+    enumerate_(*args, nodes)
+    assert nodes.refused is (limit == 100)
+    assert nodes.calls == nodes.used + nodes.refused
 
 
 def test_threshold_cli_three_colors_no_repeats(capsys):
