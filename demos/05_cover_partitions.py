@@ -67,11 +67,10 @@ print("  decoded partition blocks:", [sorted(b) for b in inst.decode_witness(men
 print("  direct block-search finds:", [sorted(b) for b in direct.blocks])
 
 print("\n== constrained chains: progressions and densities ==")
-ap_chain = build_constrained_chain(lambda i: i, lambda n: ap_family(lambda i: i, n))
+ap_chain = build_constrained_chain(ap_family)
 print("  progression chain:", chain_check(ap_chain, depth=4, window=4).verdict.value)
 th = {n: Fraction(1, 2) - Fraction(1, n + 2) for n in range(1, 9)}
-dens_chain = build_constrained_chain(
-    lambda i: i, lambda n: density_family(lambda i: i, th[n]))
+dens_chain = build_constrained_chain(lambda n: density_family(th[n]))
 print("  density chain    :", chain_check(dens_chain, depth=4, window=4).verdict.value)
 
 print("\n== finite-stage densities ==")

@@ -426,10 +426,9 @@ def _chain_from_name(name: Optional[str], delta: str):
     if name == "fs-tails-singletons":
         return fs_tail_chain(ElementSequence.from_fn(finite_sets(), lambda i: frozenset({i})))
     if name == "ap":
-        return build_constrained_chain(lambda i: i, lambda n: ap_family(lambda i: i, n))
+        return build_constrained_chain(ap_family)
     delta = Fraction(delta)
-    return build_constrained_chain(
-        lambda i: i, lambda n: density_family(lambda i: i, delta - Fraction(1, n + 4)))
+    return build_constrained_chain(lambda n: density_family(delta - Fraction(1, n + 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +556,7 @@ def _run_proper_or_collapse(config: RunConfig):
     worst = EXIT_OK
     for r in range(config["runs"]):
         seq = _dichotomy_sequence(config, r)
-        out = proper_or_collapse(seq, config["depth"], SearchBudget(
-            max_index=config["depth"], node_limit=config["node_limit"]))
+        out = proper_or_collapse(seq, config["depth"], SearchBudget(node_limit=config["node_limit"]))
         ok = verify_dichotomy(out, seq)
         if isinstance(out, DichotomyUnknown):
             worst = max(worst, EXIT_UNKNOWN)
@@ -943,8 +941,8 @@ _COMMANDS = {
     "chain-check": _command(
         _run_chain_check, "verify a symbolic chain",
         chain=Key(_choice(*_CHAINS), "fs-tails-pow2"),
-        # the ap chain samples progressions of length depth + 2 among
-        # partition._AP_WINDOW = 64 terms, so 63 cannot be checked; at 62
+        # the ap chain samples progressions of length depth + 2, and
+        # partition._AP_WINDOW = 64 bounds them, so 63 cannot be checked; at 62
         # every chain takes under 0.05 s at window 4, and density took 1.6 s
         # at depth 500
         depth=Key(_integer(1, 62), 3),

@@ -29,7 +29,6 @@ class SetMove:
     """Alice plays a set of points."""
 
     sset: SSet
-    label: str = ""
 
     def legal_pick(self, item) -> bool:
         return self.sset.contains(item)
@@ -40,7 +39,6 @@ class CoverMove:
     """Alice plays a cover, materialized as a prefix of member sets."""
 
     sets: tuple
-    label: str = ""
 
     def legal_pick(self, item) -> bool:
         return any(item == s for s in self.sets)
@@ -102,10 +100,11 @@ def play(alice: Strategy, bob: Strategy, rounds: int, mode: Mode) -> GameTranscr
             return t
         try:
             b_move = bob.move(t.rounds, a_move)
+            # a finite selection that is not a collection of picks fails here
+            picks = tuple(b_move) if mode is Mode.GFIN else (b_move,)
         except Exception as exc:
             t.illegal = IllegalMove(idx, "bob", f"strategy failure: {exc}")
             return t
-        picks = tuple(b_move) if mode is Mode.GFIN else (b_move,)
         if not all(a_move.legal_pick(p) for p in picks):
             t.illegal = IllegalMove(idx, "bob", "selection outside Alice's move")
             return t
@@ -246,7 +245,7 @@ def convert_gfin_to_g1(alice_single: Strategy) -> Strategy:
         remaining = [s for s in _thin_ascending(proposed.sets) if s not in chosen]
         if not remaining:
             raise ValueError("thinning removed every member; cover exhausted")
-        return CoverMove(tuple(remaining), label=f"thinned[{proposed.label}]")
+        return CoverMove(tuple(remaining))
 
     return Strategy("alice", move)
 

@@ -37,6 +37,7 @@ from .semigroups import (
     Semigroup,
     _block,
     _mask,
+    finite_sets,
 )
 from .verdicts import Verdict
 
@@ -397,13 +398,14 @@ class FiniteSetFamily:
     name: str = ""
 
 
-# how many terms of the tail ap_family and density_family sample for a member
+# the most terms a tail witness of ap_family or density_family may have
 _AP_WINDOW = 64
 _DENSITY_WINDOW = 256
 
 
-def ap_family(a_enum: Callable[[int], int], length: int) -> FiniteSetFamily:
-    """Arithmetic progressions of the given length inside the enumerated set."""
+def ap_family(length: int) -> FiniteSetFamily:
+    """Arithmetic progressions of the given length in the naturals; the one in
+    the tail {k, k+1, ...} is range(k, k + length), for lengths up to 64."""
 
     def has_ap(F: frozenset) -> bool:
         if length == 1:
@@ -416,19 +418,17 @@ def ap_family(a_enum: Callable[[int], int], length: int) -> FiniteSetFamily:
         return False
 
     def in_tail(k: int) -> frozenset:
-        values = [a_enum(i) for i in range(k, k + _AP_WINDOW)]
-        present = set(values)
-        for start in values:
-            for step in range(1, (values[-1] - start) // max(1, length - 1) + 1 if length > 1 else 2):
-                if all(start + t * step in present for t in range(length)):
-                    return frozenset(start + t * step for t in range(length))
-        raise ValueError(f"no progression of length {length} in the sampled tail")
+        if length > _AP_WINDOW:
+            raise ValueError(f"no progression of length {length} within {_AP_WINDOW} terms")
+        return frozenset(range(k, k + length))
 
     return FiniteSetFamily(has_ap, in_tail, name=f"ap-{length}")
 
 
-def density_family(a_enum: Callable[[int], int], threshold: Fraction) -> FiniteSetFamily:
-    """Finite sets whose density |F| / max F exceeds the threshold."""
+def density_family(threshold: Fraction) -> FiniteSetFamily:
+    """Finite sets of naturals whose density |F| / max F exceeds the
+    threshold; the one in the tail {k, k+1, ...} is the shortest run
+    k .. k + j - 1 with j / (k + j - 1) above it, for j up to 256."""
 
     def dense_inside(F: frozenset) -> bool:
         # best subfamily is always a prefix: {u in F : u <= v} for some v
@@ -438,11 +438,9 @@ def density_family(a_enum: Callable[[int], int], threshold: Fraction) -> FiniteS
         return False
 
     def in_tail(k: int) -> frozenset:
-        got: list = []
-        for i in range(k, k + _DENSITY_WINDOW):
-            got.append(a_enum(i))
-            if Fraction(len(got), got[-1]) > threshold:
-                return frozenset(got)
+        for j in range(1, _DENSITY_WINDOW + 1):
+            if Fraction(j, k + j - 1) > threshold:
+                return frozenset(range(k, k + j))
         raise ValueError(f"tail never exceeded density {threshold} in the window")
 
     return FiniteSetFamily(dense_inside, in_tail, name=f"density>{threshold}")
@@ -452,10 +450,9 @@ def density_family(a_enum: Callable[[int], int], threshold: Fraction) -> FiniteS
 _PROBE_DEPTH = 4
 
 
-def build_constrained_chain(a_enum: Callable[[int], int],
-                            families: Callable[[int], FiniteSetFamily]) -> SymbolicChain:
-    """The chain A_n = {finite F inside the tail {a_n, a_{n+1}, ...} that
-    contains a member of the n-th family}.
+def build_constrained_chain(families: Callable[[int], FiniteSetFamily]) -> SymbolicChain:
+    """The chain A_n = {nonempty finite F of naturals with min F >= n that
+    contains a member of the n-th family}, over finite sets with union.
 
     Each level is a subsemigroup of the union semigroup (supersets keep
     their members), so the levels absorb later ones.  Descension needs the
@@ -463,10 +460,11 @@ def build_constrained_chain(a_enum: Callable[[int], int],
     contain a member of the n-th, as progressions and density families do;
     chain_check flags families without that property.  The hypothesis that
     every cofinite tail meets each family is probed through the tail
-    witnesses up front.
+    witnesses up front.  A set x lies outside A_n from n = min x + 1 on,
+    its exclusion index.  A_n is sampled from the n-th family's tail
+    witness w at n, for the ap chain only up to n = 64, and w with
+    max w + 1, ..., max w + i added.
     """
-    from .semigroups import finite_sets
-
     sg = finite_sets()
 
     for n in range(1, _PROBE_DEPTH + 1):
@@ -475,49 +473,20 @@ def build_constrained_chain(a_enum: Callable[[int], int],
         if not fam.has_member_inside(w):
             raise ValueError(f"family {fam.name} witness is not its own member")
 
-    tail_cache: dict = {}
-
-    def tail_holds(n: int, F: frozenset) -> bool:
-        span = max(len(F), 1) + 320
-        have = tail_cache.get(n)
-        if have is None or have[0] < span:
-            have = (span, {a_enum(i) for i in range(n, n + span)})
-            tail_cache[n] = have
-        return F <= have[1]
-
     def set_at(n: int):
-        def pred(F, _n=n) -> bool:
-            if not isinstance(F, frozenset) or not F:
-                return False
-            if not tail_holds(_n, F):
-                return False
-            return families(_n).has_member_inside(F)
+        return lambda F: (isinstance(F, frozenset) and bool(F) and min(F) >= n
+                          and families(n).has_member_inside(F))
 
-        return pred
-
-    def exclusion_index(x) -> Optional[int]:
+    def exclusion_index(x) -> int:
         if not isinstance(x, frozenset) or not x:
             return 1
-        lo = min(x)
-        n = 1
-        while a_enum(n) <= lo:
-            n += 1
-            if n > 10 ** 6:
-                return None
-        return n
+        return min(x) + 1
 
     def members_within(n: int, bound: int) -> list:
-        base = set(families(n).member_in_tail(n))
-        out = [frozenset(base)]
-        nxt = max(base)
-        k = n
-        while len(out) < max(2, min(bound, 4)):
-            while a_enum(k) <= nxt:
-                k += 1
-            nxt = a_enum(k)
-            base = base | {nxt}
-            out.append(frozenset(base))
-        return out
+        w = families(n).member_in_tail(n)
+        top = max(w)
+        return [w | frozenset(range(top + 1, top + 1 + i))
+                for i in range(max(2, min(bound, 4)))]
 
     return SymbolicChain(sg, set_at, exclusion_index, members_within,
                          name="constrained")

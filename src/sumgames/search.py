@@ -809,9 +809,14 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
     that check refuses the second only when it equals the first, e; the
     collapse branch then accepts only terms equal to e, and returns a
     collapse only once e + e = e checks out, so returned collapse
-    certificates always verify.
+    certificates always verify.  The budget's ``node_limit`` caps the
+    search; ``depth`` bounds the blocks, so a ``max_index`` other than 0 or
+    ``depth`` raises ValueError.
     """
-    budget = budget or SearchBudget(max_index=depth)
+    budget = budget or SearchBudget()
+    if budget.max_index not in (0, depth):
+        raise ValueError(f"max_index={budget.max_index} differs from depth={depth}, "
+                         "which bounds the blocks")
     m = min(3, depth)
     if m < 2:
         raise ValueError("dichotomy needs depth >= 2")

@@ -280,13 +280,11 @@ def test_criterion_9_three_dimensional_search():
 
 
 def test_criterion_10_constrained_and_density_chains():
-    ap_chain = build_constrained_chain(lambda i: i,
-                                       lambda n: ap_family(lambda i: i, n))
+    ap_chain = build_constrained_chain(ap_family)
     ap_report = chain_check(ap_chain, depth=4, window=4)
 
     thresholds = {n: Fraction(1, 2) - Fraction(1, n + 2) for n in range(1, 10)}
-    dens_chain = build_constrained_chain(
-        lambda i: i, lambda n: density_family(lambda i: i, thresholds[n]))
+    dens_chain = build_constrained_chain(lambda n: density_family(thresholds[n]))
     dens_report = chain_check(dens_chain, depth=4, window=4)
 
     base = ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
@@ -299,7 +297,7 @@ def test_criterion_10_constrained_and_density_chains():
         if isinstance(out, Witness):
             found += 1
             for n, term in enumerate(out.terms, start=1):
-                if not ap_family(lambda i: i, n).has_member_inside(term):
+                if not ap_family(n).has_member_inside(term):
                     membership_failures += 1
     ok = (ap_report.verdict is Verdict.HOLDS
           and dens_report.verdict is Verdict.HOLDS

@@ -5,6 +5,8 @@ membership window, and fs-tails membership against the block search it
 replaced."""
 import collections
 import dataclasses
+import hashlib
+import shlex
 from typing import Optional
 
 import pytest
@@ -320,3 +322,124 @@ def test_fs_tail_chain_builds_each_link_once(base):
     for _ in range(2):
         assert {chain.exclusion_index(x) for x in sums} == set(range(2, 9))
     assert len(calls) == 8 * per_link
+
+
+# Reports of the ap and density chains over a grid of depths, windows and
+# deltas, as sha256 digests (first 16 hex digits) of the command's stdout
+# and stderr.  They pin the chains' samples, memberships and exclusion
+# indices end to end; density at delta 9/10 and depth 62 is a config error.
+CHAIN_CHECK_GRID = [
+    *(f"--chain {chain} --depth {depth} --window {window}"
+      for chain in ("ap", "density") for depth in (1, 4, 12, 62) for window in (1, 4, 32)),
+    *(f"--chain density --delta {delta} --depth {depth} --window 4"
+      for delta in ("1/10", "1/2", "9/10") for depth in (3, 62)),
+]
+SEARCH_MT = "search-mt --semigroup finite-sets --base singletons --d 2"
+SEARCH_MT_GRID = [
+    f"--chain {chain} --m {m} --max-index {max_index} --seed {seed} --edge-coloring {coloring}"
+    for chain in ("ap", "density") for m in (2, 3, 4) for max_index in (6, 12)
+    for seed in (0, 1)
+    for coloring in ("constant", "seeded-hash-k:2")
+]
+
+
+def report_digests(command: str, grid: list, capsys) -> dict:
+    out = {}
+    for args in grid:
+        code = cli.main(shlex.split(f"{command} {args}"))
+        stdout, stderr = capsys.readouterr()
+        out[args] = (code, hashlib.sha256((stdout + stderr).encode()).hexdigest()[:16])
+    return out
+
+
+PINNED_CHAIN_CHECK = {
+    "--chain ap --depth 1 --window 1": (0, "fee75147853e4e26"),
+    "--chain ap --depth 1 --window 4": (0, "de9e90f02085b4dc"),
+    "--chain ap --depth 1 --window 32": (0, "77af7c41f6d07700"),
+    "--chain ap --depth 4 --window 1": (0, "064d4ae7867f885c"),
+    "--chain ap --depth 4 --window 4": (0, "dc4d5587debfc986"),
+    "--chain ap --depth 4 --window 32": (0, "c2f6729c647f9f8a"),
+    "--chain ap --depth 12 --window 1": (0, "947890edab5d9fdc"),
+    "--chain ap --depth 12 --window 4": (0, "c6bb9e5c0e699d64"),
+    "--chain ap --depth 12 --window 32": (0, "6f5420baeb8861de"),
+    "--chain ap --depth 62 --window 1": (0, "46563c1737dbea86"),
+    "--chain ap --depth 62 --window 4": (0, "124992330b7157e0"),
+    "--chain ap --depth 62 --window 32": (0, "d0cee2d15473e42c"),
+    "--chain density --depth 1 --window 1": (0, "8d803908ee9dd537"),
+    "--chain density --depth 1 --window 4": (0, "53ab7e48965911cf"),
+    "--chain density --depth 1 --window 32": (0, "aec0d9a59e1d5d12"),
+    "--chain density --depth 4 --window 1": (0, "2525515d4c900645"),
+    "--chain density --depth 4 --window 4": (0, "2323aef46761f631"),
+    "--chain density --depth 4 --window 32": (0, "8f2904f69394ffb2"),
+    "--chain density --depth 12 --window 1": (0, "29fdce8aa07266ce"),
+    "--chain density --depth 12 --window 4": (0, "48780b499fd2af67"),
+    "--chain density --depth 12 --window 32": (0, "6d95cb2278547389"),
+    "--chain density --depth 62 --window 1": (0, "849ab627856ddb98"),
+    "--chain density --depth 62 --window 4": (0, "5094258d902cd1f4"),
+    "--chain density --depth 62 --window 32": (0, "ccd387a09f2b6891"),
+    "--chain density --delta 1/10 --depth 3 --window 4": (0, "bfa30d6e318aaa82"),
+    "--chain density --delta 1/10 --depth 62 --window 4": (0, "012f436a148ab37c"),
+    "--chain density --delta 1/2 --depth 3 --window 4": (0, "c69d1b0200760cab"),
+    "--chain density --delta 1/2 --depth 62 --window 4": (0, "b43e447b3f4d8f38"),
+    "--chain density --delta 9/10 --depth 3 --window 4": (0, "200b1069b4767a16"),
+    "--chain density --delta 9/10 --depth 62 --window 4": (3, "845e9edf75a537f2"),
+}
+
+PINNED_SEARCH_MT = {
+    "--chain ap --m 2 --max-index 6 --seed 0 --edge-coloring constant": (0, "152a9dd1bd585db8"),
+    "--chain ap --m 2 --max-index 6 --seed 0 --edge-coloring seeded-hash-k:2": (0, "272250d2e9279eec"),
+    "--chain ap --m 2 --max-index 6 --seed 1 --edge-coloring constant": (0, "f866f5a8d8ec8a8c"),
+    "--chain ap --m 2 --max-index 6 --seed 1 --edge-coloring seeded-hash-k:2": (0, "691833e62d1b851d"),
+    "--chain ap --m 2 --max-index 12 --seed 0 --edge-coloring constant": (0, "917b7f92c2397095"),
+    "--chain ap --m 2 --max-index 12 --seed 0 --edge-coloring seeded-hash-k:2": (0, "d677b035da55a493"),
+    "--chain ap --m 2 --max-index 12 --seed 1 --edge-coloring constant": (0, "dfdd776e5b6480d2"),
+    "--chain ap --m 2 --max-index 12 --seed 1 --edge-coloring seeded-hash-k:2": (0, "2116bf40fcc3a71a"),
+    "--chain ap --m 3 --max-index 6 --seed 0 --edge-coloring constant": (0, "a4c824c64519a1e0"),
+    "--chain ap --m 3 --max-index 6 --seed 0 --edge-coloring seeded-hash-k:2": (1, "8a8908bf31528e45"),
+    "--chain ap --m 3 --max-index 6 --seed 1 --edge-coloring constant": (0, "1e488307d6cdf1ce"),
+    "--chain ap --m 3 --max-index 6 --seed 1 --edge-coloring seeded-hash-k:2": (1, "4d35bb34467b9a75"),
+    "--chain ap --m 3 --max-index 12 --seed 0 --edge-coloring constant": (0, "de5eb13c29692f98"),
+    "--chain ap --m 3 --max-index 12 --seed 0 --edge-coloring seeded-hash-k:2": (0, "d16074dc90985bf8"),
+    "--chain ap --m 3 --max-index 12 --seed 1 --edge-coloring constant": (0, "017c4d6e14df7d0c"),
+    "--chain ap --m 3 --max-index 12 --seed 1 --edge-coloring seeded-hash-k:2": (0, "d0b5cfc8976fbf24"),
+    "--chain ap --m 4 --max-index 6 --seed 0 --edge-coloring constant": (1, "88a90e52b5c92359"),
+    "--chain ap --m 4 --max-index 6 --seed 0 --edge-coloring seeded-hash-k:2": (1, "dbda0604f7088d8d"),
+    "--chain ap --m 4 --max-index 6 --seed 1 --edge-coloring constant": (1, "d0bc5c0fb1afdad6"),
+    "--chain ap --m 4 --max-index 6 --seed 1 --edge-coloring seeded-hash-k:2": (1, "fef696c29311055e"),
+    "--chain ap --m 4 --max-index 12 --seed 0 --edge-coloring constant": (0, "c54ece5980eac166"),
+    "--chain ap --m 4 --max-index 12 --seed 0 --edge-coloring seeded-hash-k:2": (1, "01777a6424960783"),
+    "--chain ap --m 4 --max-index 12 --seed 1 --edge-coloring constant": (0, "118b851a63f65821"),
+    "--chain ap --m 4 --max-index 12 --seed 1 --edge-coloring seeded-hash-k:2": (1, "173bbaaefb93cb39"),
+    "--chain density --m 2 --max-index 6 --seed 0 --edge-coloring constant": (0, "559dff43f5529995"),
+    "--chain density --m 2 --max-index 6 --seed 0 --edge-coloring seeded-hash-k:2": (0, "1fddde701d15b4ba"),
+    "--chain density --m 2 --max-index 6 --seed 1 --edge-coloring constant": (0, "e01b78015459f432"),
+    "--chain density --m 2 --max-index 6 --seed 1 --edge-coloring seeded-hash-k:2": (0, "5c0f6d2227d81012"),
+    "--chain density --m 2 --max-index 12 --seed 0 --edge-coloring constant": (0, "07f16a45e7c0f403"),
+    "--chain density --m 2 --max-index 12 --seed 0 --edge-coloring seeded-hash-k:2": (0, "d250c1b88bfc04b2"),
+    "--chain density --m 2 --max-index 12 --seed 1 --edge-coloring constant": (0, "f67f6751bad82bc8"),
+    "--chain density --m 2 --max-index 12 --seed 1 --edge-coloring seeded-hash-k:2": (0, "422106bdc72dca92"),
+    "--chain density --m 3 --max-index 6 --seed 0 --edge-coloring constant": (0, "44f34651b268e2f6"),
+    "--chain density --m 3 --max-index 6 --seed 0 --edge-coloring seeded-hash-k:2": (0, "e7485c93b6471a4f"),
+    "--chain density --m 3 --max-index 6 --seed 1 --edge-coloring constant": (0, "51a8f22691db0460"),
+    "--chain density --m 3 --max-index 6 --seed 1 --edge-coloring seeded-hash-k:2": (0, "b0b51d0cf6894ea5"),
+    "--chain density --m 3 --max-index 12 --seed 0 --edge-coloring constant": (0, "43168893f7ea32f3"),
+    "--chain density --m 3 --max-index 12 --seed 0 --edge-coloring seeded-hash-k:2": (0, "875f4318df1fc505"),
+    "--chain density --m 3 --max-index 12 --seed 1 --edge-coloring constant": (0, "5887a544309a7bc7"),
+    "--chain density --m 3 --max-index 12 --seed 1 --edge-coloring seeded-hash-k:2": (0, "b37145615d84ff16"),
+    "--chain density --m 4 --max-index 6 --seed 0 --edge-coloring constant": (0, "cd0bcb036f55a56a"),
+    "--chain density --m 4 --max-index 6 --seed 0 --edge-coloring seeded-hash-k:2": (1, "a6b86df78a2e9290"),
+    "--chain density --m 4 --max-index 6 --seed 1 --edge-coloring constant": (0, "c9cf14eea88376be"),
+    "--chain density --m 4 --max-index 6 --seed 1 --edge-coloring seeded-hash-k:2": (1, "1d353c79c1c4d4f8"),
+    "--chain density --m 4 --max-index 12 --seed 0 --edge-coloring constant": (0, "30338ae04c11570d"),
+    "--chain density --m 4 --max-index 12 --seed 0 --edge-coloring seeded-hash-k:2": (1, "8b0954fea29385aa"),
+    "--chain density --m 4 --max-index 12 --seed 1 --edge-coloring constant": (0, "36c4c1e88e8421cb"),
+    "--chain density --m 4 --max-index 12 --seed 1 --edge-coloring seeded-hash-k:2": (1, "76bbe0a432770ddd"),
+}
+
+
+def test_chain_check_reports_are_pinned(capsys):
+    assert report_digests("chain-check", CHAIN_CHECK_GRID, capsys) == PINNED_CHAIN_CHECK
+
+
+def test_search_mt_chain_reports_are_pinned(capsys):
+    assert report_digests(SEARCH_MT, SEARCH_MT_GRID, capsys) == PINNED_SEARCH_MT

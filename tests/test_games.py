@@ -34,8 +34,7 @@ def tail(n: int) -> SSet:
 
 
 def interval_move(hi: int, count: int = 6) -> CoverMove:
-    return CoverMove(tuple(SSet.interval(0, i) for i in range(1, count + 1)),
-                     label=f"intervals-{hi}")
+    return CoverMove(tuple(SSet.interval(0, i) for i in range(1, count + 1)))
 
 
 # ---------------------------------------------------------------- referee
@@ -55,6 +54,14 @@ def test_illegal_bob_move_recorded():
     assert t.illegal.offender == "bob"
     assert t.illegal.round_index == 0
     assert judge(t, lambda sel: True, horizon=4) is Outcome.ALICE_WINS
+
+
+def test_gfin_move_that_is_not_a_collection_is_illegal():
+    # first_bob answers a cover with one member, not a finite selection
+    t = play(scripted_alice([interval_move(6)]), first_bob(), rounds=3, mode=Mode.GFIN)
+    assert t.illegal is not None and t.illegal.offender == "bob"
+    assert t.illegal.round_index == 0 and "not iterable" in t.illegal.reason
+    assert judge(t, lambda sel: True, horizon=3) is Outcome.ALICE_WINS
 
 
 def test_gfin_referee_checks_every_pick():
@@ -145,7 +152,7 @@ def test_converted_alice_is_a_strategy_playing_alice():
     alice = convert_gfin_to_g1(ascending_alice())
     assert isinstance(alice, Strategy) and alice.side == "alice"
     first = alice.move([])
-    assert isinstance(first, CoverMove) and first.label == "thinned[]"
+    assert isinstance(first, CoverMove)
     with pytest.raises(ValueError, match="must play Alice"):
         convert_gfin_to_g1(first_bob())
 

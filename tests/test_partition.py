@@ -272,15 +272,14 @@ def test_cofinite_roundtrip_against_direct_search():
 # ---------------------------------------------------------------- chains
 
 def test_ap_chain_passes_chain_check():
-    chain = build_constrained_chain(lambda i: i, lambda n: ap_family(lambda i: i, n))
+    chain = build_constrained_chain(ap_family)
     report = chain_check(chain, depth=4, window=4)
     assert report.verdict is Verdict.HOLDS
 
 
 def test_density_chain_passes_chain_check():
     thresholds = {n: Fraction(1, 2) - Fraction(1, n + 2) for n in range(1, 9)}
-    chain = build_constrained_chain(
-        lambda i: i, lambda n: density_family(lambda i: i, thresholds[n]))
+    chain = build_constrained_chain(lambda n: density_family(thresholds[n]))
     report = chain_check(chain, depth=4, window=4)
     assert report.verdict is Verdict.HOLDS
 
@@ -292,42 +291,77 @@ def test_singleton_families_fail_descension():
                                member_in_tail=lambda k: frozenset({max(k, n)}),
                                name=f"singleton-{n}")
 
-    chain = build_constrained_chain(lambda i: i, singleton)
+    chain = build_constrained_chain(singleton)
     report = chain_check(chain, depth=3, window=3)
     assert report.verdict is Verdict.FAILS
     assert report.descending_failures
 
 
 def test_chain_constrained_search_satisfies_membership():
-    chain = build_constrained_chain(lambda i: i, lambda n: ap_family(lambda i: i, n))
+    chain = build_constrained_chain(ap_family)
     base = ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
     out = mt_search(constant_coloring(2, 1), FIN, base, m=3, d=2,
                     budget=SearchBudget(max_index=9), chain=chain)
     assert not isinstance(out, Exhausted)
     for n, term in enumerate(out.terms, start=1):
-        assert ap_family(lambda i: i, n).has_member_inside(term)
+        assert ap_family(n).has_member_inside(term)
 
 
 def test_ap_family_detection():
-    fam = ap_family(lambda i: i, 3)
+    fam = ap_family(3)
     assert fam.has_member_inside(frozenset({1, 5, 9, 12}))
     assert not fam.has_member_inside(frozenset({1, 2, 4, 8}))
     assert fam.has_member_inside(fam.member_in_tail(5))
+    # tail witnesses are progressions of step 1, at most _AP_WINDOW = 64 long
+    assert ap_family(64).member_in_tail(5) == frozenset(range(5, 69))
+    with pytest.raises(ValueError, match="length 65"):
+        ap_family(65).member_in_tail(1)
 
 
 def test_density_family_detection():
-    fam = density_family(lambda i: 2 * i, Fraction(1, 3))
-    w = fam.member_in_tail(4)
-    assert fam.has_member_inside(w)
-    assert min(w) >= 8
+    fam = density_family(Fraction(1, 3))
+    # the shortest run from 4 above density 1/3: 2 / 5
+    assert fam.member_in_tail(4) == frozenset({4, 5})
+    assert fam.has_member_inside(frozenset({4, 5, 40}))
+    assert not fam.has_member_inside(frozenset({4, 40}))
+    with pytest.raises(ValueError, match="never exceeded density 1"):
+        density_family(Fraction(1)).member_in_tail(1)
+
+
+def test_chain_membership_is_its_definition():
+    # A_n holds the nonempty finite F with min F >= n that contain a member
+    # of the n-th family, whatever the chain was asked before
+    probes = [frozenset({600}), frozenset(range(1, 401)), frozenset({600}),
+              frozenset({3, 5, 7, 1000}), frozenset({2, 3}), frozenset(), 600]
+    levels = range(1, 5)
+    chain = build_constrained_chain(ap_family)
+    asked = [[chain.set_at(n)(x) for n in levels] for x in probes]
+    fresh = [[build_constrained_chain(ap_family).set_at(n)(x) for n in levels]
+             for x in probes]
+    assert asked == fresh == [
+        [True, False, False, False],
+        [True, False, False, False],
+        [True, False, False, False],
+        [True, True, True, False],
+        [True, True, False, False],
+        [False] * 4,
+        [False] * 4,
+    ]
+
+
+def test_chain_exclusion_index_is_least_element_plus_one():
+    chain = build_constrained_chain(ap_family)
+    for x in (frozenset({1}), frozenset({4, 9}), frozenset({10 ** 6})):
+        assert chain.exclusion_index(x) == min(x) + 1
+        assert not chain.set_at(min(x) + 1)(x)
+    assert chain.exclusion_index(frozenset()) == chain.exclusion_index(7) == 1
 
 
 def test_density_witness_union_reaches_threshold():
     # A chain-constrained witness's union of terms carries the certified
     # stage density: some prefix beats the last level's threshold.
     thresholds = {n: Fraction(1, 2) - Fraction(1, n + 2) for n in range(1, 9)}
-    chain = build_constrained_chain(
-        lambda i: i, lambda n: density_family(lambda i: i, thresholds[n]))
+    chain = build_constrained_chain(lambda n: density_family(thresholds[n]))
     base = ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
     out = mt_search(constant_coloring(2, 1), FIN, base, m=3, d=2,
                     budget=SearchBudget(max_index=12), chain=chain)

@@ -534,6 +534,16 @@ def test_dichotomy_never_returns_false_collapse_on_naturals():
     assert verify_dichotomy(out, seq)
 
 
+def test_dichotomy_max_index_must_be_depth():
+    # the blocks lie inside {1..depth}: a smaller max_index is not obeyed
+    seq = pow2_base(6)
+    with pytest.raises(ValueError, match="max_index=3"):
+        proper_or_collapse(seq, 5, SearchBudget(max_index=3))
+    outs = [proper_or_collapse(seq, 5, budget)
+            for budget in (None, SearchBudget(), SearchBudget(max_index=5))]
+    assert outs[0] == outs[1] == outs[2] and isinstance(outs[0], Proper)
+
+
 @given(st.integers(0, 2 ** 31))
 @settings(max_examples=30, deadline=None)
 def test_dichotomy_certificates_verify(seed):
