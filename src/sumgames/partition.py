@@ -205,9 +205,11 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
 
     The F_n are index blocks F_1 < ... < F_m of U_1-indices, listed as the
     block searches list their chains, with F_n drawn from the indices of
-    U_n's members."""
+    U_n's members.  A budget that sets ``max_value``, which this search does
+    not read, raises ValueError."""
     if m < d:
         raise ValueError(f"m={m} < d={d}: m rounds hold no chain of d unions")
+    budget.require_unset("menger_mt_search", "max_value")
     hi = min(budget.max_index, dc.cover_at(1).prefix_length(budget.max_index))
     if hi < m:
         raise ValueError("max_index must allow m rounds")

@@ -44,7 +44,9 @@ class SearchBudget:
     """Caps for a search: value / index truncation and node limit.
 
     Every search runs sequentially in one thread and visits its nodes in a
-    fixed order, so its result depends on these caps alone.
+    fixed order, so its result depends on these caps alone.  Each search
+    reads ``node_limit`` and at most one truncation, and raises ValueError
+    for a budget that sets a truncation it does not read.
     """
 
     max_value: int = 0
@@ -56,6 +58,13 @@ class SearchBudget:
             raise ValueError("node_limit must be positive")
         if self.max_value < 0 or self.max_index < 0:
             raise ValueError("truncations cannot be negative")
+
+    def require_unset(self, search: str, cap: str) -> None:
+        """Raise ValueError if ``cap`` is set: ``search`` does not read it,
+        so it would run as if it were 0."""
+        value = getattr(self, cap)
+        if value:
+            raise ValueError(f"{search} does not read {cap}={value}")
 
 
 @dataclass
@@ -423,9 +432,12 @@ def _chain_candidates(hi: int, m: int) -> Callable:
 def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
     """Find a_1 < ... < a_m with FS(a_1..a_m) inside {1..max_value},
     monochromatic under the vertex coloring, and proper (no block-sum
-    collisions: repeated values would collapse the structure)."""
+    collisions: repeated values would collapse the structure).  A budget
+    that sets ``max_index``, which this search does not read, raises
+    ValueError."""
     if chi.arity != 1:
         raise ValueError("hindman_search expects a vertex coloring")
+    budget.require_unset("hindman_search", "max_index")
     n_max = budget.max_value
     if not 1 <= m <= n_max:
         raise ValueError("need 1 <= m <= max_value")
@@ -499,6 +511,8 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     monochromatic, which at finite depth is enforced as "finite-sums set
     vertex-monochromatic and sum graph edge-monochromatic".  With a chain
     over ``sg``, the n-th block sum must lie in the chain's n-th set.
+    The blocks lie in {1..``budget.max_index``}; a budget that sets
+    ``max_value``, which this search does not read, raises ValueError.
     """
     if chi_edge.arity != d:
         raise ValueError(f"edge coloring arity {chi_edge.arity} != d={d}")
@@ -506,6 +520,7 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
         raise ValueError(f"m={m} < d={d}: m blocks hold no chain of d blocks")
     if chain is not None and chain.semigroup.kind != sg.kind:
         raise ValueError(f"chain over {chain.semigroup.kind} cannot hold sums over {sg.kind}")
+    budget.require_unset("mt_search", "max_value")
     hi = budget.max_index
     if hi < m:
         raise ValueError("max_index must allow m blocks")
@@ -626,6 +641,12 @@ def verify_avoider(avoider: dict, k: int, n: int, allow_repeats: bool) -> bool:
             and not _has_mono_triple(avoider, n, allow_repeats))
 
 
+@functools.cache
+def _rivals(k: int) -> tuple:
+    """Entry c holds the colors 1..k other than c."""
+    return tuple(tuple(d for d in range(1, k + 1) if d != c) for c in range(k + 1))
+
+
 def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
                        nodes: _NodeBudget) -> tuple[int, Optional[dict]]:
     """One depth-first pass over the k-colorings of 1, 2, 3, ... in
@@ -641,10 +662,20 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     (swapping two color names would make it smaller otherwise), so the
     result is the least avoider among all colorings.
 
+    A forward check skips branches that cannot change the result.  Once
+    every color is in use, if the color of v newly forbids some z with
+    v < z <= depth that every other color forbids too, no extension colors
+    z, since forbidden sets only grow; so nothing below v gets deeper than
+    ``depth``, and v takes its next color at once.  A complete pass returns
+    what it would without the check.  A pass cut by the budget visits a
+    subsequence of those nodes, so it reaches at least as deep on the same
+    budget.
+
     Each color tried at a value is one node, one ``nodes.spend()``, also
     when the color is refused because it would complete a monochromatic
-    triple; the pass stops at the first spend the budget refuses.  Nodes
-    are not counted in a local, since tracers count the ``spend`` calls.
+    triple; a skipped branch spends nothing further.  The pass stops at
+    the first spend the budget refuses.  Nodes are not counted in a local,
+    since tracers count the ``spend`` calls.
     """
     spend = nodes.spend
     mask = [0] * (k + 1)        # mask[c]: bit v set when v has color c
@@ -653,6 +684,8 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     saved = [0] * (max_value + 2)   # forb[colors[v]] before v was colored
     in_use = [0] * (max_value + 2)  # colors used by 1..v-1
     depth, held = 0, []  # held: colors[1:depth + 1] when depth was first reached
+    reached = 1          # bits 0..depth
+    rivals = _rivals(k)
     v = 1 if max_value else 0
     while v:
         c = colors[v]
@@ -674,17 +707,31 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             v -= 1
             continue
         colors[v] = c
-        f = saved[v] = forb[c]
-        f |= mask[c] << v
+        old = saved[v] = forb[c]
+        f = old | mask[c] << v
         if allow_repeats:
             f |= 1 << (2 * v)
         forb[c] = f
         mask[c] |= bit
+        if c > prior:
+            prior = c
         if v > depth:
             depth, held = v, colors[1:v + 1]
             if v == max_value:
                 break
-        in_use[v + 1] = c if c > prior else prior
+            reached = (bit << 1) - 1
+        elif prior == k:
+            # c newly forbids only values above v; one of them up to depth
+            # that every other color forbids too is reached by no extension
+            z = (f ^ old) & reached
+            if z:
+                for d in rivals[c]:
+                    z &= forb[d]
+                    if not z:
+                        break
+                else:
+                    continue  # the next pass undoes c and tries c + 1
+        in_use[v + 1] = prior
         v += 1
     return depth, dict(enumerate(held, start=1)) or None
 
@@ -694,13 +741,16 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
     """Second, structurally different enumerator: forward checking over
     per-value color domains (bit c - 1 of ``dom[v]`` set while v may still
     take color c), branching on the unassigned value with the fewest colors
-    left.  Only color(1) = 1 is fixed.  True if some k-coloring of {1..n}
-    avoids every monochromatic {x, y, x+y}, False if none does, None if
-    the node budget ran out first."""
+    left.  The colors that no assigned value uses yet have pruned no
+    domain, so they are interchangeable: each branch tries the least of
+    them and none of the others.  Each color tried is one node, one
+    ``nodes.spend()``, also when it wipes out a domain.  True if some
+    k-coloring of {1..n} avoids every monochromatic {x, y, x+y}, False if
+    none does, None if the node budget ran out first."""
     same = [0] * k      # same[c]: bit u set when u has color c + 1
     mirror = [0] * k    # mirror[c]: bit n - u set when u has color c + 1
 
-    def search(dom: list, free: int) -> Optional[bool]:
+    def search(dom: list, free: int, fresh: int) -> Optional[bool]:
         if not free:
             return True
         v, size, rest = 0, k + 1, free
@@ -712,7 +762,9 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
             if left < size:
                 v, size = u, left
         free ^= 1 << v
-        choices = dom[v]
+        # the fresh colors are in every domain and interchangeable: keep
+        # only the least of them
+        choices = dom[v] ^ (fresh & (fresh - 1))
         while choices:
             bit = choices & -choices
             choices ^= bit
@@ -739,16 +791,15 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
                 continue
             same[c] |= 1 << v
             mirror[c] |= 1 << (n - v)
-            out = search(child, free)
+            out = search(child, free, fresh & ~bit)
             same[c] ^= 1 << v
             mirror[c] ^= 1 << (n - v)
             if out is not False:
                 return out
         return False
 
-    dom = [(1 << k) - 1] * (n + 1)
-    dom[1] = 1
-    return search(dom, (1 << (n + 1)) - 2)
+    full = (1 << k) - 1
+    return search([full] * (n + 1), (1 << (n + 1)) - 2, full)
 
 
 def threshold_search(k: int, allow_repeats: bool = True,
@@ -765,11 +816,14 @@ def threshold_search(k: int, allow_repeats: bool = True,
     rechecked triple by triple; ``confirmed_independent`` is set only when
     both hold, and ``note`` says which did not.  ``nodes`` counts both
     enumerators; ``budget.node_limit`` caps each of them alone, so
-    ``nodes`` may exceed it.
+    ``nodes`` may exceed it.  Both skip branches that cannot change their
+    answer (see each enumerator).  A budget that sets ``max_index``, which
+    this search does not read, raises ValueError.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
     budget = budget or SearchBudget(max_value=64)
+    budget.require_unset("threshold_search", "max_index")
     nodes = _NodeBudget(budget.node_limit)
     depth, avoider = _lex_first_avoider(k, budget.max_value, allow_repeats, nodes)
     if depth == budget.max_value:
@@ -811,9 +865,10 @@ def proper_or_collapse(seq: ElementSequence, depth: int,
     collapse only once e + e = e checks out, so returned collapse
     certificates always verify.  The budget's ``node_limit`` caps the
     search; ``depth`` bounds the blocks, so a ``max_index`` other than 0 or
-    ``depth`` raises ValueError.
+    ``depth`` raises ValueError, as does any ``max_value``.
     """
     budget = budget or SearchBudget()
+    budget.require_unset("proper_or_collapse", "max_value")
     if budget.max_index not in (0, depth):
         raise ValueError(f"max_index={budget.max_index} differs from depth={depth}, "
                          "which bounds the blocks")

@@ -720,6 +720,18 @@ def test_rejected_input_is_a_config_error(tmp_path, capsys, message, config):
      "truncation: not read by instance initial-segments"),
     ("chain-check --chain ap --delta 1/2", "delta: not read by chain ap"),
     ("chain-check --delta 1/2", "delta: not read by chain fs-tails-pow2"),
+    # a density above 1 exited 3 with a message that named no key, and a
+    # negative one held vacuously with exit 0
+    ("chain-check --chain density --delta 3/2",
+     "delta: must lie strictly between 0 and 1, got 3/2"),
+    ("chain-check --chain density --delta=-1/2",
+     "delta: must lie strictly between 0 and 1, got -1/2"),
+    ("chain-check --chain density --delta 0", "delta: must lie strictly between 0 and 1"),
+    ("chain-check --chain density --delta 1", "delta: must lie strictly between 0 and 1"),
+    # near 1, deep levels need runs longer than density_family tries
+    ("chain-check --chain density --delta 9/10 --depth 62",
+     "chain-check.delta: 9/10 is too close to 1 for depth 62: tail never exceeded "
+     "density 92/105 in the window"),
 ])
 def test_bad_flag_is_a_config_error(capsys, argv, message):
     assert main(shlex.split(argv)) == EXIT_USAGE

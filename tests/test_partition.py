@@ -184,6 +184,13 @@ def test_menger_constant_coloring_first_blocks():
     assert [sorted(b) for b in out.index_blocks] == [[1], [2]]
 
 
+def test_menger_refuses_max_value_it_does_not_read():
+    with pytest.raises(ValueError, match="menger_mt_search does not read max_value=4$"):
+        menger_mt_search(initial_segment_covers(NATS), None, constant_coloring(2, 1),
+                         m=2, d=2, target=CoverKind.OP, horizon=2,
+                         budget=SearchBudget(max_index=8, max_value=4))
+
+
 def test_menger_exhaustion_reports_best_depth():
     dc = initial_segment_covers(NATS)
     out = menger_mt_search(dc, None, constant_coloring(2, 1), m=3, d=2,

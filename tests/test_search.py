@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from sumgames.search import (
     mt_search,
     proper_or_collapse,
     threshold_search,
+    verify_avoider,
     verify_dichotomy,
     verify_hindman_witness,
     verify_mt_witness,
@@ -340,10 +342,11 @@ def test_threshold_budget_report():
 # Published thresholds: S(1..3) = 1, 4, 13 (Schur 1916; Baumert 1965) and
 # the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.  The node
 # counts (DFS plus confirmer) are pinned too: a faster enumerator must
-# visit exactly these nodes.
+# visit exactly these nodes.  (3, True) is 495 + 69, (2, False) 37 + 18
+# and (3, False) 20,981 + 1,641.
 @pytest.mark.parametrize("k, repeats, n, nodes", [
-    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 1_115),
-    (1, False, 3, 5), (2, False, 9, 71), (3, False, 24, 65_394),
+    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 564),
+    (1, False, 3, 5), (2, False, 9, 55), (3, False, 24, 22_622),
 ])
 def test_threshold_published_values(k, repeats, n, nodes):
     report = threshold_search(k, allow_repeats=repeats)
@@ -380,6 +383,179 @@ def test_threshold_enumerators_match_bruteforce(k, repeats, n):
     assert _avoider_exists_fc(k, n, repeats, _NodeBudget(10 ** 6)) is (want is not None)
 
 
+# The two enumerators as they were before the DFS's forward check and the
+# confirmer's one fresh color per branch, kept as frozen references: the
+# current ones must give the same answers on no more nodes.
+def _lex_first_avoider_frozen(k: int, max_value: int, allow_repeats: bool,
+                              nodes: _NodeBudget) -> tuple[int, Optional[dict]]:
+    """One depth-first pass over the k-colorings of 1, 2, 3, ... in
+    lexicographic order.  Returns ``(depth, avoider)``: the deepest n
+    reached and the coloring of {1..n} held when the pass first got there,
+    which is the lexicographically least avoider of {1..n}.
+
+    The pass stops at ``max_value`` or when the budget runs out; otherwise
+    it has exhausted the tree, so no avoider of {1..depth + 1} exists.
+
+    Colors are broken symmetrically: value v may take a new color only if
+    every lower color is already in use.  The least avoider satisfies this
+    (swapping two color names would make it smaller otherwise), so the
+    result is the least avoider among all colorings.
+
+    Each color tried at a value is one node, one ``nodes.spend()``, also
+    when the color is refused because it would complete a monochromatic
+    triple; the pass stops at the first spend the budget refuses.  Nodes
+    are not counted in a local, since tracers count the ``spend`` calls.
+    """
+    spend = nodes.spend
+    mask = [0] * (k + 1)        # mask[c]: bit v set when v has color c
+    forb = [0] * (k + 1)        # forb[c]: bit z set when z = x + y, x, y in c
+    colors = [0] * (max_value + 2)
+    saved = [0] * (max_value + 2)   # forb[colors[v]] before v was colored
+    in_use = [0] * (max_value + 2)  # colors used by 1..v-1
+    depth, held = 0, []  # held: colors[1:depth + 1] when depth was first reached
+    v = 1 if max_value else 0
+    while v:
+        c = colors[v]
+        bit = 1 << v
+        if c:  # undo v's color before trying the next one
+            mask[c] ^= bit
+            forb[c] = saved[v]
+        prior = in_use[v]
+        top = prior + 1 if prior < k else k
+        c += 1
+        while c <= top:
+            if not spend():
+                return depth, dict(enumerate(held, start=1)) or None
+            if not forb[c] & bit:
+                break
+            c += 1
+        if c > top:
+            colors[v] = 0
+            v -= 1
+            continue
+        colors[v] = c
+        f = saved[v] = forb[c]
+        f |= mask[c] << v
+        if allow_repeats:
+            f |= 1 << (2 * v)
+        forb[c] = f
+        mask[c] |= bit
+        if v > depth:
+            depth, held = v, colors[1:v + 1]
+            if v == max_value:
+                break
+        in_use[v + 1] = c if c > prior else prior
+        v += 1
+    return depth, dict(enumerate(held, start=1)) or None
+
+
+def _avoider_exists_fc_frozen(k: int, n: int, allow_repeats: bool,
+                              nodes: _NodeBudget) -> Optional[bool]:
+    """Second, structurally different enumerator: forward checking over
+    per-value color domains (bit c - 1 of ``dom[v]`` set while v may still
+    take color c), branching on the unassigned value with the fewest colors
+    left.  Only color(1) = 1 is fixed.  True if some k-coloring of {1..n}
+    avoids every monochromatic {x, y, x+y}, False if none does, None if
+    the node budget ran out first."""
+    same = [0] * k      # same[c]: bit u set when u has color c + 1
+    mirror = [0] * k    # mirror[c]: bit n - u set when u has color c + 1
+
+    def search(dom: list, free: int) -> Optional[bool]:
+        if not free:
+            return True
+        v, size, rest = 0, k + 1, free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            left = dom[u].bit_count()
+            if left < size:
+                v, size = u, left
+        free ^= 1 << v
+        choices = dom[v]
+        while choices:
+            bit = choices & -choices
+            choices ^= bit
+            c = bit.bit_length() - 1
+            if not nodes.spend():
+                return None
+            # Every triple that v completes with an earlier value of color
+            # c: the sums u + v and the differences |u - v|.
+            hit = (same[c] << v) | (same[c] >> v) | (mirror[c] >> (n - v))
+            if allow_repeats:
+                hit |= 1 << (2 * v)
+                if v % 2 == 0:
+                    hit |= 1 << (v // 2)
+            hit &= free
+            child = dom[:] if hit else dom
+            wiped = False
+            while hit and not wiped:
+                low = hit & -hit
+                hit ^= low
+                w = low.bit_length() - 1
+                child[w] &= ~bit
+                wiped = not child[w]
+            if wiped:
+                continue
+            same[c] |= 1 << v
+            mirror[c] |= 1 << (n - v)
+            out = search(child, free)
+            same[c] ^= 1 << v
+            mirror[c] ^= 1 << (n - v)
+            if out is not False:
+                return out
+        return False
+
+    dom = [(1 << k) - 1] * (n + 1)
+    dom[1] = 1
+    return search(dom, (1 << (n + 1)) - 2)
+
+
+@pytest.mark.parametrize("k, repeats", [(k, repeats) for k in (1, 2, 3, 4)
+                                        for repeats in (True, False)])
+def test_threshold_dfs_matches_frozen_reference(k, repeats):
+    for max_value in range(36 if k == 4 else 41):
+        old, new = _NodeBudget(10 ** 7), _NodeBudget(10 ** 7)
+        want = _lex_first_avoider_frozen(k, max_value, repeats, old)
+        assert _lex_first_avoider(k, max_value, repeats, new) == want
+        assert not new.refused and new.used <= old.used
+
+
+# k and repeats with the threshold: every n up to one past it
+@pytest.mark.parametrize("k, repeats, threshold", [
+    (1, True, 2), (2, True, 5), (3, True, 14),
+    (1, False, 3), (2, False, 9), (3, False, 24),
+])
+def test_threshold_confirmer_matches_frozen_reference(k, repeats, threshold):
+    for n in range(1, threshold + 2):
+        old, new = _NodeBudget(10 ** 7), _NodeBudget(10 ** 7)
+        want = _avoider_exists_fc_frozen(k, n, repeats, old)
+        assert want is (n < threshold)
+        assert _avoider_exists_fc(k, n, repeats, new) is want
+        assert new.used <= old.used
+
+
+@pytest.mark.parametrize("k, repeats, max_value, top", [
+    (3, True, 64, 978), (3, False, 64, 62_114),
+    (4, True, 40, 132_983), (4, False, 64, 60_000),
+])
+def test_threshold_dfs_cut_reaches_the_frozen_depth(k, repeats, max_value, top):
+    # a cut run skips only branches that reach no new depth, so it gets at
+    # least as deep as the frozen DFS on the same budget, and holds there
+    # the lexicographically least avoider
+    complete = functools.cache(lambda depth: _lex_first_avoider_frozen(
+        k, depth, repeats, _NodeBudget(10 ** 7)))
+    rng = random.Random(top)
+    deeper = 0
+    for limit in sorted({round(top ** rng.random()) for _ in range(25)}):
+        depth, avoider = _lex_first_avoider(k, max_value, repeats, _NodeBudget(limit))
+        want = _lex_first_avoider_frozen(k, max_value, repeats, _NodeBudget(limit))[0]
+        assert depth >= want
+        assert (depth, avoider) == complete(depth)
+        deeper += depth > want
+    assert deeper
+
+
 def test_threshold_dfs_obeys_node_limit():
     nodes = _NodeBudget(1000)
     depth, avoider = _lex_first_avoider(4, 40, True, nodes)
@@ -410,8 +586,8 @@ def test_threshold_confirmation_obeys_node_limit(monkeypatch):
 
 # Node counts of the two DFS passes the schur benchmark runs most.
 @pytest.mark.parametrize("k, max_value, repeats, depth, used", [
-    (4, 40, True, 40, 132_983),
-    (3, 64, False, 23, 62_114),
+    (4, 40, True, 40, 36_263),
+    (3, 64, False, 23, 20_981),
 ])
 def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
     nodes = _NodeBudget(10 ** 7)
@@ -420,12 +596,12 @@ def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
 
 
 @pytest.mark.parametrize("k, repeats, max_value, limit, found, nodes, note", [
-    # node_limit caps each enumerator alone, so the report's 65,394 nodes
-    # (62,114 DFS + 3,280 confirmer) exceed it
-    (3, False, 64, 62_114, True, 65_394, ""),
-    (3, False, 64, 62_113, False, 62_113, "budget exhausted at N=24; threshold > 23"),
-    (4, True, 40, 132_983, False, 132_983, "no threshold within 40"),
-    (4, True, 40, 132_982, False, 132_982, "budget exhausted at N=40; threshold > 39"),
+    # node_limit caps each enumerator alone, so the report's 22,622 nodes
+    # (20,981 DFS + 1,641 confirmer) exceed it
+    (3, False, 64, 20_981, True, 22_622, ""),
+    (3, False, 64, 20_980, False, 20_980, "budget exhausted at N=24; threshold > 23"),
+    (4, True, 40, 36_263, False, 36_263, "no threshold within 40"),
+    (4, True, 40, 36_262, False, 36_262, "budget exhausted at N=40; threshold > 39"),
 ])
 def test_threshold_budget_edges(k, repeats, max_value, limit, found, nodes, note):
     report = threshold_search(k, repeats, SearchBudget(max_value=max_value,
@@ -451,20 +627,82 @@ class _CountedBudget(_NodeBudget):
         return super().spend()
 
 
-@pytest.mark.parametrize("enumerate_, args", [
-    (_lex_first_avoider, (4, 40, True)),
-    (_lex_first_avoider, (3, 64, False)),
-    (_avoider_exists_fc, (3, 24, False)),
-    (_avoider_exists_fc, (3, 14, True)),
+# Each case runs to the end in ``used`` nodes, fewer than the frozen
+# enumerator's ``frozen``: the DFS's forward check or the confirmer's one
+# fresh color skipped a branch.  ``cut`` stops each case before its end.
+_LEX, _FC = (_lex_first_avoider, _lex_first_avoider_frozen), (
+    _avoider_exists_fc, _avoider_exists_fc_frozen)
+
+
+@pytest.mark.parametrize("enumerators, args, used, frozen, cut", [
+    (_LEX, (4, 40, True), 36_263, 132_983, 1_000),
+    (_LEX, (3, 64, False), 20_981, 62_114, 10_000),
+    (_LEX, (3, 64, True), 495, 978, 300),
+    (_LEX, (2, 64, False), 37, 53, 30),
+    (_FC, (3, 24, False), 1_641, 3_280, 1_000),
+    (_FC, (3, 14, True), 69, 137, 50),
 ])
-@pytest.mark.parametrize("limit", [10 ** 7, 100])
-def test_threshold_enumerators_spend_once_per_node(enumerate_, args, limit):
-    # a loop that counted its nodes locally would call spend fewer times
-    # than it records as used
-    nodes = _CountedBudget(limit)
+@pytest.mark.parametrize("complete", [True, False])
+def test_threshold_enumerators_spend_once_per_node(enumerators, args, used, frozen,
+                                                   cut, complete):
+    # a loop that counted its nodes locally, or spent again on a branch it
+    # cut, would call spend a different number of times than it records
+    enumerate_, reference = enumerators
+    full = _NodeBudget(10 ** 7)
+    reference(*args, full)
+    assert full.used == frozen
+    nodes = _CountedBudget(10 ** 7 if complete else cut)
     enumerate_(*args, nodes)
-    assert nodes.refused is (limit == 100)
+    assert nodes.refused is not complete
+    assert nodes.used == (used if complete else cut)
     assert nodes.calls == nodes.used + nodes.refused
+
+
+def test_verify_avoider_accepts_the_search_avoiders():
+    for k, repeats, n in ((4, True, 40), (3, False, 23)):
+        depth, avoider = _lex_first_avoider(k, n, repeats, _NodeBudget(10 ** 7))
+        assert depth == n and verify_avoider(avoider, k, n, repeats)
+
+
+def test_verify_avoider_refuses_each_tampering():
+    # the least avoider of {1..13} under 3 colors, repeats allowed
+    good = {1: 1, 2: 2, 3: 2, 4: 1, 5: 3, 6: 3, 7: 1, 8: 3, 9: 3, 10: 1,
+            11: 2, 12: 2, 13: 1}
+    assert verify_avoider(good, 3, 13, True)
+
+    def tampered(changes):  # a color None drops the value
+        return {v: c for v, c in {**good, **changes}.items() if c is not None}
+
+    assert not verify_avoider(tampered({3: 1}), 3, 13, True)     # {1, 3, 4} in color 1
+    assert not verify_avoider(tampered({3: 1}), 3, 13, False)
+    assert not verify_avoider(tampered({5: None}), 3, 13, True)  # 5 is missing
+    assert not verify_avoider(tampered({14: 3}), 3, 13, True)    # 14 is beyond n
+    assert not verify_avoider(good, 3, 12, True)                 # so is 13
+    assert not verify_avoider(tampered({13: 4}), 3, 13, True)    # no color 4 of 3
+    assert not verify_avoider(tampered({13: 0}), 3, 13, True)
+    # {4, 4, 8} in one color: a triple only when x = y is allowed; every
+    # 2-coloring of {1..8} has one, since S(2) = 4 < 8 = WS(2)
+    weak = threshold_search(2, allow_repeats=False).avoider
+    assert weak[4] == weak[8]
+    assert verify_avoider(weak, 2, 8, False)
+    assert not verify_avoider(weak, 2, 8, True)
+
+
+@pytest.mark.parametrize("run, cap", [
+    (lambda: hindman_search(parity_coloring(), 2, SearchBudget(max_value=7, max_index=1)),
+     "max_index=1"),
+    (lambda: mt_search(constant_coloring(2, 1), FIN, fin_singletons(), m=2, d=2,
+                       budget=SearchBudget(max_index=6, max_value=1)), "max_value=1"),
+    (lambda: threshold_search(2, True, SearchBudget(max_value=64, max_index=3)),
+     "max_index=3"),
+    (lambda: proper_or_collapse(ElementSequence.from_fn(NAT, lambda i: i), 5,
+                                SearchBudget(max_value=3)), "max_value=3"),
+])
+def test_search_refuses_a_cap_it_does_not_read(run, cap):
+    # each of these ran as if the cap were unset, and returned a witness or
+    # a threshold (N = 5 for the last but one)
+    with pytest.raises(ValueError, match=f"does not read {cap}$"):
+        run()
 
 
 def test_threshold_cli_three_colors_no_repeats(capsys):
