@@ -17,6 +17,7 @@ from sumgames import (
     naturals,
     proper_or_collapse,
     threshold_search,
+    verify_refutation,
 )
 from sumgames.coloring import cardinality_coloring, parity_coloring, seeded_hash_coloring
 from sumgames.search import Witness, verify_mt_witness
@@ -34,6 +35,10 @@ rep = threshold_search(2, allow_repeats=True)
 print("  least N forcing a monochromatic {x, y, x+y}:", rep.n)
 print("  avoider at N-1:", rep.avoider, "(classes {1,4} and {2,3})")
 print("  confirmed by the forward-checking enumerator:", rep.confirmed_independent)
+if not verify_refutation(rep.certificate, 2, rep.n, True):
+    raise SystemExit(f"the refutation of {{1..{rep.n}}} does not check")
+print(f"  refutation of {{1..{rep.n}}}, checked with no search:",
+      len(rep.certificate), "entries", rep.certificate)
 
 print("\n== sum-graph search over the union semigroup ==")
 singletons = ElementSequence.from_fn(fin, lambda i: frozenset({i}))

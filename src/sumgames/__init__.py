@@ -58,6 +58,7 @@ from .search import (
     verify_dichotomy,
     verify_hindman_witness,
     verify_mt_witness,
+    verify_refutation,
 )
 from .covers import (
     Cover,

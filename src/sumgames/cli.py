@@ -8,15 +8,16 @@ a fixed seed gives byte-identical reports.
 
 ``verify-report`` checks each record with its command's certifier where the
 record holds a certificate: the witness of search-hindman, search-mt and
-cover-partition, the avoider of a threshold record that found none within
-``max_value``, and the blocks of each proper-or-collapse run.  A certifier
-rebuilds the result from the record and the config, checks it with the
-``verify_*`` function of its kind, runs no search, and requires that the
-result re-encodes to the record.  So it proves the recorded claim, but not
-that the witness is the first one in search order.  Every other record is
-re-run and compared, as is every record under ``rerun``: exhaustions, found
-thresholds, dichotomy runs left unknown at depth, and the commands of
-``_RERUN_ONLY``.
+cover-partition, the avoider and refutation of a found threshold, the
+avoider of a threshold record that found none within ``max_value``, and the
+blocks of each proper-or-collapse run.  A certifier rebuilds the result
+from the record and the config, checks it with the ``verify_*`` function of
+its kind, runs no search, and requires that the result re-encodes exactly
+to the record, each int a plain int.  So it proves the recorded claim, but
+not that the witness is the first one in search order.  Every other record
+is re-run and compared, as is every record under ``rerun``: exhaustions,
+thresholds cut by the budget or found without a certificate, dichotomy
+runs left unknown at depth, and the commands of ``_RERUN_ONLY``.
 
 Exit codes: 0 witness found / verified, 1 exhausted / failed,
 2 unknown at depth, 3 usage error.
@@ -87,6 +88,7 @@ from .search import (
     verify_dichotomy,
     verify_hindman_witness,
     verify_mt_witness,
+    verify_refutation,
 )
 from .semigroups import (
     BlockSequence,
@@ -441,6 +443,22 @@ def _chain_from_name(name: Optional[str], delta: str):
 # command runners (each returns exit_code, result dict)
 # ---------------------------------------------------------------------------
 
+def _ints_only(value) -> bool:
+    """True when every number in ``value``, through nested lists and dict
+    values, is a plain int.  Python's == takes JSON's true and 1.0 for 1,
+    and a certifier reads the numbers that it checks from the record, so
+    it must refuse them where the program writes an int."""
+    if isinstance(value, (list, dict)):
+        return all(map(_ints_only, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, (bool, float))
+
+
+def _same_json(rebuilt, record) -> bool:
+    """The rebuilt result is written exactly as the record: unlike ==,
+    this tells 1, 1.0 and true apart."""
+    return json.dumps(rebuilt, sort_keys=True) == json.dumps(record, sort_keys=True)
+
+
 def _run_search_hindman(config: RunConfig):
     chi = _build_coloring(config, "coloring", 1)
     budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
@@ -461,13 +479,13 @@ def _certify_search_hindman(config: RunConfig, result: dict) -> Optional[bool]:
         return None
     m, record, fs_values = config["m"], result["witness"], result["fs_values"]
     terms = tuple(record["terms"])
-    if not (len(terms) == m and 0 < terms[0] and list(terms) == sorted(set(terms))
-            and max(fs_values) <= config["max_value"]):
+    if not (_ints_only(result) and len(terms) == m and 0 < terms[0]
+            and list(terms) == sorted(set(terms)) and max(fs_values) <= config["max_value"]):
         return False
     w = Witness(BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))), terms,
                 record["color_vertex"], None, {"fs_values": fs_values})
     chi = _build_coloring(config, "coloring", 1)
-    return verify_hindman_witness(w, chi) and _hindman_result(w) == result
+    return verify_hindman_witness(w, chi) and _same_json(_hindman_result(w), result)
 
 
 def _mt_instance(config: RunConfig):
@@ -502,14 +520,15 @@ def _certify_search_mt(config: RunConfig, result: dict) -> Optional[bool]:
                   else map(frozenset, record["terms"]))
     # checked before anything is built: m terms have 2^m - 1 sums, and the
     # base is built up to the largest index of a block
-    if not len(blocks) == len(terms) == m or blocks.max_index > config["max_index"]:
+    if not (_ints_only(result) and len(blocks) == len(terms) == m
+            and blocks.max_index <= config["max_index"]):
         return False
     sg, base, chi_e, chi_v, chain = _mt_instance(config)
     edge_sets = sum_hypergraph(ElementSequence.from_terms(sg, terms), m, d)
     w = Witness(blocks, terms, record["color_vertex"], record["color_edge"],
                 {"edge_sets": edge_sets})
     return (verify_mt_witness(w, sg, base, chi_e, d, chi_vertex=chi_v, chain=chain)
-            and {"witness": w.to_record()} == result)
+            and _same_json({"witness": w.to_record()}, result))
 
 
 def _run_threshold(config: RunConfig):
@@ -519,27 +538,55 @@ def _run_threshold(config: RunConfig):
     return (EXIT_OK if report.found else EXIT_EXHAUSTED), _threshold_result(report)
 
 
+# A found threshold's record carries the confirmer's refutation of {1..N}
+# up to this many entries, one per confirmer node and one for its root.
+# k <= 3 needs at most 1,642 (6 KB, checked in 3 ms); k = 4 at N = 45
+# needs 388,851, 1.5 MB of JSON that takes 1.3 s to check.  The cap keeps
+# a record under about 0.4 MB and its check under about 0.35 s; a longer
+# refutation is left out, and its record is re-run.
+_MAX_REFUTATION = 100_000
+
+
 def _threshold_result(report: ThresholdReport) -> dict:
-    return {
+    result = {
         "found": report.found,
         "n": report.n,
         "avoider": {str(k): v for k, v in (report.avoider or {}).items()},
         "confirmed_independent": report.confirmed_independent,
         "note": report.note,
     }
+    if report.certificate is not None and len(report.certificate) <= _MAX_REFUTATION:
+        result["certificate"] = report.certificate
+    return result
 
 
 def _certify_threshold(config: RunConfig, result: dict) -> Optional[bool]:
-    """A record of no threshold within max_value: its avoider colors all of
-    {1..max_value}, so the threshold exceeds max_value.  A found threshold
-    has no certificate yet."""
-    max_value = config["max_value"]
+    """A found threshold N: its avoider colors {1..N-1}, and its refutation
+    shows that every coloring of {1..N} has a monochromatic triple.  A
+    record of no threshold within max_value: its avoider colors all of
+    {1..max_value}, so the threshold exceeds max_value.  Neither runs a
+    search.  A found threshold with no certificate (unconfirmed, over
+    ``_MAX_REFUTATION`` or written before thresholds had one) and a run cut
+    by its budget are re-run."""
+    k, max_value, repeats = config["colors"], config["max_value"], config["repeats"]
     note = f"no threshold within {max_value}"
-    if result["found"] is not False or result["note"] != note:
+    if result["found"] is True and "certificate" in result:
+        n = result["n"]
+        if not (type(n) is int and 0 < n <= max_value):
+            return False
+        report = ThresholdReport(True, n, None, 0, confirmed_independent=True,
+                                 certificate=result["certificate"])
+        colored = n - 1
+    elif result["found"] is False and result["note"] == note:
+        report = ThresholdReport(False, None, None, 0, note=note)
+        colored = max_value
+    else:
         return None
-    avoider = {int(v): c for v, c in result["avoider"].items()}
-    return (_threshold_result(ThresholdReport(False, None, avoider, 0, note=note)) == result
-            and verify_avoider(avoider, config["colors"], max_value, config["repeats"]))
+    report.avoider = {int(v): c for v, c in result["avoider"].items()}
+    return (_same_json(_threshold_result(report), result)
+            and verify_avoider(report.avoider, k, colored, repeats)
+            and (not report.found
+                 or verify_refutation(report.certificate, k, colored + 1, repeats)))
 
 
 def _dichotomy_sequence(config: RunConfig, run: int) -> ElementSequence:
@@ -584,6 +631,8 @@ def _certify_proper_or_collapse(config: RunConfig, result: dict) -> Optional[boo
     if len(runs) != config["runs"]:
         return False
     for r, run in enumerate(runs):
+        if not _ints_only([run["blocks"], run.get("element")]):
+            return False
         blocks = BlockSequence(tuple(run["blocks"]))
         if len(blocks) != min(3, depth) or blocks.max_index > depth:
             return False
@@ -592,7 +641,7 @@ def _certify_proper_or_collapse(config: RunConfig, result: dict) -> Optional[boo
             out = Proper(blocks, tuple(indexed_sum(seq, F) for F in blocks))
         else:
             out = Collapse(frozenset(run["element"]), blocks)
-        if not (verify_dichotomy(out, seq) and _dichotomy_record(out, True) == run):
+        if not (verify_dichotomy(out, seq) and _same_json(_dichotomy_record(out, True), run)):
             return False
     return True
 
@@ -774,7 +823,7 @@ def _certify_cover_partition(config: RunConfig, result: dict) -> Optional[bool]:
     # checked before any set is read: an initial-segments cover builds
     # every set up to the largest index asked for
     families = record["families"]
-    if len(families) != config["m"] or not all(
+    if not _ints_only(result) or len(families) != config["m"] or not all(
             0 < j <= config["max_index"] for fam in families for j in fam):
         return False
     chi_e, chi_v, params, dc = _partition_instance(config)
@@ -782,7 +831,7 @@ def _certify_cover_partition(config: RunConfig, result: dict) -> Optional[bool]:
     return (w.target is _TARGETS[config["target"]] and w.coverage is Verdict.HOLDS
             and verify_partition_witness(w, dc, chi_e, config["d"], chi_vertex=chi_v,
                                          horizon=config["horizon"], **params)
-            and {"witness": w.to_record()} == result)
+            and _same_json({"witness": w.to_record()}, result))
 
 
 def _run_encode_classical(config: RunConfig):
@@ -833,7 +882,11 @@ def _recheck(line_no: int, line: str, rerun: bool) -> dict:
                 return entry
         if certified is None:
             _, regenerated = command.run(cfg)
-            entry["matches"] = regenerated == result
+            # a found threshold written before thresholds had certificates
+            # makes the same claim as its re-run, which adds one
+            if isinstance(result, dict) and "certificate" not in result:
+                regenerated.pop("certificate", None)
+            entry["matches"] = _same_json(regenerated, result)
         else:
             entry["matches"], entry["certificate"] = certified, True
     except (ConfigError, ValueError) as exc:

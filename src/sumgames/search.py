@@ -615,12 +615,19 @@ def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
 
 @dataclass
 class ThresholdReport:
+    """The outcome of ``threshold_search``.  A found and confirmed
+    threshold n carries both halves of its proof: ``avoider``, which
+    ``verify_avoider`` checks on {1..n-1}, and ``certificate``, the
+    confirmer's refutation of {1..n}, which ``verify_refutation`` checks.
+    Other reports have no certificate."""
+
     found: bool
     n: Optional[int]
     avoider: Optional[dict]          # coloring of {1..n-1} with no mono triple
     nodes: int
     confirmed_independent: bool = False
     note: str = ""
+    certificate: Optional[list] = None
 
 
 def _has_mono_triple(colors: dict, n: int, allow_repeats: bool) -> bool:
@@ -634,11 +641,65 @@ def _has_mono_triple(colors: dict, n: int, allow_repeats: bool) -> bool:
 
 def verify_avoider(avoider: dict, k: int, n: int, allow_repeats: bool) -> bool:
     """Check an avoider with no search: it colors exactly {1..n}, with
-    colors 1..k, and has no monochromatic {x, y, x+y} (x = y only when
-    repeats are allowed).  So every k-coloring threshold exceeds n."""
+    colors 1..k, each a plain int, and has no monochromatic {x, y, x+y}
+    (x = y only when repeats are allowed).  So every k-coloring threshold
+    exceeds n."""
     return (set(avoider) == set(range(1, n + 1))
-            and set(avoider.values()) <= set(range(1, k + 1))
+            and all(type(c) is int and 0 < c <= k for c in avoider.values())
             and not _has_mono_triple(avoider, n, allow_repeats))
+
+
+def verify_refutation(certificate, k: int, n: int, allow_repeats: bool) -> bool:
+    """Check a refutation with no search: True only if it proves that every
+    k-coloring of {1..n} has a monochromatic {x, y, x+y} (x = y only when
+    repeats are allowed), so the threshold is at most n.
+
+    The certificate lists the nodes of a search tree in preorder, one
+    value per node, each a plain int in 1..n that the node's ancestors
+    left uncolored.  A node whose value has no color left closes its
+    branch.  Otherwise it has one child per color left to it, in
+    increasing order: each color in use, then the least color not in use,
+    which stands for all of them since none colors anything yet.  A child
+    gives the value its color and goes on with the next entry.  The
+    certificate holds when every branch is closed as the list ends."""
+    entries = iter(certificate)
+    mask = [0] * (k + 1)    # mask[c]: bit u set when u has color c
+    mirror = [0] * (k + 1)  # mirror[c]: bit n - u set when u has color c
+    forb = [0] * (k + 1)    # forb[c]: bit z set when z would complete a triple in c
+    colored, top = 0, 0     # top: colors 1..top are in use
+    stack = []  # colored nodes: (value, colors left, its color, forb of it before, top before)
+    while True:
+        v = next(entries, None)
+        if type(v) is not int or not 0 < v <= n or colored >> v & 1:
+            return False
+        bit = 1 << v
+        # the colors left to v, largest first: those in use, then one fresh
+        left = [c for c in range(min(top + 1, k), 0, -1) if not forb[c] & bit]
+        while not left:  # a closed branch: back to the deepest node with a color left
+            if not stack:  # every branch is closed, and no entry may be left over
+                return not any(True for _ in entries)
+            v, left, c, before, top = stack.pop()
+            forb[c] = before
+            bit = 1 << v
+            mask[c] ^= bit
+            mirror[c] ^= 1 << (n - v)
+            colored ^= bit
+        c = left.pop()
+        f = forb[c]
+        stack.append((v, left, c, f, top))
+        # z completes a triple with v and some u of color c when z is u + v
+        # or |u - v|, and with repeats when z is 2v or v / 2
+        f |= mask[c] << v | mask[c] >> v | mirror[c] >> (n - v)
+        if allow_repeats:
+            f |= 1 << (2 * v)
+            if v % 2 == 0:
+                f |= 1 << (v // 2)
+        forb[c] = f
+        mask[c] |= bit
+        mirror[c] |= 1 << (n - v)
+        colored |= bit
+        if c > top:
+            top = c
 
 
 @functools.cache
@@ -737,7 +798,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
 
 
 def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
-                       nodes: _NodeBudget) -> Optional[bool]:
+                       nodes: _NodeBudget, proof: Optional[list] = None) -> Optional[bool]:
     """Second, structurally different enumerator: forward checking over
     per-value color domains (bit c - 1 of ``dom[v]`` set while v may still
     take color c), branching on the unassigned value with the fewest colors
@@ -746,9 +807,15 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
     them and none of the others.  Each color tried is one node, one
     ``nodes.spend()``, also when it wipes out a domain.  True if some
     k-coloring of {1..n} avoids every monochromatic {x, y, x+y}, False if
-    none does, None if the node budget ran out first."""
+    none does, None if the node budget ran out first.
+
+    The values it meets are appended to ``proof`` in preorder: the value
+    each branch splits on, and the value whose domain a color wipes out,
+    so one entry for the root and one per node.  After False the list is
+    a refutation that ``verify_refutation`` checks."""
     same = [0] * k      # same[c]: bit u set when u has color c + 1
     mirror = [0] * k    # mirror[c]: bit n - u set when u has color c + 1
+    record = (proof if proof is not None else []).append
 
     def search(dom: list, free: int, fresh: int) -> Optional[bool]:
         if not free:
@@ -762,6 +829,7 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
             if left < size:
                 v, size = u, left
         free ^= 1 << v
+        record(v)
         # the fresh colors are in every domain and interchangeable: keep
         # only the least of them
         choices = dom[v] ^ (fresh & (fresh - 1))
@@ -788,6 +856,7 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
                 child[w] &= ~bit
                 wiped = not child[w]
             if wiped:
+                record(w)
                 continue
             same[c] |= 1 << v
             mirror[c] |= 1 << (n - v)
@@ -814,7 +883,10 @@ def threshold_search(k: int, allow_repeats: bool = True,
     forward checking over color domains with its own node budget, then
     confirms that {1..N} has no avoider, and the avoider of {1..N-1} is
     rechecked triple by triple; ``confirmed_independent`` is set only when
-    both hold, and ``note`` says which did not.  ``nodes`` counts both
+    both hold, and ``note`` says which did not.  A confirmed report keeps
+    the second enumerator's refutation of {1..N} as its ``certificate``,
+    one entry per node of that enumerator and one for its root, so that
+    ``verify_refutation`` can check N without a search.  ``nodes`` counts both
     enumerators; ``budget.node_limit`` caps each of them alone, so
     ``nodes`` may exceed it.  Both skip branches that cannot change their
     answer (see each enumerator).  A budget that sets ``max_index``, which
@@ -834,8 +906,8 @@ def threshold_search(k: int, allow_repeats: bool = True,
                                note=f"budget exhausted at N={depth + 1}; "
                                     f"threshold > {depth}")
     n = depth + 1
-    confirm = _NodeBudget(budget.node_limit)
-    exists = _avoider_exists_fc(k, n, allow_repeats, confirm)
+    confirm, proof = _NodeBudget(budget.node_limit), []
+    exists = _avoider_exists_fc(k, n, allow_repeats, confirm, proof)
     if exists is None:
         note = f"confirmation budget of {confirm.limit} nodes exhausted at N={n}"
     elif exists:
@@ -845,7 +917,8 @@ def threshold_search(k: int, allow_repeats: bool = True,
     else:
         note = ""
     return ThresholdReport(True, n, avoider, nodes.used + confirm.used,
-                           confirmed_independent=not note, note=note)
+                           confirmed_independent=not note, note=note,
+                           certificate=None if note else proof)
 
 
 # ---------------------------------------------------------------------------

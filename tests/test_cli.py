@@ -277,7 +277,7 @@ def test_verify_report_counts_a_bad_line_and_goes_on(tmp_path, tamper, reason):
     assert result["records"] == 2 and result["mismatches"] == 1
     bad, good = result["details"]
     assert bad["matches"] is False and reason in bad["reason"]
-    assert good == {"line": 2, "command": "threshold", "matches": True}
+    assert good == {"line": 2, "command": "threshold", "matches": True, "certificate": True}
 
 
 def test_verify_report_counts_a_raising_rerun_and_goes_on(tmp_path):
@@ -316,6 +316,13 @@ _MT_README = {"command": "search-mt",
               "semigroup": "finite-sets", "base": "singletons", "m": 3, "d": 2,
               "max_index": 8}
 _NO_THRESHOLD_40 = {"command": "threshold", "colors": 4, "repeats": True, "max_value": 40}
+_NO_THRESHOLD_4 = {"command": "threshold", "colors": 2, "max_value": 4}
+_FOUND_THRESHOLD = {"command": "threshold", "colors": 2, "repeats": True}
+_HINDMAN_README = {"command": "search-hindman", "coloring": {"name": "parity"}, "m": 2,
+                   "max_value": 7}
+_COVER_OP = {"command": "cover-partition", "instance": "initial-segments",
+             "edge_coloring": {"name": "constant"}, "m": 2, "d": 2, "target": "op",
+             "horizon": 2, "max_index": 8}
 _POC_LITERAL = {"command": "proper-or-collapse", "depth": 5, "runs": 1,
                 "sequence": {"kind": "literal", "terms": [1, 2, 3, 4, 5]}}
 
@@ -340,6 +347,8 @@ CERTIFIED = [
     {"command": "cover-partition", "instance": "initial-segments", "seed": 1,
      "edge_coloring": {"name": "seeded-hash-k", "k": 2}, "m": 3, "d": 2,
      "target": "lambda", "horizon": 6, "max_index": 9},
+    # the README's found thresholds, certified by their refutations
+    _FOUND_THRESHOLD, {"command": "threshold", "colors": 3, "repeats": False},
 ]
 
 
@@ -371,20 +380,48 @@ def _set_avoider(result, value, color):
     result["avoider"][value] = color
 
 
+def _lookalike(values, key, like=float):
+    """Replace an int by a value that Python's == takes for it: its float,
+    or JSON's true for 1 (``like=bool``)."""
+    assert like is float or values[key] == 1
+    values[key] = like(values[key])
+
+
 @pytest.mark.parametrize("config, change", [
     # the last block of the least witness, {3, 4, 6, 8}, becomes {3, 4, 6}
     (_MT_README, lambda r: r["witness"]["blocks"][2].remove(8)),
     # colors 1 and 2 alike: 1 + 1 = 2 is a monochromatic triple
     (_NO_THRESHOLD_40, lambda r: _set_avoider(r, "2", r["avoider"]["1"])),
-    ({"command": "search-hindman", "coloring": {"name": "parity"}, "m": 2,
-      "max_value": 7}, lambda r: r["witness"]["terms"].__setitem__(1, 6)),
-    ({"command": "cover-partition", "instance": "initial-segments",
-      "edge_coloring": {"name": "constant"}, "m": 2, "d": 2, "target": "op",
-      "horizon": 2, "max_index": 8},
-     lambda r: r["witness"]["families"].__setitem__(1, [3])),
+    (_HINDMAN_README, lambda r: r["witness"]["terms"].__setitem__(1, 6)),
+    (_COVER_OP, lambda r: r["witness"]["families"].__setitem__(1, [3])),
     # blocks {1}, {2}, {3, 4} become {1}, {2}, {3}: 1 + 2 = 3 is improper
     (_POC_LITERAL, lambda r: r["runs"][0]["blocks"].__setitem__(2, [3])),
-], ids=["mt-block", "avoider-color", "hindman-term", "family-index", "dichotomy-block"])
+    # a found threshold: its refutation cut short, made for N + 1 = 6 (the
+    # avoider of {1..5} is then one value short), or holding a JSON true
+    (_FOUND_THRESHOLD, lambda r: r["certificate"].pop()),
+    (_FOUND_THRESHOLD, lambda r: r.__setitem__("n", 6)),
+    (_FOUND_THRESHOLD, lambda r: _lookalike(r["certificate"], 0, bool)),
+    # ints that Python's == takes for the ones the program wrote
+    (_NO_THRESHOLD_4, lambda r: _lookalike(r["avoider"], "1", bool)),
+    (_NO_THRESHOLD_4, lambda r: _lookalike(r["avoider"], "1")),
+    (_NO_THRESHOLD_4, lambda r: r.__setitem__("confirmed_independent", 0)),
+    (_FOUND_THRESHOLD, lambda r: _lookalike(r, "n")),
+    (_HINDMAN_README, lambda r: (_lookalike(r["witness"]["terms"], 0),
+                                 _lookalike(r["fs_values"], 0))),
+    (_HINDMAN_README, lambda r: _lookalike(r["witness"], "color_vertex", bool)),
+    (_HINDMAN_README, lambda r: _lookalike(r["witness"], "certificate_size")),
+    (_MT_README, lambda r: (_lookalike(r["witness"]["blocks"][0], 0),
+                            _lookalike(r["witness"]["terms"][0], 0))),
+    (_MT_README, lambda r: _lookalike(r["witness"], "color_edge")),
+    (_POC_LITERAL, lambda r: _lookalike(r["runs"][0]["blocks"][0], 0, bool)),
+    (_COVER_OP, lambda r: _lookalike(r["witness"]["index_blocks"][0], 0)),
+    (_COVER_OP, lambda r: _lookalike(r["witness"], "color_edge", bool)),
+], ids=["mt-block", "avoider-color", "hindman-term", "family-index", "dichotomy-block",
+        "refutation-cut", "refutation-for-n-plus-1", "refutation-true",
+        "avoider-true", "avoider-float", "confirmed-zero", "threshold-n-float",
+        "hindman-float-terms", "hindman-color-true", "hindman-size-float",
+        "mt-float-block-and-term", "mt-color-float", "dichotomy-block-true",
+        "family-block-float", "family-color-true"])
 def test_verify_report_certificate_catches_tampering(tmp_path, config, change):
     path = _report(tmp_path, config)
     code, result = _verify(tmp_path, path)
@@ -419,15 +456,49 @@ def test_every_command_has_a_certifier_or_is_rerun_only():
     assert set(cli._RERUN_ONLY) <= set(cli._COMMANDS)
 
 
-def test_exhausted_and_found_records_are_rerun(tmp_path):
-    # an exhaustion and a found threshold carry no certificate yet
-    for config in ({"command": "search-hindman", "coloring": {"name": "seeded-hash-k", "k": 2},
-                    "seed": 1, "m": 4, "max_value": 5},
-                   {"command": "threshold", "colors": 2, "repeats": True}):
-        code, result = _verify(tmp_path, _report(tmp_path, config))
+def test_exhausted_records_are_rerun(tmp_path):
+    # an exhaustion carries no certificate yet
+    config = {"command": "search-hindman", "coloring": {"name": "seeded-hash-k", "k": 2},
+              "seed": 1, "m": 4, "max_value": 5}
+    code, result = _verify(tmp_path, _report(tmp_path, config))
+    assert code == EXIT_OK
+    assert result["details"] == [{"line": 1, "command": "search-hindman", "matches": True}]
+
+
+def test_found_threshold_is_certified_and_rerun_on_request(tmp_path):
+    path = _report(tmp_path, {"command": "threshold", "colors": 2, "repeats": True})
+    assert json.loads(path.read_text())["result"]["certificate"] == [1, 2, 4, 3, 5]
+    for rerun, entry in ((False, {"certificate": True}), (True, {})):
+        code, result = _verify(tmp_path, path, rerun=rerun)
         assert code == EXIT_OK
-        assert result["details"] == [{"line": 1, "command": config["command"],
-                                      "matches": True}]
+        assert result["details"] == [{"line": 1, "command": "threshold", "matches": True,
+                                      **entry}]
+
+
+def test_found_threshold_without_a_certificate_is_rerun(tmp_path):
+    # as written before thresholds had certificates: the re-run's claim is
+    # the same, and the certificate it adds is not a claim
+    path = _report(tmp_path, {"command": "threshold", "colors": 3, "repeats": True})
+    _set_result(path, lambda r: r.pop("certificate"))
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_OK
+    assert result["details"] == [{"line": 1, "command": "threshold", "matches": True}]
+    _set_result(path, lambda r: r.__setitem__("n", 15))
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_EXHAUSTED and result["mismatches"] == 1
+
+
+def test_threshold_certificate_is_written_within_its_cap(tmp_path):
+    # a run cut by its budget has none
+    config = {"command": "threshold", "colors": 3, "repeats": False, "node_limit": 20_980}
+    result = json.loads(_report(tmp_path, config).read_text())["result"]
+    assert not result["found"] and "certificate" not in result
+    # one entry more than the cap, and a found record is written without it
+    report = cli.threshold_search(3, allow_repeats=False)
+    assert len(report.certificate) == 1_642 <= cli._MAX_REFUTATION
+    assert cli._threshold_result(report)["certificate"] == report.certificate
+    report.certificate += [1] * (cli._MAX_REFUTATION + 1 - 1_642)
+    assert "certificate" not in cli._threshold_result(report)
 
 
 class _Built(Exception):

@@ -34,6 +34,7 @@ from sumgames.search import (
     verify_dichotomy,
     verify_hindman_witness,
     verify_mt_witness,
+    verify_refutation,
 )
 from sumgames.search import (
     _NodeBudget,
@@ -577,10 +578,10 @@ def test_threshold_confirmation_obeys_node_limit(monkeypatch):
     assert nodes.used == 100
     # A confirmation cut by its budget leaves the threshold unconfirmed.
     monkeypatch.setattr(search_module, "_avoider_exists_fc",
-                        lambda k, n, repeats, budget: None)
+                        lambda k, n, repeats, budget, proof: None)
     report = threshold_search(3, allow_repeats=False)
     assert report.found and report.n == 24
-    assert not report.confirmed_independent
+    assert not report.confirmed_independent and report.certificate is None
     assert "confirmation budget" in report.note
 
 
@@ -686,6 +687,90 @@ def test_verify_avoider_refuses_each_tampering():
     assert weak[4] == weak[8]
     assert verify_avoider(weak, 2, 8, False)
     assert not verify_avoider(weak, 2, 8, True)
+    # JSON's true and 1.0 compare equal to the color 1, but are not colors
+    assert not verify_avoider(tampered({1: True}), 3, 13, True)
+    assert not verify_avoider(tampered({1: 1.0}), 3, 13, True)
+
+
+# k, repeats and the threshold N, for every k <= 3
+_THRESHOLDS = [(1, True, 2), (2, True, 5), (3, True, 14),
+               (1, False, 3), (2, False, 9), (3, False, 24)]
+
+
+@functools.cache
+def _refutation(k, n, repeats):
+    """The confirmer's verdict on {1..n}, its list and its node count."""
+    nodes, proof = _NodeBudget(10 ** 7), []
+    exists = _avoider_exists_fc(k, n, repeats, nodes, proof)
+    return exists, tuple(proof), nodes.used
+
+
+@pytest.mark.parametrize("k, repeats, threshold", _THRESHOLDS)
+def test_refutation_exists_exactly_where_the_confirmer_refutes(k, repeats, threshold):
+    for n in range(1, threshold + 1):
+        exists, proof, _ = _refutation(k, n, repeats)
+        assert exists is (n < threshold)
+        assert verify_refutation(list(proof), k, n, repeats) is (n == threshold)
+    # one entry for the root and one per confirmer node
+    _, proof, nodes = _refutation(k, threshold, repeats)
+    assert threshold_search(k, repeats).certificate == list(proof)
+    assert len(proof) == 1 + nodes
+
+
+@pytest.mark.parametrize("k, repeats, threshold", _THRESHOLDS)
+def test_verify_refutation_refuses_each_tampering(k, repeats, threshold):
+    proof = list(_refutation(k, threshold, repeats)[1])
+    assert verify_refutation(proof, k, threshold, repeats)
+    assert not verify_refutation(proof[:-1], k, threshold, repeats)
+    assert not verify_refutation(proof + [1], k, threshold, repeats)
+    assert not verify_refutation(proof, k, threshold - 1, repeats)
+    assert not verify_refutation(proof, k + 1, threshold, repeats)
+    assert not verify_refutation(proof, k, threshold, not repeats)
+    assert not verify_refutation([True] + proof[1:], k, threshold, repeats)
+    assert not verify_refutation(proof[:-1] + [float(proof[-1])], k, threshold, repeats)
+    assert not verify_refutation([], k, threshold, repeats)
+
+
+@pytest.mark.parametrize("k, repeats, threshold, i, closing, other", [
+    # 9 closes its branch under {1, 2, 4, 8 | 3, 5, 6}; 7 still has a color
+    (2, False, 9, 7, 9, 7),
+    # 12 closes its branch under {1, 4, 6 | 2, 3, 10 | 5, 7}; 8 still has a color
+    (3, True, 14, 8, 12, 8),
+])
+def test_verify_refutation_refuses_a_closing_value_that_has_a_color(
+        k, repeats, threshold, i, closing, other):
+    proof = list(_refutation(k, threshold, repeats)[1])
+    assert proof[i] == closing
+    proof[i] = other
+    assert not verify_refutation(proof, k, threshold, repeats)
+
+
+@pytest.mark.parametrize("k, repeats, threshold", [
+    t for t in _THRESHOLDS if t[0] <= 2])
+def test_verify_refutation_refuses_every_short_list_below_the_threshold(
+        k, repeats, threshold):
+    # an avoider of {1..n} exists for n < N, so no list may refute it
+    for n in range(threshold):
+        for length in range(7):
+            for entries in itertools.product(range(1, n + 1), repeat=length):
+                assert not verify_refutation(entries, k, n, repeats)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_verify_refutation_refuses_lists_below_the_three_color_threshold(data):
+    repeats = data.draw(st.booleans(), "repeats")
+    threshold = 14 if repeats else 24
+    n = data.draw(st.integers(1, threshold - 1), "n")
+    if data.draw(st.booleans(), "from a refutation"):
+        # the refutation of {1..N}, its values above n replaced, cut short
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16), "seed"))
+        proof = [v if v <= n else rng.randint(1, n)
+                 for v in _refutation(3, threshold, repeats)[1]]
+        entries = proof[:data.draw(st.integers(1, len(proof)), "length")]
+    else:
+        entries = data.draw(st.lists(st.integers(1, n), max_size=3 * n), "entries")
+    assert not verify_refutation(entries, 3, n, repeats)
 
 
 @pytest.mark.parametrize("run, cap", [

@@ -111,3 +111,19 @@ def test_every_parameter_is_read():
                 unread += [f"{path.stem}.{prefix}{fn.name}({p})" for p in params
                            if p not in read]
     assert unread == [], f"parameters never read: {unread}"
+
+
+
+# What the checkers of a threshold must not name: a checker that ran the
+# search it checks would only repeat it.
+_THRESHOLD_SEARCH = {"_lex_first_avoider", "_avoider_exists_fc", "threshold_search",
+                     "_NodeBudget"}
+
+
+@pytest.mark.parametrize("name", ["verify_refutation", "verify_avoider"])
+def test_threshold_checkers_run_no_search(name):
+    body = next(stmt for stmt in _top_level(ROOT / "src" / "sumgames" / "search.py")
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert named & _THRESHOLD_SEARCH == set(), f"{name} names {sorted(named & _THRESHOLD_SEARCH)}"
