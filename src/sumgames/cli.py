@@ -6,18 +6,21 @@ schema version, the full input config, and the certificates needed to
 re-check the result.  All randomness flows from the single config seed, so
 a fixed seed gives byte-identical reports.
 
-``verify-report`` checks each record with its command's certifier where the
-record holds a certificate: the witness of search-hindman, search-mt and
-cover-partition, the avoider and refutation of a found threshold, the
-avoider of a threshold record that found none within ``max_value``, and the
-blocks of each proper-or-collapse run.  A certifier rebuilds the result
-from the record and the config, checks it with the ``verify_*`` function of
-its kind, runs no search, and requires that the result re-encodes exactly
-to the record, each int a plain int.  So it proves the recorded claim, but
-not that the witness is the first one in search order.  Every other record
-is re-run and compared, as is every record under ``rerun``: exhaustions,
-thresholds cut by the budget or found without a certificate, dichotomy
-runs left unknown at depth, and the commands of ``_RERUN_ONLY``.
+``verify-report`` re-derives each record whole: its exit code and result
+come from its command's certifier where the record holds a certificate,
+and the record that ``dispatch`` would write for them, ``exit``,
+``command``, ``config`` and ``schema_version`` included, must equal the
+line as JSON, each int a plain int.  The certificates are the witness of
+search-hindman, search-mt and cover-partition, the avoider and refutation
+of a found threshold, the avoider of a threshold record that found none
+within ``max_value``, and the blocks of each proper-or-collapse run.  A
+certifier reads the result's object from the record, checks it with the
+``verify_*`` function of its kind, runs no search, and encodes it again as
+the runner does.  So it proves the recorded claim, but not that the
+witness is the first one in search order.  Every other record is re-run,
+as is every record under ``rerun``: exhaustions, thresholds cut by the
+budget or found without a certificate, dichotomy runs left unknown at
+depth, and the commands of ``_RERUN_ONLY``.
 
 Exit codes: 0 witness found / verified, 1 exhausted / failed,
 2 unknown at depth, 3 usage error.
@@ -95,7 +98,6 @@ from .semigroups import (
     ElementSequence,
     SumgamesError,
     finite_sets,
-    indexed_sum,
     naturals,
     sum_hypergraph,
 )
@@ -453,26 +455,20 @@ def _ints_only(value) -> bool:
     return not isinstance(value, (bool, float))
 
 
-def _same_json(rebuilt, record) -> bool:
-    """The rebuilt result is written exactly as the record: unlike ==,
-    this tells 1, 1.0 and true apart."""
-    return json.dumps(rebuilt, sort_keys=True) == json.dumps(record, sort_keys=True)
-
-
 def _run_search_hindman(config: RunConfig):
     chi = _build_coloring(config, "coloring", 1)
     budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
     out = hindman_search(chi, config["m"], budget)
     if isinstance(out, Witness):
         return EXIT_OK, _hindman_result(out)
-    return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete, "nodes": out.nodes}}
+    return EXIT_EXHAUSTED, {"exhausted": out.to_record()}
 
 
 def _hindman_result(w: Witness) -> dict:
     return {"witness": w.to_record(), "fs_values": sorted(w.certificate["fs_values"])}
 
 
-def _certify_search_hindman(config: RunConfig, result: dict) -> Optional[bool]:
+def _certify_search_hindman(config: RunConfig, result: dict):
     """Terms a_1 < ... < a_m whose finite sums lie in {1..max_value}, are
     proper and have the witness's one color."""
     if "witness" not in result:
@@ -485,7 +481,7 @@ def _certify_search_hindman(config: RunConfig, result: dict) -> Optional[bool]:
     w = Witness(BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))), terms,
                 record["color_vertex"], None, {"fs_values": fs_values})
     chi = _build_coloring(config, "coloring", 1)
-    return verify_hindman_witness(w, chi) and _same_json(_hindman_result(w), result)
+    return verify_hindman_witness(w, chi) and (EXIT_OK, _hindman_result(w))
 
 
 def _mt_instance(config: RunConfig):
@@ -505,10 +501,10 @@ def _run_search_mt(config: RunConfig):
                     chain=chain, chi_vertex=chi_v)
     if isinstance(out, Witness):
         return EXIT_OK, {"witness": out.to_record()}
-    return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete, "nodes": out.nodes}}
+    return EXIT_EXHAUSTED, {"exhausted": out.to_record()}
 
 
-def _certify_search_mt(config: RunConfig, result: dict) -> Optional[bool]:
+def _certify_search_mt(config: RunConfig, result: dict):
     """m blocks within max_index whose sums are the witness's terms: proper,
     with every d-chain's sum set of one edge color (and every finite sum of
     one vertex color), in the chain's sets where one is given."""
@@ -528,65 +524,39 @@ def _certify_search_mt(config: RunConfig, result: dict) -> Optional[bool]:
     w = Witness(blocks, terms, record["color_vertex"], record["color_edge"],
                 {"edge_sets": edge_sets})
     return (verify_mt_witness(w, sg, base, chi_e, d, chi_vertex=chi_v, chain=chain)
-            and _same_json({"witness": w.to_record()}, result))
+            and (EXIT_OK, {"witness": w.to_record()}))
 
 
 def _run_threshold(config: RunConfig):
     budget = SearchBudget(max_value=config["max_value"], node_limit=config["node_limit"])
     report = threshold_search(config["colors"], allow_repeats=config["repeats"],
                               budget=budget)
-    return (EXIT_OK if report.found else EXIT_EXHAUSTED), _threshold_result(report)
+    return (EXIT_OK if report.found else EXIT_EXHAUSTED), report.to_record()
 
 
-# A found threshold's record carries the confirmer's refutation of {1..N}
-# up to this many entries, one per confirmer node and one for its root.
-# k <= 3 needs at most 1,642 (6 KB, checked in 3 ms); k = 4 at N = 45
-# needs 388,851, 1.5 MB of JSON that takes 1.3 s to check.  The cap keeps
-# a record under about 0.4 MB and its check under about 0.35 s; a longer
-# refutation is left out, and its record is re-run.
-_MAX_REFUTATION = 100_000
-
-
-def _threshold_result(report: ThresholdReport) -> dict:
-    result = {
-        "found": report.found,
-        "n": report.n,
-        "avoider": {str(k): v for k, v in (report.avoider or {}).items()},
-        "confirmed_independent": report.confirmed_independent,
-        "note": report.note,
-    }
-    if report.certificate is not None and len(report.certificate) <= _MAX_REFUTATION:
-        result["certificate"] = report.certificate
-    return result
-
-
-def _certify_threshold(config: RunConfig, result: dict) -> Optional[bool]:
+def _certify_threshold(config: RunConfig, result: dict):
     """A found threshold N: its avoider colors {1..N-1}, and its refutation
     shows that every coloring of {1..N} has a monochromatic triple.  A
     record of no threshold within max_value: its avoider colors all of
     {1..max_value}, so the threshold exceeds max_value.  Neither runs a
     search.  A found threshold with no certificate (unconfirmed, over
-    ``_MAX_REFUTATION`` or written before thresholds had one) and a run cut
-    by its budget are re-run."""
+    ``search._MAX_REFUTATION`` or written before thresholds had one) and a
+    run cut by its budget are re-run."""
     k, max_value, repeats = config["colors"], config["max_value"], config["repeats"]
-    note = f"no threshold within {max_value}"
-    if result["found"] is True and "certificate" in result:
-        n = result["n"]
-        if not (type(n) is int and 0 < n <= max_value):
-            return False
-        report = ThresholdReport(True, n, None, 0, confirmed_independent=True,
-                                 certificate=result["certificate"])
-        colored = n - 1
-    elif result["found"] is False and result["note"] == note:
-        report = ThresholdReport(False, None, None, 0, note=note)
-        colored = max_value
+    report = ThresholdReport.from_record(result)
+    # each case sets the fields that threshold_search writes for it
+    if report.found is True and report.certificate is not None:
+        n = report.n
+        report.confirmed_independent, report.note = True, ""
+        proved = (type(n) is int and 0 < n <= max_value
+                  and verify_avoider(report.avoider, k, n - 1, repeats)
+                  and verify_refutation(report.certificate, k, n, repeats))
+    elif report.found is False and report.note == f"no threshold within {max_value}":
+        report.n, report.confirmed_independent, report.certificate = None, False, None
+        proved = verify_avoider(report.avoider, k, max_value, repeats)
     else:
         return None
-    report.avoider = {int(v): c for v, c in result["avoider"].items()}
-    return (_same_json(_threshold_result(report), result)
-            and verify_avoider(report.avoider, k, colored, repeats)
-            and (not report.found
-                 or verify_refutation(report.certificate, k, colored + 1, repeats)))
+    return proved and ((EXIT_OK if report.found else EXIT_EXHAUSTED), report.to_record())
 
 
 def _dichotomy_sequence(config: RunConfig, run: int) -> ElementSequence:
@@ -594,32 +564,28 @@ def _dichotomy_sequence(config: RunConfig, run: int) -> ElementSequence:
                                      config["seed"] + run)
 
 
-def _dichotomy_record(out, ok: bool) -> dict:
-    if isinstance(out, Proper):
-        return {"verdict": "proper", "blocks": [sorted(b) for b in out.blocks],
-                "reverified": ok}
-    if isinstance(out, Collapse):
-        return {"verdict": "collapse", "element": sorted(out.element),
-                "blocks": [sorted(b) for b in out.blocks], "reverified": ok}
-    return {"verdict": "unknown-at-depth", "nodes": out.nodes, "reverified": ok}
-
-
-def _run_proper_or_collapse(config: RunConfig):
-    outputs = []
+def _dichotomy_result(runs: list) -> tuple:
+    """The exit code and result of proper-or-collapse runs, each an
+    outcome and whether verify_dichotomy accepted it."""
     worst = EXIT_OK
-    for r in range(config["runs"]):
-        seq = _dichotomy_sequence(config, r)
-        out = proper_or_collapse(seq, config["depth"], SearchBudget(node_limit=config["node_limit"]))
-        ok = verify_dichotomy(out, seq)
+    for out, ok in runs:
         if isinstance(out, DichotomyUnknown):
             worst = max(worst, EXIT_UNKNOWN)
         if not ok:
             worst = EXIT_EXHAUSTED
-        outputs.append(_dichotomy_record(out, ok))
-    return worst, {"runs": outputs}
+    return worst, {"runs": [{**out.to_record(), "reverified": ok} for out, ok in runs]}
 
 
-def _certify_proper_or_collapse(config: RunConfig, result: dict) -> Optional[bool]:
+def _run_proper_or_collapse(config: RunConfig):
+    runs = []
+    for r in range(config["runs"]):
+        seq = _dichotomy_sequence(config, r)
+        out = proper_or_collapse(seq, config["depth"], SearchBudget(node_limit=config["node_limit"]))
+        runs.append((out, verify_dichotomy(out, seq)))
+    return _dichotomy_result(runs)
+
+
+def _certify_proper_or_collapse(config: RunConfig, result: dict):
     """Per run, min(3, depth) blocks within depth whose sums are proper, or
     all equal to an idempotent element.  A run left unknown at depth has no
     certificate, and neither has a run that failed its recheck."""
@@ -630,6 +596,7 @@ def _certify_proper_or_collapse(config: RunConfig, result: dict) -> Optional[boo
     depth = config["depth"]
     if len(runs) != config["runs"]:
         return False
+    rebuilt = []
     for r, run in enumerate(runs):
         if not _ints_only([run["blocks"], run.get("element")]):
             return False
@@ -637,13 +604,12 @@ def _certify_proper_or_collapse(config: RunConfig, result: dict) -> Optional[boo
         if len(blocks) != min(3, depth) or blocks.max_index > depth:
             return False
         seq = _dichotomy_sequence(config, r)
-        if run["verdict"] == "proper":
-            out = Proper(blocks, tuple(indexed_sum(seq, F) for F in blocks))
-        else:
-            out = Collapse(frozenset(run["element"]), blocks)
-        if not (verify_dichotomy(out, seq) and _same_json(_dichotomy_record(out, True), run)):
+        out = (Proper.from_record(run, seq) if run["verdict"] == "proper"
+               else Collapse.from_record(run))
+        if not verify_dichotomy(out, seq):
             return False
-    return True
+        rebuilt.append((out, True))
+    return _dichotomy_result(rebuilt)
 
 
 def _run_verify_filter_laws(config: RunConfig):
@@ -809,11 +775,11 @@ def _run_cover_partition(config: RunConfig):
                            target_params=params)
     if isinstance(out, PartitionWitness):
         return EXIT_OK, {"witness": out.to_record()}
-    return EXIT_EXHAUSTED, {"exhausted": {"complete": out.complete,
-                                          "nodes": out.nodes, "note": out.note}}
+    # only this block search records its note, the best depth reached
+    return EXIT_EXHAUSTED, {"exhausted": {**out.to_record(), "note": out.note}}
 
 
-def _certify_cover_partition(config: RunConfig, result: dict) -> Optional[bool]:
+def _certify_cover_partition(config: RunConfig, result: dict):
     """m disjoint families of U_1-indices within max_index, the n-th drawn
     from U_n, whose unions hold the escape points gathered before them,
     are proper and monochromatic, and cover as the target asks."""
@@ -831,7 +797,7 @@ def _certify_cover_partition(config: RunConfig, result: dict) -> Optional[bool]:
     return (w.target is _TARGETS[config["target"]] and w.coverage is Verdict.HOLDS
             and verify_partition_witness(w, dc, chi_e, config["d"], chi_vertex=chi_v,
                                          horizon=config["horizon"], **params)
-            and _same_json({"witness": w.to_record()}, result))
+            and (EXIT_OK, {"witness": w.to_record()}))
 
 
 def _run_encode_classical(config: RunConfig):
@@ -860,35 +826,65 @@ def _run_encode_classical(config: RunConfig):
 _MALFORMED = (LookupError, TypeError, ValueError, AttributeError, SumgamesError)
 
 
+def _first_difference(record: dict, rebuilt: dict, path: str = "") -> Optional[str]:
+    """The first key, in the order a report writes them, whose value differs
+    between ``record`` and ``rebuilt``: its path through the objects that
+    hold it, as in ``result.n``, and both values cut to 60 characters; None
+    if there is none.  Values are compared as JSON text, which unlike ==
+    tells 1, 1.0 and true apart."""
+    for key in sorted(record.keys() | rebuilt.keys()):
+        recorded, derived = (json.dumps(r[key], sort_keys=True) if key in r else "nothing"
+                             for r in (record, rebuilt))
+        if recorded == derived:
+            continue
+        if isinstance(record.get(key), dict) and isinstance(rebuilt.get(key), dict):
+            return _first_difference(record[key], rebuilt[key], f"{path}{key}.")
+        return f"{path}{key}: recorded {recorded:.60}, re-derived {derived:.60}"
+    return None
+
+
 def _recheck(line_no: int, line: str, rerun: bool) -> dict:
-    """Check one report line: from its certificate where the record holds
-    one and ``rerun`` is false, else by re-running its config.  A line
-    that cannot be checked is a mismatch, with the reason given."""
+    """Check one report line.  Its exit code and result are rebuilt from
+    its certificate where the record holds one and ``rerun`` is false, else
+    by re-running its config, and the whole record that ``dispatch`` would
+    write for them must equal the line's.  A line that cannot be checked,
+    or that differs, is a mismatch, with the reason given."""
     entry = {"line": line_no, "command": None, "matches": False}
     try:
         rec = _load_json(line, "record")
         if not isinstance(rec, dict):
             raise ConfigError("record is not an object")
+        if rec.get("schema_version") != SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, "
+                              f"got {rec.get('schema_version')!r}")
         cfg = parse_config(rec.get("config", {}))
         entry["command"] = cfg.command
         command, result = _COMMANDS[cfg.command], rec.get("result")
-        certified = None
+        rebuilt = None
         if command.certify is not None and not rerun:
             try:
-                certified = command.certify(cfg, result)
+                rebuilt = command.certify(cfg, result)
             except _MALFORMED as exc:
-                entry["certificate"] = True
+                rebuilt = False
                 entry["reason"] = f"malformed result: {type(exc).__name__}: {exc}"
-                return entry
-        if certified is None:
-            _, regenerated = command.run(cfg)
+        if rebuilt is None:
+            code, regenerated = command.run(cfg)
             # a found threshold written before thresholds had certificates
             # makes the same claim as its re-run, which adds one
             if isinstance(result, dict) and "certificate" not in result:
                 regenerated.pop("certificate", None)
-            entry["matches"] = _same_json(regenerated, result)
+            rebuilt = code, regenerated
         else:
-            entry["matches"], entry["certificate"] = certified, True
+            entry["certificate"] = True
+        if rebuilt:
+            record = _record(cfg, *rebuilt)
+            # a line as the program writes it is its record's JSON text
+            reason = (None if json.dumps(record, sort_keys=True) == line
+                      else _first_difference(rec, record))
+            if reason is None:
+                entry["matches"] = True
+            else:
+                entry["reason"] = reason
     except (ConfigError, ValueError) as exc:
         entry["reason"] = str(exc)
     except Exception as exc:  # a record whose check raises is one mismatch
@@ -910,8 +906,11 @@ def _run_verify_report(config: RunConfig):
 
 class Command(NamedTuple):
     """A command: its runner, which returns (exit code, result), and its
-    certifier, which checks a recorded result with no search and returns
-    None where the result holds no certificate."""
+    certifier, which checks a recorded result with its ``verify_*``
+    function and no search.  A certifier returns None where the result
+    holds no certificate, False where the check refutes it, and else the
+    (exit code, result) that it rebuilds from the certificate with the
+    runner's own encoder."""
 
     run: Callable
     help: str
@@ -1113,17 +1112,16 @@ def format_report(records: list, fmt: str) -> str:
     raise ConfigError(f"format: unknown format {fmt!r}")
 
 
+def _record(config: RunConfig, code: int, result) -> dict:
+    """The report record of a run of ``config``."""
+    return {"schema_version": SCHEMA_VERSION, "command": config.command,
+            "config": config.to_dict(), "result": result, "exit": code}
+
+
 def dispatch(config: RunConfig) -> int:
     """Run one command, write its report, and return the exit status."""
     code, result = _COMMANDS[config.command].run(config)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "config": config.to_dict(),
-        "result": result,
-        "exit": code,
-    }
-    text = format_report([record], config["format"])
+    text = format_report([_record(config, code, result)], config["format"])
     out_path = config["out"]
     if out_path is None and os.environ.get(OUT_DIR_ENV):
         out_path = os.path.join(os.environ[OUT_DIR_ENV],

@@ -107,11 +107,23 @@ class Exhausted:
     nodes: int
     note: str = ""
 
+    def to_record(self) -> dict:
+        return {"complete": self.complete, "nodes": self.nodes}
+
 
 @dataclass
 class Proper:
     blocks: BlockSequence
     terms: tuple
+
+    def to_record(self) -> dict:
+        return {"verdict": "proper", "blocks": [sorted(b) for b in self.blocks]}
+
+    @classmethod
+    def from_record(cls, record: dict, seq: ElementSequence) -> "Proper":
+        """The run that ``to_record`` wrote, its terms summed from ``seq``."""
+        blocks = BlockSequence(tuple(record["blocks"]))
+        return cls(blocks, tuple(indexed_sum(seq, F) for F in blocks))
 
 
 @dataclass
@@ -119,11 +131,22 @@ class Collapse:
     element: Any
     blocks: BlockSequence
 
+    def to_record(self) -> dict:
+        return {"verdict": "collapse", "element": sorted(self.element),
+                "blocks": [sorted(b) for b in self.blocks]}
+
+    @classmethod
+    def from_record(cls, record: dict) -> "Collapse":
+        return cls(frozenset(record["element"]), BlockSequence(tuple(record["blocks"])))
+
 
 @dataclass
 class DichotomyUnknown:
     nodes: int
     complete: bool
+
+    def to_record(self) -> dict:
+        return {"verdict": "unknown-at-depth", "nodes": self.nodes}
 
 
 class _NodeBudget:
@@ -613,6 +636,15 @@ def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
 # Schur-type thresholds
 # ---------------------------------------------------------------------------
 
+# A found threshold's record carries the confirmer's refutation of {1..N}
+# up to this many entries, one per confirmer node and one for its root.
+# k <= 3 needs at most 1,642 (6 KB, checked in 3 ms); k = 4 at N = 45
+# needs 388,851, 1.5 MB of JSON that takes 1.3 s to check.  The cap keeps
+# a record under about 0.4 MB and its check under about 0.35 s; a longer
+# refutation is left out, and its record is re-run.
+_MAX_REFUTATION = 100_000
+
+
 @dataclass
 class ThresholdReport:
     """The outcome of ``threshold_search``.  A found and confirmed
@@ -628,6 +660,27 @@ class ThresholdReport:
     confirmed_independent: bool = False
     note: str = ""
     certificate: Optional[list] = None
+
+    def to_record(self) -> dict:
+        """Every field but ``nodes``; a certificate over the cap is left out."""
+        record = {
+            "found": self.found,
+            "n": self.n,
+            "avoider": {str(k): v for k, v in (self.avoider or {}).items()},
+            "confirmed_independent": self.confirmed_independent,
+            "note": self.note,
+        }
+        if self.certificate is not None and len(self.certificate) <= _MAX_REFUTATION:
+            record["certificate"] = self.certificate
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict) -> "ThresholdReport":
+        """The report that ``to_record`` wrote as ``record``, with 0 nodes."""
+        return cls(record["found"], record["n"],
+                   {int(v): c for v, c in record["avoider"].items()}, 0,
+                   record["confirmed_independent"], record["note"],
+                   record.get("certificate"))
 
 
 def _has_mono_triple(colors: dict, n: int, allow_repeats: bool) -> bool:

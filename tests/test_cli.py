@@ -5,7 +5,7 @@ import shlex
 
 import pytest
 
-from sumgames import cli
+from sumgames import cli, search
 from sumgames.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -486,6 +486,36 @@ def test_found_threshold_without_a_certificate_is_rerun(tmp_path):
     _set_result(path, lambda r: r.__setitem__("n", 15))
     code, result = _verify(tmp_path, path)
     assert code == EXIT_EXHAUSTED and result["mismatches"] == 1
+    assert result["details"][0]["reason"] == "result.n: recorded 15, re-derived 14"
+
+
+_FILTER_LAWS_README = {"command": "verify-filter-laws", "ground": 3}
+
+
+def _set_record(path, key, value):
+    rec = json.loads(path.read_text())
+    rec[key] = value
+    path.write_text(json.dumps(rec) + "\n")
+
+
+# Everything outside "result" is part of the record too, on both paths.
+@pytest.mark.parametrize("key, value, reason", [
+    ("exit", 1, "exit: recorded 1, re-derived 0"),
+    ("command", "threshold", 'command: recorded "threshold", re-derived "{command}"'),
+    ("schema_version", 99, "schema_version: expected 1, got 99"),
+    ("extra", True, "extra: recorded true, re-derived nothing"),
+], ids=["exit", "command", "schema-version", "extra-key"])
+@pytest.mark.parametrize("config", [_HINDMAN_README, _FILTER_LAWS_README],
+                         ids=["certified", "rerun-only"])
+@pytest.mark.parametrize("rerun", [False, True], ids=["certificate", "rerun"])
+def test_verify_report_checks_the_whole_record(tmp_path, config, key, value, reason, rerun):
+    path = _report(tmp_path, config)
+    _set_record(path, key, value)
+    code, result = _verify(tmp_path, path, rerun=rerun)
+    assert code == EXIT_EXHAUSTED and result["mismatches"] == 1
+    entry = result["details"][0]
+    assert entry["matches"] is False
+    assert entry["reason"] == reason.format(command=config["command"])
 
 
 def test_threshold_certificate_is_written_within_its_cap(tmp_path):
@@ -495,10 +525,10 @@ def test_threshold_certificate_is_written_within_its_cap(tmp_path):
     assert not result["found"] and "certificate" not in result
     # one entry more than the cap, and a found record is written without it
     report = cli.threshold_search(3, allow_repeats=False)
-    assert len(report.certificate) == 1_642 <= cli._MAX_REFUTATION
-    assert cli._threshold_result(report)["certificate"] == report.certificate
-    report.certificate += [1] * (cli._MAX_REFUTATION + 1 - 1_642)
-    assert "certificate" not in cli._threshold_result(report)
+    assert len(report.certificate) == 1_642 <= search._MAX_REFUTATION
+    assert report.to_record()["certificate"] == report.certificate
+    report.certificate += [1] * (search._MAX_REFUTATION + 1 - 1_642)
+    assert "certificate" not in report.to_record()
 
 
 class _Built(Exception):

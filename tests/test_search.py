@@ -25,6 +25,7 @@ from sumgames.search import (
     Exhausted,
     Proper,
     SearchBudget,
+    ThresholdReport,
     Witness,
     hindman_search,
     mt_search,
@@ -790,6 +791,28 @@ def test_search_refuses_a_cap_it_does_not_read(run, cap):
         run()
 
 
+# Each kind of threshold record reads back as the report that wrote it;
+# ``pad`` entries appended to a refutation put it over the cap.
+@pytest.mark.parametrize("k, repeats, budget, pad, shape", [
+    (3, False, SearchBudget(max_value=64), 0,
+     lambda r: r["found"] and len(r["certificate"]) == 1_642),
+    (2, True, SearchBudget(max_value=64), search_module._MAX_REFUTATION,
+     lambda r: r["found"] and "certificate" not in r),
+    (2, True, SearchBudget(max_value=4), 0,
+     lambda r: r["note"] == "no threshold within 4"),
+    (3, False, SearchBudget(max_value=64, node_limit=20_980), 0,
+     lambda r: r["note"].startswith("budget exhausted")),
+], ids=["found-with-certificate", "found-over-the-cap", "none-within-max-value",
+        "cut-by-budget"])
+def test_threshold_record_reads_back(k, repeats, budget, pad, shape):
+    report = threshold_search(k, allow_repeats=repeats, budget=budget)
+    if pad:
+        report.certificate += [1] * pad
+    record = report.to_record()
+    assert shape(record)
+    assert ThresholdReport.from_record(record).to_record() == record
+
+
 def test_threshold_cli_three_colors_no_repeats(capsys):
     assert main(["threshold", "--colors", "3", "--no-repeats"]) == EXIT_OK
     assert '"n": 24' in capsys.readouterr().out
@@ -865,6 +888,19 @@ def test_dichotomy_max_index_must_be_depth():
     outs = [proper_or_collapse(seq, 5, budget)
             for budget in (None, SearchBudget(), SearchBudget(max_index=5))]
     assert outs[0] == outs[1] == outs[2] and isinstance(outs[0], Proper)
+
+
+@pytest.mark.parametrize("sg, terms, kind", [
+    (naturals(), [1, 2, 3, 4, 5], Proper),
+    (finite_sets(), [frozenset({1})] * 4, Collapse),
+], ids=["proper", "collapse"])
+def test_dichotomy_record_reads_back(sg, terms, kind):
+    seq = ElementSequence.from_terms(sg, terms)
+    out = proper_or_collapse(seq, len(terms))
+    assert isinstance(out, kind)
+    record = out.to_record()
+    back = Proper.from_record(record, seq) if kind is Proper else Collapse.from_record(record)
+    assert back == out and back.to_record() == record
 
 
 @given(st.integers(0, 2 ** 31))

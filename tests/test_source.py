@@ -120,10 +120,26 @@ _THRESHOLD_SEARCH = {"_lex_first_avoider", "_avoider_exists_fc", "threshold_sear
                      "_NodeBudget"}
 
 
+def _named(body) -> set:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 @pytest.mark.parametrize("name", ["verify_refutation", "verify_avoider"])
 def test_threshold_checkers_run_no_search(name):
     body = next(stmt for stmt in _top_level(ROOT / "src" / "sumgames" / "search.py")
                 if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
-    named = {node.id if isinstance(node, ast.Name) else node.attr
-             for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))}
+    named = _named(body)
     assert named & _THRESHOLD_SEARCH == set(), f"{name} names {sorted(named & _THRESHOLD_SEARCH)}"
+
+
+def test_only_recheck_compares_records():
+    # A certifier rebuilds a result from its certificate; verify-report's
+    # _recheck compares the whole record, once, for certified and re-run
+    # records alike.  A certifier that compared on its own would check less.
+    certifiers = [stmt for stmt in _top_level(ROOT / "src" / "sumgames" / "cli.py")
+                  if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_certify_")]
+    assert len(certifiers) == 5
+    comparing = {body.name: sorted(_named(body) & {"_same_json", "json"})
+                 for body in certifiers}
+    assert {name: named for name, named in comparing.items() if named} == {}
