@@ -474,12 +474,16 @@ def _certify_search_hindman(config: RunConfig, result: dict):
     if "witness" not in result:
         return None
     m, record, fs_values = config["m"], result["witness"], result["fs_values"]
-    terms = tuple(record["terms"])
+    w = Witness.from_record(record)
+    terms = w.terms
+    # verify_hindman_witness reads neither the blocks, {1}..{m}, nor the
+    # edge color, none
     if not (_ints_only(result) and len(terms) == m and 0 < terms[0]
-            and list(terms) == sorted(set(terms)) and max(fs_values) <= config["max_value"]):
+            and list(terms) == sorted(set(terms)) and max(fs_values) <= config["max_value"]
+            and record["blocks"] == [[i] for i in range(1, m + 1)]
+            and record["color_edge"] is None):
         return False
-    w = Witness(BlockSequence(tuple(frozenset([i]) for i in range(1, m + 1))), terms,
-                record["color_vertex"], None, {"fs_values": fs_values})
+    w.certificate = {"fs_values": fs_values}
     chi = _build_coloring(config, "coloring", 1)
     return verify_hindman_witness(w, chi) and (EXIT_OK, _hindman_result(w))
 
@@ -510,19 +514,16 @@ def _certify_search_mt(config: RunConfig, result: dict):
     one vertex color), in the chain's sets where one is given."""
     if "witness" not in result:
         return None
-    record, m, d = result["witness"], config["m"], config["d"]
-    blocks = BlockSequence(tuple(record["blocks"]))
-    terms = tuple(record["terms"] if config["semigroup"] == "naturals"
-                  else map(frozenset, record["terms"]))
+    m, d = config["m"], config["d"]
+    w = Witness.from_record(result["witness"])
     # checked before anything is built: m terms have 2^m - 1 sums, and the
     # base is built up to the largest index of a block
-    if not (_ints_only(result) and len(blocks) == len(terms) == m
-            and blocks.max_index <= config["max_index"]):
+    if not (_ints_only(result) and len(w.blocks) == len(w.terms) == m
+            and w.blocks.max_index <= config["max_index"]):
         return False
     sg, base, chi_e, chi_v, chain = _mt_instance(config)
-    edge_sets = sum_hypergraph(ElementSequence.from_terms(sg, terms), m, d)
-    w = Witness(blocks, terms, record["color_vertex"], record["color_edge"],
-                {"edge_sets": edge_sets})
+    edge_sets = sum_hypergraph(ElementSequence.from_terms(sg, w.terms), m, d)
+    w.certificate = {"edge_sets": edge_sets}
     return (verify_mt_witness(w, sg, base, chi_e, d, chi_vertex=chi_v, chain=chain)
             and (EXIT_OK, {"witness": w.to_record()}))
 
@@ -988,8 +989,8 @@ _COMMANDS = {
         # max_value costs its square: 1024 takes 0.005 s, 4096 takes 0.04 s,
         # and 10^7 of either took 175 or 251 MB; node_limit bounds the rest:
         # --colors 4 --no-repeats at 1024 spends the default 10^7 nodes and
-        # ends "budget exhausted at N=53" in 3.1 s (median of 5 runs), and
-        # --colors 4 at 64 ends "budget exhausted at N=45" in 4.0 s
+        # ends "budget exhausted at N=56" in 5.1 s (median of 5 runs), and
+        # --colors 4 at 64 ends "budget exhausted at N=45" in 4.4 s
         colors=Key(_integer(1, 64), 2), repeats=Key(_boolean, True),
         max_value=Key(_integer(0, 1024), 64)),
     "proper-or-collapse": _command(

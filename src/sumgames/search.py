@@ -97,6 +97,15 @@ class Witness:
             "certificate_size": size,
         }
 
+    @classmethod
+    def from_record(cls, record: dict) -> "Witness":
+        """The witness that ``to_record`` wrote as ``record``, a term listed
+        as a set read back as a frozenset.  The record holds only the size
+        of the certificate, so it comes back empty."""
+        return cls(BlockSequence(tuple(record["blocks"])),
+                   tuple(frozenset(t) if isinstance(t, list) else t for t in record["terms"]),
+                   record["color_vertex"], record["color_edge"])
+
 
 @dataclass
 class Exhausted:
@@ -778,12 +787,12 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
 
     A forward check skips branches that cannot change the result.  Once
     every color is in use, if the color of v newly forbids some z with
-    v < z <= depth that every other color forbids too, no extension colors
-    z, since forbidden sets only grow; so nothing below v gets deeper than
-    ``depth``, and v takes its next color at once.  A complete pass returns
-    what it would without the check.  A pass cut by the budget visits a
-    subsequence of those nodes, so it reaches at least as deep on the same
-    budget.
+    v < z <= depth + 1 that every other color forbids too, no extension
+    colors z, since forbidden sets only grow; so nothing below v gets
+    deeper than ``depth``, and v takes its next color at once.  A complete
+    pass returns what it would without the check.  A pass cut by the budget
+    visits a subsequence of those nodes, so it reaches at least as deep on
+    the same budget.
 
     Each color tried at a value is one node, one ``nodes.spend()``, also
     when the color is refused because it would complete a monochromatic
@@ -798,7 +807,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     saved = [0] * (max_value + 2)   # forb[colors[v]] before v was colored
     in_use = [0] * (max_value + 2)  # colors used by 1..v-1
     depth, held = 0, []  # held: colors[1:depth + 1] when depth was first reached
-    reached = 1          # bits 0..depth
+    reached = 3          # bits 0..depth + 1
     rivals = _rivals(k)
     v = 1 if max_value else 0
     while v:
@@ -833,10 +842,11 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             depth, held = v, colors[1:v + 1]
             if v == max_value:
                 break
-            reached = (bit << 1) - 1
+            reached = (bit << 2) - 1
         elif prior == k:
-            # c newly forbids only values above v; one of them up to depth
-            # that every other color forbids too is reached by no extension
+            # c newly forbids only values above v; one of them up to
+            # depth + 1 that every other color forbids too is reached by no
+            # extension
             z = (f ^ old) & reached
             if z:
                 for d in rivals[c]:
@@ -854,9 +864,11 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
                        nodes: _NodeBudget, proof: Optional[list] = None) -> Optional[bool]:
     """Second, structurally different enumerator: forward checking over
     per-value color domains (bit c - 1 of ``dom[v]`` set while v may still
-    take color c), branching on the unassigned value with the fewest colors
-    left.  The colors that no assigned value uses yet have pruned no
-    domain, so they are interchangeable: each branch tries the least of
+    take color c), branching on the least unassigned value with the fewest
+    colors left.  A color that wipes out a domain closes its branch, so no
+    unassigned value has 0 colors left, and the scan stops at the first
+    value with 1.  The colors that no assigned value uses yet have pruned
+    no domain, so they are interchangeable: each branch tries the least of
     them and none of the others.  Each color tried is one node, one
     ``nodes.spend()``, also when it wipes out a domain.  True if some
     k-coloring of {1..n} avoids every monochromatic {x, y, x+y}, False if
@@ -881,6 +893,8 @@ def _avoider_exists_fc(k: int, n: int, allow_repeats: bool,
             left = dom[u].bit_count()
             if left < size:
                 v, size = u, left
+                if left == 1:  # no free value has 0 colors left
+                    break
         free ^= 1 << v
         record(v)
         # the fresh colors are in every domain and interchangeable: keep

@@ -393,6 +393,9 @@ def _lookalike(values, key, like=float):
     # colors 1 and 2 alike: 1 + 1 = 2 is a monochromatic triple
     (_NO_THRESHOLD_40, lambda r: _set_avoider(r, "2", r["avoider"]["1"])),
     (_HINDMAN_README, lambda r: r["witness"]["terms"].__setitem__(1, 6)),
+    # blocks and an edge color that no Hindman witness has
+    (_HINDMAN_README, lambda r: r["witness"].__setitem__("blocks", [[1], [3]])),
+    (_HINDMAN_README, lambda r: r["witness"].__setitem__("color_edge", 1)),
     (_COVER_OP, lambda r: r["witness"]["families"].__setitem__(1, [3])),
     # blocks {1}, {2}, {3, 4} become {1}, {2}, {3}: 1 + 2 = 3 is improper
     (_POC_LITERAL, lambda r: r["runs"][0]["blocks"].__setitem__(2, [3])),
@@ -416,7 +419,8 @@ def _lookalike(values, key, like=float):
     (_POC_LITERAL, lambda r: _lookalike(r["runs"][0]["blocks"][0], 0, bool)),
     (_COVER_OP, lambda r: _lookalike(r["witness"]["index_blocks"][0], 0)),
     (_COVER_OP, lambda r: _lookalike(r["witness"], "color_edge", bool)),
-], ids=["mt-block", "avoider-color", "hindman-term", "family-index", "dichotomy-block",
+], ids=["mt-block", "avoider-color", "hindman-term", "hindman-blocks",
+        "hindman-color-edge", "family-index", "dichotomy-block",
         "refutation-cut", "refutation-for-n-plus-1", "refutation-true",
         "avoider-true", "avoider-float", "confirmed-zero", "threshold-n-float",
         "hindman-float-terms", "hindman-color-true", "hindman-size-float",
@@ -520,7 +524,7 @@ def test_verify_report_checks_the_whole_record(tmp_path, config, key, value, rea
 
 def test_threshold_certificate_is_written_within_its_cap(tmp_path):
     # a run cut by its budget has none
-    config = {"command": "threshold", "colors": 3, "repeats": False, "node_limit": 20_980}
+    config = {"command": "threshold", "colors": 3, "repeats": False, "node_limit": 20_581}
     result = json.loads(_report(tmp_path, config).read_text())["result"]
     assert not result["found"] and "certificate" not in result
     # one entry more than the cap, and a found record is written without it

@@ -1,7 +1,9 @@
 """Witness searches: Hindman, Milliken–Taylor, Schur thresholds, dichotomy."""
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import random
 from typing import Optional
 
@@ -344,11 +346,11 @@ def test_threshold_budget_report():
 # Published thresholds: S(1..3) = 1, 4, 13 (Schur 1916; Baumert 1965) and
 # the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.  The node
 # counts (DFS plus confirmer) are pinned too: a faster enumerator must
-# visit exactly these nodes.  (3, True) is 495 + 69, (2, False) 37 + 18
-# and (3, False) 20,981 + 1,641.
+# visit exactly these nodes.  (3, True) is 420 + 69, (2, False) 37 + 18
+# and (3, False) 20,582 + 1,641.
 @pytest.mark.parametrize("k, repeats, n, nodes", [
-    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 564),
-    (1, False, 3, 5), (2, False, 9, 55), (3, False, 24, 22_622),
+    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 489),
+    (1, False, 3, 5), (2, False, 9, 55), (3, False, 24, 22_223),
 ])
 def test_threshold_published_values(k, repeats, n, nodes):
     report = threshold_search(k, allow_repeats=repeats)
@@ -516,7 +518,8 @@ def _avoider_exists_fc_frozen(k: int, n: int, allow_repeats: bool,
 @pytest.mark.parametrize("k, repeats", [(k, repeats) for k in (1, 2, 3, 4)
                                         for repeats in (True, False)])
 def test_threshold_dfs_matches_frozen_reference(k, repeats):
-    for max_value in range(36 if k == 4 else 41):
+    # at k = 4 the frozen DFS is cut by its 10^7 nodes from max_value 44 on
+    for max_value in range(44 if k == 4 else 41):
         old, new = _NodeBudget(10 ** 7), _NodeBudget(10 ** 7)
         want = _lex_first_avoider_frozen(k, max_value, repeats, old)
         assert _lex_first_avoider(k, max_value, repeats, new) == want
@@ -588,8 +591,8 @@ def test_threshold_confirmation_obeys_node_limit(monkeypatch):
 
 # Node counts of the two DFS passes the schur benchmark runs most.
 @pytest.mark.parametrize("k, max_value, repeats, depth, used", [
-    (4, 40, True, 40, 36_263),
-    (3, 64, False, 23, 20_981),
+    (4, 40, True, 40, 11_559),
+    (3, 64, False, 23, 20_582),
 ])
 def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
     nodes = _NodeBudget(10 ** 7)
@@ -598,12 +601,12 @@ def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
 
 
 @pytest.mark.parametrize("k, repeats, max_value, limit, found, nodes, note", [
-    # node_limit caps each enumerator alone, so the report's 22,622 nodes
-    # (20,981 DFS + 1,641 confirmer) exceed it
-    (3, False, 64, 20_981, True, 22_622, ""),
-    (3, False, 64, 20_980, False, 20_980, "budget exhausted at N=24; threshold > 23"),
-    (4, True, 40, 36_263, False, 36_263, "no threshold within 40"),
-    (4, True, 40, 36_262, False, 36_262, "budget exhausted at N=40; threshold > 39"),
+    # node_limit caps each enumerator alone, so the report's 22,223 nodes
+    # (20,582 DFS + 1,641 confirmer) exceed it
+    (3, False, 64, 20_582, True, 22_223, ""),
+    (3, False, 64, 20_581, False, 20_581, "budget exhausted at N=24; threshold > 23"),
+    (4, True, 40, 11_559, False, 11_559, "no threshold within 40"),
+    (4, True, 40, 11_558, False, 11_558, "budget exhausted at N=40; threshold > 39"),
 ])
 def test_threshold_budget_edges(k, repeats, max_value, limit, found, nodes, note):
     report = threshold_search(k, repeats, SearchBudget(max_value=max_value,
@@ -637,9 +640,9 @@ _LEX, _FC = (_lex_first_avoider, _lex_first_avoider_frozen), (
 
 
 @pytest.mark.parametrize("enumerators, args, used, frozen, cut", [
-    (_LEX, (4, 40, True), 36_263, 132_983, 1_000),
-    (_LEX, (3, 64, False), 20_981, 62_114, 10_000),
-    (_LEX, (3, 64, True), 495, 978, 300),
+    (_LEX, (4, 40, True), 11_559, 132_983, 1_000),
+    (_LEX, (3, 64, False), 20_582, 62_114, 10_000),
+    (_LEX, (3, 64, True), 420, 978, 300),
     (_LEX, (2, 64, False), 37, 53, 30),
     (_FC, (3, 24, False), 1_641, 3_280, 1_000),
     (_FC, (3, 14, True), 69, 137, 50),
@@ -732,6 +735,25 @@ def test_verify_refutation_refuses_each_tampering(k, repeats, threshold):
     assert not verify_refutation([], k, threshold, repeats)
 
 
+# The confirmer's lists, frozen, so that a change which keeps every verdict
+# and node count but reorders the confirmer's tree still fails: the
+# refutations that the k <= 3 thresholds carry as certificates, and the
+# walk that finds an avoider of {1..44} in 4 colors.
+@pytest.mark.parametrize("k, repeats, n, entries, digest", [
+    (1, True, 2, 2, "3a316d6d3226f84c1e46e4447fa8d5fd800bff4a1bc6498152523cd4a602b69b"),
+    (2, True, 5, 5, "7456d6902acd11be7759d56dd5c850dd2fdafd2ceb2509f46a8c75b20a70883a"),
+    (3, True, 14, 70, "07333c9944417b1942c9a34a40c888e3353a1cde76e9615258574c5dde4e3904"),
+    (1, False, 3, 3, "a36b1f2c3f84522dd1005145646617d7054c0851e97c72a039c0bdfac9fa07f3"),
+    (2, False, 9, 19, "ce5d14c96cb229831779af2f5fba46967185782dae7847724c07569e0c848f1a"),
+    (3, False, 24, 1_642, "ff0366ee3a2703a3fa73c7e137ca4051aeee6eda64e6e62b5db2ee929304a9cf"),
+    (4, True, 44, 23_757, "9a8ff195f735b0729d696466dcdb4695b954daf7755cdcae7ab931a760675b52"),
+])
+def test_confirmer_lists_are_frozen(k, repeats, n, entries, digest):
+    exists, proof, _ = _refutation(k, n, repeats)
+    assert exists is (k == 4) and len(proof) == entries
+    assert hashlib.sha256(json.dumps(list(proof)).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("k, repeats, threshold, i, closing, other", [
     # 9 closes its branch under {1, 2, 4, 8 | 3, 5, 6}; 7 still has a color
     (2, False, 9, 7, 9, 7),
@@ -800,7 +822,7 @@ def test_search_refuses_a_cap_it_does_not_read(run, cap):
      lambda r: r["found"] and "certificate" not in r),
     (2, True, SearchBudget(max_value=4), 0,
      lambda r: r["note"] == "no threshold within 4"),
-    (3, False, SearchBudget(max_value=64, node_limit=20_980), 0,
+    (3, False, SearchBudget(max_value=64, node_limit=20_581), 0,
      lambda r: r["note"].startswith("budget exhausted")),
 ], ids=["found-with-certificate", "found-over-the-cap", "none-within-max-value",
         "cut-by-budget"])
@@ -811,6 +833,19 @@ def test_threshold_record_reads_back(k, repeats, budget, pad, shape):
     record = report.to_record()
     assert shape(record)
     assert ThresholdReport.from_record(record).to_record() == record
+
+
+@pytest.mark.parametrize("search", [
+    lambda: hindman_search(parity_coloring(), 2, SearchBudget(max_value=7)),
+    lambda: mt_search(cardinality_coloring(2), FIN, fin_singletons(), m=3, d=2,
+                      budget=SearchBudget(max_index=6)),
+], ids=["hindman", "mt-finite-sets"])
+def test_witness_record_reads_back(search):
+    # every field but the certificate, whose size alone is recorded
+    w = search()
+    back = Witness.from_record(w.to_record())
+    assert back.certificate == {} and w.certificate
+    assert dataclasses.replace(back, certificate=w.certificate) == w
 
 
 def test_threshold_cli_three_colors_no_repeats(capsys):
