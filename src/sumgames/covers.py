@@ -215,7 +215,7 @@ def _covered(sets: Sequence[SSet], points: tuple) -> bool:
     return covered >= set(points)
 
 
-def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
+def classify_cover(cover: Cover, kind: CoverKind, horizon: int, *,
                    t: int = 2, s: int = 2, f: int = 2) -> Verdict:
     """Classify a cover prefix against a family at the given horizon.
 
@@ -259,3 +259,30 @@ def classify_cover(cover: Cover, kind: CoverKind, horizon: int,
         return Verdict.HOLDS if _covered(sets, points) else short_fail
 
     raise ValueError(f"unknown cover kind {kind!r}")
+
+
+# the target parameters' defaults, as classify_cover states them
+_TARGET_DEFAULTS = classify_cover.__kwdefaults__
+
+
+def completion_floor(kind: CoverKind, n_sets: int, r: int,
+                     **target_params) -> Optional[int]:
+    """The fewest of ``n_sets`` distinct sets that every horizon point must
+    lie in, for r more distinct sets to complete them to a cover that
+    ``classify_cover`` finds HOLDS; None where the family gives no bound.
+
+    lambda: each later set adds at most 1 to a point's multiplicity, so a
+    point in fewer than t - r of the sets ends in fewer than t.  gamma: a
+    point's exclusions only grow, so a point outside more than f of the
+    sets, that is in fewer than n_sets - f, stays outside more than f.  op
+    and asc have no bound, since later sets may still cover every point.
+    Nor has omega: its one definitive failure is a member equal to the
+    whole space, which no union of the initial-segment or cofinite covers
+    is.  t and f default as ``classify_cover`` states them.
+    """
+    params = {**_TARGET_DEFAULTS, **target_params}
+    if kind is CoverKind.LAMBDA:
+        return params["t"] - r
+    if kind is CoverKind.GAMMA:
+        return n_sets - params["f"]
+    return None

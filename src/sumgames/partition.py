@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from .coloring import Coloring
-from .covers import Cover, CoverKind, SSet, Space, classify_cover
+from .covers import Cover, CoverKind, SSet, Space, classify_cover, completion_floor
 from .filters import SymbolicChain
 from .search import (
     Exhausted,
@@ -192,6 +192,15 @@ class _PointMasks:
         return out
 
 
+def _in_at_least(masks, count: int) -> int:
+    """The mask of the points that lie in at least ``count`` of the masks."""
+    levels = [-1] + [0] * count  # levels[j]: the points in at least j masks
+    for v in masks:
+        for j in range(count, 0, -1):
+            levels[j] |= levels[j - 1] & v
+    return levels[count]
+
+
 def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
                      chi_edge: Coloring, m: int, d: int, target: CoverKind,
                      horizon: int, budget: SearchBudget,
@@ -206,7 +215,18 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     The F_n are index blocks F_1 < ... < F_m of U_1-indices, listed as the
     block searches list their chains, with F_n drawn from the indices of
     U_n's members.  A budget that sets ``max_value``, which this search does
-    not read, raises ValueError."""
+    not read, raises ValueError.
+
+    A prefix of n < m unions is dropped, after its escape points and before
+    any of its sums is colored, when ``completion_floor`` shows that no
+    m - n more unions make the target hold: under lambda, a horizon point
+    lies in fewer than t - (m - n) of its distinct unions; under gamma, one
+    lies outside more than f of them.  The prefix costs its node, its
+    subtree none, and the other nodes keep their order: the first witness
+    and a complete exhaustion are those of the search without the cut, and
+    a run cut by ``node_limit`` finds its witness no later.  An exhaustion's
+    note, the best depth reached, counts the deepest prefix that passed
+    every check, this one too."""
     if m < d:
         raise ValueError(f"m={m} < d={d}: m rounds hold no chain of d unions")
     budget.require_unset("menger_mt_search", "max_value")
@@ -228,6 +248,13 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
     need = list(itertools.accumulate(map(masks.point, escapes[:-1]), operator.or_,
                                      initial=0))
     member_mask = functools.cache(lambda j: masks.encode(member_set(j)))
+    horizon_mask = functools.reduce(operator.or_, map(
+        masks.point, dc.space.points_up_to(horizon)), 0)
+    # floors[n]: the fewest of n unions that each horizon point must lie in
+    # for m - n more to meet the target; 0 where the target gives no bound,
+    # and at n = m, where finish classifies the cover
+    floors = [max(completion_floor(target, n, m - n, **tparams) or 0, 0)
+              for n in range(m)] + [0]
     # the coverage verdict of each tuple of unions V_1..V_m
     verdicts: dict = {}
 
@@ -245,6 +272,13 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         term = union_of(blocks[-1])
         # the escape points x_1..x_{n-1} must lie in the new union V_n
         if term & need[len(blocks) - 1] != need[len(blocks) - 1]:
+            return None
+        # a horizon point below the floor: no m - n more unions can make
+        # V_1..V_m meet the target.  The unions count as distinct, since
+        # _prefix_sums refuses a term equal to an earlier one before it
+        # colors anything.
+        least = floors[len(blocks)]
+        if least and horizon_mask & ~_in_at_least(map(union_of, blocks), least):
             return None
         state = _prefix_sums(parent, term)
         if state is not None:

@@ -551,6 +551,21 @@ def test_cover_partition_rejects_max_index_below_m_before_building(capsys, monke
     assert capsys.readouterr().err == "config error: max_index must allow m rounds\n"
 
 
+def test_gamma_partition_at_ten_rounds_is_found_and_certified(tmp_path):
+    # the search drops every prefix with a point outside more than f of its
+    # unions, so the default budget finds this witness at node 4,105, where
+    # it used to run for minutes
+    path = tmp_path / "gamma.jsonl"
+    code = main(shlex.split("cover-partition --edge-coloring constant --m 10 "
+                            "--target gamma --max-index 64") + ["--out", str(path)])
+    assert code == EXIT_OK
+    assert json.loads(path.read_text())["result"]["witness"]["coverage"] == "holds"
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_OK
+    assert result["details"] == [{"line": 1, "command": "cover-partition",
+                                  "certificate": True, "matches": True}]
+
+
 # Integer keys that take any size, each with its reason: a common key by
 # its name, another by command.key, a descriptor key by descriptor.key.
 # An entry leaves when its key gets a bound or a budget; none is added.

@@ -1,5 +1,7 @@
 """Space subsets and cover classification."""
-from hypothesis import given
+import itertools
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumgames.covers import (
@@ -8,6 +10,7 @@ from sumgames.covers import (
     SSet,
     Space,
     classify_cover,
+    completion_floor,
 )
 from sumgames.verdicts import Verdict
 
@@ -184,3 +187,29 @@ def test_lambda_and_omega_verdicts_never_restrict_a_set(monkeypatch):
 
     monkeypatch.setattr(SSet, "restrict", restrict)
     assert [classify_cover(c, kind, h, **params) for c, kind, h, params in cases] == want
+
+
+# ---------------------------------------------------------------- completion floor
+
+FIVE = Space.finite_points(range(5))
+_SUBSETS = st.frozensets(st.integers(0, 4)).map(SSet.finite)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_SUBSETS, unique=True, max_size=4), st.lists(_SUBSETS, unique=True, max_size=5),
+       st.integers(0, 3), st.integers(0, 5))
+def test_completion_floor_refuses_only_prefixes_that_cannot_hold(prefix, pool, r, horizon):
+    # when a horizon point lies in fewer of the prefix's sets than the
+    # floor, no r sets of the pool complete the prefix to a cover that holds
+    points = FIVE.points_up_to(horizon)
+    completions = [list(dict.fromkeys(prefix + list(more)))
+                   for more in itertools.combinations(pool, r)]
+    for kind in CoverKind:
+        for t, f in itertools.product((1, 2, 3), repeat=2):
+            floor = completion_floor(kind, len(prefix), r, t=t, f=f)
+            if floor is None or all(sum(s.contains(p) for s in prefix) >= floor
+                                    for p in points):
+                continue
+            for sets in completions:
+                verdict = classify_cover(Cover(FIVE, sets=sets), kind, horizon, t=t, f=f)
+                assert verdict is not Verdict.HOLDS, (kind, t, f, sets)

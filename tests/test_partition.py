@@ -575,8 +575,11 @@ def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
     """The search on union values, as it ran before unions became point
     masks: each V_n an SSet, held and compared by value, the
     escape points tested with ``contains``, and the cover of every
-    full-depth node classified anew.  Returns the driver's ``Exhausted``,
-    or the witness's (blocks, unions, vertex color, edge color, coverage)."""
+    full-depth node classified anew.  Under lambda and gamma, a prefix r
+    rounds short is dropped when its distinct unions and r sets that each
+    hold every point, their best completion, do not classify HOLDS.
+    Returns the driver's ``Exhausted``, or the witness's (blocks, unions,
+    vertex color, edge color, coverage)."""
     hi = min(budget.max_index, dc.cover_at(1).prefix_length(budget.max_index))
     escapes = [dc.escape_point(n) for n in range(1, m + 1)]
     allowed = {n: _mask(dc.allowed_indices(n, hi)) for n in range(1, m + 1)}
@@ -591,6 +594,11 @@ def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
         term = union_of(blocks[-1])
         if not all(term.contains(x) for x in escapes[:len(blocks) - 1]):
             return None
+        if len(blocks) < m and target in (CoverKind.LAMBDA, CoverKind.GAMMA):
+            unions = list(dict.fromkeys(map(union_of, blocks)))
+            best = Cover(dc.space, sets=unions + [SSet.cofinite(())] * (m - len(blocks)))
+            if classify_cover(best, target, horizon, **target_params) is not Verdict.HOLDS:
+                return None
         return _prefix_sums(parent, term)
 
     def finish(blocks, state):

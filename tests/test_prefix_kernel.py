@@ -331,12 +331,12 @@ def test_cofinite_unions_under_a_hash_coloring_still_raise_type_error():
 
 
 # Searches with pinned node counts, each as its colorings and a run on
-# them: the search order, and so every count, is unchanged.  The three
-# complete searches were pinned before the prefix check was made
-# incremental.  The menger/lambda search, of the shape of the
-# cover-partition benchmark's menger/lambda template, was pinned before
-# each subject was colored once: it finds its witness at node 1027, and
-# its cut run stops one node before it.
+# them.  The hindman and mt counts were pinned before the prefix check was
+# made incremental, and are unchanged since.  The menger/lambda counts were
+# re-pinned when the search began to drop a prefix whose unions can no
+# longer meet the target: the complete search spends 640 nodes; the other,
+# of the shape of the cover-partition benchmark's menger/lambda template,
+# finds its witness at node 266, and its cut run stops one node before it.
 def _menger_lambda(chi_edge, node_limit):
     return menger_mt_search(initial_segment_covers(Space.naturals()), None, chi_edge,
                             3, 2, CoverKind.LAMBDA, 6,
@@ -357,9 +357,9 @@ PINNED_SEARCHES = {
             initial_segment_covers(Space.naturals()), chi_vertex, chi_edge, 3, 2,
             CoverKind.LAMBDA, 6, SearchBudget(max_index=8, node_limit=20000),
             target_params={"t": 2, "s": 2, "f": 2}),
-        (True, 1007)),
+        (True, 640)),
     "menger-lambda-cut": (lambda: [seeded_hash_coloring(2, 0, d=2)],
-                          lambda chi: _menger_lambda(chi, 1026), (False, 1026)),
+                          lambda chi: _menger_lambda(chi, 265), (False, 265)),
 }
 
 
@@ -372,7 +372,7 @@ def test_searches_spend_pinned_nodes(case):
 
 
 def test_menger_lambda_witness_is_found_at_its_pinned_node():
-    w = _menger_lambda(seeded_hash_coloring(2, 0, d=2), 1027)
+    w = _menger_lambda(seeded_hash_coloring(2, 0, d=2), 266)
     assert w.to_record() == {
         "index_blocks": [[1], [2, 3, 4, 5, 6], [7]],
         "families": [[1], [2, 3, 4, 5, 6], [7]],
@@ -493,7 +493,7 @@ def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
     monkeypatch.setattr(_PrefixState, "root", staticmethod(tracked_root))
     runs = [lambda colorings=colorings, run=run: run(*colorings())
             for colorings, run, _ in PINNED_SEARCHES.values()]
-    runs.append(lambda: _menger_lambda(seeded_hash_coloring(2, 0, d=2), 1027))
+    runs.append(lambda: _menger_lambda(seeded_hash_coloring(2, 0, d=2), 266))
     gc.disable()
     try:
         for search in runs:

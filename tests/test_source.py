@@ -143,3 +143,29 @@ def test_only_recheck_compares_records():
     comparing = {body.name: sorted(_named(body) & {"_same_json", "json"})
                  for body in certifiers}
     assert {name: named for name, named in comparing.items() if named} == {}
+
+
+def test_partition_search_cuts_with_the_covers_bound():
+    # menger_mt_search drops a prefix by completion_floor, and t and f
+    # default once in covers.py, in classify_cover, so that the bound and
+    # the verdict it anticipates read the same thresholds
+    partition = _top_level(ROOT / "src" / "sumgames" / "partition.py")
+    search = next(stmt for stmt in partition
+                  if isinstance(stmt, ast.FunctionDef) and stmt.name == "menger_mt_search")
+    assert "completion_floor" in _named(search)
+    covers = _top_level(ROOT / "src" / "sumgames" / "covers.py")
+    defaults = []
+    for fn in covers:
+        if isinstance(fn, ast.FunctionDef):
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            with_default = (list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                            + list(zip(a.kwonlyargs, a.kw_defaults)))
+            defaults += [(fn.name, arg.arg) for arg, default in with_default
+                         if default is not None and arg.arg in ("t", "f")]
+    assert defaults == [("classify_cover", "t"), ("classify_cover", "f")]
+    # nor does the bound restate them as numbers
+    bound = next(fn for fn in covers
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "completion_floor")
+    assert not [node.value for node in ast.walk(bound)
+                if isinstance(node, ast.Constant) and isinstance(node.value, int)]
