@@ -54,10 +54,13 @@ from .search import (
     mt_search,
     proper_or_collapse,
     threshold_search,
-    verify_avoider,
     verify_dichotomy,
+)
+from .check import (
+    verify_avoider,
     verify_hindman_witness,
     verify_mt_witness,
+    verify_partition_witness,
     verify_refutation,
 )
 from .covers import (
@@ -86,7 +89,6 @@ from .partition import (
     encode_cofinite_example,
     menger_mt_search,
     upper_density,
-    verify_partition_witness,
 )
 from .verdicts import Verdict
 

@@ -15,7 +15,7 @@ search-hindman, search-mt and cover-partition, the avoider and refutation
 of a found threshold, the avoider of a threshold record that found none
 within ``max_value``, and the blocks of each proper-or-collapse run.  A
 certifier reads the result's object from the record, checks it with the
-``verify_*`` function of its kind, runs no search, and encodes it again as
+checker of its kind from ``check.py``, runs no search, and encodes it again as
 the runner does.  So it proves the recorded claim, but not that the
 witness is the first one in search order.  Every other record is re-run,
 as is every record under ``rerun``: exhaustions, thresholds cut by the
@@ -39,6 +39,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional
 
+from .check import (
+    verify_avoider,
+    verify_hindman_witness,
+    verify_mt_witness,
+    verify_partition_witness,
+    verify_refutation,
+)
 from .coloring import (
     Coloring,
     cardinality_coloring,
@@ -74,7 +81,6 @@ from .partition import (
     encode_cofinite_example,
     initial_segment_covers,
     menger_mt_search,
-    verify_partition_witness,
 )
 from .search import (
     Collapse,
@@ -87,11 +93,7 @@ from .search import (
     mt_search,
     proper_or_collapse,
     threshold_search,
-    verify_avoider,
     verify_dichotomy,
-    verify_hindman_witness,
-    verify_mt_witness,
-    verify_refutation,
 )
 from .semigroups import (
     BlockSequence,
@@ -362,9 +364,10 @@ def parse_config(source) -> RunConfig:
             continue
         if key not in keys:
             raise ConfigError(f"{key}: unknown key for {command}")
-        # an optional key given as null reads as absent
-        no_value = value is None and keys[key].default is None
-        options[key] = value if no_value else keys[key].parse(key, value)
+        # an optional key given as null is absent, and recorded as such
+        if value is None and keys[key].default is None:
+            continue
+        options[key] = keys[key].parse(key, value)
     for key, spec in keys.items():
         if spec.default is ... and key not in options:
             raise ConfigError(f"{key}: required for {command}")
@@ -907,8 +910,8 @@ def _run_verify_report(config: RunConfig):
 
 class Command(NamedTuple):
     """A command: its runner, which returns (exit code, result), and its
-    certifier, which checks a recorded result with its ``verify_*``
-    function and no search.  A certifier returns None where the result
+    certifier, which checks a recorded result with its checker from
+    ``check.py`` and no search.  A certifier returns None where the result
     holds no certificate, False where the check refutes it, and else the
     (exit code, result) that it rebuilds from the certificate with the
     runner's own encoder."""

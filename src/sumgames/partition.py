@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
+from .check import verify_partition_witness
 from .coloring import Coloring
 from .covers import Cover, CoverKind, SSet, Space, classify_cover, completion_floor
 from .filters import SymbolicChain
@@ -28,12 +29,10 @@ from .search import (
     _depth_first,
     _prefix_sums,
     _PrefixState,
-    _recheck_sums,
 )
 from .semigroups import (
     BlockSequence,
     CertificateError,
-    ElementSequence,
     Semigroup,
     _block,
     _mask,
@@ -138,10 +137,7 @@ class PartitionWitness:
         )
 
 
-# the semigroup of the unions V_n as values, for the verifier
-_UNIONS = Semigroup(kind="set-union", combine=SSet.union)
-
-# the same unions inside a search, as point masks: union is ``|``
+# the unions V_n inside a search, as point masks: union is ``|``
 _MASK_UNIONS = Semigroup(kind="point-mask-union", combine=operator.or_)
 
 
@@ -318,43 +314,6 @@ def menger_mt_search(dc: DescendingCovers, chi_vertex: Optional[Coloring],
         raise CertificateError("menger_mt_search produced a witness that "
                                "fails verify_partition_witness")
     return out
-
-
-def verify_partition_witness(w: PartitionWitness, dc: DescendingCovers,
-                             chi_edge: Coloring, d: int,
-                             chi_vertex: Optional[Coloring] = None,
-                             horizon: int = 8, **target_params) -> bool:
-    """Independent recheck of every clause of the partition theorem's
-    conclusion on the finished witness."""
-    m = len(w.families)
-    used: set = set()
-    for n, fam in enumerate(w.families, start=1):
-        indices = {j for j, _ in fam}
-        if not indices or (indices & used):
-            return False
-        used |= indices
-        allowed = set(dc.allowed_indices(n, max(indices)))
-        if not indices <= allowed:
-            return False
-        for j, s in fam:
-            if dc.member_set(j) != s:
-                return False
-    if [frozenset(j for j, _ in fam) for fam in w.families] != list(w.index_blocks):
-        return False
-    terms = [functools.reduce(SSet.union, (s for _, s in fam)) for fam in w.families]
-    if tuple(w.unions) != tuple(terms):
-        return False
-    # escape points gathered so far lie in every later union
-    for i in range(1, m + 1):
-        x = dc.escape_point(i)
-        for later in range(i + 1, m + 1):
-            if not w.unions[later - 1].contains(x):
-                return False
-    seq = ElementSequence.from_terms(_UNIONS, terms)
-    if _recheck_sums(seq, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex) is None:
-        return False
-    cover = Cover(dc.space, sets=list(dict.fromkeys(w.unions)), name="verify")
-    return classify_cover(cover, w.target, horizon, **target_params) is w.coverage
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
-from .coloring import Coloring, canonical_key, reduce_two_dim_to_one
+from .check import (
+    verify_avoider,
+    verify_collapse,
+    verify_hindman_witness,
+    verify_mt_witness,
+    verify_proper,
+)
+from .coloring import Coloring, canonical_key
 from .semigroups import (
     BlockSequence,
     CertificateError,
@@ -28,12 +34,8 @@ from .semigroups import (
     block_chains,
     blocks_within,
     chain_sum_sets,
-    fs_enumerate,
     indexed_sum,
-    is_proper_up_to,
-    least_collision,
     naturals,
-    take_sumsequence,
 )
 
 _NATS = naturals()
@@ -497,16 +499,6 @@ def hindman_search(chi: Coloring, m: int, budget: SearchBudget):
     return result
 
 
-def verify_hindman_witness(w: Witness, chi: Coloring) -> bool:
-    """Independent recheck: re-enumerate every finite sum from the terms,
-    which must be proper and of the one color ``w.color_vertex``, and
-    compare the sums with the certificate's."""
-    checked = _recheck_sums(ElementSequence.from_terms(_NATS, w.terms), 1, None,
-                            None, chi, w.color_vertex)
-    return (checked is not None
-            and sorted(checked[0].values()) == sorted(w.certificate["fs_values"]))
-
-
 # ---------------------------------------------------------------------------
 # Milliken–Taylor style block search
 # ---------------------------------------------------------------------------
@@ -585,62 +577,6 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     return result
 
 
-def _recheck_sums(seq: ElementSequence, d: int, chi_edge: Optional[Coloring],
-                  color_edge, chi_vertex: Optional[Coloring] = None,
-                  color_vertex=None) -> Optional[tuple[dict, list]]:
-    """The recheck that the Hindman, block and cover-partition verifiers
-    share.
-
-    ``seq`` holds the m terms re-derived from a witness's terms, blocks or
-    families, never taken from search state.  They must be proper; with
-    ``chi_edge``, every sum set of a d-chain must have the color
-    ``color_edge``; and, with ``chi_vertex``, every finite sum the color
-    ``color_vertex``.  Returns the finite sums by block and the edge sets
-    (none without ``chi_edge``), or None if a check fails.
-    """
-    m = seq.length
-    sums = fs_enumerate(seq, m)
-    if least_collision(sums) is not None:
-        return None
-    edges = []
-    if chi_edge is not None:
-        edges = chain_sum_sets(sums, m, d)
-        if {chi_edge.of_set(e) for e in edges} != {color_edge}:
-            return None
-    if chi_vertex is not None and {chi_vertex.of(v) for v in sums.values()} != {color_vertex}:
-        return None
-    return sums, edges
-
-
-def verify_mt_witness(w: Witness, sg: Semigroup, base: ElementSequence,
-                      chi_edge: Coloring, d: int,
-                      chi_vertex: Optional[Coloring] = None,
-                      chain=None, eta: Optional[Coloring] = None) -> bool:
-    """Re-verify a witness from scratch: recompute the sumsequence from the
-    blocks, re-enumerate the hypergraph, recheck every color and membership.
-    With a vertex coloring, the edge sets must also have one color under
-    ``eta``, which defaults to the two-dimensional reduction of the
-    colorings over ``sg`` when d = 2."""
-    taken = take_sumsequence(base, w.blocks)
-    if tuple(taken.prefix(len(w.blocks))) != w.terms:
-        return False
-    checked = _recheck_sums(taken, d, chi_edge, w.color_edge, chi_vertex, w.color_vertex)
-    if checked is None:
-        return False
-    edges = checked[1]
-    if Counter(edges) != Counter(w.certificate["edge_sets"]):
-        return False
-    if eta is None and chi_vertex is not None and d == 2:
-        eta = reduce_two_dim_to_one(chi_vertex, chi_edge, sg)
-    if chi_vertex is not None and eta is not None and len({eta.of(e) for e in edges}) != 1:
-        return False
-    if chain is not None:
-        for i, b in enumerate(w.terms, start=1):
-            if not chain.set_at(i)(b):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Schur-type thresholds
 # ---------------------------------------------------------------------------
@@ -690,78 +626,6 @@ class ThresholdReport:
                    {int(v): c for v, c in record["avoider"].items()}, 0,
                    record["confirmed_independent"], record["note"],
                    record.get("certificate"))
-
-
-def _has_mono_triple(colors: dict, n: int, allow_repeats: bool) -> bool:
-    for x in range(1, n + 1):
-        y_start = x if allow_repeats else x + 1
-        for y in range(y_start, n - x + 1):
-            if colors[x] == colors[y] == colors[x + y]:
-                return True
-    return False
-
-
-def verify_avoider(avoider: dict, k: int, n: int, allow_repeats: bool) -> bool:
-    """Check an avoider with no search: it colors exactly {1..n}, with
-    colors 1..k, each a plain int, and has no monochromatic {x, y, x+y}
-    (x = y only when repeats are allowed).  So every k-coloring threshold
-    exceeds n."""
-    return (set(avoider) == set(range(1, n + 1))
-            and all(type(c) is int and 0 < c <= k for c in avoider.values())
-            and not _has_mono_triple(avoider, n, allow_repeats))
-
-
-def verify_refutation(certificate, k: int, n: int, allow_repeats: bool) -> bool:
-    """Check a refutation with no search: True only if it proves that every
-    k-coloring of {1..n} has a monochromatic {x, y, x+y} (x = y only when
-    repeats are allowed), so the threshold is at most n.
-
-    The certificate lists the nodes of a search tree in preorder, one
-    value per node, each a plain int in 1..n that the node's ancestors
-    left uncolored.  A node whose value has no color left closes its
-    branch.  Otherwise it has one child per color left to it, in
-    increasing order: each color in use, then the least color not in use,
-    which stands for all of them since none colors anything yet.  A child
-    gives the value its color and goes on with the next entry.  The
-    certificate holds when every branch is closed as the list ends."""
-    entries = iter(certificate)
-    mask = [0] * (k + 1)    # mask[c]: bit u set when u has color c
-    mirror = [0] * (k + 1)  # mirror[c]: bit n - u set when u has color c
-    forb = [0] * (k + 1)    # forb[c]: bit z set when z would complete a triple in c
-    colored, top = 0, 0     # top: colors 1..top are in use
-    stack = []  # colored nodes: (value, colors left, its color, forb of it before, top before)
-    while True:
-        v = next(entries, None)
-        if type(v) is not int or not 0 < v <= n or colored >> v & 1:
-            return False
-        bit = 1 << v
-        # the colors left to v, largest first: those in use, then one fresh
-        left = [c for c in range(min(top + 1, k), 0, -1) if not forb[c] & bit]
-        while not left:  # a closed branch: back to the deepest node with a color left
-            if not stack:  # every branch is closed, and no entry may be left over
-                return not any(True for _ in entries)
-            v, left, c, before, top = stack.pop()
-            forb[c] = before
-            bit = 1 << v
-            mask[c] ^= bit
-            mirror[c] ^= 1 << (n - v)
-            colored ^= bit
-        c = left.pop()
-        f = forb[c]
-        stack.append((v, left, c, f, top))
-        # z completes a triple with v and some u of color c when z is u + v
-        # or |u - v|, and with repeats when z is 2v or v / 2
-        f |= mask[c] << v | mask[c] >> v | mirror[c] >> (n - v)
-        if allow_repeats:
-            f |= 1 << (2 * v)
-            if v % 2 == 0:
-                f |= 1 << (v // 2)
-        forb[c] = f
-        mask[c] |= bit
-        mirror[c] |= 1 << (n - v)
-        colored |= bit
-        if c > top:
-            top = c
 
 
 @functools.cache
@@ -947,17 +811,17 @@ def threshold_search(k: int, allow_repeats: bool = True,
     One depth-first pass over 1, 2, ... up to ``budget.max_value`` finds
     both: it records the first avoider at each depth, and when it exhausts
     the tree at depth N - 1, N is the threshold.  A second enumerator,
-    forward checking over color domains with its own node budget, then
-    confirms that {1..N} has no avoider, and the avoider of {1..N-1} is
-    rechecked triple by triple; ``confirmed_independent`` is set only when
-    both hold, and ``note`` says which did not.  A confirmed report keeps
-    the second enumerator's refutation of {1..N} as its ``certificate``,
-    one entry per node of that enumerator and one for its root, so that
-    ``verify_refutation`` can check N without a search.  ``nodes`` counts both
-    enumerators; ``budget.node_limit`` caps each of them alone, so
-    ``nodes`` may exceed it.  Both skip branches that cannot change their
-    answer (see each enumerator).  A budget that sets ``max_index``, which
-    this search does not read, raises ValueError.
+    forward checking over color domains, then confirms that {1..N} has no
+    avoider, and ``verify_avoider`` rechecks the avoider of {1..N-1};
+    ``confirmed_independent`` is set only when both hold, and ``note`` says
+    which did not.  A confirmed report keeps the second enumerator's
+    refutation of {1..N} as its ``certificate``, one entry per node of that
+    enumerator and one for its root, so that ``verify_refutation`` can
+    check N without a search.  Both enumerators spend one budget of
+    ``budget.node_limit`` nodes, and ``nodes`` counts both.  Both skip
+    branches that cannot change their answer (see each enumerator).  A
+    budget that sets ``max_index``, which this search does not read,
+    raises ValueError.
     """
     if k < 1:
         raise ValueError("k >= 1 required")
@@ -972,18 +836,17 @@ def threshold_search(k: int, allow_repeats: bool = True,
         return ThresholdReport(False, None, avoider, nodes.used,
                                note=f"budget exhausted at N={depth + 1}; "
                                     f"threshold > {depth}")
-    n = depth + 1
-    confirm, proof = _NodeBudget(budget.node_limit), []
-    exists = _avoider_exists_fc(k, n, allow_repeats, confirm, proof)
+    n, proof = depth + 1, []
+    exists = _avoider_exists_fc(k, n, allow_repeats, nodes, proof)
     if exists is None:
-        note = f"confirmation budget of {confirm.limit} nodes exhausted at N={n}"
+        note = f"confirmation budget of {nodes.limit} nodes exhausted at N={n}"
     elif exists:
         note = f"the second enumerator found an avoider of {{1..{n}}}"
-    elif _has_mono_triple(avoider, depth, allow_repeats):
-        note = f"the avoider of {{1..{depth}}} has a monochromatic triple"
+    elif not verify_avoider(avoider, k, depth, allow_repeats):
+        note = f"the avoider of {{1..{depth}}} fails verify_avoider"
     else:
         note = ""
-    return ThresholdReport(True, n, avoider, nodes.used + confirm.used,
+    return ThresholdReport(True, n, avoider, nodes.used,
                            confirmed_independent=not note, note=note,
                            certificate=None if note else proof)
 
@@ -1051,14 +914,8 @@ def verify_dichotomy(result, seq: ElementSequence) -> bool:
     Only ``Proper`` and ``Collapse`` results carry a certificate.  Any
     ``DichotomyUnknown`` is accepted unchecked: its claim that no chain was
     found can be checked only by running the search again."""
-    sg = seq.semigroup
     if isinstance(result, Proper):
-        taken = take_sumsequence(seq, result.blocks)
-        return (tuple(taken.prefix(len(result.blocks))) == result.terms
-                and is_proper_up_to(taken, len(result.blocks)))
+        return verify_proper(result, seq)
     if isinstance(result, Collapse):
-        taken = take_sumsequence(seq, result.blocks)
-        vals = set(fs_enumerate(taken, len(result.blocks)).values())
-        return vals == {result.element} and sg.combine(result.element, result.element) == result.element
+        return verify_collapse(result, seq)
     return isinstance(result, DichotomyUnknown)
-

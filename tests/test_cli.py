@@ -38,6 +38,13 @@ def test_defaults_applied():
     assert cfg["node_limit"] == 10 ** 7
 
 
+def test_an_optional_key_given_as_null_records_as_omitted(tmp_path):
+    # one run, one report: the null is not recorded as a value
+    null = _report(tmp_path, {"command": "play-game", "rounds": None}, name="null.jsonl")
+    omitted = _report(tmp_path, {"command": "play-game"}, name="omitted.jsonl")
+    assert null.read_bytes() == omitted.read_bytes()
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="wat"):
         parse_config({"command": "threshold", "wat": 1})

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumgames import check as check_module
 from sumgames import partition as partition_module
 from sumgames.coloring import (
     Coloring,
@@ -251,6 +252,43 @@ def test_rejected_partition_certificate_raises(monkeypatch):
         menger_mt_search(inst.dc, None, constant_coloring(2, 1), m=2, d=2,
                          target=CoverKind.OP, horizon=1,
                          budget=SearchBudget(max_index=6))
+
+
+def test_partition_checker_reads_allowed_indices_from_the_definition(monkeypatch):
+    # Round n may use U_1-index j when j >= n and U_1's j-th set is a member
+    # of U_n.  The checker reads both from the covers, so breaking
+    # allowed_indices, the search's source of candidates, to allow every
+    # index changes none of its verdicts.
+    space = Space.finite_points(range(4))
+    a, b, c = SSet.finite({0, 1}), SSet.finite({1, 2}), SSet.finite({0, 1, 2})
+    first = Cover(space, sets=[a, b, c])
+
+    def covers(second: list) -> DescendingCovers:
+        return DescendingCovers(space, lambda n: first if n == 1 else Cover(space, sets=second),
+                                escape_point=lambda n: n)
+
+    def witness(*indices) -> PartitionWitness:
+        # one U_1-index per round; the index blocks as a tuple, which may
+        # list them out of order
+        sets = [first.set_at(j) for j in indices]
+        return PartitionWitness(families=tuple(((j, s),) for j, s in zip(indices, sets)),
+                                unions=tuple(sets),
+                                index_blocks=tuple(frozenset({j}) for j in indices),
+                                color_vertex=None, color_edge=1, target=CoverKind.OP,
+                                coverage=Verdict.HOLDS)
+
+    cases = [(witness(1, 2), [a, b, c]),
+             (witness(1, 2), [a, c]),     # {1, 2} is not a member of U_2
+             (witness(2, 1), [a, b, c])]  # index 1 cannot serve round 2
+
+    def verdicts() -> list:
+        return [verify_partition_witness(w, covers(second), constant_coloring(2, 1), 2,
+                                         horizon=3) for w, second in cases]
+
+    assert verdicts() == [True, False, False]
+    monkeypatch.setattr(DescendingCovers, "allowed_indices",
+                        lambda self, n, hi: list(range(1, hi + 1)))
+    assert verdicts() == [True, False, False]
 
 
 def test_cofinite_roundtrip_against_direct_search():
@@ -611,7 +649,7 @@ def reference_menger_search(dc, chi_vertex, chi_edge, m, d, target, horizon,
                 state.edge_color, coverage)
 
     return _depth_first(m, candidates, check, finish, budget.node_limit,
-                        _PrefixState.root(partition_module._UNIONS, chi_edge, d, chi_vertex))
+                        _PrefixState.root(check_module._UNIONS, chi_edge, d, chi_vertex))
 
 
 def assert_same_as_reference(dc, chi_vertex, chi_edge, m, target, horizon, budget,

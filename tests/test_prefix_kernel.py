@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from sumgames import check as check_module
 from sumgames import partition as partition_module
 from sumgames import search as search_module
 from sumgames.coloring import (
@@ -110,7 +111,7 @@ def fold(sg, terms, chi_edge=None, d=0, chi_vertex=None, root=None,
     return len(terms)
 
 
-UNIONS = partition_module._UNIONS
+UNIONS = check_module._UNIONS
 
 
 def random_terms(kind, rng, length=6):

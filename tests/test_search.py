@@ -12,6 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumgames import search as search_module
+from sumgames.check import (
+    verify_avoider,
+    verify_hindman_witness,
+    verify_mt_witness,
+    verify_refutation,
+)
 from sumgames.cli import EXIT_OK, main
 from sumgames.coloring import (
     Coloring,
@@ -33,11 +39,7 @@ from sumgames.search import (
     mt_search,
     proper_or_collapse,
     threshold_search,
-    verify_avoider,
     verify_dichotomy,
-    verify_hindman_witness,
-    verify_mt_witness,
-    verify_refutation,
 )
 from sumgames.search import (
     _NodeBudget,
@@ -600,19 +602,25 @@ def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
     assert nodes.used == used and not nodes.refused
 
 
-@pytest.mark.parametrize("k, repeats, max_value, limit, found, nodes, note", [
-    # node_limit caps each enumerator alone, so the report's 22,223 nodes
-    # (20,582 DFS + 1,641 confirmer) exceed it
-    (3, False, 64, 20_582, True, 22_223, ""),
-    (3, False, 64, 20_581, False, 20_581, "budget exhausted at N=24; threshold > 23"),
-    (4, True, 40, 11_559, False, 11_559, "no threshold within 40"),
-    (4, True, 40, 11_558, False, 11_558, "budget exhausted at N=40; threshold > 39"),
+@pytest.mark.parametrize("k, repeats, max_value, limit, found, confirmed, nodes, note", [
+    # both enumerators spend one node_limit: k = 3 without repeats needs
+    # 20,582 DFS nodes and 1,641 confirmer nodes, 22,223 in all
+    (3, False, 64, 22_223, True, True, 22_223, ""),
+    (3, False, 64, 22_222, True, False, 22_222,
+     "confirmation budget of 22222 nodes exhausted at N=24"),
+    (3, False, 64, 20_582, True, False, 20_582,
+     "confirmation budget of 20582 nodes exhausted at N=24"),
+    (3, False, 64, 20_581, False, False, 20_581, "budget exhausted at N=24; threshold > 23"),
+    (4, True, 40, 11_559, False, False, 11_559, "no threshold within 40"),
+    (4, True, 40, 11_558, False, False, 11_558, "budget exhausted at N=40; threshold > 39"),
 ])
-def test_threshold_budget_edges(k, repeats, max_value, limit, found, nodes, note):
+def test_threshold_budget_edges(k, repeats, max_value, limit, found, confirmed, nodes, note):
     report = threshold_search(k, repeats, SearchBudget(max_value=max_value,
                                                        node_limit=limit))
     assert report.found is found and report.nodes == nodes and report.note == note
-    assert report.confirmed_independent is found
+    assert report.nodes <= limit
+    assert report.confirmed_independent is confirmed
+    assert (report.certificate is not None) is confirmed
     if found:
         assert report.n == 24
 

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 import ast
 import collections
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,23 +115,44 @@ def test_every_parameter_is_read():
 
 
 
-# What the checkers of a threshold must not name: a checker that ran the
-# search it checks would only repeat it.
-_THRESHOLD_SEARCH = {"_lex_first_avoider", "_avoider_exists_fc", "threshold_search",
-                     "_NodeBudget"}
-
-
 def _named(body) -> set:
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(body) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-@pytest.mark.parametrize("name", ["verify_refutation", "verify_avoider"])
-def test_threshold_checkers_run_no_search(name):
-    body = next(stmt for stmt in _top_level(ROOT / "src" / "sumgames" / "search.py")
-                if isinstance(stmt, ast.FunctionDef) and stmt.name == name)
-    named = _named(body)
-    assert named & _THRESHOLD_SEARCH == set(), f"{name} names {sorted(named & _THRESHOLD_SEARCH)}"
+# check.py decides what a valid certificate is.  It may read the
+# definitions a certificate is checked against, but no search: a defect in
+# code that a search and its check share would make them agree.
+_CHECK_IMPORTS = {"coloring", "covers", "semigroups", "verdicts"}
+_SEARCH_NAMES = {"_prefix_sums", "_depth_first", "_chain_candidates", "_candidate_blocks",
+                 "_NodeBudget", "_lex_first_avoider", "_avoider_exists_fc",
+                 "threshold_search", "menger_mt_search", "allowed_indices"}
+
+
+def test_checkers_import_only_definitions_and_name_no_search():
+    tree = ast.parse((ROOT / "src" / "sumgames" / "check.py").read_text(encoding="utf-8"))
+    outside = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.level != 1 or node.module not in _CHECK_IMPORTS:
+                outside.append("." * node.level + (node.module or ""))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            outside += [name for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == [], f"check.py imports {outside}"
+    named = _named(tree)
+    assert named & _SEARCH_NAMES == set(), f"check.py names {sorted(named & _SEARCH_NAMES)}"
+
+
+def test_every_checker_is_in_check_py():
+    # verify_dichotomy stays in search.py as a dispatch by result type
+    checkers = [f"{name}.{stmt.name}" for name in ("search", "partition")
+                for stmt in _top_level(ROOT / "src" / "sumgames" / f"{name}.py")
+                if isinstance(stmt, ast.FunctionDef)
+                and stmt.name.startswith(("verify_", "_recheck"))]
+    assert checkers == ["search.verify_dichotomy"]
 
 
 def test_only_recheck_compares_records():
