@@ -635,14 +635,29 @@ def _rivals(k: int) -> tuple:
 
 
 def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
-                       nodes: _NodeBudget) -> tuple[int, Optional[dict]]:
+                       nodes: _NodeBudget,
+                       ask: Optional[Callable[[int], Optional[bool]]] = None,
+                       ) -> tuple[int, Optional[dict]]:
     """One depth-first pass over the k-colorings of 1, 2, 3, ... in
     lexicographic order.  Returns ``(depth, avoider)``: the deepest n
     reached and the coloring of {1..n} held when the pass first got there,
     which is the lexicographically least avoider of {1..n}.
 
-    The pass stops at ``max_value`` or when the budget runs out; otherwise
-    it has exhausted the tree, so no avoider of {1..depth + 1} exists.
+    The pass stops at ``max_value``, when the budget runs out, or on an
+    answer of ``ask`` other than True; otherwise it has exhausted the tree,
+    so no avoider of {1..depth + 1} exists.
+
+    ``ask(n)`` says whether {1..n} has an avoider: True, False, or None
+    when the budget ran out first.  Without it the pass must exhaust the
+    tree to prove its last depth, which may cost far more than reaching
+    it.  So once the pass first fails to color depth + 1, and has then
+    spent as many nodes again as it had spent before that failure (the
+    budget's ``used``, checked each time it closes a value), it asks
+    ``ask(depth + 1)``, at most once per depth and never when depth + 1
+    is ``max_value``, where the pass ends either way.  On True it goes on;
+    on False or None it stops, and the caller, which keeps the answer,
+    tells the two apart.  Doubling keeps the asks that find an avoider
+    cheap against the pass that reaches each depth.
 
     Colors are broken symmetrically: value v may take a new color only if
     every lower color is already in use.  The least avoider satisfies this
@@ -673,6 +688,8 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     depth, held = 0, []  # held: colors[1:depth + 1] when depth was first reached
     reached = 3          # bits 0..depth + 1
     rivals = _rivals(k)
+    never = nodes.limit + 1  # more nodes than the budget grants
+    ask_at = never       # 0: depth + 1 has not failed yet, and will be asked
     v = 1 if max_value else 0
     while v:
         c = colors[v]
@@ -692,6 +709,13 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
         if c > top:
             colors[v] = 0
             v -= 1
+            # the first value closed at a depth is depth + 1 itself
+            if not ask_at:
+                ask_at = 2 * nodes.used
+            elif nodes.used >= ask_at:
+                ask_at = never
+                if not ask(depth + 1):  # refuted, or the budget ran out
+                    break
             continue
         colors[v] = c
         old = saved[v] = forb[c]
@@ -707,6 +731,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             if v == max_value:
                 break
             reached = (bit << 2) - 1
+            ask_at = 0 if ask and v + 1 < max_value else never
         elif prior == k:
             # c newly forbids only values above v; one of them up to
             # depth + 1 that every other color forbids too is reached by no
@@ -809,16 +834,22 @@ def threshold_search(k: int, allow_repeats: bool = True,
     avoiding coloring of {1..N-1} in lexicographic order.
 
     One depth-first pass over 1, 2, ... up to ``budget.max_value`` finds
-    both: it records the first avoider at each depth, and when it exhausts
-    the tree at depth N - 1, N is the threshold.  A second enumerator,
-    forward checking over color domains, then confirms that {1..N} has no
-    avoider, and ``verify_avoider`` rechecks the avoider of {1..N-1};
-    ``confirmed_independent`` is set only when both hold, and ``note`` says
-    which did not.  A confirmed report keeps the second enumerator's
-    refutation of {1..N} as its ``certificate``, one entry per node of that
-    enumerator and one for its root, so that ``verify_refutation`` can
-    check N without a search.  Both enumerators spend one budget of
-    ``budget.node_limit`` nodes, and ``nodes`` counts both.  Both skip
+    the avoider: the first one it meets at each depth is the least.  A
+    second enumerator, forward checking over color domains, settles the
+    last depth: the pass asks it whether {1..depth + 1} has an avoider
+    (see ``_lex_first_avoider`` for when), and stops on its refutation
+    instead of exhausting that depth itself.  So N is found either by that
+    refutation or by a pass that exhausts the tree, after which the second
+    enumerator is asked about {1..N} unless it was already.  A found N is
+    ``confirmed_independent`` only when the second enumerator refuted
+    {1..N} and ``verify_avoider`` accepts the avoider of {1..N-1}, the two
+    halves of the proof; ``note`` says which did not hold.  A confirmed
+    report keeps that refutation as its ``certificate``, one entry per node
+    of the second enumerator and one for its root, so that
+    ``verify_refutation`` can check N without a search.  Both enumerators
+    spend one budget of ``budget.node_limit`` nodes, and ``nodes`` counts
+    both, the asks that found an avoider too; an ask cut by the budget
+    ends the run as a cut pass does, with no threshold found.  Both skip
     branches that cannot change their answer (see each enumerator).  A
     budget that sets ``max_index``, which this search does not read,
     raises ValueError.
@@ -828,16 +859,25 @@ def threshold_search(k: int, allow_repeats: bool = True,
     budget = budget or SearchBudget(max_value=64)
     budget.require_unset("threshold_search", "max_index")
     nodes = _NodeBudget(budget.node_limit)
-    depth, avoider = _lex_first_avoider(k, budget.max_value, allow_repeats, nodes)
+    asked: dict = {}  # n: the confirmer's answer on {1..n} and its list
+
+    def confirm(n: int) -> Optional[bool]:
+        if n not in asked:
+            proof: list = []
+            asked[n] = _avoider_exists_fc(k, n, allow_repeats, nodes, proof), proof
+        return asked[n][0]
+
+    depth, avoider = _lex_first_avoider(k, budget.max_value, allow_repeats, nodes, confirm)
     if depth == budget.max_value:
         return ThresholdReport(False, None, avoider, nodes.used,
                                note=f"no threshold within {budget.max_value}")
-    if nodes.refused:
+    n = depth + 1
+    # an ask that ran out of budget stops the pass as a refused spend does
+    if nodes.refused or n in asked and asked[n][0] is None:
         return ThresholdReport(False, None, avoider, nodes.used,
-                               note=f"budget exhausted at N={depth + 1}; "
-                                    f"threshold > {depth}")
-    n, proof = depth + 1, []
-    exists = _avoider_exists_fc(k, n, allow_repeats, nodes, proof)
+                               note=f"budget exhausted at N={n}; threshold > {depth}")
+    exists = confirm(n)
+    proof = asked[n][1]
     if exists is None:
         note = f"confirmation budget of {nodes.limit} nodes exhausted at N={n}"
     elif exists:

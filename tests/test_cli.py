@@ -531,7 +531,7 @@ def test_verify_report_checks_the_whole_record(tmp_path, config, key, value, rea
 
 def test_threshold_certificate_is_written_within_its_cap(tmp_path):
     # a run cut by its budget has none
-    config = {"command": "threshold", "colors": 3, "repeats": False, "node_limit": 20_581}
+    config = {"command": "threshold", "colors": 3, "repeats": False, "node_limit": 2_083}
     result = json.loads(_report(tmp_path, config).read_text())["result"]
     assert not result["found"] and "certificate" not in result
     # one entry more than the cap, and a found record is written without it

@@ -348,11 +348,13 @@ def test_threshold_budget_report():
 # Published thresholds: S(1..3) = 1, 4, 13 (Schur 1916; Baumert 1965) and
 # the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.  The node
 # counts (DFS plus confirmer) are pinned too: a faster enumerator must
-# visit exactly these nodes.  (3, True) is 420 + 69, (2, False) 37 + 18
-# and (3, False) 20,582 + 1,641.
+# visit exactly these nodes.  (3, True) is 390 + 69, (2, False) 32 + 18
+# and (3, False) 2,084 + 1,641: the DFS hands its last depth to the
+# confirmer, whose refutation ends the run, and 40 of those 2,084 nodes
+# went to the confirmer's avoiders of {1..17} and {1..23}.
 @pytest.mark.parametrize("k, repeats, n, nodes", [
-    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 489),
-    (1, False, 3, 5), (2, False, 9, 55), (3, False, 24, 22_223),
+    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 459),
+    (1, False, 3, 5), (2, False, 9, 50), (3, False, 24, 3_725),
 ])
 def test_threshold_published_values(k, repeats, n, nodes):
     report = threshold_search(k, allow_repeats=repeats)
@@ -568,9 +570,12 @@ def test_threshold_dfs_obeys_node_limit():
     depth, avoider = _lex_first_avoider(4, 40, True, nodes)
     assert nodes.used == 1000 and depth < 40
     assert not _has_mono_triple_reference(avoider, depth, True)
+    # the search's asks, which found avoiders of {1..16} and {1..20} in 36
+    # nodes, share its 1000, so its pass gets less deep than the DFS alone
     report = threshold_search(4, budget=SearchBudget(max_value=40, node_limit=1000))
     assert not report.found and report.nodes == 1000
-    assert report.note == f"budget exhausted at N={depth + 1}; threshold > {depth}"
+    assert report.note == "budget exhausted at N=25; threshold > 24" and depth == 28
+    assert report.avoider == _lex_first_avoider(4, 24, True, _NodeBudget(10 ** 6))[1]
     # a budget entered partly spent stops at the same limit
     nodes = _NodeBudget(1000)
     nodes.used = 400
@@ -578,17 +583,33 @@ def test_threshold_dfs_obeys_node_limit():
     assert nodes.used == 1000 and nodes.refused
 
 
-def test_threshold_confirmation_obeys_node_limit(monkeypatch):
+@pytest.mark.parametrize("answer, max_value, found, note", [
+    # an ask cut by its budget is a cut run, with no threshold found
+    (None, 64, False, "budget exhausted at N=24; threshold > 23"),
+    # no ask at max_value: the DFS exhausts depth 23, and a confirmation
+    # cut by its budget leaves the threshold unconfirmed
+    (None, 24, True, "confirmation budget of 10000000 nodes exhausted at N=24"),
+    # an avoider where the DFS finds none is a disagreement, not a threshold
+    (True, 64, True, "the second enumerator found an avoider of {1..24}"),
+])
+def test_threshold_confirmation_obeys_node_limit(monkeypatch, answer, max_value, found,
+                                                 note):
     nodes = _NodeBudget(100)
     assert _avoider_exists_fc(3, 24, False, nodes) is None
     assert nodes.used == 100
-    # A confirmation cut by its budget leaves the threshold unconfirmed.
-    monkeypatch.setattr(search_module, "_avoider_exists_fc",
-                        lambda k, n, repeats, budget, proof: None)
-    report = threshold_search(3, allow_repeats=False)
-    assert report.found and report.n == 24
+    # a stand-in confirmer answers ``answer`` on {1..24}, and truly below it
+    asks = []
+
+    def confirmer(k, n, repeats, budget, proof):
+        asks.append(n)
+        return answer if n == 24 else _avoider_exists_fc(k, n, repeats, budget, proof)
+
+    monkeypatch.setattr(search_module, "_avoider_exists_fc", confirmer)
+    report = threshold_search(3, False, SearchBudget(max_value=max_value))
+    assert report.found is found and report.note == note
+    assert report.n == (24 if found else None)
     assert not report.confirmed_independent and report.certificate is None
-    assert "confirmation budget" in report.note
+    assert asks == [17, 23, 24]  # each depth is asked once
 
 
 # Node counts of the two DFS passes the schur benchmark runs most.
@@ -604,15 +625,22 @@ def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
 
 @pytest.mark.parametrize("k, repeats, max_value, limit, found, confirmed, nodes, note", [
     # both enumerators spend one node_limit: k = 3 without repeats needs
-    # 20,582 DFS nodes and 1,641 confirmer nodes, 22,223 in all
-    (3, False, 64, 22_223, True, True, 22_223, ""),
-    (3, False, 64, 22_222, True, False, 22_222,
-     "confirmation budget of 22222 nodes exhausted at N=24"),
-    (3, False, 64, 20_582, True, False, 20_582,
-     "confirmation budget of 20582 nodes exhausted at N=24"),
-    (3, False, 64, 20_581, False, False, 20_581, "budget exhausted at N=24; threshold > 23"),
-    (4, True, 40, 11_559, False, False, 11_559, "no threshold within 40"),
-    (4, True, 40, 11_558, False, False, 11_558, "budget exhausted at N=40; threshold > 39"),
+    # 2,084 DFS nodes before it asks about {1..24} and 1,641 confirmer
+    # nodes to refute it, 3,725 in all; an ask cut short is a cut run
+    (3, False, 64, 3_725, True, True, 3_725, ""),
+    (3, False, 64, 3_724, False, False, 3_724, "budget exhausted at N=24; threshold > 23"),
+    (3, False, 64, 2_084, False, False, 2_084, "budget exhausted at N=24; threshold > 23"),
+    (3, False, 64, 2_083, False, False, 2_083, "budget exhausted at N=24; threshold > 23"),
+    # at max_value 24 the DFS asks nothing about {1..24}: it exhausts depth
+    # 23 in 20,622 nodes, and the confirmer then refutes {1..24}
+    (3, False, 24, 22_263, True, True, 22_263, ""),
+    (3, False, 24, 22_262, True, False, 22_262,
+     "confirmation budget of 22262 nodes exhausted at N=24"),
+    (3, False, 24, 20_622, True, False, 20_622,
+     "confirmation budget of 20622 nodes exhausted at N=24"),
+    (3, False, 24, 20_621, False, False, 20_621, "budget exhausted at N=24; threshold > 23"),
+    (4, True, 40, 11_624, False, False, 11_624, "no threshold within 40"),
+    (4, True, 40, 11_623, False, False, 11_623, "budget exhausted at N=40; threshold > 39"),
 ])
 def test_threshold_budget_edges(k, repeats, max_value, limit, found, confirmed, nodes, note):
     report = threshold_search(k, repeats, SearchBudget(max_value=max_value,
@@ -623,6 +651,59 @@ def test_threshold_budget_edges(k, repeats, max_value, limit, found, confirmed, 
     assert (report.certificate is not None) is confirmed
     if found:
         assert report.n == 24
+
+
+def _threshold_two_passes(k, repeats, max_value):
+    """The threshold's record by the flow without asks: a DFS that
+    exhausts its last depth, then the confirmer on one past it."""
+    nodes = _NodeBudget(10 ** 7)
+    depth, avoider = _lex_first_avoider(k, max_value, repeats, nodes)
+    assert not nodes.refused
+    if depth == max_value:
+        return ThresholdReport(False, None, avoider, 0,
+                               note=f"no threshold within {max_value}").to_record()
+    proof = []
+    assert _avoider_exists_fc(k, depth + 1, repeats, nodes, proof) is False
+    assert verify_avoider(avoider, k, depth, repeats)
+    return ThresholdReport(True, depth + 1, avoider, 0, confirmed_independent=True,
+                           certificate=proof).to_record()
+
+
+@pytest.mark.parametrize("k, repeats", [(k, r) for k in (1, 2, 3) for r in (True, False)])
+def test_threshold_asks_keep_the_two_pass_record(k, repeats):
+    # handing the last depth to the confirmer changes node counts only
+    for max_value in [*range(31), 64]:
+        report = threshold_search(k, repeats, SearchBudget(max_value=max_value))
+        assert report.to_record() == _threshold_two_passes(k, repeats, max_value)
+
+
+@pytest.mark.parametrize("k, repeats, max_value, asks", [
+    (3, False, 64, [17, 23, 24]), (3, False, 24, [17, 23]), (3, True, 64, [14]),
+])
+def test_threshold_dfs_asks_each_depth_once(k, repeats, max_value, asks):
+    # a hook that always finds an avoider lets the pass run to its end: it
+    # is asked about each depth once, never about max_value, and the pass
+    # returns, in as many nodes, what it returns with no hook
+    asked, nodes, alone = [], _NodeBudget(10 ** 7), _NodeBudget(10 ** 7)
+    out = _lex_first_avoider(k, max_value, repeats, nodes,
+                             lambda n: asked.append(n) or True)
+    assert out == _lex_first_avoider(k, max_value, repeats, alone)
+    assert asked == asks and nodes.used == alone.used
+
+
+def test_threshold_four_colors_is_found_and_checked():
+    # Oracle (frozen): S(4) = 44 (Baumert 1965), so N = 45.  The DFS reaches
+    # depth 44, and the confirmer's refutation of {1..45}, 388,850 of these
+    # nodes, ends the run where exhausting depth 44 would not end within
+    # the default node_limit
+    report = threshold_search(4, True, SearchBudget(max_value=46))
+    assert report.found and report.n == 45 and report.nodes == 5_574_239
+    assert report.confirmed_independent and report.note == ""
+    assert verify_avoider(report.avoider, 4, 44, True)
+    assert len(report.certificate) == 388_851 > search_module._MAX_REFUTATION
+    assert verify_refutation(report.certificate, 4, 45, True)
+    # too long for the record, which is re-run when checked
+    assert "certificate" not in report.to_record()
 
 
 class _CountedBudget(_NodeBudget):
@@ -830,7 +911,7 @@ def test_search_refuses_a_cap_it_does_not_read(run, cap):
      lambda r: r["found"] and "certificate" not in r),
     (2, True, SearchBudget(max_value=4), 0,
      lambda r: r["note"] == "no threshold within 4"),
-    (3, False, SearchBudget(max_value=64, node_limit=20_581), 0,
+    (3, False, SearchBudget(max_value=64, node_limit=2_083), 0,
      lambda r: r["note"].startswith("budget exhausted")),
 ], ids=["found-with-certificate", "found-over-the-cap", "none-within-max-value",
         "cut-by-budget"])
