@@ -979,9 +979,12 @@ _COMMANDS = {
         edge_coloring=_EDGE_COLORING, vertex_coloring=_VERTEX_COLORING,
         semigroup=Key(_choice(*_SEMIGROUPS), "naturals"),
         base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
-        # each node and the witness check build the 2^m sums and about 3^m
-        # chains of the prefix, which node_limit does not count: 12 takes
-        # 0.35 s and 47 MB, 13 takes 1 s and 96 MB, and 15 took 9.1 s and 745 MB
+        # each node builds the 2^m sums and the d-chains of its prefix, and
+        # the witness check reads the chain table of (m, d), which node_limit
+        # does not count: with a constant coloring, 12 takes 0.2, 0.5 and
+        # 0.9 s and 44, 69 and 83 MB at d = 2, 3 and 4, 13 takes 0.9, 1.6
+        # and 3.4 s and 89, 166 and 247 MB, and 15 took 9.1 s and 745 MB
+        # at d = 2
         m=Key(_integer(1, 12), ...),
         d=_D, max_index=_MT_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
     "threshold": _command(

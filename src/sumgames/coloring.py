@@ -16,6 +16,12 @@ from .semigroups import Semigroup
 
 def canonical_key(x: Any) -> bytes:
     """Stable byte encoding of an element, for seeded hash colorings."""
+    # the two common exact types first; a bool is not one, so it still
+    # gets b"b:" from the ladder below
+    if type(x) is int:
+        return b"i:%d" % x
+    if type(x) is frozenset:
+        return _set_key({canonical_key(v) for v in x})
     if isinstance(x, bool):
         return b"b:%d" % int(x)
     if isinstance(x, int):

@@ -15,6 +15,7 @@ from sumgames.coloring import (
     seeded_hash_coloring,
 )
 from sumgames.covers import SSet
+from sumgames.partition import encode_cofinite_example
 from sumgames.semigroups import (
     ElementSequence,
     block_chains,
@@ -126,6 +127,28 @@ def test_seeded_hash_colors_are_pinned(d, k, seed):
     # the keyed entry point gives the same colors from the members' keys
     assert [chi.of_keys([canonical_key(x) for x in s])
             for s in subjects] == _PINNED_COLORS[d, k, seed]
+
+
+def test_canonical_key_bytes_are_pinned():
+    assert canonical_key(0) == b"i:0"
+    assert canonical_key(-12) == b"i:-12"
+    assert canonical_key(2 ** 70) == b"i:1180591620717411303424"
+    # a bool is an int, but keeps its own tag
+    assert canonical_key(True) == b"b:1" and canonical_key(False) == b"b:0"
+    assert canonical_key(frozenset({True, 2})) == b"s{b:1,i:2}"
+    assert (canonical_key(frozenset({frozenset({2}), frozenset({1, 3})}))
+            == b"s{s{i:1,i:3},s{i:2}}")
+    assert canonical_key({3, 1}) == b"s{i:1,i:3}"
+    assert canonical_key((1, frozenset({2}), "x")) == b"(i:1,s{i:2},t:x)"
+    assert canonical_key("ab") == b"t:ab"
+
+
+def test_cofinite_union_has_no_canonical_key():
+    # ROADMAP item 9: the example's points are frozensets, which
+    # SSet.stable_key formats as integers
+    cover = encode_cofinite_example(3).cover
+    with pytest.raises(TypeError):
+        canonical_key(SSet.union(cover.set_at(1), cover.set_at(2)))
 
 
 def test_keyed_entry_point_keeps_the_checks_of_of_set():

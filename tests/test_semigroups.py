@@ -1,5 +1,6 @@
 """Core finite-sums machinery: blocks, FS enumeration, sumsequences."""
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from sumgames.semigroups import (
     ImproperSequenceError,
     block_chains,
     chain_sum_sets,
+    chain_table,
     block_less,
     blocks_within,
     finite_sets,
@@ -273,6 +275,46 @@ def test_chain_sum_sets_list_a_repeated_sum_set_once():
     assert edges == sum_hypergraph(seq, 4, 2)
     assert len(edges) == len(set(edges)) < len(list(block_chains(4, 2)))
     assert frozenset({5, 20}) in edges
+
+
+def _chain_sum_sets_regenerated(sums: dict, n: int, d: int) -> list:
+    """chain_sum_sets as it was before chain tables: the chains regenerated
+    on every call."""
+    return list(dict.fromkeys(frozenset(sums[F] for F in chain)
+                              for chain in block_chains(n, d)))
+
+
+def _random_proper(sg, n, term):
+    for _ in range(100):
+        seq = ElementSequence.from_terms(sg, [term() for _ in range(n)])
+        if is_proper_up_to(seq, n):
+            return seq
+    raise AssertionError("no proper sequence drawn")
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_chain_table_is_block_chains_built_once(n):
+    for d in range(1, 5):
+        table = chain_table(n, d)
+        assert type(table) is tuple and all(type(chain) is tuple for chain in table)
+        assert table == tuple(block_chains(n, d))
+        # one object per block, shared by every chain that holds it
+        blocks = [F for chain in table for F in chain]
+        assert len(set(map(id, blocks))) == len(set(blocks))
+        assert chain_table(n, d) is table
+    assert isinstance(chain_table.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_sum_sets_equal_regenerated_chains(n):
+    rng = random.Random(n)
+    draws = [(NAT, lambda: rng.randint(1, 10 ** 6)),
+             (FIN, lambda: frozenset(rng.sample(range(1, 41), rng.randint(1, 3))))]
+    for sg, term in draws:
+        for _ in range(5):
+            sums = fs_enumerate(_random_proper(sg, n, term), n)
+            for d in range(1, 5):
+                assert chain_sum_sets(sums, n, d) == _chain_sum_sets_regenerated(sums, n, d)
 
 
 def test_sum_hypergraph_rejects_improper():
