@@ -981,9 +981,9 @@ _COMMANDS = {
         base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
         # each node builds the 2^m sums and the d-chains of its prefix, and
         # the witness check reads the chain table of (m, d), which node_limit
-        # does not count: with a constant coloring, 12 takes 0.2, 0.5 and
-        # 0.9 s and 44, 69 and 83 MB at d = 2, 3 and 4, 13 takes 0.9, 1.6
-        # and 3.4 s and 89, 166 and 247 MB, and 15 took 9.1 s and 745 MB
+        # does not count: with a constant coloring, 12 takes 0.2, 0.4 and
+        # 0.6 s and 45, 68 and 82 MB at d = 2, 3 and 4, 13 takes 0.7, 1.3
+        # and 2.1 s and 91, 164 and 242 MB, and 15 took 9.1 s and 745 MB
         # at d = 2
         m=Key(_integer(1, 12), ...),
         d=_D, max_index=_MT_MAX_INDEX, chain=Key(_choice("none", *_CHAINS))),
@@ -1040,14 +1040,14 @@ _COMMANDS = {
         _run_game_transfer, "strategy transfer replays",
         which=Key(_choice("gfin-to-g1", "diagonal"), "gfin-to-g1"),
         # the diagonal cover intersects the sets of 1 + n + ... + n^n tree
-        # covers, so n = 5 already takes seconds; the replay reads no set
-        # past games._COVER_BOUND, so more picks than that add nothing
+        # covers, 3,906 at n = 5 (0.9 s at horizon 32); the replay reads no
+        # set past games._COVER_BOUND, so more picks than that add nothing
         n=Key(_integer(0, 4), 2), picks=Key(_integer(1, 32), 8),
         # defaults to the horizon; the gfin-to-g1 cover grows with it, and no
         # budget counts the replay, so it is bounded as the horizon is
         rounds=Key(_integer(1, 32)),
         # no budget counts the horizon's sets that either variant reads:
-        # the diagonal at n = 4 takes 0.5 s at 32 and 2.3 s at 64, and
+        # the diagonal at n = 4 takes 0.06 s at 32 and 0.16 s at 64, and
         # gfin-to-g1 4 s at 256 and minutes at 1024
         horizon=Key(_integer(1, 32), 16)),
     "cover-partition": _command(

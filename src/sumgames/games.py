@@ -280,6 +280,7 @@ def diagonal_cover(tree: Callable[[tuple], Cover], n: int, space: Space) -> Cove
     m-th sets of every tree cover at index sequences of length <= n over
     {1..n}.  Ascending when every tree cover is."""
     sigmas = _sigma_level(n)
+    tree = functools.cache(tree)  # so each tree cover keeps the sets it built
 
     def set_at(m: int) -> SSet:
         acc = None

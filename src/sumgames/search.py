@@ -31,9 +31,9 @@ from .semigroups import (
     Semigroup,
     _block,
     _mask,
-    block_chains,
-    blocks_within,
+    block_key,
     chain_sum_sets,
+    chain_table,
     indexed_sum,
     naturals,
 )
@@ -227,7 +227,10 @@ def _depth_first(m: int, candidates: Callable, check: Callable,
     return Exhausted(True, nodes.used)
 
 
-@functools.lru_cache(maxsize=None)
+# One search reads n = 1 .. m <= 12 at one d, and a bound below m would
+# rebuild lists as it moves between depths; 24 keeps two values of d at
+# m = 12, in at most 11 MB.
+@functools.lru_cache(maxsize=24)
 def _chains_ending_at(n: int, d: int) -> tuple:
     """The chains F_1 < ... < F_d inside {1..n} whose last block holds n:
     the d-chains that a prefix of n terms has and its parent lacks.
@@ -238,16 +241,18 @@ def _chains_ending_at(n: int, d: int) -> tuple:
     Chains are given as list positions in ``_prefix_sums``: a head chain as
     those of F_1 .. F_{d-1} in the parent's sums (mask - 1), any other as
     ``(last, rest)``, with ``rest`` so and ``last`` the position of F_d in
-    the sums that n adds (mask - 2^(n-1))."""
-    head, top = frozenset([n]), 1 << (n - 1)
-
-    def positions(blocks) -> tuple:
-        return tuple(_mask(F) - 1 for F in blocks)
-
-    heads = tuple(map(positions, block_chains(n - 1, d - 1)))
-    others = tuple((_mask(L) - top, positions(rest))
-                   for L in blocks_within(n) if n in L and L != head
-                   for rest in block_chains(min(L) - 1, d - 1))
+    the sums that n adds (mask - 2^(n-1)).  The heads are the chains of
+    ``chain_table(n - 1, d - 1)``, one tuple each, and F | {n}, in block
+    order, pairs with those of them inside {1..min(F)-1}, in table order."""
+    top = 1 << (n - 1)
+    table = chain_table(n - 1, d - 1)
+    heads = tuple(tuple(_mask(F) - 1 for F in chain) for chain in table)
+    ends = [max(chain[-1]) if chain else 0 for chain in table]
+    below = [tuple(rest for rest, end in zip(heads, ends) if end <= k)
+             for k in range(n - 1)]
+    order = sorted(range(1, top), key=lambda last: block_key(_block(last | top)))
+    others = tuple((last, rest) for last in order
+                   for rest in below[(last & -last).bit_length() - 1])
     return heads, others
 
 

@@ -51,26 +51,26 @@ def block_key(F: Block) -> tuple:
     return tuple(sorted(F))
 
 
-def blocks_within(n: int, lo: int = 1) -> Iterator[Block]:
-    """All nonempty blocks inside {lo..n}, in canonical (sorted-tuple) order."""
-    universe = range(lo, n + 1)
+def blocks_within(n: int) -> Iterator[Block]:
+    """All nonempty blocks inside {1..n}, in canonical (sorted-tuple) order."""
+    universe = range(1, n + 1)
     out = []
-    for r in range(1, n - lo + 2):
+    for r in range(1, n + 1):
         out.extend(frozenset(c) for c in itertools.combinations(universe, r))
     return iter(sorted(out, key=block_key))
 
 
-def block_chains(n: int, d: int, lo: int = 1) -> Iterator[tuple]:
-    """All chains F_1 < ... < F_d of blocks inside {lo..n}, canonical order."""
-    if d == 0:
-        yield ()
-        return
-    for F in blocks_within(n, lo):
-        if d == 1:
-            yield (F,)
-        else:
-            for rest in block_chains(n, d - 1, lo=max(F) + 1):
-                yield (F,) + rest
+def block_chains(n: int, d: int) -> Iterator[tuple]:
+    """All chains F_1 < ... < F_d of blocks inside {1..n}, in canonical
+    order; every chain that holds a block holds the same object."""
+    blocks = [(F, min(F), max(F)) for F in blocks_within(n)]
+    # tails[lo]: the chains of the length built so far inside {lo..n}
+    tails = [((),)] * (n + 2)
+    for _ in range(d):
+        tails = [tuple((F,) + rest for F, least, top in blocks if least >= lo
+                       for rest in tails[top + 1])
+                 for lo in range(n + 2)]
+    return iter(tails[1])
 
 
 @dataclass(frozen=True)
@@ -279,21 +279,14 @@ def is_proper_up_to(seq: ElementSequence, depth: int) -> bool:
 
 # A table stays after the check that built it.  A command asks for n <= 12
 # (search-mt's m), where the largest table, d = 4, holds 65,537 chains in
-# 6 MB and the eight largest 27 MB; each benchmark workload reads two or
-# three tables, so eight keep them all and bound what stays.
+# 6 MB and the eight largest 27 MB.  Each benchmark workload checks against
+# two or three tables, and reads up to seven more once, to build the search's
+# cached per-depth lists; so eight keep the checked tables and bound what stays.
 @functools.lru_cache(maxsize=8)
 def chain_table(n: int, d: int) -> tuple:
-    """``tuple(block_chains(n, d))``, built once per (n, d) from one list of
-    the blocks inside {1..n}, so every chain holding a block holds the same
-    object.  Immutable, so no caller can alter what another reads."""
-    blocks = [(F, min(F), max(F)) for F in blocks_within(n)]
-    # tails[lo]: the chains of the length built so far inside {lo..n}
-    tails = [((),)] * (n + 2)
-    for _ in range(d):
-        tails = [tuple((F,) + rest for F, least, top in blocks if least >= lo
-                       for rest in tails[top + 1])
-                 for lo in range(n + 2)]
-    return tails[1]
+    """``block_chains(n, d)`` as a tuple, built once per (n, d).  Immutable,
+    so no caller can alter what another reads."""
+    return tuple(block_chains(n, d))
 
 
 def chain_sum_sets(sums: dict, n: int, d: int) -> list:

@@ -10,6 +10,7 @@ from sumgames.games import (
     PlayReconstruction,
     SetMove,
     Strategy,
+    _sigma_level,
     collapse_selections,
     convert_gfin_to_g1,
     diagonal_cover,
@@ -220,6 +221,21 @@ def test_diagonal_cover_pointwise_min():
     assert v2.set_at(4) == SSet.interval(0, 4)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_diagonal_cover_asks_each_tree_cover_once(n):
+    asked = []
+
+    def tree(sigma):
+        asked.append(sigma)
+        return shifted_tree(sigma)
+
+    v = diagonal_cover(tree, n, NATS)
+    sets = [v.set_at(m) for m in range(1, 9)]
+    assert sorted(asked) == sorted(_sigma_level(n))
+    # n >= 1 has a path of each parity, so the smaller stretch wins
+    assert sets == [SSet.interval(0, m) for m in range(1, 9)]
+
+
 def test_diagonal_transfer_reconstruction():
     cover, extractor = diagonal_transfer(constant_tree, 2, NATS)
     selections = [cover.set_at(i) for i in range(1, 9)]
@@ -252,6 +268,8 @@ def test_tree_gap_raises():
         return None if sigma else Cover(NATS, set_fn=lambda i: SSet.interval(0, i))
 
     v1 = diagonal_cover(gappy, 1, NATS)
+    with pytest.raises(KeyError):
+        v1.set_at(1)
     with pytest.raises(KeyError):
         v1.set_at(1)
 

@@ -59,6 +59,8 @@ from sumgames.semigroups import (
     take_sumsequence,
 )
 
+from chain_reference import chains_ending_at
+
 NAT = naturals()
 FIN = finite_sets()
 
@@ -272,14 +274,19 @@ def test_extending_a_parent_leaves_its_state_unchanged(kind):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_head_and_other_chains_are_the_new_chains(n, d):
     def decoded(rest, last=0):
         # positions in the parent's sums, then in the sums that n adds
         return tuple(_block(p + 1) for p in rest) + (_block((1 << (n - 1)) + last),)
 
     head_positions, other_positions = _chains_ending_at(n, d)
+    # the lists as they were built before the chain tables, order included
+    assert (head_positions, other_positions) == chains_ending_at(n, d)
+    assert isinstance(_chains_ending_at.cache_info().maxsize, int)
+    if n > 8:
+        return  # the frozen lists pin the rest; the sets below cost seconds
     heads = [decoded(rest) for rest in head_positions]
     others = [decoded(rest, last) for last, rest in other_positions]
     new = set(block_chains(n, d)) - set(block_chains(n - 1, d))

@@ -28,6 +28,8 @@ from sumgames.semigroups import (
     take_sumsequence,
 )
 
+from chain_reference import block_chains as recursive_block_chains
+
 NAT = naturals()
 FIN = finite_sets()
 
@@ -281,7 +283,7 @@ def _chain_sum_sets_regenerated(sums: dict, n: int, d: int) -> list:
     """chain_sum_sets as it was before chain tables: the chains regenerated
     on every call."""
     return list(dict.fromkeys(frozenset(sums[F] for F in chain)
-                              for chain in block_chains(n, d)))
+                              for chain in recursive_block_chains(n, d)))
 
 
 def _random_proper(sg, n, term):
@@ -297,7 +299,7 @@ def test_chain_table_is_block_chains_built_once(n):
     for d in range(1, 5):
         table = chain_table(n, d)
         assert type(table) is tuple and all(type(chain) is tuple for chain in table)
-        assert table == tuple(block_chains(n, d))
+        assert table == tuple(recursive_block_chains(n, d))
         # one object per block, shared by every chain that holds it
         blocks = [F for chain in table for F in chain]
         assert len(set(map(id, blocks))) == len(set(blocks))

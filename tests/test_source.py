@@ -167,6 +167,20 @@ def test_only_recheck_compares_records():
     assert {name: named for name, named in comparing.items() if named} == {}
 
 
+def test_searches_read_every_chain_from_the_chain_table():
+    # one chain enumeration: block_chains builds chain_table, and the
+    # searches read their chains from the table, never from what builds it
+    reached = {}
+    for name in ("search", "partition"):
+        tree = ast.parse((ROOT / "src" / "sumgames" / f"{name}.py").read_text(encoding="utf-8"))
+        reached[name] = _named(tree) | {alias.name for node in ast.walk(tree)
+                                        if isinstance(node, ast.ImportFrom)
+                                        for alias in node.names}
+    assert {name: sorted(names & {"block_chains", "blocks_within"})
+            for name, names in reached.items()} == {"search": [], "partition": []}
+    assert "chain_table" in reached["search"]
+
+
 def test_partition_search_cuts_with_the_covers_bound():
     # menger_mt_search drops a prefix by completion_floor, and t and f
     # default once in covers.py, in classify_cover, so that the bound and
