@@ -12,15 +12,15 @@ and the record that ``dispatch`` would write for them, ``exit``,
 ``command``, ``config`` and ``schema_version`` included, must equal the
 line as JSON, each int a plain int.  The certificates are the witness of
 search-hindman, search-mt and cover-partition, the avoider and refutation
-of a found threshold, the avoider of a threshold record that found none
-within ``max_value``, and the blocks of each proper-or-collapse run.  A
+of a found threshold, the avoider of every threshold record that found
+none, and the blocks of each proper-or-collapse run.  A
 certifier reads the result's object from the record, checks it with the
 checker of its kind from ``check.py``, runs no search, and encodes it again as
 the runner does.  So it proves the recorded claim, but not that the
 witness is the first one in search order.  Every other record is re-run,
-as is every record under ``rerun``: exhaustions, thresholds cut by the
-budget or found without a certificate, dichotomy runs left unknown at
-depth, and the commands of ``_RERUN_ONLY``.
+as is every record under ``rerun``: exhaustions, thresholds found
+without a certificate, dichotomy runs left unknown at depth, and the
+commands of ``_RERUN_ONLY``.
 
 Exit codes: 0 witness found / verified, 1 exhausted / failed,
 2 unknown at depth, 3 usage error.
@@ -259,7 +259,7 @@ def _coloring_descriptor(name, value):
     return value
 
 
-_SEMIGROUPS = ("naturals", "finite-sets")
+_SEMIGROUP_BASES = {"naturals": "powers-of-two", "finite-sets": "singletons"}
 # the keys besides "kind" that each kind of sequence reads
 _SEQUENCE_KEYS = {"powers-of-two": (), "random-finite-sets": ("gen_max",),
                   "literal": ("semigroup", "terms")}
@@ -283,8 +283,8 @@ def _sequence_descriptor(name, value):
         # each of the depth terms samples up to gen_max / 2 points: 10^4
         # takes 0.02 s a run, and 10^6 took 1 s and 215 MB
         value["gen_max"] = _integer(1, 10 ** 4)(f"{name}.gen_max", value["gen_max"])
-    semigroup = _choice(*_SEMIGROUPS)(f"{name}.semigroup",
-                                      value.get("semigroup", "naturals"))
+    semigroup = _choice(*_SEMIGROUP_BASES)(f"{name}.semigroup",
+                                           value.get("semigroup", "naturals"))
     if "terms" in value:
         item = (_integer(1) if semigroup == "naturals"
                 else _list_of(_integer(1), nonempty=True))
@@ -402,22 +402,23 @@ def _build_coloring(config: RunConfig, key: str, d: int,
     return build(d, **{"seed": config["seed"], **{k: desc[k] for k in keys if k in desc}})
 
 
-def _base_sequence(config: RunConfig):
-    if config["semigroup"] == "naturals":
-        if config["base"] != "powers-of-two":
-            raise ConfigError("base: naturals supports 'powers-of-two'")
-        sg = naturals()
-        return sg, ElementSequence.from_fn(sg, lambda i: 2 ** (i - 1))
-    if config["base"] != "singletons":
-        raise ConfigError("base: finite-sets supports 'singletons'")
-    sg = finite_sets()
-    return sg, ElementSequence.from_fn(sg, lambda i: frozenset({i}))
+_NAMED_SEQUENCES = {
+    "powers-of-two": lambda: ElementSequence.from_fn(naturals(), lambda i: 2 ** (i - 1)),
+    "singletons": lambda: ElementSequence.from_fn(finite_sets(), lambda i: frozenset({i})),
+}
+
+
+def _base_sequence(config: RunConfig) -> ElementSequence:
+    semigroup, base = config["semigroup"], _SEMIGROUP_BASES[config["semigroup"]]
+    if config["base"] != base:
+        raise ConfigError(f"base: {semigroup} supports '{base}'")
+    return _NAMED_SEQUENCES[base]()
 
 
 def _sequence_from_descriptor(desc: dict, depth: int, seed: int) -> ElementSequence:
     kind = desc["kind"]
     if kind == "powers-of-two":
-        return ElementSequence.from_fn(naturals(), lambda i: 2 ** (i - 1))
+        return _NAMED_SEQUENCES[kind]()
     if kind == "random-finite-sets":
         gen_max = desc.get("gen_max", 6)
         rng = random.Random(seed)
@@ -435,9 +436,9 @@ def _chain_from_name(name: Optional[str], delta: str):
     if name in (None, "none"):
         return None
     if name == "fs-tails-pow2":
-        return fs_tail_chain(ElementSequence.from_fn(naturals(), lambda i: 2 ** (i - 1)))
+        return fs_tail_chain(_NAMED_SEQUENCES["powers-of-two"]())
     if name == "fs-tails-singletons":
-        return fs_tail_chain(ElementSequence.from_fn(finite_sets(), lambda i: frozenset({i})))
+        return fs_tail_chain(_NAMED_SEQUENCES["singletons"]())
     if name == "ap":
         return build_constrained_chain(ap_family)
     delta = Fraction(delta)
@@ -494,9 +495,9 @@ def _certify_search_hindman(config: RunConfig, result: dict):
 def _mt_instance(config: RunConfig):
     """The base and colorings of a search-mt config: (sg, base, chi_e,
     chi_v, chain)."""
-    sg, base = _base_sequence(config)
+    base = _base_sequence(config)
     sums = "integers" if config["semigroup"] == "naturals" else "finite sets"
-    return (sg, base, _build_coloring(config, "edge_coloring", config["d"], sums),
+    return (base.semigroup, base, _build_coloring(config, "edge_coloring", config["d"], sums),
             _build_coloring(config, "vertex_coloring", 1, sums),
             _chain_from_name(config["chain"], _DENSITY_DELTA))
 
@@ -541,11 +542,11 @@ def _run_threshold(config: RunConfig):
 def _certify_threshold(config: RunConfig, result: dict):
     """A found threshold N: its avoider colors {1..N-1}, and its refutation
     shows that every coloring of {1..N} has a monochromatic triple.  A
-    record of no threshold within max_value: its avoider colors all of
-    {1..max_value}, so the threshold exceeds max_value.  Neither runs a
-    search.  A found threshold with no certificate (unconfirmed, over
-    ``search._MAX_REFUTATION`` or written before thresholds had one) and a
-    run cut by its budget are re-run."""
+    record of no threshold found: its avoider colors {1..d}, d = max_value
+    unless the budget cut the run, so the threshold exceeds d.  Neither
+    runs a search.  A found threshold with no certificate (unconfirmed,
+    over ``search._MAX_REFUTATION`` or written before thresholds had one)
+    is re-run."""
     k, max_value, repeats = config["colors"], config["max_value"], config["repeats"]
     report = ThresholdReport.from_record(result)
     # each case sets the fields that threshold_search writes for it
@@ -555,9 +556,12 @@ def _certify_threshold(config: RunConfig, result: dict):
         proved = (type(n) is int and 0 < n <= max_value
                   and verify_avoider(report.avoider, k, n - 1, repeats)
                   and verify_refutation(report.certificate, k, n, repeats))
-    elif report.found is False and report.note == f"no threshold within {max_value}":
+    elif report.found is False:
+        d = len(report.avoider)
         report.n, report.confirmed_independent, report.certificate = None, False, None
-        proved = verify_avoider(report.avoider, k, max_value, repeats)
+        report.note = (f"no threshold within {max_value}" if d == max_value
+                       else f"budget exhausted at N={d + 1}; threshold > {d}")
+        proved = d <= max_value and verify_avoider(report.avoider, k, d, repeats)
     else:
         return None
     return proved and ((EXIT_OK if report.found else EXIT_EXHAUSTED), report.to_record())
@@ -905,7 +909,8 @@ def _run_verify_report(config: RunConfig):
                    for line_no, line in enumerate(fh, start=1) if line.strip()]
     bad = sum(not entry["matches"] for entry in details)
     result = {"records": len(details), "mismatches": bad, "details": details}
-    return (EXIT_OK if bad == 0 else EXIT_EXHAUSTED), result
+    # an input with no records verified nothing, which is no pass
+    return (EXIT_OK if details and bad == 0 else EXIT_EXHAUSTED), result
 
 
 class Command(NamedTuple):
@@ -977,8 +982,8 @@ _COMMANDS = {
         _run_search_mt, "monochromatic sum-graph search",
         certify=_certify_search_mt,
         edge_coloring=_EDGE_COLORING, vertex_coloring=_VERTEX_COLORING,
-        semigroup=Key(_choice(*_SEMIGROUPS), "naturals"),
-        base=Key(_choice("powers-of-two", "singletons"), "powers-of-two"),
+        semigroup=Key(_choice(*_SEMIGROUP_BASES), "naturals"),
+        base=Key(_choice(*_NAMED_SEQUENCES), "powers-of-two"),
         # each node builds the 2^m sums and the d-chains of its prefix, and
         # the witness check reads the chain table of (m, d), which node_limit
         # does not count: with a constant coloring, 12 takes 0.2, 0.4 and
@@ -995,8 +1000,8 @@ _COMMANDS = {
         # max_value costs its square: 1024 takes 0.005 s, 4096 takes 0.04 s,
         # and 10^7 of either took 175 or 251 MB; node_limit bounds the rest:
         # --colors 4 --no-repeats at 1024 spends the default 10^7 nodes and
-        # ends "budget exhausted at N=56" in 3.8 s (median of 5 runs), and
-        # --colors 4 at 64 finds N=45 in 5,574,239 nodes and 3.8 s
+        # ends "budget exhausted at N=56" in 6.2 s (median of 5 runs on 2
+        # vCPUs), and --colors 4 at 64 finds N=45 in 2,981,636 nodes and 3.7 s
         colors=Key(_integer(1, 64), 2), repeats=Key(_boolean, True),
         max_value=Key(_integer(0, 1024), 64)),
     "proper-or-collapse": _command(

@@ -245,7 +245,7 @@ def _chains_ending_at(n: int, d: int) -> tuple:
     ``chain_table(n - 1, d - 1)``, one tuple each, and F | {n}, in block
     order, pairs with those of them inside {1..min(F)-1}, in table order."""
     top = 1 << (n - 1)
-    table = chain_table(n - 1, d - 1)
+    table = chain_table.__wrapped__(n - 1, d - 1)  # read once: kept out of the cache
     heads = tuple(tuple(_mask(F) - 1 for F in chain) for chain in table)
     ends = [max(chain[-1]) if chain else 0 for chain in table]
     below = [tuple(rest for rest, end in zip(heads, ends) if end <= k)
@@ -655,14 +655,11 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     ``ask(n)`` says whether {1..n} has an avoider: True, False, or None
     when the budget ran out first.  Without it the pass must exhaust the
     tree to prove its last depth, which may cost far more than reaching
-    it.  So once the pass first fails to color depth + 1, and has then
-    spent as many nodes again as it had spent before that failure (the
-    budget's ``used``, checked each time it closes a value), it asks
+    it.  So the first time the pass fails to color depth + 1 it asks
     ``ask(depth + 1)``, at most once per depth and never when depth + 1
     is ``max_value``, where the pass ends either way.  On True it goes on;
     on False or None it stops, and the caller, which keeps the answer,
-    tells the two apart.  Doubling keeps the asks that find an avoider
-    cheap against the pass that reaches each depth.
+    tells the two apart.
 
     Colors are broken symmetrically: value v may take a new color only if
     every lower color is already in use.  The least avoider satisfies this
@@ -693,8 +690,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
     depth, held = 0, []  # held: colors[1:depth + 1] when depth was first reached
     reached = 3          # bits 0..depth + 1
     rivals = _rivals(k)
-    never = nodes.limit + 1  # more nodes than the budget grants
-    ask_at = never       # 0: depth + 1 has not failed yet, and will be asked
+    pending = False      # depth + 1 has not failed yet, and will be asked
     v = 1 if max_value else 0
     while v:
         c = colors[v]
@@ -715,10 +711,8 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             colors[v] = 0
             v -= 1
             # the first value closed at a depth is depth + 1 itself
-            if not ask_at:
-                ask_at = 2 * nodes.used
-            elif nodes.used >= ask_at:
-                ask_at = never
+            if pending:
+                pending = False
                 if not ask(depth + 1):  # refuted, or the budget ran out
                     break
             continue
@@ -736,7 +730,7 @@ def _lex_first_avoider(k: int, max_value: int, allow_repeats: bool,
             if v == max_value:
                 break
             reached = (bit << 2) - 1
-            ask_at = 0 if ask and v + 1 < max_value else never
+            pending = ask is not None and v + 1 < max_value
         elif prior == k:
             # c newly forbids only values above v; one of them up to
             # depth + 1 that every other color forbids too is reached by no
@@ -841,8 +835,8 @@ def threshold_search(k: int, allow_repeats: bool = True,
     One depth-first pass over 1, 2, ... up to ``budget.max_value`` finds
     the avoider: the first one it meets at each depth is the least.  A
     second enumerator, forward checking over color domains, settles the
-    last depth: the pass asks it whether {1..depth + 1} has an avoider
-    (see ``_lex_first_avoider`` for when), and stops on its refutation
+    last depth: the first time the pass fails to color depth + 1, it asks
+    whether {1..depth + 1} has an avoider, and stops on its refutation
     instead of exhausting that depth itself.  So N is found either by that
     refutation or by a pass that exhausts the tree, after which the second
     enumerator is asked about {1..N} unless it was already.  A found N is

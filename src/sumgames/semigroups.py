@@ -280,8 +280,8 @@ def is_proper_up_to(seq: ElementSequence, depth: int) -> bool:
 # A table stays after the check that built it.  A command asks for n <= 12
 # (search-mt's m), where the largest table, d = 4, holds 65,537 chains in
 # 6 MB and the eight largest 27 MB.  Each benchmark workload checks against
-# two or three tables, and reads up to seven more once, to build the search's
-# cached per-depth lists; so eight keep the checked tables and bound what stays.
+# two or three tables, and only the checks read through this cache (the
+# search's per-depth lists build theirs past it); so eight bound what stays.
 @functools.lru_cache(maxsize=8)
 def chain_table(n: int, d: int) -> tuple:
     """``block_chains(n, d)`` as a tuple, built once per (n, d).  Immutable,

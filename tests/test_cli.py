@@ -325,6 +325,8 @@ _MT_README = {"command": "search-mt",
 _NO_THRESHOLD_40 = {"command": "threshold", "colors": 4, "repeats": True, "max_value": 40}
 _NO_THRESHOLD_4 = {"command": "threshold", "colors": 2, "max_value": 4}
 _FOUND_THRESHOLD = {"command": "threshold", "colors": 2, "repeats": True}
+# cut by its budget at depth 10: "budget exhausted at N=11; threshold > 10"
+_CUT_THRESHOLD = {"command": "threshold", "colors": 3, "repeats": True, "node_limit": 100}
 _HINDMAN_README = {"command": "search-hindman", "coloring": {"name": "parity"}, "m": 2,
                    "max_value": 7}
 _COVER_OP = {"command": "cover-partition", "instance": "initial-segments",
@@ -341,6 +343,7 @@ CERTIFIED = [
      "vertex_coloring": {"name": "parity"}, "m": 2, "d": 2, "max_index": 6,
      "chain": "fs-tails-pow2"},
     _NO_THRESHOLD_40,
+    _CUT_THRESHOLD,
     {"command": "search-hindman", "coloring": {"name": "mod-k", "k": 3}, "m": 3,
      "max_value": 60},
     {"command": "proper-or-collapse", "depth": 5, "runs": 10, "seed": 1},
@@ -374,7 +377,7 @@ def test_certified_records_verify_without_any_search(tmp_path, monkeypatch):
     assert code == EXIT_OK and result["mismatches"] == 0
     assert all(d["certificate"] is True and d["matches"] for d in result["details"])
     # a collapse is certified too, not only proper runs
-    assert '"collapse"' in lines[5]
+    assert '"collapse"' in lines[6]
 
 
 def _set_result(path, change):
@@ -399,6 +402,11 @@ def _lookalike(values, key, like=float):
     (_MT_README, lambda r: r["witness"]["blocks"][2].remove(8)),
     # colors 1 and 2 alike: 1 + 1 = 2 is a monochromatic triple
     (_NO_THRESHOLD_40, lambda r: _set_avoider(r, "2", r["avoider"]["1"])),
+    # a cut run's avoider: recolored into a triple, or one value short of
+    # the depth its note claims, or the note's depth raised
+    (_CUT_THRESHOLD, lambda r: _set_avoider(r, "2", r["avoider"]["1"])),
+    (_CUT_THRESHOLD, lambda r: r["avoider"].pop("10")),
+    (_CUT_THRESHOLD, lambda r: r.__setitem__("note", "budget exhausted at N=12; threshold > 11")),
     (_HINDMAN_README, lambda r: r["witness"]["terms"].__setitem__(1, 6)),
     # blocks and an edge color that no Hindman witness has
     (_HINDMAN_README, lambda r: r["witness"].__setitem__("blocks", [[1], [3]])),
@@ -426,7 +434,8 @@ def _lookalike(values, key, like=float):
     (_POC_LITERAL, lambda r: _lookalike(r["runs"][0]["blocks"][0], 0, bool)),
     (_COVER_OP, lambda r: _lookalike(r["witness"]["index_blocks"][0], 0)),
     (_COVER_OP, lambda r: _lookalike(r["witness"], "color_edge", bool)),
-], ids=["mt-block", "avoider-color", "hindman-term", "hindman-blocks",
+], ids=["mt-block", "avoider-color", "cut-avoider-color", "cut-avoider-short",
+        "cut-note-depth", "hindman-term", "hindman-blocks",
         "hindman-color-edge", "family-index", "dichotomy-block",
         "refutation-cut", "refutation-for-n-plus-1", "refutation-true",
         "avoider-true", "avoider-float", "confirmed-zero", "threshold-n-float",
@@ -983,6 +992,16 @@ def test_verify_report_multiple_records(tmp_path):
     assert code == EXIT_OK
     assert recs[0]["result"]["records"] == 3
     assert recs[0]["result"]["mismatches"] == 0
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+def test_verify_report_with_no_records_fails(tmp_path, text):
+    # an input with no records verified nothing
+    path = tmp_path / "none.jsonl"
+    path.write_text(text)
+    code, result = _verify(tmp_path, path)
+    assert code == EXIT_EXHAUSTED
+    assert result == {"records": 0, "mismatches": 0, "details": []}
 
 
 def test_search_mt_records_finite_set_terms_in_text_order(tmp_path):

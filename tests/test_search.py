@@ -55,6 +55,7 @@ from sumgames.semigroups import (
     ImproperSequenceError,
     _block,
     block_key,
+    chain_table,
     finite_sets,
     indexed_sum,
     is_proper_up_to,
@@ -117,6 +118,19 @@ def test_mt_constant_fin():
     assert isinstance(w, Witness)
     assert tuple(tuple(sorted(b)) for b in w.blocks) == ((1,), (2,), (3,))
     assert verify_mt_witness(w, FIN, fin_singletons(), constant_coloring(2, 1), 2)
+
+
+def test_mt_search_caches_only_the_table_its_check_reads():
+    # the per-depth chain lists build their (n - 1, d - 1) tables past
+    # chain_table's cache, so after a search it holds the (m, d) table of
+    # the witness check alone
+    chain_table.cache_clear()
+    search_module._chains_ending_at.cache_clear()
+    w = mt_search(constant_coloring(3, 1), FIN, fin_singletons(), m=5, d=3,
+                  budget=SearchBudget(max_index=5))
+    assert isinstance(w, Witness)
+    info = chain_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_mt_cardinality_witness_color_two():
@@ -348,13 +362,13 @@ def test_threshold_budget_report():
 # Published thresholds: S(1..3) = 1, 4, 13 (Schur 1916; Baumert 1965) and
 # the weak Schur numbers WS(1..3) = 2, 8, 23 for distinct x, y.  The node
 # counts (DFS plus confirmer) are pinned too: a faster enumerator must
-# visit exactly these nodes.  (3, True) is 390 + 69, (2, False) 32 + 18
-# and (3, False) 2,084 + 1,641: the DFS hands its last depth to the
-# confirmer, whose refutation ends the run, and 40 of those 2,084 nodes
-# went to the confirmer's avoiders of {1..17} and {1..23}.
+# visit exactly these nodes.  (3, True) is 240 + 69, (2, False) 24 + 18
+# and (3, False) 1,105 + 1,641: the DFS hands its last depth to the
+# confirmer, whose refutation ends the run, and 103 of those 1,105 nodes
+# went to the confirmer's avoiders of {1..17} and {1..20} to {1..23}.
 @pytest.mark.parametrize("k, repeats, n, nodes", [
-    (1, True, 2, 3), (2, True, 5, 15), (3, True, 14, 459),
-    (1, False, 3, 5), (2, False, 9, 50), (3, False, 24, 3_725),
+    (1, True, 2, 3), (2, True, 5, 18), (3, True, 14, 309),
+    (1, False, 3, 5), (2, False, 9, 42), (3, False, 24, 2_746),
 ])
 def test_threshold_published_values(k, repeats, n, nodes):
     report = threshold_search(k, allow_repeats=repeats)
@@ -570,8 +584,9 @@ def test_threshold_dfs_obeys_node_limit():
     depth, avoider = _lex_first_avoider(4, 40, True, nodes)
     assert nodes.used == 1000 and depth < 40
     assert not _has_mono_triple_reference(avoider, depth, True)
-    # the search's asks, which found avoiders of {1..16} and {1..20} in 36
-    # nodes, share its 1000, so its pass gets less deep than the DFS alone
+    # the search's asks, which found avoiders of {1..16}, {1..20} and
+    # {1..25} in 61 nodes, share its 1000, so its pass gets less deep than
+    # the DFS alone
     report = threshold_search(4, budget=SearchBudget(max_value=40, node_limit=1000))
     assert not report.found and report.nodes == 1000
     assert report.note == "budget exhausted at N=25; threshold > 24" and depth == 28
@@ -609,7 +624,7 @@ def test_threshold_confirmation_obeys_node_limit(monkeypatch, answer, max_value,
     assert report.found is found and report.note == note
     assert report.n == (24 if found else None)
     assert not report.confirmed_independent and report.certificate is None
-    assert asks == [17, 23, 24]  # each depth is asked once
+    assert asks == [17, 20, 21, 22, 23, 24]  # each depth is asked once
 
 
 # Node counts of the two DFS passes the schur benchmark runs most.
@@ -625,21 +640,28 @@ def test_threshold_dfs_node_counts(k, max_value, repeats, depth, used):
 
 @pytest.mark.parametrize("k, repeats, max_value, limit, found, confirmed, nodes, note", [
     # both enumerators spend one node_limit: k = 3 without repeats needs
-    # 2,084 DFS nodes before it asks about {1..24} and 1,641 confirmer
-    # nodes to refute it, 3,725 in all; an ask cut short is a cut run
-    (3, False, 64, 3_725, True, True, 3_725, ""),
-    (3, False, 64, 3_724, False, False, 3_724, "budget exhausted at N=24; threshold > 23"),
+    # 1,105 nodes, its asks included, before it asks about {1..24} and
+    # 1,641 confirmer nodes to refute it, 2,746 in all; an ask cut short
+    # is a cut run
+    (3, False, 64, 2_746, True, True, 2_746, ""),
+    (3, False, 64, 2_745, False, False, 2_745, "budget exhausted at N=24; threshold > 23"),
     (3, False, 64, 2_084, False, False, 2_084, "budget exhausted at N=24; threshold > 23"),
     (3, False, 64, 2_083, False, False, 2_083, "budget exhausted at N=24; threshold > 23"),
+    (3, False, 64, 1_105, False, False, 1_105, "budget exhausted at N=24; threshold > 23"),
+    (3, False, 64, 1_104, False, False, 1_104, "budget exhausted at N=24; threshold > 23"),
     # at max_value 24 the DFS asks nothing about {1..24}: it exhausts depth
-    # 23 in 20,622 nodes, and the confirmer then refutes {1..24}
-    (3, False, 24, 22_263, True, True, 22_263, ""),
+    # 23 in 20,685 nodes, and the confirmer then refutes {1..24}
+    (3, False, 24, 22_326, True, True, 22_326, ""),
+    (3, False, 24, 22_325, True, False, 22_325,
+     "confirmation budget of 22325 nodes exhausted at N=24"),
     (3, False, 24, 22_262, True, False, 22_262,
      "confirmation budget of 22262 nodes exhausted at N=24"),
-    (3, False, 24, 20_622, True, False, 20_622,
-     "confirmation budget of 20622 nodes exhausted at N=24"),
+    (3, False, 24, 20_685, True, False, 20_685,
+     "confirmation budget of 20685 nodes exhausted at N=24"),
+    (3, False, 24, 20_684, False, False, 20_684, "budget exhausted at N=24; threshold > 23"),
     (3, False, 24, 20_621, False, False, 20_621, "budget exhausted at N=24; threshold > 23"),
-    (4, True, 40, 11_624, False, False, 11_624, "no threshold within 40"),
+    (4, True, 40, 11_716, False, False, 11_716, "no threshold within 40"),
+    (4, True, 40, 11_715, False, False, 11_715, "budget exhausted at N=40; threshold > 39"),
     (4, True, 40, 11_623, False, False, 11_623, "budget exhausted at N=40; threshold > 39"),
 ])
 def test_threshold_budget_edges(k, repeats, max_value, limit, found, confirmed, nodes, note):
@@ -669,16 +691,20 @@ def _threshold_two_passes(k, repeats, max_value):
                            certificate=proof).to_record()
 
 
-@pytest.mark.parametrize("k, repeats", [(k, r) for k in (1, 2, 3) for r in (True, False)])
+@pytest.mark.parametrize("k, repeats", [
+    *[(k, r) for k in (1, 2, 3) for r in (True, False)], (4, True),
+])
 def test_threshold_asks_keep_the_two_pass_record(k, repeats):
-    # handing the last depth to the confirmer changes node counts only
-    for max_value in [*range(31), 64]:
+    # handing the last depth to the confirmer changes node counts only; at
+    # k = 4 the DFS alone does not exhaust depth 44 within its budget
+    for max_value in range(41) if k == 4 else [*range(31), 64]:
         report = threshold_search(k, repeats, SearchBudget(max_value=max_value))
         assert report.to_record() == _threshold_two_passes(k, repeats, max_value)
 
 
 @pytest.mark.parametrize("k, repeats, max_value, asks", [
-    (3, False, 64, [17, 23, 24]), (3, False, 24, [17, 23]), (3, True, 64, [14]),
+    (3, False, 64, [17, 20, 21, 22, 23, 24]), (3, False, 24, [17, 20, 21, 22, 23]),
+    (3, True, 64, [8, 10, 11, 13, 14]),
 ])
 def test_threshold_dfs_asks_each_depth_once(k, repeats, max_value, asks):
     # a hook that always finds an avoider lets the pass run to its end: it
@@ -697,7 +723,7 @@ def test_threshold_four_colors_is_found_and_checked():
     # nodes, ends the run where exhausting depth 44 would not end within
     # the default node_limit
     report = threshold_search(4, True, SearchBudget(max_value=46))
-    assert report.found and report.n == 45 and report.nodes == 5_574_239
+    assert report.found and report.n == 45 and report.nodes == 2_981_636
     assert report.confirmed_independent and report.note == ""
     assert verify_avoider(report.avoider, 4, 44, True)
     assert len(report.certificate) == 388_851 > search_module._MAX_REFUTATION

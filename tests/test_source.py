@@ -181,6 +181,20 @@ def test_searches_read_every_chain_from_the_chain_table():
     assert "chain_table" in reached["search"]
 
 
+def test_threshold_dfs_names_its_budget_only_as_spend():
+    # the tracer counts spend calls as nodes, and a pass that could resume
+    # must keep no budget arithmetic of its own: _lex_first_avoider reads
+    # its budget only as nodes.spend, never its used, limit or refused
+    tree = ast.parse((ROOT / "src" / "sumgames" / "search.py").read_text(encoding="utf-8"))
+    dfs = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_lex_first_avoider")
+    parents = {child: node for node in ast.walk(dfs) for child in ast.iter_child_nodes(node)}
+    uses = [parents[node] for node in ast.walk(dfs)
+            if isinstance(node, ast.Name) and node.id == "nodes"]
+    assert {ast.unparse(use) for use in uses} == {"nodes.spend"}
+    assert not _named(dfs) & {"used", "limit", "refused"}
+
+
 def test_partition_search_cuts_with_the_covers_bound():
     # menger_mt_search drops a prefix by completion_floor, and t and f
     # default once in covers.py, in classify_cover, so that the bound and
