@@ -3,10 +3,12 @@
 
 On a finite ground set everything is decidable outright, so the six
 folklore duality laws get checked on every single family.  The scan reads
-every dual from one table (the complement of the family's bit reversal),
-checks antitonicity at ground 4 on bit planes of that table, one bit per
-family, and tests the filter and superfilter laws only on the up-closed
-families, since every filter, superfilter and ultrafilter is up-closed.
+each dual from a table of the ground-3 duals (the complement of the
+family's bit reversal); a ground-4 family is two ground-3 families, its
+low and high byte, and its dual is their duals crossed, so antitonicity
+and the double dual at ground 4 are settled on the ground-3 table.  The
+filter and superfilter laws are tested only on the up-closed families,
+since every filter, superfilter and ultrafilter is up-closed.
 Over the naturals the objects become membership predicates and the
 verdicts become depth-bounded.
 """

@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import sys
-from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -118,24 +116,23 @@ def _is_filter(f: int, g: int) -> bool:
 
 
 def _is_superfilter_23(f: int, g: int) -> bool:
-    """Up-closed, and a member union of two sets has one of them in f."""
+    """Up-closed, and a member union of two sets has one of them in f,
+    that is, the non-members are closed under union.  Since they are
+    down-closed, they are so exactly when the union of them all is one."""
     supersets = _supersets(g)
     for s in _members(f, g):
         for t in supersets[s]:
             if not (f >> t) & 1:
                 return False
-    n_subsets = 1 << g
-    for a in range(n_subsets):
-        for b in range(n_subsets):
-            if (f >> (a | b)) & 1 and not ((f >> a) & 1 or (f >> b) & 1):
-                return False
-    return True
+    outside = [s for s in range(1 << g) if not (f >> s) & 1]
+    return not outside or not (f >> functools.reduce(operator.or_, outside)) & 1
 
 
-def _is_ultrafilter(f: int, g: int) -> bool:
+def _holds_each_or_complement(f: int, g: int) -> bool:
+    """f holds every subset or its complement; a filter that does is an
+    ultrafilter."""
     full = (1 << g) - 1
-    return _is_filter(f, g) and all((f >> s) & 1 or (f >> (full ^ s)) & 1
-                                    for s in range(1 << g))
+    return all((f >> s) & 1 or (f >> (full ^ s)) & 1 for s in range(1 << g))
 
 
 def classify_family(fam: SetFamily) -> FamilyFlags:
@@ -150,7 +147,7 @@ def classify_family(fam: SetFamily) -> FamilyFlags:
         is_filter=is_filter,
         is_free_filter=is_filter and not total,
         is_superfilter=is_super,
-        is_ultrafilter=_is_ultrafilter(f, g),
+        is_ultrafilter=is_filter and _holds_each_or_complement(f, g),
         superfilter_surrogate=is_super and f != 0 and not f & 1,
     )
 
@@ -272,37 +269,20 @@ class DualityReport:
         return "\n".join(self.format_lines())
 
 
-# _REV8[b] is the byte b with its bit order reversed.
-_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-# _DIGIT[k] translates a byte to b"1" or b"0" by its bit k.
-_DIGIT = [bytes(b"01"[(b >> k) & 1] for b in range(256)) for k in range(8)]
-
-
-def _dual_table(g: int) -> array:
-    """dual(f) for every family f over a ground of size g (1..4).
+def _dual_table(g: int) -> bytes:
+    """dual(f) for every family f over a ground of size g (1..3).
 
     A family is a bitmask over the 2^g subset masks; bit s of dual(f) is
     set iff f lacks the complement full ^ s = 2^g - 1 - s.  So dual(f) is
-    the complement of the 2^g-bit reversal of f.  At g = 4, with
-    f = hi·256 + lo, the low byte of dual(f) is ~rev(hi) and the high byte
-    ~rev(lo), so the table is built from two byte columns.
+    the complement of the 2^g-bit reversal of f, one byte per family.
+    Ground 4 reads its duals as two crossed ground-3 duals (see
+    ``verify_duality_laws``), so no table of its 65,536 families is built.
     """
+    if g < 1 or g > 3:
+        raise ValueError("dual tables cover ground sizes 1..3")
     width = 1 << g
     mask = (1 << width) - 1
-    if width <= 8:
-        return array("H", [mask ^ (_REV8[f] >> (8 - width)) for f in range(1 << width)])
-    flipped = bytes(0xFF ^ r for r in _REV8)
-    low = b"".join(bytes([d]) * 256 for d in flipped)  # ~rev(hi), hi = f >> 8
-    high = flipped * 256  # ~rev(lo), lo = f & 0xFF
-    pairs = bytearray(2 << width)
-    pairs[0::2], pairs[1::2] = (low, high) if sys.byteorder == "little" else (high, low)
-    return array("H", pairs)
-
-
-def _byte_planes(column: bytes) -> list:
-    """Transpose a byte column: plane k has bit i set iff bit k of
-    column[i] is set."""
-    return [int(column.translate(_DIGIT[k])[::-1], 2) for k in range(8)]
+    return bytes(mask ^ int(f"{f:0{width}b}"[::-1], 2) for f in range(1 << width))
 
 
 def _identity_planes(n_subsets: int) -> list:
@@ -345,29 +325,50 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
     of subsets of a ground set of the given size.
 
     Families are bitmasks over the 2^g subsets; there are 2^(2^g) of them.
-    Sizes up to 3 check the antitonicity law on all comparable pairs; size
-    4 checks it on covering pairs only (equivalent by transitivity), all
-    at once on the bit planes of the dual table.  Laws 3 to 6 quantify over
+    Sizes up to 3 read their duals from one table and check the
+    antitonicity law on all comparable pairs.  Size 4 builds no table of
+    its own: with f = hi·256 + lo, bit s of dual(f) reads bit 15 - s of f,
+    which lies in the other byte, so dual(f) = D(lo)·256 + D(hi) for the
+    ground-3 dual D.  Laws 1 and 2 then reduce to D: a covering pair of
+    ground 4 (equivalent to all comparable pairs by transitivity) adds a
+    bit to one byte and keeps the other, so it breaks antitonicity exactly
+    when D breaks the matching ground-3 covering pair, and dual(dual(f)) is
+    f exactly when D∘D fixes both bytes.  Laws 3 to 6 quantify over
     filters, superfilters and ultrafilters, which are all up-closed, so
-    they test only the up-closed families.  Larger grounds are refused: the
-    scan is doubly exponential.
+    they test only the up-closed families; at size 4 these are the crossed
+    pairs lo ⊆ hi of up-closed ground-3 families.  Larger grounds are
+    refused: the scan is doubly exponential.
     """
     g = ground_size
     if g < 1 or g > 4:
         raise ValueError("exhaustive regime supports ground sizes 1..4")
     n_subsets = 1 << g
     n_families = 1 << n_subsets
-
-    duals = array("H", _dual_table(g))  # law 1 reads its raw bytes
-    # plane s of the identity: the families that hold subset s
-    member = _identity_planes(n_subsets)
+    crossed = g == 4
+    duals = _dual_table(min(g, 3))
+    up_closed = list(_set_bits(_up_closed(_identity_planes(min(n_subsets, 8)))))
 
     def subset_mask(a: int, b: int) -> bool:
         return a | b == b
 
     # (1) antitonicity of +
-    count1 = viol1 = 0
-    if g <= 3:
+    if crossed:
+        broken = sum(1 for b in range(8) for x in range(256)
+                     if not (x >> b) & 1 and not subset_mask(duals[x | 1 << b], duals[x]))
+        # each ground-3 pair stands for one ground-4 pair per value of the
+        # other byte, in either byte
+        count1, viol1 = n_families * n_subsets // 2, 2 * 256 * broken
+
+        def dual(f: int) -> int:
+            return duals[f & 0xFF] << 8 | duals[f >> 8]
+
+        # f is up-closed iff both bytes are and lo ⊆ hi: a subset s in lo,
+        # which lacks point 3, needs s + {3}, which is s in hi
+        up_closed = [hi << 8 | lo for hi in up_closed for lo in up_closed
+                     if subset_mask(lo, hi)]
+    else:
+        dual = duals.__getitem__
+        count1 = viol1 = 0
         for f2 in range(n_families):
             sub = f2
             while True:  # enumerate all submasks of f2
@@ -377,53 +378,33 @@ def verify_duality_laws(ground_size: int) -> DualityReport:
                 if sub == 0:
                     break
                 sub = (sub - 1) & f2
-    else:
-        # The covering pair (f, f | 1<<b), f without b, breaks law 1 when
-        # some subset s is in dual(f | 1<<b) but not in dual(f).  On the
-        # plane of s, bit f of plane >> 2^b is bit f | 1<<b = f + 2^b.
-        # one byte column per half of each entry; law 1 ORs over all the
-        # planes, so their order, and with it the byte order, is immaterial
-        raw = duals.tobytes()
-        planes = _byte_planes(raw[0::2]) + _byte_planes(raw[1::2])
-        every = (1 << n_families) - 1
-        for b in range(n_subsets):
-            without_b = every ^ member[b]
-            count1 += without_b.bit_count()
-            escapes = 0
-            for plane in planes:
-                escapes |= (plane >> (1 << b)) & ~plane
-            viol1 += (escapes & without_b).bit_count()
 
-    # double duals gathered in C a chunk at a time (each chunk has at
-    # least 4 entries, so itemgetter returns a tuple)
-    count2, viol2 = n_families, 0
-    for start in range(0, n_families, 4096):
-        double = operator.itemgetter(*duals[start:start + 4096])(duals)
-        viol2 += sum(map(operator.ne, double, itertools.count(start)))
+    # (2) at size 4, dual(dual(f)) is f iff D∘D fixes both bytes of f
+    fixed = sum(1 for x in range(len(duals)) if duals[duals[x]] == x)
+    count2, viol2 = n_families, n_families - fixed ** (2 if crossed else 1)
 
-    up_closed = list(_set_bits(_up_closed(member)))
     filters = [f for f in up_closed if _is_filter(f, g)]
     count3 = len(filters)
     viol3 = sum(1 for f in filters
-                if not (subset_mask(f, duals[f]) and _is_superfilter_23(duals[f], g)))
+                if not (subset_mask(f, dual(f)) and _is_superfilter_23(dual(f), g)))
 
     sufs = [f for f in up_closed if f and not (f & 1) and _is_superfilter_23(f, g)]
     count4 = len(sufs)
     viol4 = sum(1 for f in sufs
-                if not (_is_filter(duals[f], g) and subset_mask(duals[f], f)))
+                if not (_is_filter(dual(f), g) and subset_mask(dual(f), f)))
 
     count5 = viol5 = 0
     for f in filters:
-        d = duals[f]
+        d = dual(f)
         for a in _members(d, g):
             for b in _members(f, g):
                 count5 += 1
                 if not (d >> (a & b)) & 1:
                     viol5 += 1
 
-    ultras = [f for f in up_closed if _is_ultrafilter(f, g)]
+    ultras = [f for f in filters if _holds_each_or_complement(f, g)]
     count6 = len(ultras)
-    viol6 = sum(1 for p in ultras if duals[p] != p)
+    viol6 = sum(1 for p in ultras if dual(p) != p)
 
     lines = [
         LawLine("law-1", "F1 within F2 implies dual(F1) contains dual(F2)", count1, viol1),

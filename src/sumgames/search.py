@@ -858,12 +858,15 @@ def threshold_search(k: int, allow_repeats: bool = True,
     budget = budget or SearchBudget(max_value=64)
     budget.require_unset("threshold_search", "max_index")
     nodes = _NodeBudget(budget.node_limit)
-    asked: dict = {}  # n: the confirmer's answer on {1..n} and its list
+    # n: the confirmer's answer on {1..n}, and its list if that is a
+    # refutation, the only list a report keeps
+    asked: dict = {}
 
     def confirm(n: int) -> Optional[bool]:
         if n not in asked:
             proof: list = []
-            asked[n] = _avoider_exists_fc(k, n, allow_repeats, nodes, proof), proof
+            exists = _avoider_exists_fc(k, n, allow_repeats, nodes, proof)
+            asked[n] = exists, proof if exists is False else None
         return asked[n][0]
 
     depth, avoider = _lex_first_avoider(k, budget.max_value, allow_repeats, nodes, confirm)

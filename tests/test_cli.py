@@ -93,28 +93,79 @@ def test_verify_filter_laws_dispatch(tmp_path):
     assert all(l["violations"] == 0 for l in recs[0]["result"]["lines"])
 
 
-# The ground-4 report as the per-family scan wrote it, byte for byte.
-FILTER_LAWS_4 = (
-    '{"command": "verify-filter-laws", "config": {"command": '
-    '"verify-filter-laws", "f": 2, "format": "json-lines", "ground": 4, '
-    '"horizon": 16, "node_limit": 10000000, "parallelism": 1, "s": 2, '
-    '"seed": 0, "t": 2}, "exit": 0, "result": {"caveats": ["freeness and '
-    "'all members infinite' are unverifiable on a finite ground; law 3 "
-    'quantifies over all filters, law 4 over nonempty (2,3)-superfilters '
-    'excluding the empty set", "law 1 checked on covering pairs (equivalent '
-    'by transitivity)"], "families_scanned": 65536, "lines": [{"instances": '
-    '524288, "law": "law-1", "violations": 0}, {"instances": 65536, "law": '
-    '"law-2", "violations": 0}, {"instances": 15, "law": "law-3", '
-    '"violations": 0}, {"instances": 15, "law": "law-4", "violations": 0}, '
-    '{"instances": 671, "law": "law-5", "violations": 0}, {"instances": 4, '
-    '"law": "law-6", "violations": 0}]}, "schema_version": 1}'
-)
+# The report of each ground as the per-family scan wrote it, byte for byte.
+FILTER_LAWS = {
+    1: (
+        '{"command": "verify-filter-laws", "config": {"command": '
+        '"verify-filter-laws", "f": 2, "format": "json-lines", "ground": '
+        '1, "horizon": 16, "node_limit": 10000000, "parallelism": 1, '
+        '"s": 2, "seed": 0, "t": 2}, "exit": 0, "result": {"caveats": '
+        '["freeness and \'all members infinite\' are unverifiable on a '
+        'finite ground; law 3 quantifies over all filters, law 4 over '
+        'nonempty (2,3)-superfilters excluding the empty set"], '
+        '"families_scanned": 4, "lines": [{"instances": 9, "law": '
+        '"law-1", "violations": 0}, {"instances": 4, "law": "law-2", '
+        '"violations": 0}, {"instances": 1, "law": "law-3", '
+        '"violations": 0}, {"instances": 1, "law": "law-4", '
+        '"violations": 0}, {"instances": 1, "law": "law-5", '
+        '"violations": 0}, {"instances": 1, "law": "law-6", '
+        '"violations": 0}]}, "schema_version": 1}'
+    ),
+    2: (
+        '{"command": "verify-filter-laws", "config": {"command": '
+        '"verify-filter-laws", "f": 2, "format": "json-lines", "ground": '
+        '2, "horizon": 16, "node_limit": 10000000, "parallelism": 1, '
+        '"s": 2, "seed": 0, "t": 2}, "exit": 0, "result": {"caveats": '
+        '["freeness and \'all members infinite\' are unverifiable on a '
+        'finite ground; law 3 quantifies over all filters, law 4 over '
+        'nonempty (2,3)-superfilters excluding the empty set"], '
+        '"families_scanned": 16, "lines": [{"instances": 81, "law": '
+        '"law-1", "violations": 0}, {"instances": 16, "law": "law-2", '
+        '"violations": 0}, {"instances": 3, "law": "law-3", '
+        '"violations": 0}, {"instances": 3, "law": "law-4", '
+        '"violations": 0}, {"instances": 11, "law": "law-5", '
+        '"violations": 0}, {"instances": 2, "law": "law-6", '
+        '"violations": 0}]}, "schema_version": 1}'
+    ),
+    3: (
+        '{"command": "verify-filter-laws", "config": {"command": '
+        '"verify-filter-laws", "f": 2, "format": "json-lines", "ground": '
+        '3, "horizon": 16, "node_limit": 10000000, "parallelism": 1, '
+        '"s": 2, "seed": 0, "t": 2}, "exit": 0, "result": {"caveats": '
+        '["freeness and \'all members infinite\' are unverifiable on a '
+        'finite ground; law 3 quantifies over all filters, law 4 over '
+        'nonempty (2,3)-superfilters excluding the empty set"], '
+        '"families_scanned": 256, "lines": [{"instances": 6561, "law": '
+        '"law-1", "violations": 0}, {"instances": 256, "law": "law-2", '
+        '"violations": 0}, {"instances": 7, "law": "law-3", '
+        '"violations": 0}, {"instances": 7, "law": "law-4", '
+        '"violations": 0}, {"instances": 91, "law": "law-5", '
+        '"violations": 0}, {"instances": 3, "law": "law-6", '
+        '"violations": 0}]}, "schema_version": 1}'
+    ),
+    4: (
+        '{"command": "verify-filter-laws", "config": {"command": '
+        '"verify-filter-laws", "f": 2, "format": "json-lines", "ground": 4, '
+        '"horizon": 16, "node_limit": 10000000, "parallelism": 1, "s": 2, '
+        '"seed": 0, "t": 2}, "exit": 0, "result": {"caveats": ["freeness and '
+        "'all members infinite' are unverifiable on a finite ground; law 3 "
+        'quantifies over all filters, law 4 over nonempty (2,3)-superfilters '
+        'excluding the empty set", "law 1 checked on covering pairs (equivalent '
+        'by transitivity)"], "families_scanned": 65536, "lines": [{"instances": '
+        '524288, "law": "law-1", "violations": 0}, {"instances": 65536, "law": '
+        '"law-2", "violations": 0}, {"instances": 15, "law": "law-3", '
+        '"violations": 0}, {"instances": 15, "law": "law-4", "violations": 0}, '
+        '{"instances": 671, "law": "law-5", "violations": 0}, {"instances": 4, '
+        '"law": "law-6", "violations": 0}]}, "schema_version": 1}'
+    ),
+}
 
 
-def test_verify_filter_laws_ground_4_pinned(tmp_path):
-    out = tmp_path / "laws4.jsonl"
-    assert main(["verify-filter-laws", "--ground", "4", "--out", str(out)]) == EXIT_OK
-    assert out.read_text() == FILTER_LAWS_4 + "\n"
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_verify_filter_laws_pinned(tmp_path, g):
+    out = tmp_path / f"laws{g}.jsonl"
+    assert main(["verify-filter-laws", "--ground", str(g), "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == FILTER_LAWS[g] + "\n"
     code, recs = run_config(tmp_path, {"command": "verify-report", "input": str(out)},
                             name="v.jsonl")
     assert code == EXIT_OK

@@ -5,16 +5,19 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from sumgames import filters
 from sumgames.filters import (
     DualityReport,
     LawLine,
     SetFamily,
-    _byte_planes,
     _dual_table,
     _identity_planes,
+    _is_superfilter_23,
     _up_closed,
+    classify_family,
     plus_dual,
     verify_duality_laws,
 )
@@ -23,11 +26,8 @@ from sumgames.filters import (
 def _bit_planes(values, width: int) -> list:
     """Transpose ``values`` (ints below 2^width): plane k has bit i set iff
     bit k of values[i] is set."""
-    planes = []
-    for low in range(0, width, 8):
-        column = bytes([(v >> low) & 0xFF for v in values])
-        planes += _byte_planes(column)[:width - low]
-    return planes
+    backwards = values[::-1]
+    return [int(bytes(48 + ((v >> k) & 1) for v in backwards), 2) for k in range(width)]
 
 
 def reference_dual(f: int, g: int) -> int:
@@ -41,11 +41,50 @@ def reference_dual(f: int, g: int) -> int:
     return out
 
 
-def reference_duality_laws(ground_size: int) -> DualityReport:
+def reference_filter(f: int, g: int) -> bool:
+    """Nonempty, without the empty set, up-closed and closed under
+    intersection, tested on all pairs."""
+    n_subsets = 1 << g
+    ms = [s for s in range(n_subsets) if (f >> s) & 1]
+    if not ms or (f & 1):  # empty family, or contains the empty set
+        return False
+    for s in ms:
+        for t in range(n_subsets):
+            if s | t == t and not (f >> t) & 1:
+                return False
+        for t in ms:
+            if not (f >> (s & t)) & 1:
+                return False
+    return True
+
+
+def reference_superfilter_23(f: int, g: int) -> bool:
+    """Up-closed, and every pair of sets whose union is in f has one of
+    them in f, tested on all pairs."""
+    n_subsets = 1 << g
+    for s in range(n_subsets):
+        for t in range(n_subsets):
+            if (f >> s) & 1 and s | t == t and not (f >> t) & 1:
+                return False
+    for a in range(n_subsets):
+        for b in range(n_subsets):
+            if (f >> (a | b)) & 1 and not ((f >> a) & 1 or (f >> b) & 1):
+                return False
+    return True
+
+
+def _crossed(duals3) -> list:
+    """The ground-4 dual table read off a ground-3 one: with
+    f = hi·256 + lo, dual(f) = D(lo)·256 + D(hi)."""
+    return [duals3[f & 0xFF] << 8 | duals3[f >> 8] for f in range(1 << 16)]
+
+
+def reference_duality_laws(ground_size: int, duals=None) -> DualityReport:
     """The reference scan: a dual per family, each law tested on every
     family, no bit planes and no up-closed prefilter.  Exhaustively checks
     the six folklore duality laws over every family of subsets of a ground
-    set of the given size.
+    set of the given size.  ``duals``, a table with an entry per family,
+    stands in for the plus dual when given.
 
     Families are bitmasks over the 2^g subsets; there are 2^(2^g) of them.
     Sizes up to 3 check the antitonicity law on all comparable pairs; size
@@ -60,41 +99,16 @@ def reference_duality_laws(ground_size: int) -> DualityReport:
     full = n_subsets - 1  # bitmask of the whole ground set
 
     comp = [full ^ s for s in range(n_subsets)]
-    supersets = [[t for t in range(n_subsets) if s | t == t] for s in range(n_subsets)]
 
     def members(f: int):
         return [s for s in range(n_subsets) if (f >> s) & 1]
 
-    def is_filter(f: int) -> bool:
-        ms = members(f)
-        if not ms or (f & 1):  # empty family, or contains the empty set
-            return False
-        for s in ms:
-            for t in supersets[s]:
-                if not (f >> t) & 1:
-                    return False
-            for t in ms:
-                if not (f >> (s & t)) & 1:
-                    return False
-        return True
-
-    def is_superfilter_23(f: int) -> bool:
-        ms = members(f)
-        for s in ms:
-            for t in supersets[s]:
-                if not (f >> t) & 1:
-                    return False
-        for a in range(n_subsets):
-            for b in range(n_subsets):
-                if (f >> (a | b)) & 1 and not ((f >> a) & 1 or (f >> b) & 1):
-                    return False
-        return True
-
     def is_ultrafilter(f: int) -> bool:
-        return is_filter(f) and all((f >> s) & 1 or (f >> comp[s]) & 1
-                                    for s in range(n_subsets))
+        return reference_filter(f, g) and all((f >> s) & 1 or (f >> comp[s]) & 1
+                                              for s in range(n_subsets))
 
-    duals = [reference_dual(f, g) for f in range(n_families)]
+    if duals is None:
+        duals = [reference_dual(f, g) for f in range(n_families)]
 
     def subset_mask(a: int, b: int) -> bool:
         return a | b == b
@@ -122,15 +136,16 @@ def reference_duality_laws(ground_size: int) -> DualityReport:
     count2 = n_families
     viol2 = sum(1 for f in range(n_families) if duals[duals[f]] != f)
 
-    filters = [f for f in range(n_families) if is_filter(f)]
+    filters = [f for f in range(n_families) if reference_filter(f, g)]
     count3 = len(filters)
     viol3 = sum(1 for f in filters
-                if not (subset_mask(f, duals[f]) and is_superfilter_23(duals[f])))
+                if not (subset_mask(f, duals[f]) and reference_superfilter_23(duals[f], g)))
 
     sufs = [f for f in range(n_families)
-            if f and not (f & 1) and is_superfilter_23(f)]
+            if f and not (f & 1) and reference_superfilter_23(f, g)]
     count4 = len(sufs)
-    viol4 = sum(1 for f in sufs if not (is_filter(duals[f]) and subset_mask(duals[f], f)))
+    viol4 = sum(1 for f in sufs
+                if not (reference_filter(duals[f], g) and subset_mask(duals[f], f)))
 
     count5 = viol5 = 0
     for f in filters:
@@ -189,12 +204,20 @@ def _up_closed_families(g):
     return _up_closed(_bit_planes(range(1 << n_subsets), n_subsets))
 
 
+def _bits_of(x: int) -> set:
+    return {i for i in range(x.bit_length()) if (x >> i) & 1}
+
+
 def test_up_closed_families_are_counted_by_dedekind_numbers():
     counts = [_up_closed_families(g).bit_count() for g in (1, 2, 3, 4)]
     assert counts == [3, 6, 20, 168]  # M(1..4)
     for g in (1, 2, 3):
-        x = _up_closed_families(g)
-        assert {f for f in range(1 << (1 << g)) if (x >> f) & 1} == _up_closed_by_definition(g)
+        assert _bits_of(_up_closed_families(g)) == _up_closed_by_definition(g)
+    # the ground-4 scan's crossing: f = hi·256 + lo is up-closed iff both
+    # bytes are and lo lies within hi
+    up3 = _bits_of(_up_closed_families(3))
+    assert ({hi << 8 | lo for hi in up3 for lo in up3 if lo | hi == hi}
+            == _bits_of(_up_closed_families(4)))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -205,7 +228,9 @@ def test_identity_planes_are_the_transposed_identity(g):
 
 def test_ground_4_scan_peak_memory():
     # the scan once built 65,536-int lists and peaked at 3.39 MiB, which
-    # showed in the benchmark's peak RSS
+    # showed in the benchmark's peak RSS; a 65,536-entry dual table and its
+    # bit planes then peaked at 1.0 MiB.  Reading the ground-3 table
+    # crossed, it peaks at about 9 KiB.
     verify_duality_laws(4)
     tracemalloc.start()
     try:
@@ -213,7 +238,7 @@ def test_ground_4_scan_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 << 20
+    assert peak < 64 << 10
 
 
 def test_bit_planes_transpose():
@@ -230,15 +255,13 @@ def _subset(s, g):
     return frozenset(i for i in range(g) if (s >> i) & 1)
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [1, 2, 3])
 def test_dual_table_is_the_plus_dual(g):
     # subset mask s stands for {i : bit i of s}
     n_subsets = 1 << g
     ground = frozenset(range(g))
     table = _dual_table(g)
     assert list(table) == [reference_dual(f, g) for f in range(1 << n_subsets)]
-    if g == 4:
-        return  # 65,536 extensional plus duals take too long
     for f in range(1 << n_subsets):
         fam = SetFamily(ground, frozenset(_subset(s, g) for s in range(n_subsets)
                                           if (f >> s) & 1))
@@ -246,33 +269,66 @@ def test_dual_table_is_the_plus_dual(g):
         assert table[f] == expected
 
 
-def _covering_pairs_broken_at(duals, f0, n_subsets):
-    # (f, f | 1<<b) pairs touching f0 whose duals are not antitone
-    pairs = [(f0, f0 | 1 << b) if not (f0 >> b) & 1 else (f0 ^ 1 << b, f0)
-             for b in range(n_subsets)]
-    return sum(1 for small, big in pairs if duals[big] | duals[small] != duals[small])
+def test_crossed_ground_3_table_is_the_ground_4_dual():
+    assert _crossed(_dual_table(3)) == [reference_dual(f, 4) for f in range(1 << 16)]
 
 
-def _comparable_pairs_broken(duals):
-    n = len(duals)
-    return sum(1 for big in range(n) for small in range(n)
-               if small | big == big and duals[big] | duals[small] != duals[small])
+@pytest.mark.parametrize("g", [0, 4, 5])
+def test_dual_table_refuses_grounds_it_does_not_cover(g):
+    # ground 4 is read crossed: its 65,536-entry table is never built
+    with pytest.raises(ValueError):
+        _dual_table(g)
+
+
+def _tampered_reference(table, g: int) -> DualityReport:
+    """The reference scan over a ground-3 table, crossed at ground 4."""
+    return reference_duality_laws(g, list(table) if g == 3 else _crossed(table))
 
 
 @pytest.mark.parametrize("g", [3, 4])
 def test_one_flipped_dual_breaks_laws_1_and_2(monkeypatch, g):
-    f0, bit = 0b0110, 0
-    mutated = _dual_table(g)
-    d0 = mutated[f0]
-    mutated[f0] ^= 1 << bit
-    monkeypatch.setattr(filters, "_dual_table", lambda _g: list(mutated))
+    mutated = bytearray(_dual_table(3))
+    mutated[0b0110] ^= 1
+    monkeypatch.setattr(filters, "_dual_table", lambda _g: bytes(mutated))
     by_id = {line.law_id: line for line in verify_duality_laws(g).lines}
+    want = {line.law_id: line for line in _tampered_reference(mutated, g).lines}
+    assert by_id == want
+    assert by_id["law-1"].violations > 0 and by_id["law-2"].violations > 0
 
-    # the only double duals that read the flipped entry are those of f0 and d0
-    expected_2 = sum(1 for f in (f0, d0) if mutated[mutated[f]] != f)
-    # ground 3 scans every comparable pair; at ground 4 only the covering
-    # pairs touching f0 can break, since the true table breaks none
-    expected_1 = (_comparable_pairs_broken(mutated) if g <= 3
-                  else _covering_pairs_broken_at(mutated, f0, 1 << g))
-    assert by_id["law-2"].violations == expected_2 > 0
-    assert by_id["law-1"].violations == expected_1 > 0
+
+# no shrinking: the flips are few already, and each ground-4 reference
+# scan takes about half a second
+@settings(max_examples=8, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 7)), min_size=1, max_size=3))
+def test_flipped_ground_3_bits_match_the_reference(flips):
+    mutated = bytearray(_dual_table(3))
+    for f, bit in flips:
+        mutated[f] ^= 1 << bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_dual_table", lambda _g: bytes(mutated))
+        for g in (3, 4):
+            assert verify_duality_laws(g).lines == _tampered_reference(mutated, g).lines
+
+
+def test_superfilter_23_is_the_all_pairs_condition():
+    for g in (1, 2, 3):
+        for f in range(1 << (1 << g)):
+            assert _is_superfilter_23(f, g) is reference_superfilter_23(f, g)
+    for f in _bits_of(_up_closed_families(4)):
+        assert _is_superfilter_23(f, 4) is reference_superfilter_23(f, 4)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_classify_family_flags_every_family(g):
+    full, ground = (1 << g) - 1, frozenset(range(g))
+    for f in range(1 << (1 << g)):
+        members = [s for s in range(1 << g) if (f >> s) & 1]
+        is_filter = reference_filter(f, g)
+        is_super = reference_superfilter_23(f, g)
+        flags = classify_family(SetFamily(ground, frozenset(_subset(s, g) for s in members)))
+        assert (flags.is_filter, flags.is_superfilter, flags.superfilter_surrogate) == (
+            is_filter, is_super, is_super and f != 0 and not f & 1)
+        assert flags.is_free_filter is (is_filter and not any(
+            all((s >> i) & 1 for s in members) for i in range(g)))
+        assert flags.is_ultrafilter is (is_filter and all(
+            (f >> s) & 1 or (f >> (full ^ s)) & 1 for s in range(1 << g)))

@@ -1,6 +1,7 @@
 """Witness searches: Hindman, Milliken–Taylor, Schur thresholds, dichotomy."""
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -715,6 +716,27 @@ def test_threshold_dfs_asks_each_depth_once(k, repeats, max_value, asks):
                              lambda n: asked.append(n) or True)
     assert out == _lex_first_avoider(k, max_value, repeats, alone)
     assert asked == asks and nodes.used == alone.used
+
+
+def test_threshold_lets_go_of_the_walks_that_found_an_avoider(monkeypatch):
+    # a report keeps only a refutation's list, so the confirmer's walks to
+    # an avoider are dropped while the search runs on
+    walks = []
+
+    def confirmer(k, n, repeats, budget, proof):
+        # no tuple, such as an entry of the search's table of asks, holds
+        # the walk of an earlier ask
+        assert not [w for w in walks for r in gc.get_referrers(w) if isinstance(r, tuple)]
+        exists = _avoider_exists_fc(k, n, repeats, budget, proof)
+        if exists:
+            walks.append(proof)
+        return exists
+
+    monkeypatch.setattr(search_module, "_avoider_exists_fc", confirmer)
+    report = threshold_search(3, False)
+    assert len(walks) == 5 and all(walks)  # {1..17}, {1..20} to {1..23}
+    assert report.confirmed_independent
+    assert report.certificate == list(_refutation(3, 24, False)[1])
 
 
 def test_threshold_four_colors_is_found_and_checked():
