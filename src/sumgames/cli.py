@@ -186,12 +186,31 @@ def _fraction(low: int, high: int) -> Callable:
     return parse
 
 
+class _RepeatedKey(Exception):
+    """An object of the JSON text gives a key twice."""
+
+
+def _unrepeated(pairs: list) -> dict:
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        raise _RepeatedKey
+    return out
+
+
 def _load_json(text: str, name: Optional[str] = None):
     """The value of a config, JSON flag or report line ``text``, refusing a
     key given twice in an object by its path from ``name``, as in
-    ``coloring.k: given twice``, or as ``duplicate key: k`` with no name."""
+    ``coloring.k: given twice``, or as ``duplicate key: k`` with no name.
+
+    The parser builds each object as a dict and stops at a repeated key;
+    only then is the text read again as (key, value) pairs, to name the
+    first repeat in document order by its path."""
     try:
-        value = json.loads(text, object_pairs_hook=tuple)
+        try:
+            return json.loads(text, object_pairs_hook=_unrepeated)
+        except _RepeatedKey:
+            # the repeat may come before a syntax error, which still wins
+            value = json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{name or 'config'}: not valid JSON: {exc}") from exc
     return _unique_keys(value, name)

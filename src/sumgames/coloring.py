@@ -81,11 +81,13 @@ class Coloring:
         """``of_set`` of the subject whose members have the given canonical
         keys, for a coloring with ``keyed``.  A repeated key is one member,
         as a repeated element is in a set, so the arity check counts the
-        distinct keys."""
-        parts = set(member_keys)
+        distinct keys.  A set of keys is read as it is, not copied, so the
+        kernel of the block searches hands over the set it collects."""
+        parts = member_keys if type(member_keys) is set else set(member_keys)
         if not 1 <= len(parts) <= self.arity:
             raise ValueError(f"expected 1..{self.arity} distinct elements, got {len(parts)}")
-        c = self.keyed(_set_key(parts))
+        # _set_key(parts), inlined: this runs once per subject a search colors
+        c = self.keyed(b"s{" + b",".join(sorted(parts)) + b"}")
         if not 1 <= c <= self.palette:
             raise ValueError(f"color {c} outside palette 1..{self.palette}")
         return c

@@ -27,13 +27,13 @@ from .search import (
     SearchBudget,
     _chain_candidates,
     _depth_first,
+    _MASK_UNIONS,
     _prefix_sums,
     _PrefixState,
 )
 from .semigroups import (
     BlockSequence,
     CertificateError,
-    Semigroup,
     _block,
     _mask,
     finite_sets,
@@ -135,10 +135,6 @@ class PartitionWitness:
             target=CoverKind(record["target"]),
             coverage=Verdict(record["coverage"]),
         )
-
-
-# the unions V_n inside a search, as point masks: union is ``|``
-_MASK_UNIONS = Semigroup(kind="point-mask-union", combine=operator.or_)
 
 
 class _PointMasks:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -262,6 +263,10 @@ def _least_indices(n: int) -> tuple:
     return tuple((j & -j).bit_length() for j in range(1, 1 << (n - 1)))
 
 
+# a semigroup of sets held as masks, one bit per member: union is ``|``
+_MASK_UNIONS = Semigroup(kind="mask-union", combine=operator.or_)
+
+
 @dataclass(eq=False)
 class _SearchTables:
     """What one search fixes before its first node, and the tables that
@@ -269,6 +274,11 @@ class _SearchTables:
     colors the sum sets of the d-chains and ``chi_vertex`` the sums, when
     set; ``decode``, when set, maps a sum as the search holds it to the
     value that a coloring sees.
+
+    ``depths[n]`` holds what the prefix check reads at n terms, appended
+    by the check when the search first reaches n: the head and other
+    chains of ``_chains_ending_at(n, d)`` (empty without ``chi_edge``) and
+    ``_least_indices(n)``.  So a check reads them from one list slot.
 
     ``bits`` interns each sum value to a bit, ``1 << id``, the first time
     the kernel builds it under ``chi_edge``, so a chain's subject is the
@@ -283,6 +293,7 @@ class _SearchTables:
     d: int
     chi_vertex: Optional[Coloring]
     decode: Optional[Callable]
+    depths: list = field(default_factory=lambda: [None], init=False)
     bits: dict = field(default_factory=dict, init=False)
     keys: dict = field(default_factory=dict, init=False)
     edge: dict = field(default_factory=dict, init=False)
@@ -320,20 +331,30 @@ class _PrefixState:
                    _SearchTables(sg, chi_edge, d, chi_vertex, decode))
 
 
-def _color(chi: Coloring, members: list, tables: _SearchTables) -> int:
-    """``chi`` on the set of ``members``, each mapped through the search's
-    ``decode`` when it has one; a keyed coloring is given their keys from
+def _color(chi: Coloring, older: list, rest: tuple, last, tables: _SearchTables) -> int:
+    """``chi`` on the set of ``last`` and the values at positions ``rest``
+    of ``older``, each mapped through the search's ``decode`` when it has
+    one.  A keyed coloring is given the set of their keys, read from
     ``tables.keys``, which gains the keys it lacked."""
     decode = tables.decode
     if chi.keyed is None:
+        members = []
+        for p in rest:
+            members.append(older[p])
+        members.append(last)
         return chi.of_set(frozenset(members if decode is None else map(decode, members)))
-    keys, member_keys = tables.keys, []
-    for v in members:
+    keys = tables.keys
+    key = keys.get(last)
+    if key is None:
+        key = keys[last] = canonical_key(last if decode is None else decode(last))
+    parts = {key}
+    for p in rest:
+        v = older[p]
         key = keys.get(v)
         if key is None:
             key = keys[v] = canonical_key(v if decode is None else decode(v))
-        member_keys.append(key)
-    return chi.of_keys(member_keys)
+        parts.add(key)
+    return chi.of_keys(parts)
 
 
 def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
@@ -341,9 +362,11 @@ def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
     and cover-partition searches, extended by one term.
 
     ``parent`` is the state of the first n - 1 terms (the search's root
-    when n = 1), which passed this check; its tables fix the rest.  Only
-    the 2^(n-1) sums of blocks holding n are new.  Most prefixes fail, so
-    the checks run cheapest first, and nothing is copied until all hold:
+    when n = 1), which passed this check; its tables fix the rest, and
+    ``tables.depths[n]`` gives the chains and least indices of depth n.
+    Only the 2^(n-1) sums of blocks holding n are new.  Most prefixes
+    fail, so the checks run cheapest first, and nothing is copied until
+    all hold:
 
     1. properness of the term: every older block lies below {n}, so an
        older sum equal to the term collides;
@@ -365,7 +388,9 @@ def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
        ``least_max`` copied.  The parent's state is never changed.
 
     Every color is read from the search's tables, and a coloring is called
-    only on a subject that its table lacks.
+    only on a subject that its table lacks: ``_color`` is handed the
+    chain's positions in the parent's sums and its last member, and gives
+    a keyed coloring the set of their keys.
 
     Returns the state of the n terms, or None if a check fails.
     """
@@ -379,31 +404,34 @@ def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
         vertex_colors = tables.vertex
         vertex_color = vertex_colors.get(term)
         if vertex_color is None:
-            vertex_color = vertex_colors[term] = _color(chi_vertex, [term], tables)
+            vertex_color = vertex_colors[term] = _color(chi_vertex, older, (), term, tables)
         if parent.vertex_color not in (None, vertex_color):
             return None
+    depths = tables.depths
+    if n == len(depths):  # the search's first prefix of n terms
+        depths.append((*_chains_ending_at(n, tables.d), _least_indices(n))
+                      if chi_edge is not None else ((), (), _least_indices(n)))
+    heads, others, lows = depths[n]
     edge_color, masks = parent.edge_color, parent.masks
     if chi_edge is not None:
         bits, edge_colors = tables.bits, tables.edge
         term_bit = bits.get(term)
         if term_bit is None:
             term_bit = bits[term] = 1 << len(bits)
-        heads, others = _chains_ending_at(n, tables.d)
         for rest in heads:
             mask = term_bit
             for p in rest:
                 mask |= masks[p]
             c = edge_colors.get(mask)
             if c is None:
-                c = edge_colors[mask] = _color(
-                    chi_edge, [older[p] for p in rest] + [term], tables)
+                c = edge_colors[mask] = _color(chi_edge, older, rest, term, tables)
             if edge_color is None:
                 edge_color = c
             elif c != edge_color:
                 return None
     added = [term]
     combine = tables.sg.combine
-    for low, v in zip(_least_indices(n), older):
+    for low, v in zip(lows, older):
         v = combine(v, term)
         if least_max.get(v, n) < low:
             return None
@@ -423,8 +451,7 @@ def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
                 mask |= masks[p]
             c = edge_colors.get(mask)
             if c is None:
-                c = edge_colors[mask] = _color(
-                    chi_edge, [older[p] for p in rest] + [added[last]], tables)
+                c = edge_colors[mask] = _color(chi_edge, older, rest, added[last], tables)
             if c != edge_color:
                 return None
         masks = masks + new_masks
@@ -432,7 +459,7 @@ def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
         for v in itertools.islice(added, 1, None):
             c = vertex_colors.get(v)
             if c is None:
-                c = vertex_colors[v] = _color(chi_vertex, [v], tables)
+                c = vertex_colors[v] = _color(chi_vertex, older, (), v, tables)
             if c != vertex_color:
                 return None
     least = dict.fromkeys(added, n)  # an older value keeps its entry
@@ -542,6 +569,14 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     over ``sg``, the n-th block sum must lie in the chain's n-th set.
     The blocks lie in {1..``budget.max_index``}; a budget that sets
     ``max_value``, which this search does not read, raises ValueError.
+
+    The prefix check runs on index masks: the term of block F is F's mask,
+    and the sum over blocks of terms is the OR of their masks, the mask of
+    the union U of those blocks.  ``decode`` maps U to the base's sum over
+    U, the value that the colorings, the chain and the witness see.  The
+    base is proper up to ``max_index``, so blocks of terms that are
+    comparable have unions that are comparable, with distinct sums: the
+    check refuses a prefix on masks exactly when it would on values.
     """
     if chi_edge.arity != d:
         raise ValueError(f"edge coloring arity {chi_edge.arity} != d={d}")
@@ -557,24 +592,27 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     if block_sums is None:
         raise ImproperSequenceError(f"base improper up to index {hi}")
 
+    def decode(U: int):
+        return block_sums[U - 1]
+
     def check(blocks: list, parent: _PrefixState) -> Optional[_PrefixState]:
-        term = block_sums[blocks[-1] - 1]
-        if chain is not None and not chain.set_at(len(blocks))(term):
+        F = blocks[-1]
+        if chain is not None and not chain.set_at(len(blocks))(block_sums[F - 1]):
             return None
-        return _prefix_sums(parent, term)
+        return _prefix_sums(parent, F)
 
     def finish(blocks: list, state: _PrefixState) -> Witness:
-        sums = dict(zip(map(_block, itertools.count(1)), state.sums))
+        sums = dict(zip(map(_block, itertools.count(1)), map(decode, state.sums)))
         return Witness(
             blocks=BlockSequence(tuple(map(_block, blocks))),
-            terms=tuple(sums[frozenset([i])] for i in range(1, m + 1)),
+            terms=tuple(map(decode, blocks)),
             color_vertex=state.vertex_color,
             color_edge=state.edge_color,
             certificate={"edge_sets": chain_sum_sets(sums, m, d)},
         )
 
     result = _depth_first(m, _chain_candidates(hi, m), check, finish, budget.node_limit,
-                          _PrefixState.root(sg, chi_edge, d, chi_vertex))
+                          _PrefixState.root(_MASK_UNIONS, chi_edge, d, chi_vertex, decode))
     if isinstance(result, Witness) and not verify_mt_witness(
             result, sg, base, chi_edge, d, chi_vertex=chi_vertex, chain=chain):
         raise CertificateError("mt_search produced a witness that fails "

@@ -55,6 +55,29 @@ def test_duplicate_key_rejected():
         parse_config('{"command": "threshold", "colors": 2, "colors": 3}')
 
 
+def test_a_record_holding_long_lists_reads_back_equal():
+    record = {"command": "threshold",
+              "result": {"certificate": list(range(2000)),
+                         "avoider": {str(v): 1 + v % 3 for v in range(1, 24)}},
+              "rows": [{"k": i, "v": [i, [i + 1]]} for i in range(500)]}
+    text = json.dumps(record)
+    assert cli._load_json(text, "record") == record
+    # a repeat is named by its path, inside a list too, and after a long one
+    for bad, message in [
+        (text[:-1] + ', "rows": []}', "record.rows: given twice"),
+        ('{"rows": [' + '{"k": 1}, ' * 300 + '{"k": 2, "k": 3}]}',
+         "record.rows.k: given twice"),
+        # the first repeat in text order, not the first object closed
+        ('{"a": 1, "b": {"c": 1, "c": 2}, "a": 2}', "record.b.c: given twice"),
+        ('{"a": 1, "a": 2, "b": {"c": 1, "c": 2}}', "record.a: given twice"),
+        # a syntax error after a repeat still reads as one
+        ('{"a": {"b": 1, "b": 2}, ', "record: not valid JSON: "),
+    ]:
+        with pytest.raises(ConfigError) as caught:
+            cli._load_json(bad, "record")
+        assert str(caught.value).startswith(message)
+
+
 def test_zero_palette_rejected():
     with pytest.raises(ConfigError, match="palette"):
         parse_config({"command": "search-hindman", "m": 2, "max_value": 8,

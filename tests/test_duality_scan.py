@@ -296,6 +296,18 @@ def test_one_flipped_dual_breaks_laws_1_and_2(monkeypatch, g):
     assert by_id["law-1"].violations > 0 and by_id["law-2"].violations > 0
 
 
+# Flipped bits whose dual breaks up-closure: 128 breaks a filter's dual
+# (law 3), 170 a superfilter's (law 4).  The scan tests its own families,
+# which are up-closed, only for the other laws, but each dual in full.
+@pytest.mark.parametrize("family, bit", [(128, 3), (170, 3)])
+@pytest.mark.parametrize("g", [3, 4])
+def test_a_dual_that_is_not_up_closed_is_a_violation(monkeypatch, g, family, bit):
+    mutated = bytearray(_dual_table(3))
+    mutated[family] ^= 1 << bit
+    monkeypatch.setattr(filters, "_dual_table", lambda _g: bytes(mutated))
+    assert verify_duality_laws(g).lines == _tampered_reference(mutated, g).lines
+
+
 # no shrinking: the flips are few already, and each ground-4 reference
 # scan takes about half a second
 @settings(max_examples=8, derandomize=True, deadline=None, phases=[Phase.generate])

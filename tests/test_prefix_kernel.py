@@ -4,10 +4,13 @@ only; pinned node counts; tampered witnesses that the verifiers reject."""
 import dataclasses
 import functools
 import gc
+import itertools
 import random
 import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sumgames import check as check_module
 from sumgames import partition as partition_module
@@ -35,8 +38,10 @@ from sumgames.search import (
     Exhausted,
     SearchBudget,
     Witness,
+    _chain_candidates,
     _chains_ending_at,
     _color,
+    _depth_first,
     _prefix_sums,
     _PrefixState,
     hindman_search,
@@ -48,6 +53,7 @@ from sumgames.semigroups import (
     BlockSequence,
     ElementSequence,
     _block,
+    _mask,
     block_chains,
     chain_sum_sets,
     finite_sets,
@@ -308,23 +314,44 @@ def colliding_terms(kind, rng, length=5):
     return UNIONS, list(map(SSet.finite, values))
 
 
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "unkeyed"])
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("kind", ["naturals", "finite-sets", "set-unions"])
-def test_color_from_keys_equals_of_set(kind, d):
+def test_color_from_keys_equals_of_set(kind, d, keyed):
     shrunk = 0
     for seed in range(40):
         sg, terms = colliding_terms(kind, random.Random(seed))
         chi = seeded_hash_coloring(3, seed, d)
-        sums = fs_enumerate(ElementSequence.from_terms(sg, terms), len(terms))
+        if not keyed:
+            chi = dataclasses.replace(chi, keyed=None)
+        n = len(terms)
+        sums = fs_enumerate(ElementSequence.from_terms(sg, terms), n)
+        # the sums in mask order, as the kernel holds them; and as positions
+        # that a decode maps back, as mt_search holds its index masks
+        older = [sums[_block(j)] for j in range(1, 2 ** n)]
+        positions = list(range(len(older)))
         tables = _PrefixState.root(sg, chi, d).tables
-        for ch in block_chains(len(terms), d):
+        decoding = _PrefixState.root(sg, chi, d, decode=older.__getitem__).tables
+        for ch in block_chains(n, d):
             values = [sums[F] for F in ch]
             want = chi.of_set(frozenset(values))
-            assert chi.of_keys([canonical_key(v) for v in values]) == want
-            # the kernel's path, which fills the key table as it goes
-            assert _color(chi, values, tables) == want
+            if keyed:
+                assert chi.of_keys([canonical_key(v) for v in values]) == want
+                assert chi.of_keys({canonical_key(v) for v in values}) == want
+            # the kernel's path: the chain's positions in the parent's sums and
+            # its last member; the key tables fill as they go
+            rest, last = tuple(_mask(F) - 1 for F in ch[:-1]), _mask(ch[-1]) - 1
+            assert _color(chi, older, rest, older[last], tables) == want
+            assert _color(chi, positions, rest, last, decoding) == want
             shrunk += len(set(values)) < d
         assert all(key == canonical_key(v) for v, key in tables.keys.items())
+        assert all(key == canonical_key(older[p]) for p, key in decoding.keys.items())
+        assert bool(tables.keys) == bool(decoding.keys) == keyed
+        # d + 1 distinct members are more than the coloring's arity
+        distinct = list(dict.fromkeys(older))[:d + 1]
+        if len(distinct) == d + 1:
+            with pytest.raises(ValueError, match="distinct elements"):
+                _color(chi, distinct, tuple(range(d)), distinct[d], tables)
     assert shrunk > 0
 
 
@@ -584,6 +611,115 @@ def test_mt_witness_from_state_matches_the_rebuilt_one(semigroup, d, vertex):
         assert w.to_record() == want.to_record()
         assert_same_certificate(w, want)
     assert found >= 6
+
+
+def value_space_mt_search(chi_edge, sg, base, m, d, budget, chain, chi_vertex):
+    """``mt_search`` as it ran before its sums became index masks: the
+    driver and the prefix check on the base's sum values themselves."""
+    hi = budget.max_index
+    sums = fs_enumerate(base, hi)
+
+    def check(blocks, parent):
+        term = sums[_block(blocks[-1])]
+        if chain is not None and not chain.set_at(len(blocks))(term):
+            return None
+        return _prefix_sums(parent, term)
+
+    def finish(blocks, state):
+        by_block = dict(zip(map(_block, itertools.count(1)), state.sums))
+        return Witness(BlockSequence(tuple(map(_block, blocks))),
+                       tuple(by_block[frozenset([i])] for i in range(1, m + 1)),
+                       state.vertex_color, state.edge_color,
+                       {"edge_sets": chain_sum_sets(by_block, m, d)})
+
+    return _depth_first(m, _chain_candidates(hi, m), check, finish, budget.node_limit,
+                        _PrefixState.root(sg, chi_edge, d, chi_vertex))
+
+
+# the terms a proper base may draw: small ones, so that many bases have two
+# interleaved blocks of equal sum, as 1, 5, 4 has a_2 = a_1 + a_3
+_POOLS = {
+    NAT: list(range(1, 25)),
+    FIN: [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(range(1, 6), r)],
+}
+
+
+def draw_proper_base(data, sg) -> list:
+    """Up to 6 terms, each drawn among those that keep the base proper."""
+    terms = []
+    for _ in range(data.draw(st.integers(4, 6), label="length")):
+        fits = [v for v in _POOLS[sg] if proper_violation(
+            ElementSequence.from_terms(sg, terms + [v]), len(terms) + 1) is None]
+        if not fits:
+            break
+        terms.append(data.draw(st.sampled_from(fits)))
+    return terms
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data(), sg=st.sampled_from([NAT, FIN]), d=st.sampled_from([2, 3]),
+       seed=st.integers(0, 50), keyed=st.booleans(), vertex=st.booleans(),
+       chain=st.booleans(), node_limit=st.sampled_from([3, 12, 10 ** 5]))
+@example(data=None, sg=NAT, d=2, seed=0, keyed=True, vertex=True, chain=False,
+         node_limit=10 ** 5)
+def test_mt_search_on_index_masks_matches_the_value_space_search(
+        data, sg, d, seed, keyed, vertex, chain, node_limit):
+    if data is None:  # proper, with 8 sums repeated: a_2 = a_1 + a_3, a_3 = a_1 + a_4
+        terms, m = [1, 5, 4, 3, 16], 3
+    else:
+        terms = draw_proper_base(data, sg)
+        m = data.draw(st.integers(d, min(4, len(terms))), label="m")
+    base = ElementSequence.from_terms(sg, terms)
+    chi_edge = seeded_hash_coloring(2, seed, d)
+    chi_vertex = seeded_hash_coloring(2, seed + 100) if vertex else None
+    if not keyed:
+        chi_edge = dataclasses.replace(chi_edge, keyed=None)
+        chi_vertex = chi_vertex and dataclasses.replace(chi_vertex, keyed=None)
+    budget = SearchBudget(max_index=len(terms), node_limit=node_limit)
+    tails = fs_tail_chain(base) if chain else None
+    got = mt_search(chi_edge, sg, base, m, d, budget, chain=tails, chi_vertex=chi_vertex)
+    want = value_space_mt_search(chi_edge, sg, base, m, d, budget, tails, chi_vertex)
+    assert type(got) is type(want)
+    if isinstance(want, Exhausted):
+        assert (got.complete, got.nodes) == (want.complete, want.nodes)
+    else:
+        assert got.to_record() == want.to_record()
+        assert got.certificate == want.certificate
+
+
+@pytest.mark.parametrize("chain", [False, True])
+@pytest.mark.parametrize("vertex", [False, True])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("semigroup", ["naturals", "finite-sets"])
+def test_no_mt_subject_is_hashed_twice_in_one_search(semigroup, d, vertex, chain):
+    # on these bases distinct index masks have distinct sums, so the key
+    # table and the color tables of one search meet each subject once.
+    # Only the kernel calls keyed: the witness check calls fn.
+    def hashed(chi):
+        keys = []
+
+        def keyed(key):
+            keys.append(key)
+            return chi.keyed(key)
+
+        return dataclasses.replace(chi, keyed=keyed), keys
+
+    if semigroup == "naturals":
+        sg, base = NAT, POW2
+    else:
+        sg, base = FIN, ElementSequence.from_fn(FIN, lambda i: frozenset({i}))
+    searched = 0
+    for seed in range(6):
+        chi_edge, edge_keys = hashed(seeded_hash_coloring(3, seed, d))
+        chi_vertex, vertex_keys = hashed(seeded_hash_coloring(2, 200 + seed))
+        out = mt_search(chi_edge, sg, base, d + 1, d, SearchBudget(max_index=8),
+                        chain=fs_tail_chain(base) if chain else None,
+                        chi_vertex=chi_vertex if vertex else None)
+        searched += isinstance(out, Witness) or out.complete
+        assert edge_keys and len(edge_keys) == len(set(edge_keys))
+        assert len(vertex_keys) == len(set(vertex_keys))
+        assert bool(vertex_keys) == vertex
+    assert searched == 6
 
 
 def _initial_segments(target, vertex):

@@ -219,3 +219,25 @@ def test_partition_search_cuts_with_the_covers_bound():
                  if isinstance(fn, ast.FunctionDef) and fn.name == "completion_floor")
     assert not [node.value for node in ast.walk(bound)
                 if isinstance(node, ast.Constant) and isinstance(node.value, int)]
+
+
+def test_only_coloring_py_calls_keyed_or_checks_the_palette():
+    # Coloring.of_keys and of_set hold the arity and palette checks; a module
+    # that called keyed itself, or checked colors against a palette of its
+    # own, would color subjects past them
+    found = []
+    for path in SOURCES:
+        if path.name == "coloring.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "keyed":
+                    found.append(f"{path.name}:{node.lineno}: calls keyed")
+            elif isinstance(node, ast.Attribute) and node.attr in ("palette", "_set_key"):
+                found.append(f"{path.name}:{node.lineno}: reads {node.attr}")
+            elif isinstance(node, ast.Name) and node.id == "_set_key":
+                found.append(f"{path.name}:{node.lineno}: names _set_key")
+    assert found == []
