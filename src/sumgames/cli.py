@@ -965,9 +965,10 @@ _RERUN_ONLY = {
 
 
 _D = Key(_integer(1), 2)
-# search-mt builds its terms, all 2^max_index block sums of its base, before
-# its first node and outside the node budget: over finite sets 16 takes
-# 0.18 s and 65 MB, 18 takes 0.9 s, and 20 takes 5 s and 826 MB
+# search-mt folds its terms, all 2^max_index block sums of its base, before
+# its first node and outside the node budget: over finite sets (peak RSS)
+# 16 takes 0.1 s and 60 MB, 18 takes 0.7 s and 195 MB, and 20 takes 4.7 s
+# and 769 MB
 _MT_MAX_INDEX = Key(_integer(0, 16), 0)
 _EDGE_COLORING = Key(_coloring_descriptor, ...)
 _VERTEX_COLORING = Key(_coloring_descriptor)

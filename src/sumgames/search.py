@@ -37,6 +37,7 @@ from .semigroups import (
     chain_table,
     indexed_sum,
     naturals,
+    proper_violation,
 )
 
 _NATS = naturals()
@@ -467,19 +468,6 @@ def _prefix_sums(parent: _PrefixState, term) -> Optional[_PrefixState]:
     return _PrefixState(n, older + added, least, masks, edge_color, vertex_color, tables)
 
 
-def _base_sums(seq: ElementSequence, n: int) -> Optional[list]:
-    """The sums of the first ``n`` terms of ``seq``, entry mask - 1 for each
-    block's, or None if ``proper_violation(seq, n)`` finds a collision;
-    built by the prefix check with no colorings, so that it stops at the
-    first collision and never sorts blocks to find the least one."""
-    state = _PrefixState.root(seq.semigroup)
-    for i in range(1, n + 1):
-        state = _prefix_sums(state, seq.term(i))
-        if state is None:
-            return None
-    return state.sums
-
-
 def _chain_candidates(hi: int, m: int) -> Callable:
     """Candidates for chains F_1 < ... < F_m inside {1..hi}: blocks above
     the last one that leave an index for each block still to come."""
@@ -573,10 +561,15 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     The prefix check runs on index masks: the term of block F is F's mask,
     and the sum over blocks of terms is the OR of their masks, the mask of
     the union U of those blocks.  ``decode`` maps U to the base's sum over
-    U, the value that the colorings, the chain and the witness see.  The
-    base is proper up to ``max_index``, so blocks of terms that are
-    comparable have unions that are comparable, with distinct sums: the
-    check refuses a prefix on masks exactly when it would on values.
+    U, the value that the colorings, the chain and the witness see: entry
+    U - 1 of the sums of every block inside {1..``max_index``}, each
+    folded left to right, built before the first node.  The base must be
+    proper up to ``max_index``.  It is when those sums are distinct; when
+    one repeats, ``proper_violation`` decides, since blocks that share a
+    sum need not be comparable, and a base it faults raises
+    ImproperSequenceError.  So blocks of terms that are comparable have
+    unions that are comparable, with distinct sums: the check refuses a
+    prefix on masks exactly when it would on values.
     """
     if chi_edge.arity != d:
         raise ValueError(f"edge coloring arity {chi_edge.arity} != d={d}")
@@ -588,8 +581,11 @@ def mt_search(chi_edge: Coloring, sg: Semigroup, base: ElementSequence,
     hi = budget.max_index
     if hi < m:
         raise ValueError("max_index must allow m blocks")
-    block_sums = _base_sums(base, hi)
-    if block_sums is None:
+    combine, block_sums = base.semigroup.combine, []
+    for j in range(1, hi + 1):
+        t = base.term(j)
+        block_sums += [t] + [combine(v, t) for v in block_sums]
+    if len(set(block_sums)) < len(block_sums) and proper_violation(base, hi) is not None:
         raise ImproperSequenceError(f"base improper up to index {hi}")
 
     def decode(U: int):

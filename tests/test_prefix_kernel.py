@@ -537,8 +537,8 @@ def test_search_tables_are_freed_when_the_search_returns(monkeypatch):
             assert len(made) > before and all(ref() is None for ref in made), out
     finally:
         gc.enable()
-    # one root per search, and one more for mt_search's base check
-    assert len(made) == len(runs) + 1
+    # one root per search
+    assert len(made) == len(runs)
 
 
 # ---------------------------------------------------------------- witnesses

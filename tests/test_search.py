@@ -47,7 +47,6 @@ from sumgames.search import (
     _avoider_exists_fc,
     _candidate_blocks,
     _lex_first_avoider,
-    _base_sums,
 )
 from sumgames.semigroups import (
     BlockSequence,
@@ -176,17 +175,6 @@ _BASES = ([nat_seq(1, 2, 3, 8, 16, 32, 64, 128), nat_seq(1, 1, 4, 8, 16, 32, 64,
                    + [_random_finite_set_base(seed) for seed in range(12)])
 
 
-@pytest.mark.parametrize("base", _BASES + [pow2_base(), nat_seq(1, 3, 2, 9)],
-                         ids=lambda base: repr(base))
-def test_base_properness_fold_agrees_with_proper_violation(base):
-    # None exactly when the base collides; else the sum of every block, by mask
-    for hi in range(0, min(8, base.length or 8) + 1):
-        sums = _base_sums(base, hi)
-        assert (sums is None) == (proper_violation(base, hi) is not None), hi
-        if sums is not None:
-            assert sums == [indexed_sum(base, _block(mask)) for mask in range(1, 1 << hi)], hi
-
-
 @pytest.mark.parametrize("sg, base", [(NAT, pow2_base()), (FIN, fin_singletons())],
                          ids=["naturals", "finite-sets"])
 @pytest.mark.parametrize("d", [2, 3])
@@ -205,10 +193,15 @@ def test_mt_search_reads_block_sums_from_the_base_fold(sg, base, d, monkeypatch)
     assert all(isinstance(w, Witness) for w in want)
 
 
-@pytest.mark.parametrize("base", _BASES, ids=lambda base: repr(base))
+# 1, 3, 2, 9 is proper, though the incomparable blocks {2} and {1, 3} both
+# sum to 3
+_PROPER_BASES = [pow2_base(), fin_singletons(), nat_seq(1, 3, 2, 9)]
+
+
+@pytest.mark.parametrize("base", _BASES + _PROPER_BASES, ids=lambda base: repr(base))
 def test_mt_search_rejects_an_improper_base_as_proper_violation_does(base):
     chi = seeded_hash_coloring(2, 1, 2)
-    for hi in range(2, 9):
+    for hi in range(2, min(8, base.length or 8) + 1):
         if proper_violation(base, hi) is None:
             assert mt_search(chi, base.semigroup, base, 2, 2,
                              SearchBudget(max_index=hi)) is not None
@@ -216,6 +209,39 @@ def test_mt_search_rejects_an_improper_base_as_proper_violation_does(base):
             with pytest.raises(ImproperSequenceError,
                                match=f"base improper up to index {hi}"):
                 mt_search(chi, base.semigroup, base, 2, 2, SearchBudget(max_index=hi))
+
+
+@pytest.mark.parametrize("base", _BASES + _PROPER_BASES, ids=lambda base: repr(base))
+def test_mt_search_colors_every_block_sum_as_indexed_sum_folds_it(base):
+    # m = max_index forces the blocks {1} < ... < {hi}, whose unions are all
+    # the blocks inside {1..hi}; the vertex coloring sees each new sum once,
+    # in mask order, before the witness check colors again
+    for hi in range(2, min(8, base.length or 8) + 1):
+        if proper_violation(base, hi) is not None:
+            continue
+        seen = []
+        chi_vertex = Coloring(1, 1, lambda s: seen.append(next(iter(s))) or 1)
+        w = mt_search(constant_coloring(2), base.semigroup, base, hi, 2,
+                      SearchBudget(max_index=hi), chi_vertex=chi_vertex)
+        want = [indexed_sum(base, _block(mask)) for mask in range(1, 1 << hi)]
+        assert seen[:len(want)] == want, hi
+        assert w.terms == tuple(want[(1 << i) - 1] for i in range(hi)), hi
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(terms=st.lists(st.integers(1, 8), min_size=3, max_size=6, unique=True),
+       m=st.integers(2, 3), seed=st.integers(0, 7))
+def test_mt_search_refuses_a_base_exactly_when_proper_violation_finds_a_pair(terms, m, seed):
+    # most of these bases repeat a sum, proper or not, so that the search
+    # decides them with proper_violation
+    base, hi = nat_seq(*terms), len(terms)
+    chi = seeded_hash_coloring(2, seed, 2)
+    if proper_violation(base, hi) is not None:
+        with pytest.raises(ImproperSequenceError, match=f"base improper up to index {hi}"):
+            mt_search(chi, NAT, base, m, 2, SearchBudget(max_index=hi))
+    else:
+        out = mt_search(chi, NAT, base, m, 2, SearchBudget(max_index=hi))
+        assert not isinstance(out, Witness) or verify_mt_witness(out, NAT, base, chi, 2)
 
 
 def test_mt_rejects_fewer_blocks_than_d():

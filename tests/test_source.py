@@ -181,6 +181,24 @@ def test_searches_read_every_chain_from_the_chain_table():
     assert "chain_table" in reached["search"]
 
 
+def test_only_the_block_searches_call_the_prefix_kernel():
+    # the kernel checks search nodes: a top-level function other than the
+    # four block searches that names it runs the check outside a search
+    callers = []
+    for name in ("search", "partition"):
+        for stmt in _top_level(ROOT / "src" / "sumgames" / f"{name}.py"):
+            if not isinstance(stmt, _DEFINITIONS) or stmt.name == "_prefix_sums":
+                continue
+            roots = [node for node in ast.walk(stmt) if isinstance(node, ast.Attribute)
+                     and node.attr == "root" and isinstance(node.value, ast.Name)
+                     and node.value.id == "_PrefixState"]
+            if roots or "_prefix_sums" in {node.id for node in ast.walk(stmt)
+                                           if isinstance(node, ast.Name)}:
+                callers.append(f"{name}.{stmt.name}")
+    assert sorted(callers) == ["partition.menger_mt_search", "search.hindman_search",
+                               "search.mt_search", "search.proper_or_collapse"]
+
+
 def test_threshold_dfs_names_its_budget_only_as_spend():
     # the tracer counts spend calls as nodes, and a pass that could resume
     # must keep no budget arithmetic of its own: _lex_first_avoider reads
